@@ -11,7 +11,6 @@ Exit codes: 0 = everything holds, 1 = a mathematical violation (failed
 verdict, violated chain link, witness not found), 2 = usage or evaluation
 error.  JSON output is deterministic for a fixed configuration and seed:
 no timestamps, floats printed with 17 significant digits, stable ordering.
-The HHVERIFY_THREADS environment variable caps sweep parallelism.
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
 from . import __version__
@@ -338,9 +335,8 @@ def _need(args, name: str) -> float:
 
 def _auto_direction(fn, interval: HInterval, grid: SampleGrid, symmetrized: bool) -> str:
     check = check_symmetrized if symmetrized else check_harmonic_convex
-    if check(fn, interval, grid=grid).passed:
-        return "convex"
-    if check(fn, interval, grid=grid, direction="concave").passed:
+    verdict = check(fn, interval, grid=grid)
+    if not verdict.passed and verdict.opposite.passed:
         return "concave"
     return "convex"
 
@@ -482,11 +478,10 @@ def _h_direction(
     # harmonic convexity plus h >= id and f >= 0 already implies h-convexity
     if entry.classes.get("symmetrized_harmonic_convex") and _h_dominates_identity(h):
         return "convex", "corpus-declared symmetrized convexity, h dominates identity"
-    if check_symmetrized(entry.spec, entry.interval, grid=grid, tol=tol, h=h).passed:
+    verdict = check_symmetrized(entry.spec, entry.interval, grid=grid, tol=tol, h=h)
+    if verdict.passed:
         return "convex", "weighted symmetrized check passed"
-    if check_symmetrized(
-        entry.spec, entry.interval, grid=grid, tol=tol, h=h, direction="concave"
-    ).passed:
+    if verdict.opposite.passed:
         return "concave", "weighted symmetrized concavity check passed"
     return None, "weighted symmetrized checks failed both directions"
 
@@ -598,7 +593,6 @@ def run_sweep(
     seed: int = 0,
     grid_size: int = 64,
     entry_names: Optional[list[str]] = None,
-    threads: Optional[int] = None,
 ) -> dict:
     """Evaluate every applicable chain over the corpus; returns the payload."""
     grid = SampleGrid(abscissa_count=grid_size, seed=seed)
@@ -614,15 +608,8 @@ def run_sweep(
     for entry in entries:
         jobs.extend(_sweep_entry_jobs(entry, hs, grid, tol, quad_tol, variant))
 
-    if threads is None:
-        threads = max(1, int(os.environ.get("HHVERIFY_THREADS", "1")))
-    pending = [j for j in jobs if "_builder" in j]
-    if threads > 1 and pending:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(_run_job, pending))
-    else:
-        for job in pending:
-            _run_job(job)
+    for job in jobs:
+        _run_job(job)
 
     jobs.sort(key=lambda j: (j["entry"], j["chain"], j["h"] or ""))
     summary = {

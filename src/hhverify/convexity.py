@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .fnspec import FunctionSpec, parse
@@ -78,12 +78,16 @@ DEFAULT_GRID = SampleGrid()
 
 @dataclass(frozen=True, slots=True)
 class ConvexityVerdict:
+    """Outcome of one class check; ``opposite`` is the other direction's
+    verdict from the same scan, and is left out of :meth:`to_dict`."""
+
     class_tested: str
     passed: bool
     worst_margin: float
     witness: Optional[tuple[float, float, float]]  # (x, y, alpha) attaining worst_margin
     samples_used: int
     tol: float
+    opposite: Optional["ConvexityVerdict"] = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         wit = None
@@ -99,14 +103,6 @@ class ConvexityVerdict:
         }
 
 
-def _sign(direction: str) -> float:
-    if direction == "convex":
-        return 1.0
-    if direction == "concave":
-        return -1.0
-    raise ValueError(f"direction must be 'convex' or 'concave', not {direction!r}")
-
-
 def _scan(
     f: Callable[[float], float],
     combine: Callable[[float, float, float], float],
@@ -114,35 +110,76 @@ def _scan(
     weights: tuple[float, ...],
     xs: tuple[float, ...],
     randoms: list[tuple[float, float, float]],
-    sign: float,
-) -> tuple[float, tuple[float, float, float], int]:
-    """Worst margin of  f(combine(x,y,a)) - [wy*f(y) + wx*f(x)]  over the grid."""
+):
+    """One streaming pass over the grid pairs and the random triples.
+
+    With  d = f(combine(x,y,a)) - [wy*f(y) + wx*f(x)],  returns the largest d
+    (the convex margin) with the first triple attaining it, the smallest d
+    (minus the concave margin) with its first triple, the sample count, and
+    max(1, largest |f| evaluated), the scale of the tolerance.
+    """
     fx = [f(x) for x in xs]
     rows = [(al, *pair_fn(al)) for al in weights]
-    worst = -math.inf
-    witness = (xs[0], xs[-1], 0.5)
-    count = 0
+    top, bottom = -math.inf, math.inf
+    top_witness = bottom_witness = (xs[0], xs[-1], 0.5)
+    # max/min keep their first argument against a NaN: the scale is never NaN
+    f_hi, f_lo = max(1.0, *fx), min(-1.0, *fx)
     n = len(xs)
     for i in range(n):
-        xi = xs[i]
-        fxi = fx[i]
+        xi, fxi = xs[i], fx[i]
         for j in range(i + 1, n):
-            yj = xs[j]
-            fyj = fx[j]
+            yj, fyj = xs[j], fx[j]
             for al, wy, wx in rows:
-                m = sign * (f(combine(xi, yj, al)) - (wy * fyj + wx * fxi))
-                count += 1
-                if m > worst:
-                    worst = m
-                    witness = (xi, yj, al)
+                fc = f(combine(xi, yj, al))
+                d = fc - (wy * fyj + wx * fxi)
+                if fc > f_hi:
+                    f_hi = fc
+                elif fc < f_lo:
+                    f_lo = fc
+                if d > top:
+                    top, top_witness = d, (xi, yj, al)
+                if d < bottom:
+                    bottom, bottom_witness = d, (xi, yj, al)
     for x, y, al in randoms:
         wy, wx = pair_fn(al)
-        m = sign * (f(combine(x, y, al)) - (wy * f(y) + wx * f(x)))
-        count += 1
-        if m > worst:
-            worst = m
-            witness = (x, y, al)
-    return worst, witness, count
+        fc, fy, fxr = f(combine(x, y, al)), f(y), f(x)
+        d = fc - (wy * fy + wx * fxr)
+        f_hi, f_lo = max(f_hi, fc, fy, fxr), min(f_lo, fc, fy, fxr)
+        if d > top:
+            top, top_witness = d, (x, y, al)
+        if d < bottom:
+            bottom, bottom_witness = d, (x, y, al)
+    count = n * (n - 1) // 2 * len(rows) + len(randoms)
+    return top, top_witness, bottom, bottom_witness, count, max(f_hi, -f_lo)
+
+
+def _check(f, combine, pair_fn, lo, hi, extra, grid, tol, names, direction) -> ConvexityVerdict:
+    """Scan ``f`` on [lo, hi] once; the verdict for ``direction`` carries the
+    other as ``opposite``.  A margin passes up to ``tol`` times the scan's
+    scale, so that verdicts do not depend on the units of ``f``."""
+    if direction not in ("convex", "concave"):
+        raise ValueError(f"direction must be 'convex' or 'concave', not {direction!r}")
+    grid = grid or DEFAULT_GRID
+    xs = grid.abscissae(lo, hi, extras=(extra,))
+    top, top_witness, bottom, bottom_witness, count, scale = _scan(
+        f, combine, pair_fn, grid.weights(), xs, grid.random_triple_stream(lo, hi)
+    )
+    bound = tol * scale
+    convex = (names[0], top <= bound, top, top_witness, count, tol)
+    concave = (names[1], -bottom <= bound, -bottom, bottom_witness, count, tol)
+    if direction == "concave":
+        convex, concave = concave, convex
+    return ConvexityVerdict(*convex, opposite=ConvexityVerdict(*concave))
+
+
+def _check_harmonic(f, interval, h, grid, tol, kind, direction) -> ConvexityVerdict:
+    """:func:`_check` on the interval with harmonic combinations, weighted
+    (a, 1-a), or (h(a), h(1-a)) when ``h`` is given."""
+    pair_fn = (lambda al: (al, 1.0 - al)) if h is None else (lambda al: (h(al), h(1.0 - al)))
+    return _check(
+        f, hcomb, pair_fn, interval.a, interval.b, interval.harmonic_midpoint,
+        grid, tol, (f"{kind}_convex", f"{kind}_concave"), direction,
+    )
 
 
 def check_harmonic_convex(
@@ -154,22 +191,9 @@ def check_harmonic_convex(
 ) -> ConvexityVerdict:
     """Margin sweep of  f(xy/(ax + (1-a)y)) <= a f(y) + (1-a) f(x).
 
-    The concave check runs the same machinery with the margin negated.
+    The concave verdict comes from the same scan with the margin negated.
     """
-    grid = grid or DEFAULT_GRID
-    sign = _sign(direction)
-    xs = grid.abscissae(interval.a, interval.b, extras=(interval.harmonic_midpoint,))
-    worst, witness, count = _scan(
-        f,
-        hcomb,
-        lambda al: (al, 1.0 - al),
-        grid.weights(),
-        xs,
-        grid.random_triple_stream(interval.a, interval.b),
-        sign,
-    )
-    name = "harmonic_convex" if direction == "convex" else "harmonic_concave"
-    return ConvexityVerdict(name, worst <= tol, worst, witness, count, tol)
+    return _check_harmonic(f, interval, None, grid, tol, "harmonic", direction)
 
 
 def check_harmonic_h_convex(
@@ -181,20 +205,7 @@ def check_harmonic_h_convex(
     direction: str = "convex",
 ) -> ConvexityVerdict:
     """As :func:`check_harmonic_convex` with weights (h(a), h(1-a))."""
-    grid = grid or DEFAULT_GRID
-    sign = _sign(direction)
-    xs = grid.abscissae(interval.a, interval.b, extras=(interval.harmonic_midpoint,))
-    worst, witness, count = _scan(
-        f,
-        hcomb,
-        lambda al: (h(al), h(1.0 - al)),
-        grid.weights(),
-        xs,
-        grid.random_triple_stream(interval.a, interval.b),
-        sign,
-    )
-    name = "harmonic_h_convex" if direction == "convex" else "harmonic_h_concave"
-    return ConvexityVerdict(name, worst <= tol, worst, witness, count, tol)
+    return _check_harmonic(f, interval, h, grid, tol, "harmonic_h", direction)
 
 
 def check_convex(
@@ -206,25 +217,15 @@ def check_convex(
     direction: str = "convex",
 ) -> ConvexityVerdict:
     """Plain secant-above-graph margin sweep of F on [lo, hi]."""
-    grid = grid or DEFAULT_GRID
-    sign = _sign(direction)
-    xs = grid.abscissae(lo, hi, extras=(0.5 * (lo + hi),))
 
     def combine(x: float, y: float, al: float) -> float:
         return al * x + (1.0 - al) * y
 
     # plain convexity pairs the weight alpha with F(x)
-    worst, witness, count = _scan(
-        F,
-        combine,
-        lambda al: (1.0 - al, al),
-        grid.weights(),
-        xs,
-        grid.random_triple_stream(lo, hi),
-        sign,
+    return _check(
+        F, combine, lambda al: (1.0 - al, al), lo, hi, 0.5 * (lo + hi),
+        grid, tol, ("convex", "concave"), direction,
     )
-    name = "convex" if direction == "convex" else "concave"
-    return ConvexityVerdict(name, worst <= tol, worst, witness, count, tol)
 
 
 def check_symmetrized(
@@ -236,16 +237,8 @@ def check_symmetrized(
     direction: str = "convex",
 ) -> ConvexityVerdict:
     """Check the symmetric part of ``f`` for (h-)convexity on the interval."""
-    fb = sym_transform(f, interval)
-    if h is None:
-        inner = check_harmonic_convex(fb, interval, grid=grid, tol=tol, direction=direction)
-        name = "symmetrized_harmonic_convex" if direction == "convex" else "symmetrized_harmonic_concave"
-    else:
-        inner = check_harmonic_h_convex(fb, h, interval, grid=grid, tol=tol, direction=direction)
-        name = "symmetrized_harmonic_h_convex" if direction == "convex" else "symmetrized_harmonic_h_concave"
-    return ConvexityVerdict(
-        name, inner.passed, inner.worst_margin, inner.witness, inner.samples_used, inner.tol
-    )
+    kind = "symmetrized_harmonic" if h is None else "symmetrized_harmonic_h"
+    return _check_harmonic(sym_transform(f, interval), interval, h, grid, tol, kind, direction)
 
 
 def margin_harmonic(

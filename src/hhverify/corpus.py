@@ -256,24 +256,23 @@ def _build_entries() -> tuple[CorpusEntry, ...]:
     return tuple(entries)
 
 
+# by kind of class (a tag without its direction): one scan decides both tags
+_GATE_CHECKS = {
+    "": lambda f, interval: check_convex(f, interval.a, interval.b, grid=DEFAULT_GRID),
+    "harmonic": lambda f, interval: check_harmonic_convex(f, interval, grid=DEFAULT_GRID),
+    "symmetrized_harmonic": lambda f, interval: check_symmetrized(f, interval, grid=DEFAULT_GRID),
+}
+
+
 def _verify_entry(entry: CorpusEntry) -> None:
-    f = entry.spec
-    interval = entry.interval
+    verdicts = {}
     for tag, declared in entry.classes.items():
-        if tag == "convex":
-            verdict = check_convex(f, interval.a, interval.b, grid=DEFAULT_GRID)
-        elif tag == "concave":
-            verdict = check_convex(f, interval.a, interval.b, grid=DEFAULT_GRID, direction="concave")
-        elif tag == "harmonic_convex":
-            verdict = check_harmonic_convex(f, interval, grid=DEFAULT_GRID)
-        elif tag == "harmonic_concave":
-            verdict = check_harmonic_convex(f, interval, grid=DEFAULT_GRID, direction="concave")
-        elif tag == "symmetrized_harmonic_convex":
-            verdict = check_symmetrized(f, interval, grid=DEFAULT_GRID)
-        elif tag == "symmetrized_harmonic_concave":
-            verdict = check_symmetrized(f, interval, grid=DEFAULT_GRID, direction="concave")
-        else:
+        if tag not in CLASS_TAGS:
             raise CorpusError(f"{entry.name}: unknown class tag {tag!r}")
+        kind, _, direction = tag.rpartition("_")
+        if kind not in verdicts:
+            verdicts[kind] = _GATE_CHECKS[kind](entry.spec, entry.interval)
+        verdict = verdicts[kind] if direction == "convex" else verdicts[kind].opposite
         if verdict.passed != declared:
             raise CorpusError(
                 f"{entry.name}: declared {tag}={declared} but the checker found "

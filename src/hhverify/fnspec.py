@@ -340,56 +340,80 @@ def _format(node: Node, min_prec: int) -> str:
 # --- compilation and evaluation ---------------------------------------------
 
 
-def compile_ast(node: Node) -> Callable[[float], float]:
-    """Compile the tree into nested closures, one per node."""
-    if isinstance(node, Num):
-        v = node.value
-        return lambda t: v
-    if isinstance(node, Var):
-        return lambda t: t
-    if isinstance(node, Neg):
-        g = compile_ast(node.arg)
-        return lambda t: -g(t)
-    if isinstance(node, BinOp):
-        g = compile_ast(node.left)
-        h = compile_ast(node.right)
-        if node.op == "+":
-            return lambda t: g(t) + h(t)
-        if node.op == "-":
-            return lambda t: g(t) - h(t)
-        if node.op == "*":
-            return lambda t: g(t) * h(t)
-        return lambda t: g(t) / h(t)
-    if isinstance(node, Pow):
-        g = compile_ast(node.base)
-        e = compile_ast(node.exponent)
+# names the generated functions see; a function's constants are added as _c<k>
+_RUNTIME = {
+    "_ln": math.log, "_exp": math.exp, "_abs": abs, "_min": min, "_max": max, "_pow": math.pow,
+    "_isfinite": math.isfinite, "_EvalDomainError": EvalDomainError,
+}
 
-        def _pow(t: float) -> float:
-            base = g(t)
+
+def compile_ast(
+    node: Node, domain: Optional[Tuple[float, float]] = None
+) -> Callable[[float], float]:
+    """Generate one Python function that evaluates the tree at ``t``.
+
+    The body has one statement per operator node, in the order a recursive
+    walk evaluates them: left operand before right, and a power's base and
+    its NaN guard before its exponent.  Leaves are operands: ``t``, and the
+    constants bound by name.  The function checks ``domain`` first, turns
+    arithmetic errors into :class:`EvalDomainError` and rejects a non-finite
+    result, so it is the whole of :func:`evaluate`.
+    """
+    namespace = dict(_RUNTIME)
+    body: list[str] = []
+
+    def operand(node: Node) -> str:
+        if isinstance(node, Var):
+            return "t"
+        if isinstance(node, Num):
+            name = f"_c{len(namespace)}"
+            namespace[name] = node.value
+            return name
+        if isinstance(node, Neg):
+            expr = f"-{operand(node.arg)}"
+        elif isinstance(node, BinOp):
+            left = operand(node.left)
+            expr = f"{left} {node.op} {operand(node.right)}"
+        elif isinstance(node, Pow):
+            base = operand(node.base)
             # math.pow(nan, 0) would silently absorb a NaN produced upstream
-            if base != base:
-                raise EvalDomainError("NaN reached a power")
-            return math.pow(base, e(t))
-
-        return _pow
-    if isinstance(node, Call1):
-        g = compile_ast(node.arg)
-        fn = {"ln": math.log, "exp": math.exp, "abs": abs}[node.name]
-        return lambda t: fn(g(t))
-    if isinstance(node, Call2):
-        g = compile_ast(node.left)
-        h = compile_ast(node.right)
-        pick = min if node.name == "min" else max
-
-        def _sel(t: float) -> float:
-            u, v = g(t), h(t)
+            body.append(f"if {base} != {base}: raise _EvalDomainError('NaN reached a power')")
+            expr = f"_pow({base}, {operand(node.exponent)})"
+        elif isinstance(node, Call1):
+            expr = f"_{node.name}({operand(node.arg)})"
+        elif isinstance(node, Call2):
+            left, right = operand(node.left), operand(node.right)
             # Python's min/max can silently drop a NaN operand
-            if u != u or v != v:
-                raise EvalDomainError("NaN reached min/max")
-            return pick(u, v)
+            body.append(
+                f"if {left} != {left} or {right} != {right}: "
+                "raise _EvalDomainError('NaN reached min/max')"
+            )
+            expr = f"_{node.name}({left}, {right})"
+        else:
+            raise TypeError(f"unknown node {node!r}")
+        name = f"v{len(body)}"
+        body.append(f"{name} = {expr}")
+        return name
 
-        return _sel
-    raise TypeError(f"unknown node {node!r}")
+    body.append(f"value = {operand(node)}")
+    lines = ["def _evaluate(t):"]
+    if domain is not None:
+        namespace["_lo"], namespace["_hi"] = domain
+        lines.append("    if not _lo <= t <= _hi: raise _EvalDomainError("
+                     "f't={t!r} outside declared domain [{_lo!r}, {_hi!r}]')")
+    lines.append("    try:")
+    lines += [f"        {stmt}" for stmt in body]
+    lines += [
+        "    except _EvalDomainError:",
+        "        raise",
+        "    except (ValueError, ZeroDivisionError, OverflowError) as exc:",
+        "        raise _EvalDomainError(f'evaluation failed at t={t!r}: {exc}') from None",
+        "    if not _isfinite(value):",
+        "        raise _EvalDomainError(f'evaluation at t={t!r} left the finite reals')",
+        "    return value",
+    ]
+    exec(compile("\n".join(lines), "<hhverify expression>", "exec"), namespace)
+    return namespace["_evaluate"]
 
 
 @dataclass(frozen=True)
@@ -406,10 +430,10 @@ class FunctionSpec:
     _compiled: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_compiled", compile_ast(self.ast))
+        object.__setattr__(self, "_compiled", compile_ast(self.ast, self.domain))
 
     def __call__(self, t: float) -> float:
-        return evaluate(self, t)
+        return self._compiled(t)
 
 
 @dataclass(frozen=True, slots=True)
@@ -435,21 +459,10 @@ def parse(text: str, domain: Optional[Tuple[float, float]] = None) -> FunctionSp
 
 
 def evaluate(spec: FunctionSpec, t: float) -> float:
-    """Evaluate ``spec`` at ``t``; returns a finite float or raises
+    """Evaluate ``spec`` at ``t`` with its generated function (see
+    :func:`compile_ast`); returns a finite float or raises
     :class:`EvalDomainError` (NaN propagation is forbidden)."""
-    if spec.domain is not None:
-        lo, hi = spec.domain
-        if not lo <= t <= hi:
-            raise EvalDomainError(f"t={t!r} outside declared domain [{lo!r}, {hi!r}]")
-    try:
-        value = spec._compiled(t)
-    except EvalDomainError:
-        raise
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise EvalDomainError(f"evaluation failed at t={t!r}: {exc}") from None
-    if not math.isfinite(value):
-        raise EvalDomainError(f"evaluation at t={t!r} left the finite reals")
-    return value
+    return spec._compiled(t)
 
 
 def compose(outer: Callable[[float], float], inner: Callable[[float], float]) -> Callable[[float], float]:

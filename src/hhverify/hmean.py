@@ -10,7 +10,7 @@ function into its reflection-symmetric and antisymmetric parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 __all__ = [
@@ -30,6 +30,8 @@ _CLAMP_REL = 1e-12
 class HInterval:
     a: float
     b: float
+    # (a*b, a+b, clamp pad, harmonic midpoint), fixed at construction
+    _geometry: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
@@ -38,6 +40,10 @@ class HInterval:
             raise ValueError(f"need a < b, got [{self.a!r}, {self.b!r}]")
         if not self.a * self.b > 0.0:
             raise ValueError("endpoints must be nonzero and share a sign")
+        a, b = self.a, self.b
+        object.__setattr__(
+            self, "_geometry", (a * b, a + b, _CLAMP_REL * (b - a), 2.0 * a * b / (a + b))
+        )
 
     @property
     def width(self) -> float:
@@ -46,12 +52,12 @@ class HInterval:
     @property
     def harmonic_midpoint(self) -> float:
         """2ab/(a+b), the unique fixed point of the reflection."""
-        return 2.0 * self.a * self.b / (self.a + self.b)
+        return self._geometry[3]
 
     def clamp(self, t: float) -> float:
         """Snap values within 1e-12 of the relative width onto the endpoints,
         so quadrature nodes at interval ends never spuriously fail."""
-        pad = _CLAMP_REL * self.width
+        pad = self._geometry[2]
         if abs(t - self.a) <= pad:
             return self.a
         if abs(t - self.b) <= pad:
@@ -66,8 +72,10 @@ class HInterval:
         """Map ``t`` to ``abt/((a+b)t - ab)``.
 
         An involution of the interval: swaps ``a`` and ``b`` (exactly, by
-        special-casing) and fixes the harmonic midpoint.
+        special-casing) and fixes the harmonic midpoint.  ``t`` is clamped
+        first; ``ab``, ``a+b`` and the midpoint are fixed at construction.
         """
+        ab, s, _, midpoint = self._geometry
         t = self.clamp(t)
         if not self.a <= t <= self.b:
             raise ValueError(f"t={t!r} outside [{self.a!r}, {self.b!r}]")
@@ -75,9 +83,9 @@ class HInterval:
             return self.b
         if t == self.b:
             return self.a
-        if t == self.harmonic_midpoint:
+        if t == midpoint:
             return t
-        return self.a * self.b * t / ((self.a + self.b) * t - self.a * self.b)
+        return ab * t / (s * t - ab)
 
 
 def hcomb(x: float, y: float, alpha: float) -> float:

@@ -5,7 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from hhverify.cli import format_json, main, run_sweep
+from hhverify.cli import format_json, main
 
 
 def run_cli(args):
@@ -239,11 +239,6 @@ class TestSearch:
 
 
 class TestRunSweepLibrary:
-    def test_threads_env(self, monkeypatch):
-        monkeypatch.setenv("HHVERIFY_THREADS", "4")
-        payload = run_sweep(entry_names=["reciprocal"])
-        assert payload["summary"]["violated"] == 0
-
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(

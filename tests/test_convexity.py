@@ -226,3 +226,106 @@ class TestStrictInclusionWitness:
         w2 = find_strict_inclusion_witness(I12, seed=5)
         assert w1.coefficient == w2.coefficient
         assert w1.base_verdict == w2.base_verdict
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize(
+        "interval",
+        [I12, HInterval(1e-6, 2e-6), HInterval(1e6, 2e6), HInterval(-2.0, -1.0)],
+        ids=lambda i: f"[{i.a:g},{i.b:g}]",
+    )
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+    def test_harmonic_affine_passes_both_directions(self, interval, c):
+        # the tolerance scales with the largest |f| the scan saw; the
+        # reported tol stays the one asked for
+        v = check_harmonic_convex(parse(f"{c!r}/x"), interval)
+        assert v.passed, v.worst_margin
+        assert v.opposite.passed, v.opposite.worst_margin
+        assert v.tol == v.opposite.tol == 1e-9
+
+    @pytest.mark.parametrize("c", [1.0, 1e4, 1e8])
+    def test_scaled_violation_still_refuted(self, c):
+        v = check_harmonic_convex(parse(f"{c!r}*-ln(x)"), I12)
+        assert not v.passed
+        assert v.opposite.passed
+
+
+def _brute_force_scan(f, combine, pair_fn, xs, weights, randoms, sign):
+    """Per-direction reference: the worst of sign*d over every triple, with
+    the first triple that attains it."""
+    triples = [(x, y, al) for i, x in enumerate(xs) for y in xs[i + 1 :] for al in weights]
+    triples += randoms
+    worst, witness = -math.inf, (xs[0], xs[-1], 0.5)
+    for x, y, al in triples:
+        wy, wx = pair_fn(al)
+        m = sign * (f(combine(x, y, al)) - (wy * f(y) + wx * f(x)))
+        if m > worst:
+            worst, witness = m, (x, y, al)
+    return worst, witness, len(triples)
+
+
+def _memo(f):
+    # the reference re-evaluates f at grid points; values are deterministic,
+    # so a per-test memo changes nothing but the test's run time
+    values = {}
+
+    def g(t):
+        if t not in values:
+            values[t] = f(t)
+        return values[t]
+
+    return g
+
+
+class TestOnePassScan:
+    def test_both_directions_match_brute_force_on_corpus(self):
+        from hhverify.corpus import builtin_functions
+        from hhverify.hmean import hcomb
+
+        # a smaller grid than the default keeps the reference quick; the scan
+        # does not branch on grid size
+        grid = SampleGrid(abscissa_count=16, random_triples=64)
+        harmonic_pair = lambda al: (al, 1.0 - al)  # noqa: E731
+        h = parse("x^2")
+        for entry in builtin_functions():
+            f, interval = entry.spec, entry.interval
+            a, b = interval.a, interval.b
+            harmonic_xs = grid.abscissae(a, b, extras=(interval.harmonic_midpoint,))
+            randoms = grid.random_triple_stream(a, b)
+            fb = _memo(sym_transform(f, interval))
+            cases = [
+                (
+                    check_convex(f, a, b, grid=grid),
+                    _memo(f),
+                    lambda x, y, al: al * x + (1.0 - al) * y,
+                    lambda al: (1.0 - al, al),
+                    grid.abscissae(a, b, extras=(0.5 * (a + b),)),
+                ),
+                (check_harmonic_convex(f, interval, grid=grid), _memo(f), hcomb, harmonic_pair, harmonic_xs),
+                (check_symmetrized(f, interval, grid=grid), fb, hcomb, harmonic_pair, harmonic_xs),
+                (
+                    check_symmetrized(f, interval, grid=grid, h=h),
+                    fb,
+                    hcomb,
+                    lambda al: (h(al), h(1.0 - al)),
+                    harmonic_xs,
+                ),
+            ]
+            for verdict, g, combine, pair_fn, xs in cases:
+                for v, sign in ((verdict, 1.0), (verdict.opposite, -1.0)):
+                    expected = _brute_force_scan(g, combine, pair_fn, xs, grid.weights(), randoms, sign)
+                    got = (v.worst_margin, v.witness, v.samples_used)
+                    assert got == expected, (entry.name, v.class_tested)
+
+    def test_concave_request_mirrors_convex(self):
+        f = parse("-ln(x)")
+        convex = check_symmetrized(f, I12)
+        concave = check_symmetrized(f, I12, direction="concave")
+        assert concave == convex.opposite
+        assert concave.opposite == convex
+        assert concave.class_tested == "symmetrized_harmonic_concave"
+        assert concave.opposite.class_tested == "symmetrized_harmonic_convex"
+
+    def test_invalid_direction(self):
+        with pytest.raises(ValueError, match="direction"):
+            check_harmonic_convex(parse("x"), I12, direction="up")

@@ -1,8 +1,9 @@
 import math
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hhverify.fnspec import (
@@ -11,6 +12,7 @@ from hhverify.fnspec import (
     Call2,
     EvalDomainError,
     EvalPoint,
+    FunctionSpec,
     Neg,
     Num,
     ParseError,
@@ -243,3 +245,114 @@ def test_eval_point_requires_finite():
 def test_tabulate():
     pts = tabulate(parse("x^2"), [1.0, 2.0, 3.0])
     assert [p.value for p in pts] == [1.0, 4.0, 9.0]
+
+
+# --- the generated evaluator against an independent tree walk ----------------
+
+_REFERENCE_CALLS = {"ln": math.log, "exp": math.exp, "abs": abs, "min": min, "max": max}
+
+
+def _walk(node, t):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return t
+    if isinstance(node, Neg):
+        return -_walk(node.arg, t)
+    if isinstance(node, BinOp):
+        left = _walk(node.left, t)
+        right = _walk(node.right, t)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        return left / right
+    if isinstance(node, Pow):
+        base = _walk(node.base, t)
+        if math.isnan(base):
+            raise EvalDomainError("NaN reached a power")
+        return math.pow(base, _walk(node.exponent, t))
+    if isinstance(node, Call1):
+        return _REFERENCE_CALLS[node.name](_walk(node.arg, t))
+    left, right = _walk(node.left, t), _walk(node.right, t)
+    if math.isnan(left) or math.isnan(right):
+        raise EvalDomainError("NaN reached min/max")
+    return _REFERENCE_CALLS[node.name](left, right)
+
+
+def _reference(node, domain, t):
+    if domain is not None and not domain[0] <= t <= domain[1]:
+        raise EvalDomainError(f"t={t!r} outside declared domain [{domain[0]!r}, {domain[1]!r}]")
+    try:
+        value = _walk(node, t)
+    except EvalDomainError:
+        raise
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise EvalDomainError(f"evaluation failed at t={t!r}: {exc}") from None
+    if not math.isfinite(value):
+        raise EvalDomainError(f"evaluation at t={t!r} left the finite reals")
+    return value
+
+
+def _outcome(fn, *args):
+    """The value's bits, or the message of the EvalDomainError raised."""
+    try:
+        return ("value", struct.pack("<d", fn(*args)))
+    except EvalDomainError as exc:
+        return ("error", str(exc))
+
+
+# special values often, so that errors of different kinds meet in one tree
+_SPECIAL = [0.0, -0.0, 0.5, 1.0, -1.0, 2.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
+_numbers = (st.sampled_from(_SPECIAL) | st.floats(width=64)).map(Num)
+_constants = st.recursive(
+    _numbers,
+    lambda kids: kids.map(Neg) | st.builds(BinOp, st.sampled_from("+-*/"), kids, kids),
+    max_leaves=3,
+)
+_trees = st.recursive(
+    st.just(Var()) | _numbers,
+    lambda kids: st.one_of(
+        kids.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/"), kids, kids),
+        st.builds(Pow, kids, _constants),
+        st.builds(Call1, st.sampled_from(("ln", "exp", "abs")), kids),
+        st.builds(Call2, st.sampled_from(("min", "max")), kids, kids),
+    ),
+    max_leaves=10,
+)
+_domains = st.none() | st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)).map(sorted).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, _domains, st.sampled_from(_SPECIAL) | st.floats(-5.0, 5.0) | st.floats(width=64))
+# the first error raised decides the message: left operand before right, a
+# power's NaN guard before its exponent
+@example(BinOp("+", Call1("ln", Var()), BinOp("/", Num(1.0), Num(0.0))), None, -1.0)
+@example(Pow(BinOp("-", Num(math.inf), Num(math.inf)), BinOp("/", Num(1.0), Num(0.0))), None, 1.0)
+def test_generated_evaluator_is_exact(ast, domain, t):
+    spec = FunctionSpec(source="<generated>", ast=ast, domain=domain)
+    expected = _outcome(_reference, ast, domain, t)
+    assert _outcome(spec, t) == expected
+    assert _outcome(evaluate, spec, t) == expected
+
+
+@pytest.mark.parametrize(
+    "source, domain, t, message",
+    [
+        ("1/x", (1.0, 2.0), 3.0, "t=3.0 outside declared domain [1.0, 2.0]"),
+        ("ln(x)", None, -1.0, "evaluation failed at t=-1.0: math domain error"),
+        ("ln(x - 1)", None, 1.0, "evaluation failed at t=1.0: math domain error"),
+        ("1/(x - 2)", None, 2.0, "evaluation failed at t=2.0: float division by zero"),
+        ("exp(x)", None, 1e6, "evaluation failed at t=1000000.0: math range error"),
+        ("x*1e308*10", None, 2.0, "evaluation at t=2.0 left the finite reals"),
+        ("(x*1e308*10 - x*1e308*10)^0", None, 2.0, "NaN reached a power"),
+        ("min(x*1e308*10 - x*1e308*10, 5)", None, 2.0, "NaN reached min/max"),
+        ("max(1, x*1e308*10 - x*1e308*10)", None, 2.0, "NaN reached min/max"),
+    ],
+)
+def test_generated_evaluator_errors_match_reference(source, domain, t, message):
+    spec = parse(source, domain=domain)
+    assert _outcome(spec, t) == _outcome(_reference, spec.ast, domain, t) == ("error", message)
