@@ -43,6 +43,7 @@ from .convexity import (
     second_derivative,
 )
 from .ineq import (
+    CHAINS,
     ChainReport,
     ChainTerm,
     HFunction,
@@ -56,6 +57,7 @@ from .ineq import (
     chain_refinement,
     chain_subinterval,
     product_inequalities,
+    run_chain,
     weighted_bounds,
 )
 from .corpus import (

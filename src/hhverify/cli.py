@@ -19,7 +19,7 @@ import argparse
 import csv
 import io
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
 from . import __version__
 from .convexity import (
@@ -33,20 +33,7 @@ from .convexity import (
 from .corpus import CorpusEntry, builtin_functions, builtin_h
 from .fnspec import ExpressionError, parse
 from .hmean import HInterval
-from .ineq import (
-    ChainReport,
-    HFunction,
-    bounds_h_pointwise,
-    bounds_pointwise,
-    chain_harmonic_full,
-    chain_harmonic_hh,
-    chain_h_subinterval,
-    chain_reflected_pair,
-    chain_refinement,
-    chain_subinterval,
-    product_inequalities,
-    weighted_bounds,
-)
+from .ineq import CHAINS, HFunction, run_chain
 from .quad import QuadratureBudgetError
 
 __all__ = ["main", "entrypoint", "run_sweep", "format_json"]
@@ -54,8 +41,6 @@ __all__ = ["main", "entrypoint", "run_sweep", "format_json"]
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-
-CHAIN_IDS = ("t1", "t2", "t3", "t4", "t5", "t6", "c1", "r2", "r3", "r4")
 
 _CLASS_ALIASES = {
     "convex": ("convex", "convex"),
@@ -120,6 +105,12 @@ def format_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+_CSV_FIELDS = (
+    "entry", "chain", "h", "variant", "direction", "status", "term_index", "label",
+    "value", "abs_error", "slack_to_next", "passed",
+)
+
+
 def _chain_csv_rows(payload: dict) -> list[dict]:
     rows = []
     results = payload.get("results") or payload.get("reports") or []
@@ -127,19 +118,13 @@ def _chain_csv_rows(payload: dict) -> list[dict]:
         report = item.get("report", item)
         if report is None:
             rows.append(
-                {
+                dict.fromkeys(_CSV_FIELDS, "")
+                | {
                     "entry": item.get("entry", ""),
                     "chain": item.get("chain", ""),
                     "h": item.get("h", ""),
-                    "variant": "",
-                    "direction": "",
                     "status": item.get("status", ""),
-                    "term_index": "",
                     "label": item.get("reason", ""),
-                    "value": "",
-                    "abs_error": "",
-                    "slack_to_next": "",
-                    "passed": "",
                 }
             )
             continue
@@ -174,21 +159,7 @@ def _emit(payload: dict, fmt: str, out: Optional[str]) -> None:
             raise UsageError("csv output is a projection of chain reports; use it with verify or sweep")
         rows = _chain_csv_rows(payload)
         buf = io.StringIO()
-        fieldnames = [
-            "entry",
-            "chain",
-            "h",
-            "variant",
-            "direction",
-            "status",
-            "term_index",
-            "label",
-            "value",
-            "abs_error",
-            "slack_to_next",
-            "passed",
-        ]
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
@@ -230,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_check)
 
     p_verify = sub.add_parser("verify", help="evaluate one inequality chain")
-    p_verify.add_argument("--chain", required=True, choices=CHAIN_IDS + ("refinement",))
+    p_verify.add_argument("--chain", required=True, choices=tuple(CHAINS) + ("refinement",))
     p_verify.add_argument("--fn", required=True)
     p_verify.add_argument("--g", help="second function (t4)")
     p_verify.add_argument("--h", help="weight function (t5/t6/c1, optional for r4)")
@@ -326,13 +297,6 @@ def _cmd_check(args) -> int:
 # --- verify -------------------------------------------------------------------
 
 
-def _need(args, name: str) -> float:
-    value = getattr(args, name)
-    if value is None:
-        raise UsageError(f"chain {args.chain} requires --{name}")
-    return value
-
-
 def _auto_direction(fn, interval: HInterval, grid: SampleGrid, symmetrized: bool) -> str:
     check = check_symmetrized if symmetrized else check_harmonic_convex
     verdict = check(fn, interval, grid=grid)
@@ -346,89 +310,31 @@ def _cmd_verify(args) -> int:
     fn = _parse_fn(args.fn, "--fn")
     interval = _interval(args)
     grid = _grid(args)
-    tol, qt, variant = args.tol, args.quad_tol, args.variant
     h = HFunction.from_source(args.h) if args.h else None
     if args.direction == "auto":
-        direction = _auto_direction(fn, interval, grid, symmetrized=chain != "r3")
+        symmetrized = CHAINS[chain].hypothesis != "harmonic"
+        direction = _auto_direction(fn, interval, grid, symmetrized=symmetrized)
     else:
         direction = args.direction
 
-    reports: list[ChainReport] = []
-    if chain == "t1":
-        reports.append(chain_harmonic_hh(fn, interval, tol=tol, quad_tol=qt, direction=direction))
-    elif chain == "t2":
-        reports.append(bounds_pointwise(fn, interval, _need(args, "x"), tol=tol, direction=direction))
-    elif chain == "t3":
-        reports.append(
-            chain_subinterval(
-                fn, interval, _need(args, "x"), _need(args, "y"),
-                tol=tol, quad_tol=qt, variant=variant, direction=direction,
-            )
-        )
-    elif chain == "r2":
-        reports.append(
-            chain_reflected_pair(
-                fn, interval, _need(args, "x"), tol=tol, quad_tol=qt,
-                variant=variant, direction=direction,
-            )
-        )
-    elif chain == "r3":
-        reports.append(
-            chain_harmonic_full(
-                fn, interval, _need(args, "x"), _need(args, "y"),
-                tol=tol, quad_tol=qt, direction=direction,
-            )
-        )
-    elif chain == "r4":
-        reports.append(
-            chain_refinement(
-                fn, interval, h=h, tol=tol, quad_tol=qt,
-                variant=variant, direction=direction,
-            )
-        )
-    elif chain == "t4":
-        if not args.g:
-            raise UsageError("chain t4 requires --g")
-        g = _parse_fn(args.g, "--g")
-        reports.extend(product_inequalities(fn, g, interval, tol=tol, quad_tol=qt, variant=variant))
-    elif chain == "t5":
-        if h is None:
-            raise UsageError("chain t5 requires --h")
-        reports.append(
-            chain_h_subinterval(
-                fn, h, interval, _need(args, "x"), _need(args, "y"),
-                tol=tol, quad_tol=qt, direction=direction,
-            )
-        )
-    elif chain == "t6":
-        if h is None:
-            raise UsageError("chain t6 requires --h")
-        reports.append(
-            bounds_h_pointwise(
-                fn, h, interval, _need(args, "x"), tol=tol,
-                variant=variant, direction=direction,
-            )
-        )
-    elif chain == "c1":
-        if h is None:
-            raise UsageError("chain c1 requires --h")
-        if not args.w:
-            raise UsageError("chain c1 requires --w")
-        w = _parse_fn(args.w, "--w")
-        reports.append(
-            weighted_bounds(
-                fn, h, w, interval, tol=tol, quad_tol=qt,
-                variant=variant, direction=direction,
-            )
-        )
-    else:
-        raise UsageError(f"unknown chain {chain!r}")
+    given = {"x": args.x, "y": args.y, "g": args.g or None, "h": h, "w": args.w or None}
+    kwargs = {}
+    # checked and parsed in the evaluator's signature order
+    for name, param in CHAINS[chain].parameters().items():
+        if given.get(name) is not None:
+            kwargs[name] = _parse_fn(given[name], f"--{name}") if name in ("g", "w") else given[name]
+        elif name in given and param.default is param.empty:
+            raise UsageError(f"chain {args.chain} requires --{name}")
+    reports = run_chain(
+        chain, f=fn, interval=interval, tol=args.tol, quad_tol=args.quad_tol,
+        variant=args.variant, direction=direction, **kwargs,
+    )
 
     payload = {
         "schema": 1,
         "command": "verify",
         "chain": args.chain,
-        "variant": variant,
+        "variant": args.variant,
         "direction": direction,
         "seed": args.seed,
         "reports": [r.to_dict() for r in reports],
@@ -440,20 +346,14 @@ def _cmd_verify(args) -> int:
 # --- sweep --------------------------------------------------------------------
 
 
-def _sym_direction(entry: CorpusEntry) -> Optional[str]:
-    if entry.classes.get("symmetrized_harmonic_convex"):
-        return "convex"
-    if entry.classes.get("symmetrized_harmonic_concave"):
-        return "concave"
-    return None
-
-
-def _harmonic_direction(entry: CorpusEntry) -> Optional[str]:
-    if entry.classes.get("harmonic_convex"):
-        return "convex"
-    if entry.classes.get("harmonic_concave"):
-        return "concave"
-    return None
+def _declared_direction(entry: CorpusEntry, kind: str) -> tuple[Optional[str], Optional[str]]:
+    """The direction the corpus declares for ``kind`` ("harmonic" or
+    "symmetrized_harmonic"), convex first, with the tag it rests on; or
+    (None, None)."""
+    for direction in ("convex", "concave"):
+        if entry.classes.get(f"{kind}_{direction}"):
+            return direction, f"corpus-declared {kind}_{direction}"
+    return None, None
 
 
 def _nonnegative_on(entry: CorpusEntry, samples: int = 65) -> bool:
@@ -486,6 +386,10 @@ def _h_direction(
     return None, "weighted symmetrized checks failed both directions"
 
 
+_ONE = parse("1")
+_RECIPROCAL = parse("1/x")
+
+
 def _sweep_entry_jobs(
     entry: CorpusEntry,
     hs: tuple[HFunction, ...],
@@ -493,90 +397,60 @@ def _sweep_entry_jobs(
     tol: float,
     quad_tol: float,
     variant: str,
-) -> list[dict]:
+) -> list[tuple[dict, Optional[dict]]]:
+    """One ``(item, arguments)`` per chain and weight: ``arguments`` are the
+    keywords for :func:`run_chain`, or None when ``item`` is a skip."""
     f = entry.spec
     interval = entry.interval
     a, b = interval.a, interval.b
     width = b - a
-    x = a + 0.3 * width
-    y = a + 0.8 * width
-    one = parse("1")
-    recip = parse("1/x")
-    sym_dir = _sym_direction(entry)
-    har_dir = _harmonic_direction(entry)
-    jobs: list[dict] = []
-
-    def record(
-        chain: str,
-        h: Optional[HFunction],
-        builder: Optional[Callable[[], object]],
-        reason: str = "",
-        hypothesis: str = "",
-    ):
-        item: dict = {
-            "entry": entry.name,
-            "chain": chain,
-            "h": h.name if h else None,
-            "hypothesis": hypothesis or None,
-        }
-        if builder is None:
-            item.update(status="skipped", reason=reason, report=None)
-            jobs.append(item)
-            return
-        item["_builder"] = builder
-        jobs.append(item)
-
-    sym_basis = f"corpus-declared symmetrized_harmonic_{sym_dir}" if sym_dir else ""
-    har_basis = f"corpus-declared harmonic_{har_dir}" if har_dir else ""
-    skip_sym = "symmetric part is neither harmonic convex nor concave"
-    if sym_dir is None:
-        for chain in ("t1", "t2", "t3", "r2", "r4", "t4"):
-            record(chain, None, None, skip_sym)
-    else:
-        record("t1", None, lambda d=sym_dir: chain_harmonic_hh(f, interval, tol=tol, quad_tol=quad_tol, direction=d), hypothesis=sym_basis)
-        record("t2", None, lambda d=sym_dir: bounds_pointwise(f, interval, x, tol=tol, direction=d), hypothesis=sym_basis)
-        record("t3", None, lambda d=sym_dir: chain_subinterval(f, interval, x, y, tol=tol, quad_tol=quad_tol, variant=variant, direction=d), hypothesis=sym_basis)
-        record("r2", None, lambda d=sym_dir: chain_reflected_pair(f, interval, x, tol=tol, quad_tol=quad_tol, variant=variant, direction=d), hypothesis=sym_basis)
-        record("r4", None, lambda d=sym_dir: chain_refinement(f, interval, tol=tol, quad_tol=quad_tol, variant=variant, direction=d), hypothesis=sym_basis)
-        # the product bound needs a plainly harmonic partner in the same
-        # direction; the entry itself when possible, else the harmonic-affine
-        # 1/x which works for either direction
-        g = f if har_dir == sym_dir else recip
-        record(
-            "t4",
-            None,
-            lambda gg=g: product_inequalities(f, gg, interval, tol=tol, quad_tol=quad_tol, variant=variant),
-            hypothesis=f"{sym_basis}; g={'entry itself' if g is f else '1/x'}",
-        )
-
-    if har_dir is None:
-        record("r3", None, None, "not harmonic convex or concave")
-    else:
-        record("r3", None, lambda d=har_dir: chain_harmonic_full(f, interval, x, y, tol=tol, quad_tol=quad_tol, direction=d), hypothesis=har_basis)
-
+    sym_dir, sym_basis = _declared_direction(entry, "symmetrized_harmonic")
+    har_dir, har_basis = _declared_direction(entry, "harmonic")
+    # the product bound needs a plainly harmonic partner in the same
+    # direction; the entry itself when possible, else the harmonic-affine
+    # 1/x which works for either direction
+    g = f if har_dir == sym_dir else _RECIPROCAL
+    common = dict(
+        f=f, interval=interval, x=a + 0.3 * width, y=a + 0.8 * width, g=g, w=_ONE,
+        tol=tol, quad_tol=quad_tol, variant=variant,
+    )
+    # (h, direction, hypothesis if it holds or else why the chain is skipped)
+    unweighted = {
+        "symmetrized": (None, sym_dir, sym_basis or "symmetric part is neither harmonic convex nor concave"),
+        "harmonic": (None, har_dir, har_basis or "not harmonic convex or concave"),
+    }
+    weighted = []
     for h in hs:
         hdir, basis = _h_direction(entry, h, grid, tol=1e-9)
-        if hdir is None:
-            for chain in ("t5", "t6", "c1", "r4"):
-                record(chain, h, None, f"h={h.name}: {basis}")
-            continue
-        record("t5", h, lambda hh=h, d=hdir: chain_h_subinterval(f, hh, interval, x, y, tol=tol, quad_tol=quad_tol, direction=d), hypothesis=basis)
-        record("t6", h, lambda hh=h, d=hdir: bounds_h_pointwise(f, hh, interval, x, tol=tol, variant=variant, direction=d), hypothesis=basis)
-        record("c1", h, lambda hh=h, d=hdir: weighted_bounds(f, hh, one, interval, tol=tol, quad_tol=quad_tol, variant=variant, direction=d), hypothesis=basis)
-        record("r4", h, lambda hh=h, d=hdir: chain_refinement(f, interval, h=hh, tol=tol, quad_tol=quad_tol, variant=variant, direction=d), hypothesis=basis)
+        weighted.append((h, hdir, basis if hdir else f"h={h.name}: {basis}"))
+
+    jobs: list[tuple[dict, Optional[dict]]] = []
+    for chain in CHAINS.values():
+        params = chain.parameters()
+        cases = [unweighted[chain.hypothesis]] if chain.hypothesis in unweighted else []
+        if "h" in params:
+            cases += weighted
+        for h, direction, basis in cases:
+            item: dict = {"entry": entry.name, "chain": chain.id, "h": h.name if h else None}
+            if direction is None:
+                item.update(hypothesis=None, status="skipped", reason=basis, report=None)
+                jobs.append((item, None))
+                continue
+            if "g" in params:
+                basis += f"; g={'entry itself' if g is f else '1/x'}"
+            item["hypothesis"] = basis
+            jobs.append((item, dict(common, h=h, direction=direction)))
     return jobs
 
 
-def _run_job(item: dict) -> dict:
-    builder = item.pop("_builder", None)
-    if builder is None:
+def _run_job(item: dict, arguments: Optional[dict]) -> dict:
+    if arguments is None:
         return item
     try:
-        result = builder()
+        reports = run_chain(item["chain"], **arguments)
     except Exception as exc:  # recorded, sweep continues
         item.update(status="error", reason=f"{type(exc).__name__}: {exc}", report=None)
         return item
-    reports = result if isinstance(result, tuple) else (result,)
     passed = all(r.passed for r in reports)
     item.update(
         status="passed" if passed else "violated",
@@ -604,13 +478,11 @@ def run_sweep(
             raise UsageError(f"unknown corpus entries: {sorted(unknown)}")
         entries = tuple(e for e in entries if e.name in wanted)
     hs = builtin_h()
-    jobs: list[dict] = []
-    for entry in entries:
-        jobs.extend(_sweep_entry_jobs(entry, hs, grid, tol, quad_tol, variant))
-
-    for job in jobs:
-        _run_job(job)
-
+    jobs = [
+        _run_job(item, arguments)
+        for entry in entries
+        for item, arguments in _sweep_entry_jobs(entry, hs, grid, tol, quad_tol, variant)
+    ]
     jobs.sort(key=lambda j: (j["entry"], j["chain"], j["h"] or ""))
     summary = {
         "total": len(jobs),

@@ -116,14 +116,14 @@ def _scan(
     With  d = f(combine(x,y,a)) - [wy*f(y) + wx*f(x)],  returns the largest d
     (the convex margin) with the first triple attaining it, the smallest d
     (minus the concave margin) with its first triple, the sample count, and
-    max(1, largest |f| evaluated), the scale of the tolerance.
+    the largest |f| evaluated, the scale of the tolerance.
     """
     fx = [f(x) for x in xs]
     rows = [(al, *pair_fn(al)) for al in weights]
     top, bottom = -math.inf, math.inf
     top_witness = bottom_witness = (xs[0], xs[-1], 0.5)
     # max/min keep their first argument against a NaN: the scale is never NaN
-    f_hi, f_lo = max(1.0, *fx), min(-1.0, *fx)
+    f_hi, f_lo = max(0.0, *fx), min(-0.0, *fx)
     n = len(xs)
     for i in range(n):
         xi, fxi = xs[i], fx[i]
@@ -155,8 +155,9 @@ def _scan(
 
 def _check(f, combine, pair_fn, lo, hi, extra, grid, tol, names, direction) -> ConvexityVerdict:
     """Scan ``f`` on [lo, hi] once; the verdict for ``direction`` carries the
-    other as ``opposite``.  A margin passes up to ``tol`` times the scan's
-    scale, so that verdicts do not depend on the units of ``f``."""
+    other as ``opposite``.  A margin passes up to ``tol`` times the largest
+    |f| the scan evaluated, with no floor, so that verdicts do not depend on
+    the units of ``f``."""
     if direction not in ("convex", "concave"):
         raise ValueError(f"direction must be 'convex' or 'concave', not {direction!r}")
     grid = grid or DEFAULT_GRID

@@ -23,6 +23,7 @@ from .convexity import (
     check_convex,
     check_harmonic_convex,
     check_symmetrized,
+    inclusion_family_source,
 )
 from .fnspec import FunctionSpec, parse
 from .hmean import HInterval
@@ -87,11 +88,6 @@ def _entry(name, source, a, b, classes, closed_forms=None, notes=""):
 
 
 _LN2 = math.log(2.0)
-
-
-def _inclusion_source(a: float, b: float, c: float) -> str:
-    ab, s = a * b, a + b
-    return f"1/x + {c!r}*(x - {ab!r}*x/({s!r}*x - {ab!r}))"
 
 
 def _build_entries() -> tuple[CorpusEntry, ...]:
@@ -244,7 +240,7 @@ def _build_entries() -> tuple[CorpusEntry, ...]:
         entries.append(
             _entry(
                 f"sym_affine_c{c:g}",
-                _inclusion_source(1.0, 2.0, c),
+                inclusion_family_source(HInterval(1.0, 2.0), c),
                 1.0,
                 2.0,
                 classes,

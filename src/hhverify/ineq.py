@@ -17,8 +17,9 @@ is always ``derived_corrected`` and reports name their variant.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import fnspec
 from .hmean import HInterval, sym_transform
@@ -46,6 +47,9 @@ __all__ = [
     "chain_h_subinterval",
     "bounds_h_pointwise",
     "weighted_bounds",
+    "Chain",
+    "CHAINS",
+    "run_chain",
 ]
 
 VARIANTS = ("derived_corrected", "as_printed")
@@ -270,6 +274,23 @@ def bounds_pointwise(
     return ChainReport.build("t2", "derived_corrected", direction, terms, tol, _meta(f, interval, x=x))
 
 
+def _split_weighted_mean(
+    f, interval: HInterval, x: float, y: float, quad_tol: float, w2: float
+) -> ChainTerm:
+    """Middle term of the t3 and t5 chains with its error bar:
+    (xy/(2(y-x))) * [int_x^y f/t^2  +  w2 * int_{r(y)}^{r(x)} f/t^2]."""
+    if x == y:
+        raise ValueError("need x != y")
+    i_plain = weighted_integral(f, x, y, tol=quad_tol)
+    i_refl = reflected_weighted_integral(f, interval, x, y, tol=quad_tol)
+    coef = x * y / (2.0 * (y - x))
+    return ChainTerm(
+        "split_weighted_mean",
+        coef * (i_plain.value + w2 * i_refl.value),
+        abs(coef) * (i_plain.abs_error_estimate + w2 * i_refl.abs_error_estimate),
+    )
+
+
 def chain_subinterval(
     f: Callable[[float], float],
     interval: HInterval,
@@ -292,23 +313,17 @@ def chain_subinterval(
     the reflected integral, which already breaks f == const.
     """
     _check_variant(variant)
-    if x == y:
-        raise ValueError("need x != y")
-    a, b = interval.a, interval.b
+    middle = _split_weighted_mean(
+        f, interval, x, y, quad_tol, 0.5 if variant == "as_printed" else 1.0
+    )
     mid_xy = 2.0 * x * y / (x + y)
     left = 0.5 * (f(mid_xy) + f(interval.reflect(mid_xy)))
-    i_plain = weighted_integral(f, x, y, tol=quad_tol)
-    i_refl = reflected_weighted_integral(f, interval, x, y, tol=quad_tol)
-    w2 = 0.5 if variant == "as_printed" else 1.0
-    coef = x * y / (2.0 * (y - x))
-    middle = coef * (i_plain.value + w2 * i_refl.value)
-    mid_err = abs(coef) * (i_plain.abs_error_estimate + w2 * i_refl.abs_error_estimate)
     right = 0.25 * (
         f(x) + f(interval.reflect(x)) + f(y) + f(interval.reflect(y))
     )
     terms = [
         ChainTerm("sym_midpoint_pair", left),
-        ChainTerm("split_weighted_mean", middle, mid_err),
+        middle,
         ChainTerm("four_point_avg", right),
     ]
     return ChainReport.build("t3", variant, direction, terms, tol, _meta(f, interval, x=x, y=y))
@@ -503,15 +518,9 @@ def chain_h_subinterval(
     middle is identical to the t3 middle with both integrals unweighted.
     With h(t) = t this reduces exactly to the corrected t3 chain.
     """
-    if x == y:
-        raise ValueError("need x != y")
+    middle = _split_weighted_mean(f, interval, x, y, quad_tol, 1.0)
     mid_xy = 2.0 * x * y / (x + y)
     left = (f(mid_xy) + f(interval.reflect(mid_xy))) / (4.0 * h.h_half)
-    i_plain = weighted_integral(f, x, y, tol=quad_tol)
-    i_refl = reflected_weighted_integral(f, interval, x, y, tol=quad_tol)
-    coef = x * y / (2.0 * (y - x))
-    middle = coef * (i_plain.value + i_refl.value)
-    mid_err = abs(coef) * (i_plain.abs_error_estimate + i_refl.abs_error_estimate)
     right = (
         0.5
         * (f(x) + f(interval.reflect(x)) + f(y) + f(interval.reflect(y)))
@@ -519,7 +528,7 @@ def chain_h_subinterval(
     )
     terms = [
         ChainTerm("h_scaled_midpoint_pair", left),
-        ChainTerm("split_weighted_mean", middle, mid_err),
+        middle,
         ChainTerm("h_scaled_four_point_avg", right),
     ]
     return ChainReport.build(
@@ -624,3 +633,61 @@ def weighted_bounds(
         ChainTerm("h_weighted_endpoint_bound", avg_f * right.value, abs(avg_f) * right.abs_error_estimate),
     ]
     return ChainReport.build("c1", variant, direction, terms, tol, meta)
+
+
+# --- the chain table ------------------------------------------------------------
+
+
+class Chain(NamedTuple):
+    """One chain: its id, the name of its evaluator in this module, and the
+    class its hypothesis asks of f: ``"symmetrized"`` (the symmetric part
+    harmonic convex or concave), ``"harmonic"`` (f itself) or
+    ``"symmetrized_h"`` (the symmetric part harmonic h-convex or
+    h-concave, f >= 0)."""
+
+    id: str
+    evaluator: str
+    hypothesis: str
+
+    def parameters(self) -> Mapping[str, inspect.Parameter]:
+        """The evaluator's parameters, in signature order.  The evaluator is
+        looked up by name at each call, so that a module attribute replaced
+        at run time is the one described and called."""
+        return inspect.signature(globals()[self.evaluator]).parameters
+
+
+CHAINS = {
+    chain.id: chain
+    for chain in (
+        Chain("t1", "chain_harmonic_hh", "symmetrized"),
+        Chain("t2", "bounds_pointwise", "symmetrized"),
+        Chain("t3", "chain_subinterval", "symmetrized"),
+        Chain("t4", "product_inequalities", "symmetrized"),
+        Chain("t5", "chain_h_subinterval", "symmetrized_h"),
+        Chain("t6", "bounds_h_pointwise", "symmetrized_h"),
+        Chain("c1", "weighted_bounds", "symmetrized_h"),
+        Chain("r2", "chain_reflected_pair", "symmetrized"),
+        Chain("r3", "chain_harmonic_full", "harmonic"),
+        Chain("r4", "chain_refinement", "symmetrized"),
+    )
+}
+
+_CHAIN_KEYWORDS = frozenset("f interval tol quad_tol variant direction x y g h w".split())
+
+
+def run_chain(chain_id: str, **kwargs) -> tuple[ChainReport, ...]:
+    """Evaluate the chain ``chain_id``, passing its evaluator those keyword
+    arguments its signature takes, out of f, interval, tol, quad_tol,
+    variant, direction, x, y, g, h and w.  Always returns a tuple of
+    reports: two for t4, one otherwise."""
+    if chain_id not in CHAINS:
+        raise ValueError(f"unknown chain {chain_id!r}; one of {tuple(CHAINS)}")
+    unknown = kwargs.keys() - _CHAIN_KEYWORDS
+    if unknown:
+        raise TypeError(f"run_chain got unknown keywords {sorted(unknown)}")
+    chain = CHAINS[chain_id]
+    params = chain.parameters()
+    result = globals()[chain.evaluator](
+        **{name: value for name, value in kwargs.items() if name in params}
+    )
+    return result if isinstance(result, tuple) else (result,)

@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from hhverify.cli import format_json, main
+from hhverify.ineq import CHAINS
 
 
 def run_cli(args):
@@ -71,6 +72,61 @@ class TestCheck:
     def test_invalid_interval(self):
         code, _, err = run_cli(["check", "--fn", "1/x", "--a", "2", "--b", "1", "--class", "hc"])
         assert code == 2
+
+
+# every parameter a chain cannot run without, in its evaluator's order
+REQUIRED = {
+    "t1": (), "t2": ("x",), "t3": ("x", "y"), "t4": ("g",), "t5": ("h", "x", "y"),
+    "t6": ("h", "x"), "c1": ("h", "w"), "r2": ("x",), "r3": ("x", "y"), "r4": (),
+}
+ALL_PARAMS = {"x": "1.2", "y": "1.7", "g": "1/x", "h": "x", "w": "1"}
+
+
+def _verify_args(chain, params):
+    args = ["verify", "--chain", chain, "--fn", "1/x", "--a", "1", "--b", "2"]
+    for name, value in params.items():
+        args += [f"--{name}", value]
+    return args
+
+
+class TestChainTable:
+    def test_required_table_covers_every_chain(self):
+        assert set(REQUIRED) == set(CHAINS)
+
+    @pytest.mark.parametrize("chain", [*CHAINS, "refinement"])
+    def test_every_chain_verifies(self, chain):
+        # 1/x is harmonic affine: every chain holds, with h(t) = t and w = 1
+        code, out, err = run_cli(_verify_args(chain, ALL_PARAMS))
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["chain"] == chain
+        expected = {"t4": ["t4_lower", "t4_upper"], "refinement": ["r4"]}.get(chain, [chain])
+        assert [r["chain"] for r in doc["reports"]] == expected
+        assert all(r["passed"] for r in doc["reports"])
+
+    @pytest.mark.parametrize(
+        "chain,missing", [(c, name) for c, names in REQUIRED.items() for name in names]
+    )
+    def test_missing_parameter_exits_2(self, chain, missing):
+        params = {k: v for k, v in ALL_PARAMS.items() if k != missing}
+        code, out, err = run_cli(_verify_args(chain, params))
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"hhverify verify: chain {chain} requires --{missing}"
+
+    def test_first_missing_parameter_in_signature_order(self):
+        _, _, err = run_cli(_verify_args("c1", {}))
+        assert "requires --h" in err
+        _, _, err = run_cli(_verify_args("t5", {}))
+        assert "requires --h" in err
+
+    def test_sweep_runs_every_chain(self):
+        code, out, _ = run_cli(["sweep", "--entry", "square"])
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert {r["chain"] for r in results} == set(CHAINS)
+        for r in results:
+            assert list(r) == ["entry", "chain", "h", "hypothesis", "status", "reason", "report"]
 
 
 class TestVerify:

@@ -243,7 +243,7 @@ class TestScaleInvariance:
         assert v.opposite.passed, v.opposite.worst_margin
         assert v.tol == v.opposite.tol == 1e-9
 
-    @pytest.mark.parametrize("c", [1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 1e4, 1e8])
     def test_scaled_violation_still_refuted(self, c):
         v = check_harmonic_convex(parse(f"{c!r}*-ln(x)"), I12)
         assert not v.passed

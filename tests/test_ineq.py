@@ -1,10 +1,13 @@
+import functools
 import math
 
 import pytest
 
 from hhverify.fnspec import parse
 from hhverify.hmean import HInterval
+from hhverify import ineq
 from hhverify.ineq import (
+    CHAINS,
     ChainReport,
     ChainTerm,
     HFunction,
@@ -19,6 +22,7 @@ from hhverify.ineq import (
     chain_refinement,
     chain_subinterval,
     product_inequalities,
+    run_chain,
     weighted_bounds,
 )
 
@@ -427,3 +431,48 @@ class TestEqualityCharacterization:
             chain_h_subinterval(f, IDENTITY_H, I12, 1.15, 1.85, quad_tol=1e-12),
         ):
             assert_all_equal(report, expected, tol=1e-9)
+
+
+class TestChainTable:
+    ARGS = dict(
+        f=parse("x^2"), interval=I12, x=1.2, y=1.7, g=parse("1/x"), h=IDENTITY_H,
+        w=parse("1"), tol=1e-8, quad_tol=1e-10, variant="as_printed", direction="convex",
+    )
+
+    def test_evaluators_exist_and_take_f_and_interval(self):
+        for chain in CHAINS.values():
+            assert callable(getattr(ineq, chain.evaluator))
+            assert {"f", "interval"} <= set(chain.parameters())
+            assert chain.hypothesis in ("symmetrized", "harmonic", "symmetrized_h")
+
+    @pytest.mark.parametrize("chain_id", list(CHAINS))
+    def test_run_chain_matches_direct_call(self, chain_id):
+        reports = run_chain(chain_id, **self.ARGS)
+        params = CHAINS[chain_id].parameters()
+        direct = getattr(ineq, CHAINS[chain_id].evaluator)(
+            **{k: v for k, v in self.ARGS.items() if k in params}
+        )
+        assert reports == (direct if isinstance(direct, tuple) else (direct,))
+        assert [r.chain_id for r in reports] == (
+            ["t4_lower", "t4_upper"] if chain_id == "t4" else [chain_id]
+        )
+
+    def test_evaluator_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper that keeps the signature, as tracers put on module attributes
+        calls = []
+        original = ineq.chain_harmonic_hh
+
+        @functools.wraps(original)
+        def replaced(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ineq, "chain_harmonic_hh", replaced)
+        run_chain("t1", f=parse("1/x"), interval=I12)
+        assert len(calls) == 1
+
+    def test_rejects_unknown_chain_and_keywords(self):
+        with pytest.raises(ValueError, match="unknown chain"):
+            run_chain("t9", f=parse("1/x"), interval=I12)
+        with pytest.raises(TypeError, match="quadtol"):
+            run_chain("t1", f=parse("1/x"), interval=I12, quadtol=1e-9)
