@@ -224,10 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tol", type=float, default=1e-8)
     p_sweep.add_argument("--quad-tol", type=float, default=1e-9)
     p_sweep.add_argument("--entry", action="append", help="restrict to named corpus entries")
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--grid", type=int, default=64)
-    p_sweep.add_argument("--out")
-    p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
+    add_common(p_sweep, interval=False)
 
     p_search = sub.add_parser("search", help="find a strict-inclusion witness")
     p_search.add_argument("--tol", type=float, default=1e-9)
@@ -581,13 +578,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except UsageError as exc:
-        print(f"hhverify {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ExpressionError, QuadratureBudgetError, ValueError) as exc:
+    except (UsageError, ExpressionError, QuadratureBudgetError, ValueError) as exc:
         print(f"hhverify {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -64,10 +64,6 @@ class HInterval:
             return self.b
         return t
 
-    def contains(self, t: float) -> bool:
-        t = self.clamp(t)
-        return self.a <= t <= self.b
-
     def reflect(self, t: float) -> float:
         """Map ``t`` to ``abt/((a+b)t - ab)``.
 

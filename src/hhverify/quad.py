@@ -1,10 +1,14 @@
 """Adaptive quadrature with explicit error estimates.
 
-A Gauss(7)/Kronrod(15) embedded pair drives plain adaptive bisection: a
-segment is accepted once the Kronrod-Gauss discrepancy drops below the share
-of the tolerance proportional to the segment's width.  All integrals are
-signed, so reversed limits need no special casing by callers.  Every routine
-enforces an evaluation budget and raises instead of silently truncating.
+A Gauss(7)/Kronrod(15) embedded pair drives plain adaptive bisection in
+:func:`integrate`, the one adaptive loop here: a segment is accepted once the
+Kronrod-Gauss discrepancy drops below the share of the tolerance proportional
+to the segment's width.  All integrals are signed, so reversed limits need no
+special casing by callers.  ``integrate`` enforces an evaluation budget and
+raises instead of silently truncating; the other routines are integrands
+handed to it.  The refinement double integral nests it: its error estimate is
+the outer estimate plus the largest error any inner integral passes on to
+the outer integrand.
 """
 
 from __future__ import annotations
@@ -150,11 +154,10 @@ def weighted_integral(
     lo: float,
     hi: float,
     tol: float = 1e-10,
-    max_evals: int = 1_000_000,
 ) -> QuadResult:
     """The raw ``integral of f(t)/t^2`` from ``lo`` to ``hi`` (callers apply
     any ``ab/(b-a)`` prefactor themselves)."""
-    return integrate(lambda t: f(t) / (t * t), lo, hi, tol=tol, max_evals=max_evals)
+    return integrate(lambda t: f(t) / (t * t), lo, hi, tol=tol)
 
 
 def reflected_weighted_integral(
@@ -163,24 +166,19 @@ def reflected_weighted_integral(
     x: float,
     y: float,
     tol: float = 1e-10,
-    max_evals: int = 1_000_000,
 ) -> QuadResult:
     """``integral of f(t)/t^2`` from r(y) to r(x), r the interval reflection.
 
     By the substitution u = r(t) (du/u^2 = -dt/t^2) this equals the integral
     of f(r(t))/t^2 over [x, y], which is how it enters the split chains.
     """
-    return weighted_integral(
-        f, interval.reflect(y), interval.reflect(x), tol=tol, max_evals=max_evals
-    )
+    return weighted_integral(f, interval.reflect(y), interval.reflect(x), tol=tol)
 
 
 def refinement_double_integral(
     f: Callable[[float], float],
     interval: HInterval,
     tol: float = 1e-9,
-    max_outer_evals: int = 100_000,
-    inner_max_evals: int = 1_000_000,
 ) -> QuadResult:
     """Mean over x in [a, b] of  G(x) = [abx/(2ab-(a+b)x)] * int_x^{r(x)} f/t^2.
 
@@ -189,8 +187,11 @@ def refinement_double_integral(
     product tends to f(x*) (from r(x) - x = x(2ab-(a+b)x)/((a+b)x-ab)).
     Nodes within 1e-8 of the relative width of x* use that continuity value.
 
-    The reported error estimate combines the outer rule discrepancies with a
-    width-weighted bound on how much the inner quadrature errors can move G.
+    The outer integral of G runs through :func:`integrate` with a budget of
+    100 000 evaluations of G.  The reported error estimate is the outer
+    estimate divided by b - a, plus the largest amount by which an inner
+    quadrature error can move G at any node: the mean of G cannot move by
+    more than G does anywhere.
     """
     a, b = interval.a, interval.b
     span = b - a
@@ -199,54 +200,20 @@ def refinement_double_integral(
     f_star = f(xstar)
     ab = a * b
     s = a + b
-    outer_evals = 0
+    inner_err = 0.0
 
-    def g_point(x: float) -> tuple[float, float]:
+    def g(x: float) -> float:
+        nonlocal inner_err
         if abs(x - xstar) <= near:
-            return f_star, 0.0
+            return f_star
         r = interval.reflect(x)
         coef = ab * x / (2.0 * ab - s * x)
         # keep |coef| * inner error bounded by tol pointwise
         inner_tol = max(tol * abs(r - x) / abs(x * r), 1e-15)
-        inner = weighted_integral(f, x, r, tol=inner_tol, max_evals=inner_max_evals)
-        return coef * inner.value, abs(coef) * inner.abs_error_estimate
+        inner = weighted_integral(f, x, r, tol=inner_tol)
+        inner_err = max(inner_err, abs(coef) * inner.abs_error_estimate)
+        return coef * inner.value
 
-    def rule(l: float, r: float) -> tuple[float, float, float]:
-        nonlocal outer_evals
-        outer_evals += 15
-        if outer_evals > max_outer_evals:
-            raise QuadratureBudgetError(
-                f"outer budget of {max_outer_evals} evaluations exhausted on [{a!r}, {b!r}]"
-            )
-        c = 0.5 * (l + r)
-        h = 0.5 * (r - l)
-        k = 0.0
-        gq = 0.0
-        point_err = 0.0
-        for i in range(15):
-            gv, ge = g_point(c + h * _NODES[i])
-            k += _KWEIGHTS[i] * gv
-            gq += _GWEIGHTS[i] * gv
-            if ge > point_err:
-                point_err = ge
-        return h * k, h * abs(k - gq), point_err
-
-    width_floor = 1e-14 * max(abs(a), abs(b), 1.0)
-    total = 0.0
-    err_quad = 0.0
-    err_inner = 0.0
-    accepted = 0
-    work = [(a, b, *rule(a, b))]
-    while work:
-        l, r, v, e, pe = work.pop()
-        w = r - l
-        if e <= tol * (w / span) or w <= width_floor:
-            total += v
-            err_quad += e
-            err_inner += pe * w
-            accepted += 1
-            continue
-        m = 0.5 * (l + r)
-        work.append((l, m, *rule(l, m)))
-        work.append((m, r, *rule(m, r)))
-    return QuadResult(total / span, (err_quad + err_inner) / span, accepted)
+    outer = integrate(g, a, b, tol=tol, max_evals=100_000)
+    err = (outer.abs_error_estimate + inner_err * span) / span
+    return QuadResult(outer.value / span, err, outer.subdivisions)

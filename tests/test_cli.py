@@ -1,10 +1,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import hhverify
 from hhverify.cli import format_json, main
 from hhverify.ineq import CHAINS
 
@@ -14,6 +18,18 @@ def run_cli(args):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(args)
     return code, out.getvalue(), err.getvalue()
+
+
+def test_module_runs_cli():
+    # python -m hhverify.cli must run the CLI, not import it and exit 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hhverify.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hhverify.cli", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "hhverify 0.1.0\n"
 
 
 class TestFormatJson:

@@ -1,8 +1,10 @@
+import bisect
 import math
 import random
 
 import pytest
 
+from hhverify.corpus import random_harmonic_convex
 from hhverify.fnspec import EvalDomainError, parse
 from hhverify.hmean import HInterval
 from hhverify.quad import (
@@ -177,3 +179,48 @@ class TestRefinementDoubleIntegral:
         interval = HInterval(1.0, 2.0)
         res = refinement_double_integral(parse("1/x"), interval, tol=1e-8)
         assert abs(res.value - 0.75) <= max(1e-8, res.abs_error_estimate)
+
+    @pytest.mark.parametrize("seed", [5, 9, 15, 19])
+    def test_error_estimate_honest_on_kinks(self, seed):
+        # f(t) = G(1/t) with G piecewise linear, so the inner integral is
+        # exact: int_x^{r(x)} f/t^2 dt is the integral of G from 1/r(x) to
+        # 1/x.  The outer mean runs through mpmath, split at x* and at every
+        # point where 1/x or 1/r(x) crosses a knot of G.
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        lo, hi = ((1.0, 2.0), (0.5, 3.0), (-2.0, -1.0))[seed % 3]
+        interval = HInterval(lo, hi)
+        f = random_harmonic_convex(seed, interval)
+        knots = [mp.mpf(k) for k in f.knots]
+        values = [mp.mpf(v) for v in f.values]
+        slopes = [mp.mpf(m) for m in f.slopes]
+        # antiderivative of G at each knot, from the first one
+        cumulative = [mp.mpf(0)]
+        for i in range(len(slopes)):
+            d = knots[i + 1] - knots[i]
+            cumulative.append(cumulative[-1] + values[i] * d + slopes[i] * d * d / 2)
+
+        def antiderivative(u):
+            i = min(max(bisect.bisect_right(f.knots, float(u)) - 1, 0), len(slopes) - 1)
+            d = u - knots[i]
+            return cumulative[i] + values[i] * d + slopes[i] * d * d / 2
+
+        a, b = mp.mpf(lo), mp.mpf(hi)
+        ab, s = a * b, a + b
+        xstar = 2 * ab / s
+
+        def reflect(t):
+            return ab * t / (s * t - ab)
+
+        def mean_integrand(x):  # tanh-sinh never evaluates x* itself
+            coef = ab * x / (2 * ab - s * x)
+            return coef * (antiderivative(1 / x) - antiderivative(1 / reflect(x)))
+
+        kinks = {1 / k for k in knots[1:-1]}
+        kinks |= {reflect(t) for t in kinks}
+        points = sorted({a, b, xstar} | {t for t in kinks if a < t < b})
+        reference = mp.quad(mean_integrand, points) / (b - a)
+
+        res = refinement_double_integral(f, interval, tol=1e-6)
+        assert abs(res.value - float(reference)) <= res.abs_error_estimate

@@ -1,4 +1,5 @@
-"""Deterministic work counts of the class checks and the sweep.
+"""Deterministic work counts of the class checks, the sweep and the r4
+double integral.
 
 Evaluation and scan counts do not depend on the machine, so pinning them is
 a performance-regression gate that cannot flake: a change that scans a grid
@@ -11,8 +12,10 @@ import pytest
 
 from hhverify import cli, convexity, corpus
 from hhverify.convexity import SampleGrid
+from hhverify.corpus import random_harmonic_convex
 from hhverify.fnspec import parse
 from hhverify.hmean import HInterval
+from hhverify.quad import refinement_double_integral
 
 # one default-grid scan: 67 abscissae, 67*66/2 pairs x 15 weights, 512
 # random triples; f at each abscissa, each combination, and three times per
@@ -78,3 +81,20 @@ def test_auto_direction_scans_once(scans):
     assert direction == "concave"
     assert scans[0] == 1
     assert f.calls == 2 * SCAN_EVALS == 69_536
+
+
+@pytest.mark.parametrize(
+    "make_f, tol, evals, subdivisions",
+    [
+        (lambda interval: parse("exp(x)"), 1e-9, 1_126, 3),
+        (lambda interval: random_harmonic_convex(3, interval), 1e-6, 58_366, 8),
+    ],
+    ids=["exp", "random_hc_3"],
+)
+def test_refinement_double_integral_work(make_f, tol, evals, subdivisions):
+    interval = HInterval(1.0, 2.0)
+    f = Counting(make_f(interval))
+    res = refinement_double_integral(f, interval, tol=tol)
+    # f at x*, then 15 inner nodes per inner segment at every outer node
+    assert f.calls == evals
+    assert res.subdivisions == subdivisions
