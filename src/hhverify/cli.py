@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--a", type=float, required=True, help="left interval endpoint")
             p.add_argument("--b", type=float, required=True, help="right interval endpoint")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--grid", type=int, default=64, help="deterministic abscissa count")
+        p.add_argument("--grid", type=int, default=64, help="coarse lattice intervals")
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -251,7 +251,10 @@ def _interval(args) -> HInterval:
 
 
 def _grid(args) -> SampleGrid:
-    return SampleGrid(abscissa_count=args.grid, seed=args.seed)
+    try:
+        return SampleGrid(abscissa_count=args.grid, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(f"--grid: {exc}") from None
 
 
 # --- check --------------------------------------------------------------------
@@ -504,7 +507,7 @@ def _cmd_sweep(args) -> int:
         tol=args.tol,
         quad_tol=args.quad_tol,
         seed=args.seed,
-        grid_size=args.grid,
+        grid_size=_grid(args).abscissa_count,
         entry_names=args.entry,
     )
     _emit(payload, args.format, args.out)
@@ -525,7 +528,7 @@ def _cmd_search(args) -> int:
         seed=args.seed,
         tol=args.tol,
         min_margin=args.min_margin,
-        grid=SampleGrid(abscissa_count=args.grid, seed=args.seed),
+        grid=_grid(args),
         **kwargs,
     )
     payload = {

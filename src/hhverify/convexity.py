@@ -1,10 +1,12 @@
 """Sample-based certification and refutation of convexity-class membership.
 
-Every check sweeps a deterministic grid of (x, y, weight) triples plus a
-seeded random spillover, records the worst margin of the defining
-inequality, and returns a verdict with a reproducible witness.  A "passed"
-verdict is always of the "no sampled violation" kind; the sample count is
-part of the record so reports never overclaim.
+f is harmonic convex on [a, b] exactly when f(1/s) is convex in s: there a
+harmonic combination is affine and the reflection is s -> 1/a + 1/b - s.
+Every check tabulates f once on a lattice uniform in s = 1/t (s = t for
+plain convexity), reads the margin of every weighted pair of coarse nodes
+off that table, adds a seeded random spillover, and returns the worst
+margin with a reproducible witness.  A "passed" verdict is always of the
+"no sampled violation" kind; the sample count is part of the record.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .fnspec import FunctionSpec, parse
-from .hmean import HInterval, hcomb, sym_transform
+from .hmean import HInterval, hcomb
 
 __all__ = [
     "SampleGrid",
@@ -31,45 +33,34 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+# fine lattice steps per coarse interval, and the denominator of the weights
+STEPS = 16
 
 
 @dataclass(frozen=True, slots=True)
 class SampleGrid:
-    """Deterministic abscissa/weight grid plus a seeded random spillover.
-
-    The deterministic core is Chebyshev-spaced abscissae together with both
-    endpoints and any caller-supplied special points; weights are k/16.  The
-    random triples catch asymmetric violations the structured grid misses.
-    """
+    """A lattice of ``abscissa_count`` coarse intervals of STEPS fine steps
+    each, uniform in the check's coordinate s with the ends and the centre
+    exact, whose coarse nodes are paired with weights k/STEPS; plus seeded
+    random triples, uniform in s, that catch violations off the lattice."""
 
     abscissa_count: int = 64
-    weight_denominator: int = 16
     random_triples: int = 512
     seed: int = 0
 
-    def weights(self) -> tuple[float, ...]:
-        d = self.weight_denominator
-        return tuple(k / d for k in range(1, d))
-
-    def abscissae(self, lo: float, hi: float, extras: Iterable[float] = ()) -> tuple[float, ...]:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        pts = {lo, hi}
-        pts.update(extras)
-        n = self.abscissa_count
-        for k in range(n):
-            pts.add(mid + half * math.cos(math.pi * (2 * k + 1) / (2 * n)))
-        return tuple(sorted(pts))
+    def __post_init__(self):
+        if self.abscissa_count < 1:
+            raise ValueError(f"abscissa_count must be at least 1, got {self.abscissa_count!r}")
+        if self.random_triples < 0:
+            raise ValueError(f"random_triples must be at least 0, got {self.random_triples!r}")
 
     def random_triple_stream(self, lo: float, hi: float) -> list[tuple[float, float, float]]:
         rng = random.Random(self.seed)
         out: list[tuple[float, float, float]] = []
         while len(out) < self.random_triples:
-            x = rng.uniform(lo, hi)
-            y = rng.uniform(lo, hi)
-            if x == y:
-                continue
-            out.append((x, y, rng.uniform(0.0, 1.0)))
+            x, y = rng.uniform(lo, hi), rng.uniform(lo, hi)
+            if x != y:
+                out.append((x, y, rng.uniform(0.0, 1.0)))
         return out
 
 
@@ -103,68 +94,80 @@ class ConvexityVerdict:
         }
 
 
-def _scan(
-    f: Callable[[float], float],
-    combine: Callable[[float, float, float], float],
-    pair_fn: Callable[[float], tuple[float, float]],
-    weights: tuple[float, ...],
-    xs: tuple[float, ...],
-    randoms: list[tuple[float, float, float]],
-):
-    """One streaming pass over the grid pairs and the random triples.
-
-    With  d = f(combine(x,y,a)) - [wy*f(y) + wx*f(x)],  returns the largest d
-    (the convex margin) with the first triple attaining it, the smallest d
-    (minus the concave margin) with its first triple, the sample count, and
-    the largest |f| evaluated, the scale of the tolerance.
-    """
-    fx = [f(x) for x in xs]
-    rows = [(al, *pair_fn(al)) for al in weights]
+def _scan(ts: list[float], G: list[float], rows: list[tuple], randoms: Iterable[tuple]):
+    """One pass over the coarse node pairs of the table ``G`` on ``ts``, with
+    (alpha, wy, wx) ``rows`` for the weights k/STEPS, and over the
+    ``randoms`` (x, y, row, g(c), g(y), g(x)).  With d = g(c) - [wy*g(y) +
+    wx*g(x)], returns the largest d (the convex margin) and the smallest
+    (minus the concave margin), each with the first triple attaining it, the
+    sample count, and the largest |g| sampled, the scale of the tolerance."""
+    M = len(G) - 1
     top, bottom = -math.inf, math.inf
-    top_witness = bottom_witness = (xs[0], xs[-1], 0.5)
-    # max/min keep their first argument against a NaN: the scale is never NaN
-    f_hi, f_lo = max(0.0, *fx), min(-0.0, *fx)
-    n = len(xs)
-    for i in range(n):
-        xi, fxi = xs[i], fx[i]
-        for j in range(i + 1, n):
-            yj, fyj = xs[j], fx[j]
-            for al, wy, wx in rows:
-                fc = f(combine(xi, yj, al))
-                d = fc - (wy * fyj + wx * fxi)
-                if fc > f_hi:
-                    f_hi = fc
-                elif fc < f_lo:
-                    f_lo = fc
+    top_witness = bottom_witness = (ts[0], ts[-1], 0.5)
+    for i in range(0, M, STEPS):
+        gx = G[i]
+        for j in range(i + STEPS, M + 1, STEPS):
+            gy, step = G[j], (j - i) // STEPS
+            # the combination of nodes i and j with weight k/STEPS is point i + k*step
+            for gc, (al, wy, wx) in zip(G[i + step : j : step], rows):
+                d = gc - (wy * gy + wx * gx)
                 if d > top:
-                    top, top_witness = d, (xi, yj, al)
+                    top, top_witness = d, (ts[i], ts[j], al)
                 if d < bottom:
-                    bottom, bottom_witness = d, (xi, yj, al)
-    for x, y, al in randoms:
-        wy, wx = pair_fn(al)
-        fc, fy, fxr = f(combine(x, y, al)), f(y), f(x)
-        d = fc - (wy * fy + wx * fxr)
-        f_hi, f_lo = max(f_hi, fc, fy, fxr), min(f_lo, fc, fy, fxr)
+                    bottom, bottom_witness = d, (ts[i], ts[j], al)
+    n = M // STEPS + 1
+    count = n * (n - 1) // 2 * len(rows)
+    # max/min keep their first argument against a NaN: the scale is never NaN
+    f_hi, f_lo = max(0.0, *G), min(-0.0, *G)
+    for x, y, (al, wy, wx), gc, gy, gx in randoms:
+        d = gc - (wy * gy + wx * gx)
+        f_hi, f_lo = max(f_hi, gc, gy, gx), min(f_lo, gc, gy, gx)
+        count += 1
         if d > top:
             top, top_witness = d, (x, y, al)
         if d < bottom:
             bottom, bottom_witness = d, (x, y, al)
-    count = n * (n - 1) // 2 * len(rows) + len(randoms)
     return top, top_witness, bottom, bottom_witness, count, max(f_hi, -f_lo)
 
 
-def _check(f, combine, pair_fn, lo, hi, extra, grid, tol, names, direction) -> ConvexityVerdict:
-    """Scan ``f`` on [lo, hi] once; the verdict for ``direction`` carries the
-    other as ``opposite``.  A margin passes up to ``tol`` times the largest
-    |f| the scan evaluated, with no floor, so that verdicts do not depend on
-    the units of ``f``."""
+def _check(f, lo, hi, centre, reciprocal, h, symmetrized, grid, tol, names, direction) -> ConvexityVerdict:
+    """Scan ``f``, or its symmetric part, once on the lattice of [lo, hi]; the
+    verdict for ``direction`` carries the other as ``opposite``.  Nodes s_x,
+    s_y with weight a combine to (1-a)s_x + a s_y, weighted (a, 1-a) or
+    (h(a), h(1-a)); plain convexity (not ``reciprocal``) reports the weight
+    as 1-a.  A margin passes up to ``tol`` times the largest |f| the scan
+    evaluated, with no floor, so that verdicts do not depend on units."""
     if direction not in ("convex", "concave"):
         raise ValueError(f"direction must be 'convex' or 'concave', not {direction!r}")
     grid = grid or DEFAULT_GRID
-    xs = grid.abscissae(lo, hi, extras=(extra,))
-    top, top_witness, bottom, bottom_witness, count, scale = _scan(
-        f, combine, pair_fn, grid.weights(), xs, grid.random_triple_stream(lo, hi)
+
+    def row(al):
+        wy, wx = (al, 1.0 - al) if h is None else (h(al), h(1.0 - al))
+        return (al if reciprocal else 1.0 - al, wy, wx)
+
+    def t(s):
+        return 1.0 / s if reciprocal else s
+
+    def g(s):  # the reflection is s -> s0 + s1 - s
+        return 0.5 * (f(t(s)) + f(t(s0 + s1 - s))) if symmetrized else f(t(s))
+
+    s0, s1 = (1.0 / lo, 1.0 / hi) if reciprocal else (lo, hi)
+    if not (lo < hi and math.isfinite(s0) and math.isfinite(s1)):
+        raise ValueError(f"need lo < hi with finite {'1/lo, 1/hi' if reciprocal else 'lo, hi'}, got [{lo!r}, {hi!r}]")
+    M = STEPS * grid.abscissa_count
+    # this s_m puts lattices whose sizes differ by a power of two on common points
+    # bit for bit; the ends are set, as s_M rounds to 0 when 1/hi << 1/lo
+    ts = [lo, *(t(s0 + (s1 - s0) * m / M) for m in range(1, M)), hi]
+    ts[M // 2] = centre
+    G = [f(x) for x in ts]
+    if symmetrized:
+        G = [0.5 * (u + v) for u, v in zip(G, reversed(G))]
+    randoms = (
+        (t(sx), t(sy), row(al), g(sx + al * (sy - sx)), g(sy), g(sx))
+        for sx, sy, al in grid.random_triple_stream(s0, s1)
     )
+    rows = [row(k / STEPS) for k in range(1, STEPS)]
+    top, top_witness, bottom, bottom_witness, count, scale = _scan(ts, G, rows, randoms)
     bound = tol * scale
     convex = (names[0], top <= bound, top, top_witness, count, tol)
     concave = (names[1], -bottom <= bound, -bottom, bottom_witness, count, tol)
@@ -173,12 +176,10 @@ def _check(f, combine, pair_fn, lo, hi, extra, grid, tol, names, direction) -> C
     return ConvexityVerdict(*convex, opposite=ConvexityVerdict(*concave))
 
 
-def _check_harmonic(f, interval, h, grid, tol, kind, direction) -> ConvexityVerdict:
-    """:func:`_check` on the interval with harmonic combinations, weighted
-    (a, 1-a), or (h(a), h(1-a)) when ``h`` is given."""
-    pair_fn = (lambda al: (al, 1.0 - al)) if h is None else (lambda al: (h(al), h(1.0 - al)))
+def _check_harmonic(f, interval, h, symmetrized, grid, tol, kind, direction) -> ConvexityVerdict:
+    """:func:`_check` in s = 1/t, centred on the harmonic midpoint."""
     return _check(
-        f, hcomb, pair_fn, interval.a, interval.b, interval.harmonic_midpoint,
+        f, interval.a, interval.b, interval.harmonic_midpoint, True, h, symmetrized,
         grid, tol, (f"{kind}_convex", f"{kind}_concave"), direction,
     )
 
@@ -194,7 +195,7 @@ def check_harmonic_convex(
 
     The concave verdict comes from the same scan with the margin negated.
     """
-    return _check_harmonic(f, interval, None, grid, tol, "harmonic", direction)
+    return _check_harmonic(f, interval, None, False, grid, tol, "harmonic", direction)
 
 
 def check_harmonic_h_convex(
@@ -206,7 +207,7 @@ def check_harmonic_h_convex(
     direction: str = "convex",
 ) -> ConvexityVerdict:
     """As :func:`check_harmonic_convex` with weights (h(a), h(1-a))."""
-    return _check_harmonic(f, interval, h, grid, tol, "harmonic_h", direction)
+    return _check_harmonic(f, interval, h, False, grid, tol, "harmonic_h", direction)
 
 
 def check_convex(
@@ -217,14 +218,10 @@ def check_convex(
     tol: float = DEFAULT_TOL,
     direction: str = "convex",
 ) -> ConvexityVerdict:
-    """Plain secant-above-graph margin sweep of F on [lo, hi]."""
-
-    def combine(x: float, y: float, al: float) -> float:
-        return al * x + (1.0 - al) * y
-
-    # plain convexity pairs the weight alpha with F(x)
+    """Plain margin sweep of  F(ax + (1-a)y) <= a F(x) + (1-a) F(y)  on
+    [lo, hi], which must be finite with lo < hi."""
     return _check(
-        F, combine, lambda al: (1.0 - al, al), lo, hi, 0.5 * (lo + hi),
+        F, lo, hi, 0.5 * (lo + hi), False, None, False,
         grid, tol, ("convex", "concave"), direction,
     )
 
@@ -239,7 +236,7 @@ def check_symmetrized(
 ) -> ConvexityVerdict:
     """Check the symmetric part of ``f`` for (h-)convexity on the interval."""
     kind = "symmetrized_harmonic" if h is None else "symmetrized_harmonic_h"
-    return _check_harmonic(sym_transform(f, interval), interval, h, grid, tol, kind, direction)
+    return _check_harmonic(f, interval, h, True, grid, tol, kind, direction)
 
 
 def margin_harmonic(

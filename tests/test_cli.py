@@ -20,14 +20,19 @@ def run_cli(args):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_module_runs_cli():
-    # python -m hhverify.cli must run the CLI, not import it and exit 0
+def run_module(args, timeout=60):
+    """``python -m hhverify.cli`` in a subprocess, killed after ``timeout`` s."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hhverify.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hhverify.cli", "--version"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "hhverify.cli", *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_module_runs_cli():
+    # python -m hhverify.cli must run the CLI, not import it and exit 0
+    proc = run_module(["--version"])
     assert proc.returncode == 0
     assert proc.stdout == "hhverify 0.1.0\n"
 
@@ -88,6 +93,33 @@ class TestCheck:
     def test_invalid_interval(self):
         code, _, err = run_cli(["check", "--fn", "1/x", "--a", "2", "--b", "1", "--class", "hc"])
         assert code == 2
+
+    @pytest.mark.parametrize("a, b", [("1", "1"), ("1", "inf"), ("2", "1")])
+    def test_invalid_plain_interval(self, a, b):
+        # in a subprocess, so that a check that hangs on such an interval
+        # fails the test instead of stalling the suite
+        proc = run_module(["check", "--class", "convex", "--fn", "x^2", "--a", a, "--b", b], timeout=20)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "lo < hi" in proc.stderr
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "--fn", "x", "--a", "1", "--b", "2", "--class", "hc"],
+        ["verify", "--chain", "t1", "--fn", "1/x", "--a", "1", "--b", "2"],
+        ["sweep", "--entry", "square"],
+        ["search", "--a", "1", "--b", "2"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_nonpositive_grid_exits_2(args, grid):
+    code, out, err = run_cli(args + ["--grid", grid])
+    assert code == 2
+    assert out == ""
+    assert "--grid" in err
 
 
 # every parameter a chain cannot run without, in its evaluator's order

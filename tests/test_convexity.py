@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hhverify import convexity
 from hhverify.convexity import (
     SampleGrid,
     check_convex,
@@ -50,32 +51,73 @@ class TestHarmonicConvex:
         assert not v.passed
 
     def test_witness_reproduces_margin(self):
-        for src in ("-ln(x)", "x - 2*x/(3*x - 2) + 1/x"):
-            f = parse(src)
-            v = check_harmonic_convex(f, I12)
-            if v.passed:
-                continue
-            x, y, al = v.witness
-            assert margin_harmonic(f, x, y, al) == pytest.approx(v.worst_margin, abs=1e-12)
-            assert v.worst_margin > v.tol / 2
+        # every refuted corpus verdict re-evaluates to its margin at its
+        # witness, independently of the lattice
+        from hhverify.corpus import builtin_functions
+
+        def plain_margin(f, x, y, al):
+            return f(al * x + (1.0 - al) * y) - (al * f(x) + (1.0 - al) * f(y))
+
+        refuted = 0
+        for entry in builtin_functions():
+            f, interval = entry.spec, entry.interval
+            fb = sym_transform(f, interval)
+            cases = [
+                (check_convex(f, interval.a, interval.b), f, plain_margin),
+                (check_harmonic_convex(f, interval), f, margin_harmonic),
+                (check_symmetrized(f, interval), fb, margin_harmonic),
+            ]
+            for verdict, g, margin in cases:
+                for v, sign in ((verdict, 1.0), (verdict.opposite, -1.0)):
+                    if v.passed:
+                        continue
+                    refuted += 1
+                    x, y, al = v.witness
+                    scale = max(abs(g(x)), abs(g(y)))
+                    assert sign * margin(g, x, y, al) == pytest.approx(v.worst_margin, abs=1e-12 * scale)
+                    assert v.worst_margin > v.tol * scale
+        assert refuted == 20
 
     def test_monotone_grid_refinement(self):
-        # more samples can only raise the worst margin of a failing function
+        # lattices whose sizes differ by a power of two share their points bit
+        # for bit, so more samples can only raise the worst margin
         f = parse("-ln(x)")
         coarse = check_harmonic_convex(f, I12, grid=SampleGrid(abscissa_count=8, random_triples=0))
         fine = check_harmonic_convex(f, I12, grid=SampleGrid(abscissa_count=64, random_triples=0))
         finest = check_harmonic_convex(f, I12, grid=SampleGrid(abscissa_count=128, random_triples=64))
         assert not coarse.passed
-        assert coarse.worst_margin <= fine.worst_margin + 1e-15
-        assert fine.worst_margin <= finest.worst_margin + 1e-15
+        assert coarse.worst_margin <= fine.worst_margin <= finest.worst_margin
 
-    def test_default_grid_shape(self):
-        grid = SampleGrid()
-        xs = grid.abscissae(1.0, 2.0, extras=(4.0 / 3.0,))
-        assert 1.0 in xs and 2.0 in xs and 4.0 / 3.0 in xs
-        assert len(xs) == 64 + 3
-        assert grid.weights() == tuple(k / 16 for k in range(1, 16))
-        assert len(grid.random_triple_stream(1.0, 2.0)) == 512
+    def test_default_lattice(self, monkeypatch):
+        lattices = []
+        scan = convexity._scan
+
+        def recording_scan(ts, *rest):
+            lattices.append(ts)
+            return scan(ts, *rest)
+
+        monkeypatch.setattr(convexity, "_scan", recording_scan)
+        # on these intervals the centre of the uniform lattice is an ulp off
+        # the harmonic midpoint and the midpoint respectively
+        interval = HInterval(1.1, 2.9)
+        check_harmonic_convex(parse("x"), interval)
+        check_convex(parse("x"), 0.7, 3.1)
+        harmonic, plain = lattices
+        assert len(harmonic) == len(plain) == 1025
+        # a, b and the centre exactly, uniform in 1/t (in t) between
+        assert (harmonic[0], harmonic[512], harmonic[1024]) == (1.1, interval.harmonic_midpoint, 2.9)
+        s = [1 / 1.1 + (1 / 2.9 - 1 / 1.1) * m / 1024 for m in range(1025)]
+        assert [1.0 / t for t in harmonic] == pytest.approx(s, rel=1e-15)
+        assert (plain[0], plain[512], plain[1024]) == (0.7, 0.5 * (0.7 + 3.1), 3.1)
+        assert plain == pytest.approx([0.7 + 2.4 * m / 1024 for m in range(1025)], rel=1e-15)
+        assert len(SampleGrid().random_triple_stream(1.0, 2.0)) == 512
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"abscissa_count": 0}, {"abscissa_count": -3}, {"random_triples": -1}]
+    )
+    def test_rejects_nonpositive_sizes(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SampleGrid(**kwargs)
 
     def test_deterministic_under_seed(self):
         f = parse("-ln(x)")
@@ -120,6 +162,11 @@ class TestCheckConvex:
     def test_linear_margin_zero(self):
         v = check_convex(parse("2*x - 3"), 0.0, 1.0)
         assert v.passed and abs(v.worst_margin) <= 1e-12
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0), (1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_rejects_empty_reversed_and_infinite_intervals(self, lo, hi):
+        with pytest.raises(ValueError, match="lo < hi"):
+            check_convex(parse("x^2"), lo, hi)
 
     def test_corrected_transform_of_neg_log(self):
         # F(u) = sym(-ln)(1/u) = ln(u*(a+b-ab*u)/(ab))/2 is strictly concave
@@ -243,6 +290,22 @@ class TestScaleInvariance:
         assert v.opposite.passed, v.opposite.worst_margin
         assert v.tol == v.opposite.tol == 1e-9
 
+    def test_lattice_values_scale_the_tolerance(self):
+        # without random triples the rounding margins of 1e8/x must still pass
+        v = check_harmonic_convex(parse("1e8/x"), I12, grid=SampleGrid(random_triples=0))
+        assert v.passed and v.opposite.passed
+        assert max(v.worst_margin, v.opposite.worst_margin) > 0.0
+
+    def test_reciprocal_range_beyond_rounding(self):
+        # 1/b is negligible against 1/a, so the last lattice point in s = 1/t
+        # would round to s = 0 if it were computed rather than set to b
+        interval = HInterval(1e-300, 1e300)
+        assert check_harmonic_convex(parse("x"), interval).passed
+        assert check_symmetrized(parse("x"), interval).passed
+        # 1/a overflows: no lattice in s = 1/t exists
+        with pytest.raises(ValueError, match="finite 1/lo, 1/hi"):
+            check_harmonic_convex(parse("x"), HInterval(1e-320, 1.0))
+
     @pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 1e4, 1e8])
     def test_scaled_violation_still_refuted(self, c):
         v = check_harmonic_convex(parse(f"{c!r}*-ln(x)"), I12)
@@ -250,71 +313,74 @@ class TestScaleInvariance:
         assert v.opposite.passed
 
 
-def _brute_force_scan(f, combine, pair_fn, xs, weights, randoms, sign):
-    """Per-direction reference: the worst of sign*d over every triple, with
-    the first triple that attains it."""
-    triples = [(x, y, al) for i, x in enumerate(xs) for y in xs[i + 1 :] for al in weights]
-    triples += randoms
-    worst, witness = -math.inf, (xs[0], xs[-1], 0.5)
-    for x, y, al in triples:
-        wy, wx = pair_fn(al)
-        m = sign * (f(combine(x, y, al)) - (wy * f(y) + wx * f(x)))
+def _lattice_reference(f, lo, hi, centre, reciprocal, symmetrized, weights, grid, sign):
+    """Per-direction reference: the worst of sign*d over every (x, y, alpha)
+    of coarse lattice nodes and every random triple, with the first triple
+    that attains it, the number of triples, and the largest |g| sampled.
+
+    In s = 1/t (s = t when not ``reciprocal``) node i is lattice point 16*i,
+    the combination of nodes i < j with weight k/16 is point 16*i + k*(j-i),
+    and the reflection is point m -> M - m; plain convexity reports the
+    weight as 1 - k/16."""
+    M = 16 * grid.abscissa_count
+    s0, s1 = (1.0 / lo, 1.0 / hi) if reciprocal else (lo, hi)
+
+    def t(s):
+        return 1.0 / s if reciprocal else s
+
+    def g(s):
+        return 0.5 * (f(t(s)) + f(t(s0 + s1 - s))) if symmetrized else f(t(s))
+
+    ts = [t(s0 + (s1 - s0) * m / M) for m in range(M + 1)]
+    ts[0], ts[M // 2], ts[M] = lo, centre, hi
+    F = [f(x) for x in ts]
+    if symmetrized:
+        F = [0.5 * (F[m] + F[M - m]) for m in range(M + 1)]
+    samples = []  # (witness, g(c), g(y), g(x), alpha)
+    for i in range(0, M + 1, 16):
+        for j in range(i + 16, M + 1, 16):
+            for k in range(1, 16):
+                al = k / 16
+                witness = (ts[i], ts[j], al if reciprocal else 1.0 - al)
+                samples.append((witness, F[i + k * (j - i) // 16], F[j], F[i], al))
+    for sx, sy, al in grid.random_triple_stream(s0, s1):
+        witness = (t(sx), t(sy), al if reciprocal else 1.0 - al)
+        samples.append((witness, g(sx + al * (sy - sx)), g(sy), g(sx), al))
+    worst, worst_witness = -math.inf, (ts[0], ts[-1], 0.5)
+    for witness, gc, gy, gx, al in samples:
+        wy, wx = weights(al)
+        m = sign * (gc - (wy * gy + wx * gx))
         if m > worst:
-            worst, witness = m, (x, y, al)
-    return worst, witness, len(triples)
-
-
-def _memo(f):
-    # the reference re-evaluates f at grid points; values are deterministic,
-    # so a per-test memo changes nothing but the test's run time
-    values = {}
-
-    def g(t):
-        if t not in values:
-            values[t] = f(t)
-        return values[t]
-
-    return g
+            worst, worst_witness = m, witness
+    scale = max(abs(v) for sample in samples for v in sample[1:4])
+    return worst, worst_witness, len(samples), scale
 
 
 class TestOnePassScan:
     def test_both_directions_match_brute_force_on_corpus(self):
         from hhverify.corpus import builtin_functions
-        from hhverify.hmean import hcomb
 
         # a smaller grid than the default keeps the reference quick; the scan
         # does not branch on grid size
         grid = SampleGrid(abscissa_count=16, random_triples=64)
-        harmonic_pair = lambda al: (al, 1.0 - al)  # noqa: E731
         h = parse("x^2")
+        unweighted = lambda al: (al, 1.0 - al)  # noqa: E731
+        weighted = lambda al: (h(al), h(1.0 - al))  # noqa: E731
         for entry in builtin_functions():
             f, interval = entry.spec, entry.interval
-            a, b = interval.a, interval.b
-            harmonic_xs = grid.abscissae(a, b, extras=(interval.harmonic_midpoint,))
-            randoms = grid.random_triple_stream(a, b)
-            fb = _memo(sym_transform(f, interval))
+            a, b, hm = interval.a, interval.b, interval.harmonic_midpoint
             cases = [
-                (
-                    check_convex(f, a, b, grid=grid),
-                    _memo(f),
-                    lambda x, y, al: al * x + (1.0 - al) * y,
-                    lambda al: (1.0 - al, al),
-                    grid.abscissae(a, b, extras=(0.5 * (a + b),)),
-                ),
-                (check_harmonic_convex(f, interval, grid=grid), _memo(f), hcomb, harmonic_pair, harmonic_xs),
-                (check_symmetrized(f, interval, grid=grid), fb, hcomb, harmonic_pair, harmonic_xs),
-                (
-                    check_symmetrized(f, interval, grid=grid, h=h),
-                    fb,
-                    hcomb,
-                    lambda al: (h(al), h(1.0 - al)),
-                    harmonic_xs,
-                ),
+                (check_convex(f, a, b, grid=grid), (a, b, 0.5 * (a + b), False, False, unweighted)),
+                (check_harmonic_convex(f, interval, grid=grid), (a, b, hm, True, False, unweighted)),
+                (check_harmonic_h_convex(f, h, interval, grid=grid), (a, b, hm, True, False, weighted)),
+                (check_symmetrized(f, interval, grid=grid), (a, b, hm, True, True, unweighted)),
+                (check_symmetrized(f, interval, grid=grid, h=h), (a, b, hm, True, True, weighted)),
             ]
-            for verdict, g, combine, pair_fn, xs in cases:
+            for verdict, args in cases:
                 for v, sign in ((verdict, 1.0), (verdict.opposite, -1.0)):
-                    expected = _brute_force_scan(g, combine, pair_fn, xs, grid.weights(), randoms, sign)
-                    got = (v.worst_margin, v.witness, v.samples_used)
+                    worst, witness, count, scale = _lattice_reference(f, *args, grid, sign)
+                    got = (v.worst_margin, v.witness, v.samples_used, v.passed)
+                    expected = (worst, witness, count, worst <= v.tol * scale)
                     assert got == expected, (entry.name, v.class_tested)
 
     def test_concave_request_mirrors_convex(self):

@@ -17,10 +17,12 @@ from hhverify.fnspec import parse
 from hhverify.hmean import HInterval
 from hhverify.quad import refinement_double_integral
 
-# one default-grid scan: 67 abscissae, 67*66/2 pairs x 15 weights, 512
-# random triples; f at each abscissa, each combination, and three times per
-# random triple
-SCAN_EVALS = 67 + 2211 * 15 + 3 * 512
+# one default-grid scan: f once at each of the 16*64 + 1 lattice points, on
+# which every weighted pair of the 65 coarse nodes combines, and three times
+# per random triple; a symmetrized scan evaluates f at the reflection of each
+# random point too
+SCAN_EVALS = 1025 + 3 * 512
+SYM_SCAN_EVALS = 1025 + 6 * 512
 
 
 class Counting:
@@ -58,9 +60,8 @@ def test_gate_scans_each_class_once(scans, counted_entries):
         corpus._verify_entry(entry)
     # convex/concave, harmonic and symmetrized pairs: one scan each per entry
     assert scans[0] == 3 * len(counted_entries) == 33
-    # the symmetrized scan evaluates f twice per point
-    assert [e.spec.calls for e in counted_entries] == [4 * SCAN_EVALS] * 11
-    assert sum(e.spec.calls for e in counted_entries) == 1_529_792
+    assert [e.spec.calls for e in counted_entries] == [2 * SCAN_EVALS + SYM_SCAN_EVALS] * 11
+    assert sum(e.spec.calls for e in counted_entries) == 101_409
 
 
 def test_sweep_entry_evaluations(scans, counted_entries, monkeypatch):
@@ -71,7 +72,7 @@ def test_sweep_entry_evaluations(scans, counted_entries, monkeypatch):
     # dominate the identity
     assert scans[0] == 1
     square = next(e for e in counted_entries if e.name == "square")
-    assert square.spec.calls == 75_085
+    assert square.spec.calls == 9_646
     assert sum(e.spec.calls for e in counted_entries) == square.spec.calls
 
 
@@ -80,7 +81,7 @@ def test_auto_direction_scans_once(scans):
     direction = cli._auto_direction(f, HInterval(1.0, 2.0), SampleGrid(), symmetrized=True)
     assert direction == "concave"
     assert scans[0] == 1
-    assert f.calls == 2 * SCAN_EVALS == 69_536
+    assert f.calls == SYM_SCAN_EVALS == 4_097
 
 
 @pytest.mark.parametrize(
