@@ -5,12 +5,10 @@ __version__ = "0.1.0"
 
 from .fnspec import (
     EvalDomainError,
-    EvalPoint,
     ExpressionError,
     FunctionSpec,
     ParseError,
     compose,
-    evaluate,
     parse,
     to_source,
 )
@@ -18,9 +16,7 @@ from .hmean import (
     HInterval,
     TransformedFunction,
     antisym_transform,
-    harmonic_midpoint,
     hcomb,
-    reflect,
     sym_transform,
 )
 from .quad import (

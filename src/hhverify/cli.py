@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from typing import Optional
 
@@ -257,6 +258,16 @@ def _grid(args) -> SampleGrid:
         raise UsageError(f"--grid: {exc}") from None
 
 
+def _check_tolerances(args) -> None:
+    """Require --tol and --min-margin finite and >= 0, --quad-tol finite and > 0."""
+    for flag in ("--tol", "--min-margin", "--quad-tol"):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        positive = flag == "--quad-tol"
+        if value is None or math.isfinite(value) and (value > 0.0 if positive else value >= 0.0):
+            continue
+        raise UsageError(f"{flag} must be finite and {'> 0' if positive else '>= 0'}, got {value!r}")
+
+
 # --- check --------------------------------------------------------------------
 
 
@@ -356,11 +367,9 @@ def _declared_direction(entry: CorpusEntry, kind: str) -> tuple[Optional[str], O
     return None, None
 
 
-def _nonnegative_on(entry: CorpusEntry, samples: int = 65) -> bool:
+def _nonnegative_on(entry: CorpusEntry) -> bool:
     a, b = entry.interval.a, entry.interval.b
-    return all(
-        entry.spec(a + (b - a) * k / (samples - 1)) >= 0.0 for k in range(samples)
-    )
+    return all(entry.spec(a + (b - a) * k / 64) >= 0.0 for k in range(65))
 
 
 def _h_dominates_identity(h: HFunction) -> bool:
@@ -525,7 +534,6 @@ def _cmd_search(args) -> int:
         kwargs["ladder"] = (args.c,)
     witness = find_strict_inclusion_witness(
         interval,
-        seed=args.seed,
         tol=args.tol,
         min_margin=args.min_margin,
         grid=_grid(args),
@@ -580,6 +588,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "search": _cmd_search,
     }
     try:
+        _check_tolerances(args)
         return handlers[args.command](args)
     except (UsageError, ExpressionError, QuadratureBudgetError, ValueError) as exc:
         print(f"hhverify {args.command}: {exc}", file=sys.stderr)

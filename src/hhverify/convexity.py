@@ -130,16 +130,23 @@ def _scan(ts: list[float], G: list[float], rows: list[tuple], randoms: Iterable[
     return top, top_witness, bottom, bottom_witness, count, max(f_hi, -f_lo)
 
 
-def _check(f, lo, hi, centre, reciprocal, h, symmetrized, grid, tol, names, direction) -> ConvexityVerdict:
+def _check(f, lo, hi, reciprocal, h, symmetrized, grid, tol, direction) -> ConvexityVerdict:
     """Scan ``f``, or its symmetric part, once on the lattice of [lo, hi]; the
     verdict for ``direction`` carries the other as ``opposite``.  Nodes s_x,
     s_y with weight a combine to (1-a)s_x + a s_y, weighted (a, 1-a) or
     (h(a), h(1-a)); plain convexity (not ``reciprocal``) reports the weight
-    as 1-a.  A margin passes up to ``tol`` times the largest |f| the scan
-    evaluated, with no floor, so that verdicts do not depend on units."""
+    as 1-a.  The lattice is centred on the harmonic midpoint 2ab/(a+b), or on
+    (a+b)/2 for plain convexity.  A margin passes up to ``tol`` times the
+    largest |f| the scan evaluated, with no floor, so that verdicts do not
+    depend on units."""
     if direction not in ("convex", "concave"):
         raise ValueError(f"direction must be 'convex' or 'concave', not {direction!r}")
     grid = grid or DEFAULT_GRID
+    if reciprocal:
+        kind = ("symmetrized_" if symmetrized else "") + ("harmonic_" if h is None else "harmonic_h_")
+        centre = 2.0 * lo * hi / (lo + hi)
+    else:
+        kind, centre = "", 0.5 * (lo + hi)
 
     def row(al):
         wy, wx = (al, 1.0 - al) if h is None else (h(al), h(1.0 - al))
@@ -169,19 +176,11 @@ def _check(f, lo, hi, centre, reciprocal, h, symmetrized, grid, tol, names, dire
     rows = [row(k / STEPS) for k in range(1, STEPS)]
     top, top_witness, bottom, bottom_witness, count, scale = _scan(ts, G, rows, randoms)
     bound = tol * scale
-    convex = (names[0], top <= bound, top, top_witness, count, tol)
-    concave = (names[1], -bottom <= bound, -bottom, bottom_witness, count, tol)
+    convex = (f"{kind}convex", top <= bound, top, top_witness, count, tol)
+    concave = (f"{kind}concave", -bottom <= bound, -bottom, bottom_witness, count, tol)
     if direction == "concave":
         convex, concave = concave, convex
     return ConvexityVerdict(*convex, opposite=ConvexityVerdict(*concave))
-
-
-def _check_harmonic(f, interval, h, symmetrized, grid, tol, kind, direction) -> ConvexityVerdict:
-    """:func:`_check` in s = 1/t, centred on the harmonic midpoint."""
-    return _check(
-        f, interval.a, interval.b, interval.harmonic_midpoint, True, h, symmetrized,
-        grid, tol, (f"{kind}_convex", f"{kind}_concave"), direction,
-    )
 
 
 def check_harmonic_convex(
@@ -195,7 +194,7 @@ def check_harmonic_convex(
 
     The concave verdict comes from the same scan with the margin negated.
     """
-    return _check_harmonic(f, interval, None, False, grid, tol, "harmonic", direction)
+    return _check(f, interval.a, interval.b, True, None, False, grid, tol, direction)
 
 
 def check_harmonic_h_convex(
@@ -207,7 +206,7 @@ def check_harmonic_h_convex(
     direction: str = "convex",
 ) -> ConvexityVerdict:
     """As :func:`check_harmonic_convex` with weights (h(a), h(1-a))."""
-    return _check_harmonic(f, interval, h, False, grid, tol, "harmonic_h", direction)
+    return _check(f, interval.a, interval.b, True, h, False, grid, tol, direction)
 
 
 def check_convex(
@@ -220,10 +219,7 @@ def check_convex(
 ) -> ConvexityVerdict:
     """Plain margin sweep of  F(ax + (1-a)y) <= a F(x) + (1-a) F(y)  on
     [lo, hi], which must be finite with lo < hi."""
-    return _check(
-        F, lo, hi, 0.5 * (lo + hi), False, None, False,
-        grid, tol, ("convex", "concave"), direction,
-    )
+    return _check(F, lo, hi, False, None, False, grid, tol, direction)
 
 
 def check_symmetrized(
@@ -235,8 +231,7 @@ def check_symmetrized(
     direction: str = "convex",
 ) -> ConvexityVerdict:
     """Check the symmetric part of ``f`` for (h-)convexity on the interval."""
-    kind = "symmetrized_harmonic" if h is None else "symmetrized_harmonic_h"
-    return _check_harmonic(f, interval, h, True, grid, tol, kind, direction)
+    return _check(f, interval.a, interval.b, True, h, True, grid, tol, direction)
 
 
 def margin_harmonic(
@@ -247,24 +242,16 @@ def margin_harmonic(
     return f(hcomb(x, y, alpha)) - (alpha * f(y) + (1.0 - alpha) * f(x))
 
 
-def second_derivative(
-    F: Callable[[float], float], x: float, step: Optional[float] = None, levels: int = 3
-) -> float:
+def second_derivative(F: Callable[[float], float], x: float, step: Optional[float] = None) -> float:
     """Central second difference with Richardson extrapolation.
 
-    ``levels`` halvings give an O(step^(2*levels)) truncation error; the
-    default step balances truncation against double-precision rounding.
+    The steps h, h/2 and h/4 give an O(h^6) truncation error; the default
+    h balances truncation against double-precision rounding.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
     h = step if step is not None else 0.05 * max(1.0, abs(x))
     fx2 = 2.0 * F(x)
-    d = []
-    for k in range(levels):
-        hk = h / (2.0 ** k)
-        d.append((F(x + hk) - fx2 + F(x - hk)) / (hk * hk))
-    for m in range(1, levels):
-        fac = 4.0 ** m
+    d = [(F(x + hk) - fx2 + F(x - hk)) / (hk * hk) for hk in (h, h / 2.0, h / 4.0)]
+    for fac in (4.0, 16.0):
         d = [(fac * d[i + 1] - d[i]) / (fac - 1.0) for i in range(len(d) - 1)]
     return d[0]
 
@@ -300,7 +287,6 @@ _DEFAULT_LADDER = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 
 def find_strict_inclusion_witness(
     interval: HInterval,
-    seed: int = 0,
     tol: float = DEFAULT_TOL,
     min_margin: float = 1e-3,
     ladder: tuple[float, ...] = _DEFAULT_LADDER,
@@ -314,7 +300,6 @@ def find_strict_inclusion_witness(
     smallest ladder coefficient whose f_c fails the plain harmonic-convexity
     check with margin above ``min_margin`` wins; returns None if none does.
     """
-    grid = grid or SampleGrid(seed=seed)
     for c in sorted(ladder):
         spec = parse(inclusion_family_source(interval, c))
         base = check_harmonic_convex(spec, interval, grid=grid, tol=tol)

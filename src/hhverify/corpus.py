@@ -27,7 +27,7 @@ from .convexity import (
 )
 from .fnspec import FunctionSpec, parse
 from .hmean import HInterval
-from .ineq import HFunction
+from .ineq import IDENTITY_H, HFunction
 
 __all__ = [
     "CorpusError",
@@ -61,9 +61,6 @@ class CorpusEntry:
     classes: Mapping[str, bool]
     closed_forms: Mapping[str, float]
     notes: str = ""
-
-    def __call__(self, t: float) -> float:
-        return self.spec(t)
 
     def to_dict(self) -> dict:
         return {
@@ -291,7 +288,7 @@ def builtin_functions() -> tuple[CorpusEntry, ...]:
 def builtin_h() -> tuple[HFunction, ...]:
     """Standard weight-function family: t, t^2, sqrt(t) and the constant 1."""
     return (
-        HFunction.from_source("x", name="t"),
+        IDENTITY_H,
         HFunction.from_source("x^2", name="t^2"),
         HFunction.from_source("x^0.5", name="sqrt(t)"),
         HFunction.from_source("1", name="1"),
@@ -305,11 +302,11 @@ def export_json(entries: Optional[tuple[CorpusEntry, ...]] = None) -> dict:
     return {"schema": 1, "entries": [e.to_dict() for e in entries]}
 
 
-def import_json(doc: dict, verify: bool = True) -> tuple[CorpusEntry, ...]:
+def import_json(doc: dict) -> tuple[CorpusEntry, ...]:
     """Rebuild corpus entries from an :func:`export_json` document.
 
     Declared memberships go through the same checker gate as the built-in
-    corpus unless ``verify`` is disabled.
+    corpus.
     """
     if doc.get("schema") != 1:
         raise CorpusError(f"unsupported corpus schema {doc.get('schema')!r}")
@@ -323,8 +320,7 @@ def import_json(doc: dict, verify: bool = True) -> tuple[CorpusEntry, ...]:
             closed_forms=dict(item.get("closed_forms", {})),
             notes=item.get("notes", ""),
         )
-        if verify:
-            _verify_entry(entry)
+        _verify_entry(entry)
         entries.append(entry)
     return tuple(entries)
 
@@ -360,18 +356,16 @@ class PiecewiseConvexReciprocal:
         return self.g(1.0 / t)
 
 
-def random_harmonic_convex(
-    seed: int, interval: HInterval, max_pieces: int = 6
-) -> PiecewiseConvexReciprocal:
+def random_harmonic_convex(seed: int, interval: HInterval) -> PiecewiseConvexReciprocal:
     """Deterministic-by-seed harmonic convex function on ``interval``.
 
-    The underlying G is convex piecewise linear on the reciprocal interval
-    with strictly increasing slopes, shifted so the function stays >= 0.05
+    The underlying G is convex piecewise linear on the reciprocal interval,
+    with 2 to 6 pieces and strictly increasing slopes, shifted so the function stays >= 0.05
     (keeping the weighted chains applicable, which need f >= 0).
     """
     rng = random.Random(seed)
     u_lo, u_hi = sorted((1.0 / interval.b, 1.0 / interval.a))
-    pieces = rng.randint(2, max_pieces)
+    pieces = rng.randint(2, 6)
     cuts = sorted(rng.uniform(u_lo, u_hi) for _ in range(pieces - 1))
     knots = [u_lo, *cuts, u_hi]
     slope = rng.uniform(-4.0, 1.0)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable
 
 __all__ = [
     "ExpressionError",
@@ -31,13 +31,10 @@ __all__ = [
     "Call1",
     "Call2",
     "FunctionSpec",
-    "EvalPoint",
     "parse",
-    "evaluate",
     "compose",
     "compile_ast",
     "to_source",
-    "tabulate",
 ]
 
 
@@ -347,17 +344,15 @@ _RUNTIME = {
 }
 
 
-def compile_ast(
-    node: Node, domain: Optional[Tuple[float, float]] = None
-) -> Callable[[float], float]:
+def compile_ast(node: Node) -> Callable[[float], float]:
     """Generate one Python function that evaluates the tree at ``t``.
 
     The body has one statement per operator node, in the order a recursive
     walk evaluates them: left operand before right, and a power's base and
     its NaN guard before its exponent.  Leaves are operands: ``t``, and the
-    constants bound by name.  The function checks ``domain`` first, turns
-    arithmetic errors into :class:`EvalDomainError` and rejects a non-finite
-    result, so it is the whole of :func:`evaluate`.
+    constants bound by name.  The function turns arithmetic errors into
+    :class:`EvalDomainError` and rejects a non-finite result, so it is the
+    whole of evaluation.
     """
     namespace = dict(_RUNTIME)
     body: list[str] = []
@@ -396,12 +391,7 @@ def compile_ast(
         return name
 
     body.append(f"value = {operand(node)}")
-    lines = ["def _evaluate(t):"]
-    if domain is not None:
-        namespace["_lo"], namespace["_hi"] = domain
-        lines.append("    if not _lo <= t <= _hi: raise _EvalDomainError("
-                     "f't={t!r} outside declared domain [{_lo!r}, {_hi!r}]')")
-    lines.append("    try:")
+    lines = ["def _evaluate(t):", "    try:"]
     lines += [f"        {stmt}" for stmt in body]
     lines += [
         "    except _EvalDomainError:",
@@ -426,43 +416,23 @@ class FunctionSpec:
 
     source: str
     ast: Node
-    domain: Optional[Tuple[float, float]] = None
     _compiled: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_compiled", compile_ast(self.ast, self.domain))
+        object.__setattr__(self, "_compiled", compile_ast(self.ast))
 
     def __call__(self, t: float) -> float:
         return self._compiled(t)
 
 
-@dataclass(frozen=True, slots=True)
-class EvalPoint:
-    """An abscissa together with the finite value a function took there."""
-
-    t: float
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite value {self.value!r} at t={self.t!r}")
-
-
-def parse(text: str, domain: Optional[Tuple[float, float]] = None) -> FunctionSpec:
+def parse(text: str) -> FunctionSpec:
     """Parse ``text`` into a :class:`FunctionSpec`.
 
     Raises :class:`ParseError` with a byte offset on syntax errors, unknown
     identifiers, arity mismatches and non-constant power exponents.
     """
     ast = _Parser(text).parse()
-    return FunctionSpec(source=text, ast=ast, domain=domain)
-
-
-def evaluate(spec: FunctionSpec, t: float) -> float:
-    """Evaluate ``spec`` at ``t`` with its generated function (see
-    :func:`compile_ast`); returns a finite float or raises
-    :class:`EvalDomainError` (NaN propagation is forbidden)."""
-    return spec._compiled(t)
+    return FunctionSpec(source=text, ast=ast)
 
 
 def compose(outer: Callable[[float], float], inner: Callable[[float], float]) -> Callable[[float], float]:
@@ -472,8 +442,3 @@ def compose(outer: Callable[[float], float], inner: Callable[[float], float]) ->
         return outer(inner(t))
 
     return composed
-
-
-def tabulate(f: Callable[[float], float], ts: Sequence[float]) -> tuple[EvalPoint, ...]:
-    """Evaluate ``f`` on ``ts``, returning finite sample points."""
-    return tuple(EvalPoint(t, f(t)) for t in ts)

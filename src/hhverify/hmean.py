@@ -17,8 +17,6 @@ __all__ = [
     "HInterval",
     "TransformedFunction",
     "hcomb",
-    "reflect",
-    "harmonic_midpoint",
     "sym_transform",
     "antisym_transform",
 ]
@@ -98,14 +96,6 @@ def hcomb(x: float, y: float, alpha: float) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"weight {alpha!r} outside [0, 1]")
     return x * y / (alpha * x + (1.0 - alpha) * y)
-
-
-def reflect(interval: HInterval, t: float) -> float:
-    return interval.reflect(t)
-
-
-def harmonic_midpoint(interval: HInterval) -> float:
-    return interval.harmonic_midpoint
 
 
 @dataclass(frozen=True)

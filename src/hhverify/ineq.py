@@ -79,18 +79,12 @@ class HFunction:
         return self.fn(t)
 
     @classmethod
-    def from_source(cls, text: str, name: Optional[str] = None, quad_tol: float = 1e-12) -> "HFunction":
+    def from_source(cls, text: str, name: Optional[str] = None) -> "HFunction":
         spec = fnspec.parse(text)
-        return cls.from_callable(spec, name=name or text, source=text, quad_tol=quad_tol)
+        return cls.from_callable(spec, name=name or text, source=text)
 
     @classmethod
-    def from_callable(
-        cls,
-        fn: Callable[[float], float],
-        name: str,
-        source: str = "",
-        quad_tol: float = 1e-12,
-    ) -> "HFunction":
+    def from_callable(cls, fn: Callable[[float], float], name: str, source: str = "") -> "HFunction":
         for k in range(1, 32):
             v = fn(k / 32.0)
             if v < 0.0:
@@ -98,13 +92,10 @@ class HFunction:
         h_half = fn(0.5)
         if not h_half > 0.0:
             raise ValueError(f"h(1/2) must be positive, got {h_half!r}")
-        h_int = integrate(fn, 0.0, 1.0, tol=quad_tol).value
+        h_int = integrate(fn, 0.0, 1.0, tol=1e-12).value
         if not h_int > 0.0:
             raise ValueError("weight function must not be identically zero")
         return cls(fn=fn, source=source or name, name=name, h_half=h_half, h_int=h_int)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "source": self.source, "h_half": self.h_half, "h_int": self.h_int}
 
 
 IDENTITY_H = HFunction.from_source("x", name="t")

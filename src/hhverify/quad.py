@@ -110,7 +110,7 @@ def integrate(
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration limits must be finite")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if lo == hi:
         return QuadResult(0.0, 0.0, 0)

@@ -122,6 +122,32 @@ def test_nonpositive_grid_exits_2(args, grid):
     assert "--grid" in err
 
 
+_HC_RECIPROCAL = ["check", "--class", "hc", "--fn", "1/x", "--a", "1", "--b", "2"]
+_T1_RECIPROCAL = ["verify", "--chain", "t1", "--fn", "1/x", "--a", "1", "--b", "2"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        _HC_RECIPROCAL + ["--tol", "-1"],
+        _HC_RECIPROCAL + ["--tol", "nan"],
+        _T1_RECIPROCAL + ["--tol", "-1"],
+        _T1_RECIPROCAL + ["--tol", "inf"],
+        _T1_RECIPROCAL + ["--quad-tol", "nan"],
+        ["sweep", "--entry", "square", "--tol", "-1"],
+        ["sweep", "--entry", "square", "--quad-tol", "inf"],
+        ["search", "--a", "1", "--b", "2", "--min-margin", "nan"],
+    ],
+    ids=lambda args: " ".join([args[0], *args[-2:]]),
+)
+def test_bad_tolerance_exits_2(args):
+    # the flag is named, before any scan or quadrature runs
+    code, out, err = run_cli(args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"hhverify {args[0]}: {args[-2]} must be finite")
+
+
 # every parameter a chain cannot run without, in its evaluator's order
 REQUIRED = {
     "t1": (), "t2": ("x",), "t3": ("x", "y"), "t4": ("g",), "t5": ("h", "x", "y"),

@@ -253,7 +253,7 @@ class TestStrictInclusionWitness:
         assert check_symmetrized(f, I12).passed
 
     def test_search_positive_interval(self):
-        w = find_strict_inclusion_witness(I12, seed=7)
+        w = find_strict_inclusion_witness(I12, grid=SampleGrid(seed=7))
         assert w is not None
         assert not w.base_verdict.passed
         assert w.base_verdict.worst_margin > 1e-3
@@ -263,14 +263,14 @@ class TestStrictInclusionWitness:
         assert w.coefficient == pytest.approx(0.1)
 
     def test_search_negative_interval(self):
-        w = find_strict_inclusion_witness(HInterval(-2.0, -1.0), seed=3)
+        w = find_strict_inclusion_witness(HInterval(-2.0, -1.0), grid=SampleGrid(seed=3))
         assert w is not None
         assert not w.base_verdict.passed
         assert w.symmetrized_verdict.passed
 
     def test_search_deterministic(self):
-        w1 = find_strict_inclusion_witness(I12, seed=5)
-        w2 = find_strict_inclusion_witness(I12, seed=5)
+        w1 = find_strict_inclusion_witness(I12, grid=SampleGrid(seed=5))
+        w2 = find_strict_inclusion_witness(I12, grid=SampleGrid(seed=5))
         assert w1.coefficient == w2.coefficient
         assert w1.base_verdict == w2.base_verdict
 

@@ -78,6 +78,11 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda t: t, 0.0, 1.0, tol=0.0)
 
+    def test_nan_tol(self):
+        # rejected at once, not after the evaluation budget is spent
+        with pytest.raises(ValueError):
+            integrate(lambda t: t, 0.0, 1.0, tol=math.nan)
+
     def test_result_invariants(self):
         with pytest.raises(ValueError):
             QuadResult(math.nan, 0.0, 1)
