@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -177,6 +178,8 @@ def _emit(payload: dict, fmt: str, out: Optional[str]) -> None:
 # --- argument plumbing --------------------------------------------------------
 
 
+# built once per process: parse_args leaves the parser as it was
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hhverify",
@@ -258,6 +261,10 @@ def _grid(args) -> SampleGrid:
         raise UsageError(f"--grid: {exc}") from None
 
 
+def _stderr_line(command: str, message: str) -> None:
+    print(f"hhverify {command}: {message}", file=sys.stderr)
+
+
 def _check_tolerances(args) -> None:
     """Require --tol and --min-margin finite and >= 0, --quad-tol finite and > 0."""
     for flag in ("--tol", "--min-margin", "--quad-tol"):
@@ -280,6 +287,8 @@ def _cmd_check(args) -> int:
         if not args.h:
             raise UsageError(f"--class {args.class_name} requires --h")
         h = HFunction.from_source(args.h)
+    elif args.h:
+        _stderr_line("check", f"class {args.class_name} takes no --h; ignored")
     if kind == "convex":
         verdict = check_convex(fn, args.a, args.b, grid=grid, tol=args.tol, direction=direction)
     else:
@@ -330,12 +339,16 @@ def _cmd_verify(args) -> int:
 
     given = {"x": args.x, "y": args.y, "g": args.g or None, "h": h, "w": args.w or None}
     kwargs = {}
+    params = CHAINS[chain].parameters()
     # checked and parsed in the evaluator's signature order
-    for name, param in CHAINS[chain].parameters().items():
+    for name, param in params.items():
         if given.get(name) is not None:
             kwargs[name] = _parse_fn(given[name], f"--{name}") if name in ("g", "w") else given[name]
         elif name in given and param.default is param.empty:
             raise UsageError(f"chain {args.chain} requires --{name}")
+    ignored = [f"--{name}" for name, value in given.items() if value is not None and name not in params]
+    if ignored:
+        _stderr_line("verify", f"chain {args.chain} takes no {', '.join(ignored)}; ignored")
     reports = run_chain(
         chain, f=fn, interval=interval, tol=args.tol, quad_tol=args.quad_tol,
         variant=args.variant, direction=direction, **kwargs,
@@ -591,7 +604,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         _check_tolerances(args)
         return handlers[args.command](args)
     except (UsageError, ExpressionError, QuadratureBudgetError, ValueError) as exc:
-        print(f"hhverify {args.command}: {exc}", file=sys.stderr)
+        _stderr_line(args.command, str(exc))
         return EXIT_USAGE
 
 

@@ -94,19 +94,26 @@ class ConvexityVerdict:
         }
 
 
-def _scan(ts: list[float], G: list[float], rows: list[tuple], randoms: Iterable[tuple]):
+def _scan(ts: list[float], G: list[float], rows: list[tuple], randoms: Iterable[tuple], mirrored: bool):
     """One pass over the coarse node pairs of the table ``G`` on ``ts``, with
     (alpha, wy, wx) ``rows`` for the weights k/STEPS, and over the
     ``randoms`` (x, y, row, g(c), g(y), g(x)).  With d = g(c) - [wy*g(y) +
     wx*g(x)], returns the largest d (the convex margin) and the smallest
     (minus the concave margin), each with the first triple attaining it, the
-    sample count, and the largest |g| sampled, the scale of the tolerance."""
+    sample count, and the largest |g| sampled, the scale of the tolerance.
+
+    A ``mirrored`` table has G[m] == G[M - m] bit for bit, and rows always
+    have row(STEPS - k) == (., wx_k, wy_k); then pair (i, j) with weight k
+    and pair (M - j, M - i) with weight STEPS - k have the same margin bit
+    for bit, so only the pairs with i + j <= M are visited.  The mirror of a
+    skipped pair comes earlier in scan order, so the witnesses are the
+    first ones of the full loop, and skipped pairs still count as samples."""
     M = len(G) - 1
     top, bottom = -math.inf, math.inf
     top_witness = bottom_witness = (ts[0], ts[-1], 0.5)
     for i in range(0, M, STEPS):
         gx = G[i]
-        for j in range(i + STEPS, M + 1, STEPS):
+        for j in range(i + STEPS, (M - i if mirrored else M) + 1, STEPS):
             gy, step = G[j], (j - i) // STEPS
             # the combination of nodes i and j with weight k/STEPS is point i + k*step
             for gc, (al, wy, wx) in zip(G[i + step : j : step], rows):
@@ -136,9 +143,10 @@ def _check(f, lo, hi, reciprocal, h, symmetrized, grid, tol, direction) -> Conve
     s_y with weight a combine to (1-a)s_x + a s_y, weighted (a, 1-a) or
     (h(a), h(1-a)); plain convexity (not ``reciprocal``) reports the weight
     as 1-a.  The lattice is centred on the harmonic midpoint 2ab/(a+b), or on
-    (a+b)/2 for plain convexity.  A margin passes up to ``tol`` times the
-    largest |f| the scan evaluated, with no floor, so that verdicts do not
-    depend on units."""
+    (a+b)/2 for plain convexity.  The symmetric part's table is its own
+    mirror image, so its scan visits only half the pairs.  A margin passes
+    up to ``tol`` times the largest |f| the scan evaluated, with no floor,
+    so that verdicts do not depend on units."""
     if direction not in ("convex", "concave"):
         raise ValueError(f"direction must be 'convex' or 'concave', not {direction!r}")
     grid = grid or DEFAULT_GRID
@@ -174,7 +182,7 @@ def _check(f, lo, hi, reciprocal, h, symmetrized, grid, tol, direction) -> Conve
         for sx, sy, al in grid.random_triple_stream(s0, s1)
     )
     rows = [row(k / STEPS) for k in range(1, STEPS)]
-    top, top_witness, bottom, bottom_witness, count, scale = _scan(ts, G, rows, randoms)
+    top, top_witness, bottom, bottom_witness, count, scale = _scan(ts, G, rows, randoms, symmetrized)
     bound = tol * scale
     convex = (f"{kind}convex", top <= bound, top, top_witness, count, tol)
     concave = (f"{kind}concave", -bottom <= bound, -bottom, bottom_witness, count, tol)

@@ -18,6 +18,7 @@ is always ``derived_corrected`` and reports name their variant.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional
 
@@ -586,6 +587,13 @@ def weighted_bounds(
     int h(w1(t)) [w(t) + w(r(t))] dt, whose change of variables silently
     drops the factor r(t)^2/t^2; both right-hand values and their deviation
     are recorded in the metadata either way.
+
+    w1 vanishes at a and w2 at b, so h(w1(t)) and h(w2(t)) can have
+    algebraic singularities there (like sqrt(t - a) for h = sqrt).  These
+    two h-weight integrals therefore run in theta over [0, 1], with
+    t = a + (b-a)(1 - cos(pi*theta))/2 and dt = (b-a)(pi/2) sin(pi*theta)
+    dtheta (Davis & Rabinowitz, *Methods of Numerical Integration*), which
+    makes the integrand smooth; int w and the middle term run in t.
     """
     _check_variant(variant)
     a, b = interval.a, interval.b
@@ -607,8 +615,19 @@ def weighted_bounds(
         w1, _ = _barycentric_weights(interval, t)
         return h(w1) * (w(t) + w(interval.reflect(t)))
 
-    int_corr = integrate(corrected_weight, a, b, tol=quad_tol)
-    int_printed = integrate(printed_weight, a, b, tol=quad_tol)
+    half = 0.5 * (b - a)
+
+    def graded(weight: Callable[[float], float]) -> Callable[[float], float]:
+        """``weight`` as an integrand in theta (see above)."""
+
+        def integrand(theta: float) -> float:
+            u = math.pi * theta
+            return weight(a + half * (1.0 - math.cos(u))) * half * math.pi * math.sin(u)
+
+        return integrand
+
+    int_corr = integrate(graded(corrected_weight), 0.0, 1.0, tol=quad_tol)
+    int_printed = integrate(graded(printed_weight), 0.0, 1.0, tol=quad_tol)
     right = int_printed if variant == "as_printed" else int_corr
     meta = _meta(f, interval, h=h, w=w)
     meta["right_derived_corrected"] = avg_f * int_corr.value
@@ -641,10 +660,11 @@ class Chain(NamedTuple):
     hypothesis: str
 
     def parameters(self) -> Mapping[str, inspect.Parameter]:
-        """The evaluator's parameters, in signature order.  The evaluator is
-        looked up by name at each call, so that a module attribute replaced
-        at run time is the one described and called."""
-        return inspect.signature(globals()[self.evaluator]).parameters
+        """The evaluator's parameters, in signature order, as read once when
+        this module is imported.  :func:`run_chain` still looks the evaluator
+        up by name at each call, so that a wrapper put in its place at run
+        time is the one called; such a wrapper must keep the signature."""
+        return _PARAMETERS[self.evaluator]
 
 
 CHAINS = {
@@ -661,6 +681,10 @@ CHAINS = {
         Chain("r3", "chain_harmonic_full", "harmonic"),
         Chain("r4", "chain_refinement", "symmetrized"),
     )
+}
+
+_PARAMETERS = {
+    chain.evaluator: inspect.signature(globals()[chain.evaluator]).parameters for chain in CHAINS.values()
 }
 
 _CHAIN_KEYWORDS = frozenset("f interval tol quad_tol variant direction x y g h w".split())

@@ -84,6 +84,13 @@ class TestCheck:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("class_name", ["convex", "hc", "shconc"])
+    def test_h_ignored_by_unweighted_class(self, class_name):
+        args = ["check", "--fn", "1/x", "--a", "1", "--b", "2", "--class", class_name]
+        code, out, err = run_cli(args + ["--h", "x"])
+        assert err == f"hhverify check: class {class_name} takes no --h; ignored\n"
+        assert (code, out) == run_cli(args)[:2]
+
     def test_symmetrized_concave_neg_log(self):
         code, out, _ = run_cli(
             ["check", "--fn", "-ln(x)", "--a", "1", "--b", "2", "--class", "shconc"]
@@ -187,6 +194,20 @@ class TestChainTable:
         assert code == 2
         assert out == ""
         assert err.strip() == f"hhverify verify: chain {chain} requires --{missing}"
+
+    @pytest.mark.parametrize("chain", [*CHAINS, "refinement"])
+    def test_ignored_parameters_named_on_stderr(self, chain):
+        params = CHAINS["r4" if chain == "refinement" else chain].parameters()
+        ignored = [f"--{name}" for name in ALL_PARAMS if name not in params]
+        code, out, err = run_cli(_verify_args(chain, ALL_PARAMS))
+        assert err == f"hhverify verify: chain {chain} takes no {', '.join(ignored)}; ignored\n"
+        # the ignored flags change neither the report nor the exit code
+        taken = {name: value for name, value in ALL_PARAMS.items() if name in params}
+        assert (code, out) == run_cli(_verify_args(chain, taken))[:2]
+
+    def test_no_stderr_when_every_flag_is_taken(self):
+        code, _, err = run_cli(_verify_args("c1", {"h": "x", "w": "1"}))
+        assert (code, err) == (0, "")
 
     def test_first_missing_parameter_in_signature_order(self):
         _, _, err = run_cli(_verify_args("c1", {}))

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhverify import convexity
 from hhverify.convexity import (
@@ -395,3 +397,40 @@ class TestOnePassScan:
     def test_invalid_direction(self):
         with pytest.raises(ValueError, match="direction"):
             check_harmonic_convex(parse("x"), I12, direction="up")
+
+
+# table values: small integers give many tied margins, wide floats few
+_TABLE_VALUES = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(float),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coarse=st.integers(min_value=1, max_value=4),
+    weight=st.sampled_from([None, "t^2", "sqrt"]),
+    constant=st.booleans(),
+    data=st.data(),
+)
+def test_mirrored_scan_matches_full_pair_loop(coarse, weight, constant, data):
+    # a symmetrized table satisfies G[m] == G[M - m] bit for bit, and then
+    # visiting only the pairs with i + j <= M changes nothing: same margins,
+    # same first witnesses, same sample count and scale
+    M = convexity.STEPS * coarse
+    if constant:
+        G = [data.draw(_TABLE_VALUES)] * (M + 1)
+    else:
+        values = data.draw(st.lists(_TABLE_VALUES, min_size=M + 1, max_size=M + 1))
+        G = [0.5 * (u + v) for u, v in zip(values, reversed(values))]
+    h = {None: None, "t^2": lambda t: t * t, "sqrt": math.sqrt}[weight]
+    rows = []
+    for k in range(1, convexity.STEPS):
+        al = k / convexity.STEPS
+        rows.append((al, al, 1.0 - al) if h is None else (al, h(al), h(1.0 - al)))
+    ts = [float(m) for m in range(M + 1)]
+    randoms = [(0.25, 0.75, rows[0], 1.0, 2.0, 3.0)]
+    halved = convexity._scan(ts, G, rows, iter(randoms), True)
+    full = convexity._scan(ts, G, rows, iter(randoms), False)
+    # repr tells -0.0 from 0.0, so equal reprs are equal bits
+    assert repr(halved) == repr(full)

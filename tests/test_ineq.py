@@ -371,6 +371,38 @@ class TestWeightedBounds:
         assert printed.metadata["printed_right_deviation"] < 0.0
         assert not printed.passed
 
+    @pytest.mark.parametrize("h_source", ["x", "x^2", "x^0.5", "x^0.25", "1"])
+    @pytest.mark.parametrize(
+        "lo,hi", [(1.0, 2.0), (0.5, 3.0), (1.0, 10.0), (-2.0, -1.0), (1e-6, 2e-6), (1e3, 2e3)]
+    )
+    def test_weight_integral_error_bars_cover_mpmath(self, h_source, lo, hi):
+        # with f = 1 and w = 1 the right-hand term is the weight integral
+        # itself: int h(w1) + h(w2) derived, int 2 h(w1) as printed; for
+        # h = x^p, h(w1(t)) behaves like (t - a)^p at a, h(w2(t)) like (b - t)^p at b
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        exact_h = {
+            "x": lambda u: u, "x^2": lambda u: u * u, "x^0.5": mp.sqrt,
+            "x^0.25": lambda u: mp.root(u, 4), "1": lambda u: mp.mpf(1),
+        }[h_source]
+        a, b = mp.mpf(lo), mp.mpf(hi)
+
+        def w1(t):
+            return b * (a - t) / (t * (a - b))
+
+        def w2(t):
+            return a * (t - b) / (t * (a - b))
+
+        references = {
+            "derived_corrected": mp.quad(lambda t: exact_h(w1(t)) + exact_h(w2(t)), [a, b]),
+            "as_printed": mp.quad(lambda t: 2 * exact_h(w1(t)), [a, b]),
+        }
+        h = HFunction.from_source(h_source)
+        for variant, reference in references.items():
+            term = weighted_bounds(parse("1"), h, parse("1"), HInterval(lo, hi), variant=variant).terms[2]
+            assert abs(term.value - float(reference)) <= term.abs_error, variant
+
 
 class TestChainReportMechanics:
     def test_slack_layout(self):

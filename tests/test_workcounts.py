@@ -1,5 +1,5 @@
-"""Deterministic work counts of the class checks, the sweep and the r4
-double integral.
+"""Deterministic work counts of the class checks, the sweep, the r4
+double integral and the c1 weight integrals.
 
 Evaluation and scan counts do not depend on the machine, so pinning them is
 a performance-regression gate that cannot flake: a change that scans a grid
@@ -15,6 +15,7 @@ from hhverify.convexity import SampleGrid
 from hhverify.corpus import random_harmonic_convex
 from hhverify.fnspec import parse
 from hhverify.hmean import HInterval
+from hhverify.ineq import HFunction, weighted_bounds
 from hhverify.quad import refinement_double_integral
 
 # one default-grid scan: f once at each of the 16*64 + 1 lattice points, on
@@ -99,3 +100,17 @@ def test_refinement_double_integral_work(make_f, tol, evals, subdivisions):
     # f at x*, then 15 inner nodes per inner segment at every outer node
     assert f.calls == evals
     assert res.subdivisions == subdivisions
+
+
+@pytest.mark.parametrize(
+    "h_source, evals",
+    [("x^0.5", 135), ("x^2", 225), ("x", 105), ("1", 45)],
+)
+def test_weighted_bounds_h_evaluations(h_source, evals):
+    # h enters the two c1 weight integrals, twice per node of the derived
+    # one and once per node of the printed one; in theta, with t = a +
+    # (b-a)(1 - cos pi*theta)/2, the sqrt(t - a) of h = sqrt is smooth
+    h = HFunction.from_source(h_source)
+    counted = Counting(h.fn)
+    weighted_bounds(parse("x^2"), dataclasses.replace(h, fn=counted), parse("1"), HInterval(1.0, 2.0), quad_tol=1e-9)
+    assert counted.calls == evals
