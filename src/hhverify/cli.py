@@ -21,6 +21,7 @@ import functools
 import io
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from . import __version__
@@ -76,35 +77,53 @@ def _fmt_float(v: float) -> str:
 
 def format_json(obj, indent: int = 0) -> str:
     """Minimal JSON writer: floats at 17 significant digits, stable layout."""
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        import json
+    parts: list[str] = []
+    _put_json(obj, "  " * indent, parts.append)
+    return "".join(parts)
 
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, dict):
+
+def _put_json(obj, pad: str, put) -> None:
+    """Hand the tokens of ``obj`` to ``put``, nested lines indented past
+    ``pad``.  Module-level rather than a closure over ``put``: a closure that
+    calls itself is a reference cycle that only the cyclic GC frees."""
+    if obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif isinstance(obj, str):
+        put(_quote(obj))
+    elif isinstance(obj, int):
+        put(str(obj))
+    elif isinstance(obj, float):
+        put(_fmt_float(obj))
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {format_json(str(k))}: {format_json(v, indent + 1)}"
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+            put("{}")
+            return
+        inner = pad + "  "
+        opening = "{\n" + inner
+        for k, v in obj.items():
+            put(opening)
+            put(_quote(str(k)))
+            put(": ")
+            _put_json(v, inner, put)
+            opening = ",\n" + inner
+        put("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {format_json(v, indent + 1)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+            put("[]")
+            return
+        inner = pad + "  "
+        opening = "[\n" + inner
+        for v in obj:
+            put(opening)
+            _put_json(v, inner, put)
+            opening = ",\n" + inner
+        put("\n" + pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 _CSV_FIELDS = (
@@ -266,13 +285,17 @@ def _stderr_line(command: str, message: str) -> None:
 
 
 def _check_tolerances(args) -> None:
-    """Require --tol and --min-margin finite and >= 0, --quad-tol finite and > 0."""
+    """Require --tol and --min-margin finite and >= 0, --quad-tol finite and
+    > 0, and the search coefficient --c finite."""
     for flag in ("--tol", "--min-margin", "--quad-tol"):
         value = getattr(args, flag[2:].replace("-", "_"), None)
         positive = flag == "--quad-tol"
         if value is None or math.isfinite(value) and (value > 0.0 if positive else value >= 0.0):
             continue
         raise UsageError(f"{flag} must be finite and {'> 0' if positive else '>= 0'}, got {value!r}")
+    c = getattr(args, "c", None)
+    if c is not None and not math.isfinite(c):
+        raise UsageError(f"--c must be finite, got {c!r}")
 
 
 # --- check --------------------------------------------------------------------
@@ -389,17 +412,26 @@ def _h_dominates_identity(h: HFunction) -> bool:
     return all(h(k / 64.0) >= k / 64.0 - 1e-12 for k in range(1, 64))
 
 
+def _h_below_identity(h: HFunction) -> bool:
+    return all(h(k / 64.0) <= k / 64.0 + 1e-12 for k in range(1, 64))
+
+
 def _h_direction(
-    entry: CorpusEntry, h: HFunction, grid: SampleGrid, tol: float
+    entry: CorpusEntry, nonnegative: bool, h: HFunction, grid: SampleGrid, tol: float
 ) -> tuple[Optional[str], str]:
     """Direction (if any) in which the entry satisfies the weighted-chain
-    hypotheses (f >= 0 and its symmetric part harmonic h-convex/h-concave),
-    together with how that was established."""
-    if not _nonnegative_on(entry):
+    hypotheses (f >= 0, as ``nonnegative`` says, and its symmetric part
+    harmonic h-convex/h-concave), together with how that was established."""
+    if not nonnegative:
         return None, "f takes negative values"
-    # harmonic convexity plus h >= id and f >= 0 already implies h-convexity
+    # with f >= 0, h(t) f(x) + h(1-t) f(y) lies above t f(x) + (1-t) f(y)
+    # when h >= id and below it when h <= id, so harmonic convexity implies
+    # h-convexity in the first case and concavity implies h-concavity in
+    # the second; convex is tried first
     if entry.classes.get("symmetrized_harmonic_convex") and _h_dominates_identity(h):
         return "convex", "corpus-declared symmetrized convexity, h dominates identity"
+    if entry.classes.get("symmetrized_harmonic_concave") and _h_below_identity(h):
+        return "concave", "corpus-declared symmetrized concavity, h below identity"
     verdict = check_symmetrized(entry.spec, entry.interval, grid=grid, tol=tol, h=h)
     if verdict.passed:
         return "convex", "weighted symmetrized check passed"
@@ -441,9 +473,10 @@ def _sweep_entry_jobs(
         "symmetrized": (None, sym_dir, sym_basis or "symmetric part is neither harmonic convex nor concave"),
         "harmonic": (None, har_dir, har_basis or "not harmonic convex or concave"),
     }
+    nonnegative = _nonnegative_on(entry)
     weighted = []
     for h in hs:
-        hdir, basis = _h_direction(entry, h, grid, tol=1e-9)
+        hdir, basis = _h_direction(entry, nonnegative, h, grid, tol=1e-9)
         weighted.append((h, hdir, basis if hdir else f"h={h.name}: {basis}"))
 
     jobs: list[tuple[dict, Optional[dict]]] = []

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -7,9 +8,11 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hhverify
-from hhverify.cli import format_json, main
+from hhverify.cli import _fmt_float, format_json, main, run_sweep
 from hhverify.ineq import CHAINS
 
 
@@ -28,6 +31,57 @@ def run_module(args, timeout=60):
         [sys.executable, "-m", "hhverify.cli", *args],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def _recursive_format_json(obj, indent=0):
+    """The writer format_json replaced, one joined string per node: the
+    byte-for-byte oracle of its output."""
+    pad = "  " * indent
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(
+            f"{pad}  {_recursive_format_json(str(k))}: {_recursive_format_json(v, indent + 1)}"
+            for k, v in obj.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = ",\n".join(f"{pad}  {_recursive_format_json(v, indent + 1)}" for v in obj)
+        return "[\n" + inner + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# strings with non-ASCII and control characters, ints, bools, None and every
+# kind of float, nested in dicts (string keys), lists and tuples
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, -1e16, 5e-324])
+    | st.text(st.characters(codec=None, exclude_categories=()), max_size=8)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=30,
+)
 
 
 def test_module_runs_cli():
@@ -51,6 +105,25 @@ class TestFormatJson:
     def test_nested(self):
         doc = {"a": [1, 2.5], "b": {"c": None, "d": True}}
         assert json.loads(format_json(doc)) == doc
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES, st.integers(min_value=0, max_value=3))
+    @example({"z": [0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, -1e16, 5e-324, 2.2250738585072014e-308]}, 0)
+    @example(("\x00\x1f\x7f", "é\u2028", "\ud800", "\U0001f600", {"\n": []}, {}), 1)
+    def test_matches_recursive_writer(self, obj, indent):
+        assert format_json(obj, indent) == _recursive_format_json(obj, indent)
+
+    def test_leaves_no_reference_cycles(self):
+        payload = run_sweep(entry_names=["square"])
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            format_json(payload)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestCheck:
@@ -144,6 +217,8 @@ _T1_RECIPROCAL = ["verify", "--chain", "t1", "--fn", "1/x", "--a", "1", "--b", "
         ["sweep", "--entry", "square", "--tol", "-1"],
         ["sweep", "--entry", "square", "--quad-tol", "inf"],
         ["search", "--a", "1", "--b", "2", "--min-margin", "nan"],
+        ["search", "--a", "1", "--b", "2", "--c", "nan"],
+        ["search", "--a", "1", "--b", "2", "--c", "inf"],
     ],
     ids=lambda args: " ".join([args[0], *args[-2:]]),
 )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhverify import convexity
+from hhverify import cli, convexity
 from hhverify.convexity import (
     SampleGrid,
     check_convex,
@@ -16,6 +16,7 @@ from hhverify.convexity import (
     margin_harmonic,
     second_derivative,
 )
+from hhverify.corpus import builtin_functions, builtin_h
 from hhverify.fnspec import parse
 from hhverify.hmean import HInterval, sym_transform
 
@@ -211,6 +212,26 @@ class TestCheckSymmetrized:
             assert max(values) <= hi + 1e-9
             assert min(values) == pytest.approx(lo, abs=1e-9) or fb(I12.harmonic_midpoint) == pytest.approx(lo, abs=1e-9)
             assert fb(1.0) == pytest.approx(hi, rel=1e-14)
+
+    def test_sweep_skips_only_scans_that_pick_concave(self):
+        # where the sweep takes a weighted direction from declared symmetrized
+        # concavity (f >= 0, h <= id) instead of scanning, the scan it skips
+        # would have picked concave too
+        fired = []
+        for entry in builtin_functions():
+            for h in builtin_h():
+                direction, basis = cli._h_direction(entry, cli._nonnegative_on(entry), h, SampleGrid(), tol=1e-9)
+                if basis != "corpus-declared symmetrized concavity, h below identity":
+                    continue
+                assert direction == "concave"
+                verdict = check_symmetrized(entry.spec, entry.interval, grid=SampleGrid(), tol=1e-9, h=h)
+                assert not verdict.passed, (entry.name, h.name)
+                assert verdict.opposite.passed, (entry.name, h.name)
+                fired.append((entry.name, h.name))
+        assert fired == [
+            (name, "t^2")
+            for name in ("const_one", "const_three", "reciprocal", "sym_affine_c0", "sym_affine_c1")
+        ]
 
 
 class TestSecondDerivative:

@@ -73,8 +73,33 @@ def test_sweep_entry_evaluations(scans, counted_entries, monkeypatch):
     # dominate the identity
     assert scans[0] == 1
     square = next(e for e in counted_entries if e.name == "square")
-    assert square.spec.calls == 9_646
+    # f >= 0 is sampled once per entry (65 evaluations), not once per weight
+    assert square.spec.calls == 9_451
     assert sum(e.spec.calls for e in counted_entries) == square.spec.calls
+
+
+# entries declared symmetrized harmonic concave with f >= 0: h = t^2 lies
+# below the identity, so their one weighted scan is decided by the corpus
+DECLARED_CONCAVE = ("const_one", "const_three", "reciprocal", "sym_affine_c0", "sym_affine_c1")
+
+
+@pytest.fixture
+def gated():
+    # the corpus gate's own scans run once per process, before the sweep
+    corpus.builtin_functions()
+
+
+def test_full_sweep_scans(gated, scans):
+    payload = cli.run_sweep()
+    assert payload["summary"] == {"total": 253, "passed": 203, "violated": 0, "skipped": 50, "errors": 0}
+    assert scans[0] == 3
+
+
+@pytest.mark.parametrize("name", DECLARED_CONCAVE)
+def test_declared_concave_entry_runs_no_scan(gated, scans, name):
+    payload = cli.run_sweep(entry_names=[name])
+    assert payload["summary"]["violated"] == 0
+    assert scans[0] == 0
 
 
 def test_auto_direction_scans_once(scans):
