@@ -53,6 +53,7 @@ from .ineq import (
     chain_refinement,
     chain_subinterval,
     product_inequalities,
+    refinement_reports,
     run_chain,
     weighted_bounds,
 )

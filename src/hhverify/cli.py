@@ -36,7 +36,7 @@ from .convexity import (
 from .corpus import CorpusEntry, builtin_functions, builtin_h
 from .fnspec import ExpressionError, parse
 from .hmean import HInterval
-from .ineq import CHAINS, HFunction, run_chain
+from .ineq import CHAINS, ChainReport, HFunction, refinement_reports, run_chain
 from .quad import QuadratureBudgetError
 
 __all__ = ["main", "entrypoint", "run_sweep", "format_json"]
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--direction",
         choices=("convex", "concave", "auto"),
         default="auto",
-        help="slack orientation; auto picks by a symmetrized convexity check",
+        help="slack orientation; auto picks by the chain's class check, h-weighted when --h is given",
     )
     add_common(p_verify)
 
@@ -340,9 +340,15 @@ def _cmd_check(args) -> int:
 # --- verify -------------------------------------------------------------------
 
 
-def _auto_direction(fn, interval: HInterval, grid: SampleGrid, symmetrized: bool) -> str:
-    check = check_symmetrized if symmetrized else check_harmonic_convex
-    verdict = check(fn, interval, grid=grid)
+def _auto_direction(
+    fn, interval: HInterval, grid: SampleGrid, symmetrized: bool, h: Optional[HFunction] = None
+) -> str:
+    """Convex unless the class check fails and its opposite passes: the
+    symmetrized check (h-weighted when ``h`` is given) or the harmonic one."""
+    if symmetrized:
+        verdict = check_symmetrized(fn, interval, grid=grid, h=h)
+    else:
+        verdict = check_harmonic_convex(fn, interval, grid=grid)
     if not verdict.passed and verdict.opposite.passed:
         return "concave"
     return "convex"
@@ -354,15 +360,15 @@ def _cmd_verify(args) -> int:
     interval = _interval(args)
     grid = _grid(args)
     h = HFunction.from_source(args.h) if args.h else None
+    params = CHAINS[chain].parameters()
     if args.direction == "auto":
         symmetrized = CHAINS[chain].hypothesis != "harmonic"
-        direction = _auto_direction(fn, interval, grid, symmetrized=symmetrized)
+        direction = _auto_direction(fn, interval, grid, symmetrized, h if "h" in params else None)
     else:
         direction = args.direction
 
     given = {"x": args.x, "y": args.y, "g": args.g or None, "h": h, "w": args.w or None}
     kwargs = {}
-    params = CHAINS[chain].parameters()
     # checked and parsed in the evaluator's signature order
     for name, param in params.items():
         if given.get(name) is not None:
@@ -498,14 +504,7 @@ def _sweep_entry_jobs(
     return jobs
 
 
-def _run_job(item: dict, arguments: Optional[dict]) -> dict:
-    if arguments is None:
-        return item
-    try:
-        reports = run_chain(item["chain"], **arguments)
-    except Exception as exc:  # recorded, sweep continues
-        item.update(status="error", reason=f"{type(exc).__name__}: {exc}", report=None)
-        return item
+def _record(item: dict, reports: tuple[ChainReport, ...]) -> dict:
     passed = all(r.passed for r in reports)
     item.update(
         status="passed" if passed else "violated",
@@ -513,6 +512,41 @@ def _run_job(item: dict, arguments: Optional[dict]) -> dict:
         report=[r.to_dict() for r in reports] if len(reports) > 1 else reports[0].to_dict(),
     )
     return item
+
+
+def _record_error(item: dict, exc: Exception) -> dict:
+    item.update(status="error", reason=f"{type(exc).__name__}: {exc}", report=None)
+    return item
+
+
+def _run_job(item: dict, arguments: Optional[dict]) -> dict:
+    if arguments is None:
+        return item
+    try:
+        reports = run_chain(item["chain"], **arguments)
+    except Exception as exc:  # recorded, sweep continues
+        return _record_error(item, exc)
+    return _record(item, reports)
+
+
+def _run_entry_jobs(jobs: list[tuple[dict, Optional[dict]]]) -> list[dict]:
+    """Run one entry's jobs.  Its runnable r4 jobs, the unweighted one and
+    one per weight, differ only in h and direction, so they share one
+    :func:`refinement_reports` call and with it the double integral; if that
+    call raises, each of them records the error."""
+    refinements = [(item, args) for item, args in jobs if args is not None and item["chain"] == "r4"]
+    done = [_run_job(item, args) for item, args in jobs if args is None or item["chain"] != "r4"]
+    if not refinements:
+        return done
+    args = refinements[0][1]
+    try:
+        reports = refinement_reports(
+            args["f"], args["interval"], [(a["h"], a["direction"]) for _, a in refinements],
+            tol=args["tol"], quad_tol=args["quad_tol"], variant=args["variant"],
+        )
+    except Exception as exc:  # recorded, sweep continues
+        return done + [_record_error(item, exc) for item, _ in refinements]
+    return done + [_record(item, (report,)) for (item, _), report in zip(refinements, reports)]
 
 
 def run_sweep(
@@ -534,9 +568,9 @@ def run_sweep(
         entries = tuple(e for e in entries if e.name in wanted)
     hs = builtin_h()
     jobs = [
-        _run_job(item, arguments)
+        item
         for entry in entries
-        for item, arguments in _sweep_entry_jobs(entry, hs, grid, tol, quad_tol, variant)
+        for item in _run_entry_jobs(_sweep_entry_jobs(entry, hs, grid, tol, quad_tol, variant))
     ]
     jobs.sort(key=lambda j: (j["entry"], j["chain"], j["h"] or ""))
     summary = {
@@ -599,17 +633,22 @@ def _cmd_search(args) -> int:
 # --- entry point ---------------------------------------------------------------
 
 
-_EXPR_OPTS = {"--fn", "--g", "--h", "--w"}
+# options whose value may start with '-': expressions and floats
+_VALUE_OPTS = {
+    "--fn", "--g", "--h", "--w",
+    "--a", "--b", "--x", "--y", "--c", "--tol", "--quad-tol", "--min-margin",
+}
 
 
 def _preprocess_argv(argv: list[str]) -> list[str]:
-    """Glue expression options to their values so that expressions starting
-    with '-' (like "-ln(x)") are not mistaken for flags."""
+    """Glue expression and float options to their values so that values
+    starting with '-' (like "-ln(x)", "-1e6" or "-inf") are not mistaken for
+    flags."""
     out: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _EXPR_OPTS and i + 1 < len(argv):
+        if tok in _VALUE_OPTS and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
             continue

@@ -20,7 +20,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import fnspec
 from .hmean import HInterval, sym_transform
@@ -43,6 +43,7 @@ __all__ = [
     "chain_subinterval",
     "chain_reflected_pair",
     "chain_refinement",
+    "refinement_reports",
     "chain_harmonic_full",
     "product_inequalities",
     "chain_h_subinterval",
@@ -377,30 +378,53 @@ def chain_refinement(
     as_printed halves the double-integral mean (plain form), or halves the
     left and right scalings and quarters the middle (weighted form).
     """
+    return refinement_reports(f, interval, ((h, direction),), tol, quad_tol, variant)[0]
+
+
+def refinement_reports(
+    f: Callable[[float], float],
+    interval: HInterval,
+    cases: Sequence[tuple[Optional[HFunction], str]],
+    tol: float = DEFAULT_TOL,
+    quad_tol: float = 1e-9,
+    variant: str = "derived_corrected",
+) -> tuple[ChainReport, ...]:
+    """One r4 report (see :func:`chain_refinement`) per ``(h, direction)``
+    in ``cases``, ``h`` None for the unweighted chain.
+
+    The three terms do not depend on the case before their scalings, so the
+    double integral, the mean of sym(f) and f(2ab/(a+b)) are computed once
+    for all cases; each report equals the one :func:`chain_refinement`
+    gives for its case.
+    """
     _check_variant(variant)
     fb = sym_transform(f, interval)
     dbl = refinement_double_integral(f, interval, tol=quad_tol)
     mean_fb = integrate(fb, interval.a, interval.b, tol=quad_tol)
     scale = 1.0 / interval.width
-    left = f(interval.harmonic_midpoint)
-    middle, mid_err = dbl.value, dbl.abs_error_estimate
-    right, right_err = scale * mean_fb.value, scale * mean_fb.abs_error_estimate
-    if h is not None:
-        left = left / (2.0 * h.h_half)
-        right, right_err = 2.0 * h.h_int * right, 2.0 * h.h_int * right_err
-    if variant == "as_printed":
-        if h is None:
-            middle, mid_err = 0.5 * middle, 0.5 * mid_err
-        else:
-            left = 0.5 * left
-            middle, mid_err = 0.25 * middle, 0.25 * mid_err
-            right, right_err = 0.5 * right, 0.5 * right_err
-    terms = [
-        ChainTerm("scaled_midpoint", left),
-        ChainTerm("double_integral_mean", middle, mid_err),
-        ChainTerm("scaled_sym_mean", right, right_err),
-    ]
-    return ChainReport.build("r4", variant, direction, terms, tol, _meta(f, interval, h=h))
+    midpoint = f(interval.harmonic_midpoint)
+    reports = []
+    for h, direction in cases:
+        left = midpoint
+        middle, mid_err = dbl.value, dbl.abs_error_estimate
+        right, right_err = scale * mean_fb.value, scale * mean_fb.abs_error_estimate
+        if h is not None:
+            left = left / (2.0 * h.h_half)
+            right, right_err = 2.0 * h.h_int * right, 2.0 * h.h_int * right_err
+        if variant == "as_printed":
+            if h is None:
+                middle, mid_err = 0.5 * middle, 0.5 * mid_err
+            else:
+                left = 0.5 * left
+                middle, mid_err = 0.25 * middle, 0.25 * mid_err
+                right, right_err = 0.5 * right, 0.5 * right_err
+        terms = [
+            ChainTerm("scaled_midpoint", left),
+            ChainTerm("double_integral_mean", middle, mid_err),
+            ChainTerm("scaled_sym_mean", right, right_err),
+        ]
+        reports.append(ChainReport.build("r4", variant, direction, terms, tol, _meta(f, interval, h=h)))
+    return tuple(reports)
 
 
 def chain_harmonic_full(

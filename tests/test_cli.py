@@ -12,8 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hhverify
+from hhverify import cli, ineq
 from hhverify.cli import _fmt_float, format_json, main, run_sweep
+from hhverify.convexity import SampleGrid
+from hhverify.corpus import builtin_functions, builtin_h
 from hhverify.ineq import CHAINS
+from hhverify.quad import QuadratureBudgetError
 
 
 def run_cli(args):
@@ -219,6 +223,7 @@ _T1_RECIPROCAL = ["verify", "--chain", "t1", "--fn", "1/x", "--a", "1", "--b", "
         ["search", "--a", "1", "--b", "2", "--min-margin", "nan"],
         ["search", "--a", "1", "--b", "2", "--c", "nan"],
         ["search", "--a", "1", "--b", "2", "--c", "inf"],
+        ["search", "--a", "1", "--b", "2", "--c", "-inf"],
     ],
     ids=lambda args: " ".join([args[0], *args[-2:]]),
 )
@@ -228,6 +233,14 @@ def test_bad_tolerance_exits_2(args):
     assert code == 2
     assert out == ""
     assert err.startswith(f"hhverify {args[0]}: {args[-2]} must be finite")
+
+
+def test_negative_float_values_are_values():
+    # argparse reads "-1e6" as a flag unless it is glued to its option
+    glued = run_cli(["check", "--fn", "x", "--class", "hc", "--a=-1e6", "--b=-1"])
+    spaced = run_cli(["check", "--fn", "x", "--class", "hc", "--a", "-1e6", "--b", "-1"])
+    assert glued[1] != ""
+    assert spaced == glued
 
 
 # every parameter a chain cannot run without, in its evaluator's order
@@ -355,6 +368,19 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["direction"] == "concave"
 
+    @pytest.mark.parametrize(
+        "chain, params",
+        [("t5", ["--x", "1.2", "--y", "1.8"]), ("t6", ["--x", "1.2"]), ("c1", ["--w", "1"]), ("r4", [])],
+    )
+    def test_auto_direction_weighted(self, chain, params):
+        # f = 1 is harmonic affine, yet h(t) + h(1-t) < 1 for h = t^2 makes
+        # its symmetric part h-concave and not h-convex
+        code, out, _ = run_cli(
+            ["verify", "--chain", chain, "--fn", "1", "--h", "x^2", "--a", "1", "--b", "2", *params]
+        )
+        assert code == 0
+        assert json.loads(out)["direction"] == "concave"
+
     def test_c1(self):
         code, out, _ = run_cli(
             [
@@ -474,3 +500,30 @@ class TestRunSweepLibrary:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["chain"] == "t1"
+
+    def test_full_sweep_is_the_per_entry_sweeps(self):
+        # results are sorted by entry first, so sorted names concatenate to
+        # the full list
+        names = sorted(e.name for e in builtin_functions())
+        per_entry = [job for name in names for job in run_sweep(entry_names=[name])["results"]]
+        assert format_json(run_sweep()["results"]) == format_json(per_entry)
+
+    def test_double_integral_error_recorded_per_r4_job(self, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise QuadratureBudgetError("budget exhausted")
+
+        monkeypatch.setattr(ineq, "refinement_double_integral", exhausted)
+        entry = next(e for e in builtin_functions() if e.name == "square")
+        # each r4 job on its own, as the sweep ran them before sharing one
+        # double integral between them
+        expected = [
+            cli._run_job(item, arguments)
+            for item, arguments in cli._sweep_entry_jobs(entry, builtin_h(), SampleGrid(), 1e-8, 1e-9, "derived_corrected")
+            if item["chain"] == "r4" and arguments is not None
+        ]
+        results = run_sweep(entry_names=["square"])["results"]
+        expected.sort(key=lambda job: job["h"] or "")
+        assert [job for job in results if job["chain"] == "r4" and job["status"] != "skipped"] == expected
+        assert len(expected) == 1 + len(builtin_h())
+        assert {job["reason"] for job in expected} == {"QuadratureBudgetError: budget exhausted"}
+        assert all(job["status"] != "error" for job in results if job["chain"] != "r4")

@@ -2,7 +2,10 @@ import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hhverify.corpus import builtin_functions, builtin_h, random_harmonic_convex
 from hhverify.fnspec import parse
 from hhverify.hmean import HInterval
 from hhverify import ineq
@@ -22,6 +25,7 @@ from hhverify.ineq import (
     chain_refinement,
     chain_subinterval,
     product_inequalities,
+    refinement_reports,
     run_chain,
     weighted_bounds,
 )
@@ -223,6 +227,39 @@ class TestChainRefinement:
         r = chain_refinement(parse("1"), I12, variant="as_printed")
         assert r.terms[1].value == pytest.approx(0.5, abs=1e-9)
         assert not r.passed
+
+
+_WEIGHTS = (None,) + builtin_h()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    source=st.one_of(
+        st.sampled_from([e.name for e in builtin_functions()]), st.integers(min_value=0, max_value=11)
+    ),
+    variant=st.sampled_from(ineq.VARIANTS),
+    cases=st.lists(
+        st.tuples(st.sampled_from(_WEIGHTS), st.sampled_from(("convex", "concave"))),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_refinement_reports_match_chain_refinement(source, variant, cases):
+    # one call for all cases shares the weight-independent terms; no case
+    # may see another's scalings
+    if isinstance(source, str):
+        entry = next(e for e in builtin_functions() if e.name == source)
+        f, interval, quad_tol = entry.spec, entry.interval, 1e-9
+    else:
+        # kinked, so coarser: the nested integral costs ~0.1 s at 1e-6
+        f, interval, quad_tol = random_harmonic_convex(source, I12), I12, 1e-5
+    batched = refinement_reports(f, interval, cases, quad_tol=quad_tol, variant=variant)
+    separate = [
+        chain_refinement(f, interval, h=h, quad_tol=quad_tol, variant=variant, direction=direction)
+        for h, direction in cases
+    ]
+    # repr prints every float exactly, and tells -0.0 from 0.0
+    assert [repr(r) for r in batched] == [repr(r) for r in separate]
 
 
 class TestChainHarmonicFull:

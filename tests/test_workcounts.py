@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from hhverify import cli, convexity, corpus
+from hhverify import cli, convexity, corpus, ineq
 from hhverify.convexity import SampleGrid
 from hhverify.corpus import random_harmonic_convex
 from hhverify.fnspec import parse
@@ -73,8 +73,9 @@ def test_sweep_entry_evaluations(scans, counted_entries, monkeypatch):
     # dominate the identity
     assert scans[0] == 1
     square = next(e for e in counted_entries if e.name == "square")
-    # f >= 0 is sampled once per entry (65 evaluations), not once per weight
-    assert square.spec.calls == 9_451
+    # f >= 0 is sampled once per entry (65 evaluations), not once per weight,
+    # and the r4 double integral once for the unweighted chain and every weight
+    assert square.spec.calls == 6_143
     assert sum(e.spec.calls for e in counted_entries) == square.spec.calls
 
 
@@ -100,6 +101,31 @@ def test_declared_concave_entry_runs_no_scan(gated, scans, name):
     payload = cli.run_sweep(entry_names=[name])
     assert payload["summary"]["violated"] == 0
     assert scans[0] == 0
+
+
+@pytest.fixture
+def double_integrals(monkeypatch):
+    count = [0]
+    original = ineq.refinement_double_integral
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ineq, "refinement_double_integral", counting)
+    return count
+
+
+def test_full_sweep_double_integrals(gated, double_integrals):
+    # one per entry: the unweighted r4 job and its weighted ones share it
+    cli.run_sweep()
+    assert double_integrals[0] == len(corpus.builtin_functions()) == 11
+
+
+@pytest.mark.parametrize("name", [e.name for e in corpus._build_entries()])
+def test_entry_sweep_double_integrals(gated, double_integrals, name):
+    cli.run_sweep(entry_names=[name])
+    assert double_integrals[0] == 1
 
 
 def test_auto_direction_scans_once(scans):
