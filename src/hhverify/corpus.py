@@ -344,6 +344,12 @@ class PiecewiseConvexReciprocal:
     slopes: tuple[float, ...]
     name: str = "piecewise_reciprocal"
 
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        """1/knot for the interior knots, where G changes slope (see the kink
+        protocol in :mod:`hhverify.hmean`); a knot at 0 is no kink in t."""
+        return tuple(1.0 / u for u in self.knots[1:-1] if u != 0.0)
+
     def g(self, u: float) -> float:
         i = bisect.bisect_right(self.knots, u) - 1
         if i < 0:

@@ -411,7 +411,10 @@ class FunctionSpec:
     """A parsed function of one real variable.
 
     Immutable after construction, hence safe to share between concurrent
-    workers.  Instances are callable.
+    workers.  Instances are callable.  They publish no ``kinks`` (the kink
+    protocol of :mod:`hhverify.hmean`): the kinks of ``abs``, ``min`` and
+    ``max`` are not guessed, so integrals of such expressions rely on
+    adaptive subdivision alone.
     """
 
     source: str

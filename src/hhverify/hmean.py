@@ -5,6 +5,16 @@ the reflection denominator ``(a+b)t - ab`` bounded away from zero (it is at
 least ``min(a^2, b^2)`` on the interval).  On top of that sit the harmonic
 combination, the endpoint-swapping reflection, and the splitting of a
 function into its reflection-symmetric and antisymmetric parts.
+
+Kink protocol.  A function whose first derivative jumps at known points
+publishes them as a ``kinks`` attribute, a tuple of floats in t (points
+outside an interval are allowed and ignored there); :func:`kinks_of` reads
+it, giving ``()`` for functions that publish none.  The chain evaluators in
+:mod:`hhverify.ineq` pass these points to the quadrature as breakpoints.
+``PiecewiseConvexReciprocal`` publishes its kinks, and a
+:class:`TransformedFunction` adds their reflections.  Parsed expressions
+publish none: the kinks of ``abs``, ``min`` and ``max`` are not guessed, and
+their integrals rely on adaptive subdivision alone.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ __all__ = [
     "hcomb",
     "sym_transform",
     "antisym_transform",
+    "kinks_of",
 ]
 
 _CLAMP_REL = 1e-12
@@ -82,6 +93,11 @@ class HInterval:
         return ab * t / (s * t - ab)
 
 
+def kinks_of(f: Callable[[float], float]) -> tuple[float, ...]:
+    """The kinks ``f`` publishes (see the module docstring), or ``()``."""
+    return tuple(getattr(f, "kinks", ()))
+
+
 def hcomb(x: float, y: float, alpha: float) -> float:
     """Harmonic combination ``xy/(alpha*x + (1-alpha)*y)``.
 
@@ -106,7 +122,8 @@ class TransformedFunction:
     antisymmetric:  t -> (base(t) - base(r(t))) / 2
 
     The two parts add back to ``base`` pointwise; nothing is memoised, each
-    call re-evaluates ``base`` twice.
+    call re-evaluates ``base`` twice.  Both parts kink where ``base`` does
+    and at the reflections of those kinks, which :attr:`kinks` lists.
     """
 
     base: Callable[[float], float]
@@ -123,6 +140,14 @@ class TransformedFunction:
         if self.kind == "symmetric":
             return 0.5 * (ft + fr)
         return 0.5 * (ft - fr)
+
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        """The kinks of ``base``, then the reflections of those that lie
+        inside the interval."""
+        base = kinks_of(self.base)
+        iv = self.interval
+        return base + tuple(iv.reflect(k) for k in base if iv.a < k < iv.b)
 
 
 def sym_transform(f: Callable[[float], float], interval: HInterval) -> TransformedFunction:

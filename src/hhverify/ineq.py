@@ -13,6 +13,10 @@ product bound).  Every affected evaluator therefore supports
 ``variant="derived_corrected"`` (the form forced by the derivation, and the
 only one under which constant functions give all-equal terms).  The default
 is always ``derived_corrected`` and reports name their variant.
+
+Every integral of f, of its symmetric part or of a product with them gets
+the kinks its integrand publishes (see :func:`hhverify.hmean.kinks_of`) as
+quadrature breakpoints; the nested ``r4`` double integral gets none.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import fnspec
-from .hmean import HInterval, sym_transform
+from .hmean import HInterval, kinks_of, sym_transform
 from .quad import (
     integrate,
     refinement_double_integral,
@@ -217,7 +221,7 @@ def chain_hh_classic(
     f((lo+hi)/2)  <=  mean of f  <=  (f(lo)+f(hi))/2."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo!r}, {hi!r}")
-    mean = integrate(f, lo, hi, tol=quad_tol)
+    mean = integrate(f, lo, hi, tol=quad_tol, breakpoints=kinks_of(f))
     scale = 1.0 / (hi - lo)
     terms = [
         ChainTerm("midpoint", f(0.5 * (lo + hi))),
@@ -239,7 +243,7 @@ def chain_harmonic_hh(
     """Harmonic Hermite-Hadamard chain (chain id t1):
     f(2ab/(a+b))  <=  (ab/(b-a)) * int_a^b f/t^2  <=  (f(a)+f(b))/2."""
     a, b = interval.a, interval.b
-    wi = weighted_integral(f, a, b, tol=quad_tol)
+    wi = weighted_integral(f, a, b, tol=quad_tol, breakpoints=kinks_of(f))
     scale = a * b / (b - a)
     terms = [
         ChainTerm("midpoint", f(interval.harmonic_midpoint)),
@@ -274,8 +278,9 @@ def _split_weighted_mean(
     (xy/(2(y-x))) * [int_x^y f/t^2  +  w2 * int_{r(y)}^{r(x)} f/t^2]."""
     if x == y:
         raise ValueError("need x != y")
-    i_plain = weighted_integral(f, x, y, tol=quad_tol)
-    i_refl = reflected_weighted_integral(f, interval, x, y, tol=quad_tol)
+    kinks = kinks_of(f)
+    i_plain = weighted_integral(f, x, y, tol=quad_tol, breakpoints=kinks)
+    i_refl = reflected_weighted_integral(f, interval, x, y, tol=quad_tol, breakpoints=kinks)
     coef = x * y / (2.0 * (y - x))
     return ChainTerm(
         "split_weighted_mean",
@@ -349,7 +354,7 @@ def chain_reflected_pair(
     coef = a * b * x / (2.0 * a * b - (a + b) * x)
     if variant == "as_printed":
         coef *= 0.5
-    inner = weighted_integral(f, x, rx, tol=quad_tol)
+    inner = weighted_integral(f, x, rx, tol=quad_tol, breakpoints=kinks_of(f))
     terms = [
         ChainTerm("midpoint", f(xstar)),
         ChainTerm("reflected_span_mean", coef * inner.value, abs(coef) * inner.abs_error_estimate),
@@ -400,7 +405,7 @@ def refinement_reports(
     _check_variant(variant)
     fb = sym_transform(f, interval)
     dbl = refinement_double_integral(f, interval, tol=quad_tol)
-    mean_fb = integrate(fb, interval.a, interval.b, tol=quad_tol)
+    mean_fb = integrate(fb, interval.a, interval.b, tol=quad_tol, breakpoints=fb.kinks)
     scale = 1.0 / interval.width
     midpoint = f(interval.harmonic_midpoint)
     reports = []
@@ -478,9 +483,11 @@ def product_inequalities(
     avg_g = _endpoint_avg(g, interval)
     f_mid = f(interval.harmonic_midpoint)
     fb = sym_transform(f, interval)
-    i_f = weighted_integral(f, a, b, tol=quad_tol)
-    i_g = weighted_integral(g, a, b, tol=quad_tol)
-    i_fg = integrate(lambda t: fb(t) * g(t) / (t * t), a, b, tol=quad_tol)
+    i_f = weighted_integral(f, a, b, tol=quad_tol, breakpoints=kinks_of(f))
+    i_g = weighted_integral(g, a, b, tol=quad_tol, breakpoints=kinks_of(g))
+    i_fg = integrate(
+        lambda t: fb(t) * g(t) / (t * t), a, b, tol=quad_tol, breakpoints=fb.kinks + kinks_of(g)
+    )
     w_val = scale * i_fg.value
     w_err = abs(scale) * i_fg.abs_error_estimate
 
@@ -628,7 +635,11 @@ def weighted_bounds(
     avg_f = _endpoint_avg(f, interval)
     int_w = integrate(w, a, b, tol=quad_tol)
     mid_mass = integrate(
-        lambda t: w(t) * (f(t) + f(interval.reflect(t))), a, b, tol=quad_tol
+        lambda t: w(t) * (f(t) + f(interval.reflect(t))),
+        a,
+        b,
+        tol=quad_tol,
+        breakpoints=sym_transform(f, interval).kinks + kinks_of(w),
     )
 
     def corrected_weight(t: float) -> float:

@@ -9,13 +9,22 @@ raises instead of silently truncating; the other routines are integrands
 handed to it.  The refinement double integral nests it: its error estimate is
 the outer estimate plus the largest error any inner integral passes on to
 the outer integrand.
+
+A Gauss-Kronrod pair cannot see a kink (a jump in the first derivative)
+that falls between its nodes, so its error estimate can be far too small
+there.  Callers that know where the integrand kinks pass those points as
+``breakpoints`` (the kink protocol of :mod:`hhverify.hmean`): ``integrate``
+then starts from the segments between them.  ``integrate`` cannot read the
+kinks off the integrand itself, since the integrand is often a wrapper (a
+``lambda``, ``f(t)/t^2``, or a counting wrapper) that hides them.
+``refinement_double_integral`` passes none, at either level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .hmean import HInterval
 
@@ -100,22 +109,30 @@ def integrate(
     hi: float,
     tol: float = 1e-10,
     max_evals: int = 1_000_000,
+    breakpoints: Sequence[float] = (),
 ) -> QuadResult:
     """Signed adaptive integral of ``f`` from ``lo`` to ``hi``.
 
-    A segment of width w is accepted once its local error estimate is below
-    ``tol * w / |hi - lo|``, so the accumulated estimate stays below ``tol``
-    on success.  Raises :class:`QuadratureBudgetError` after ``max_evals``
-    integrand evaluations, and propagates evaluation errors from ``f``.
+    ``[lo, hi]`` is first split at the ``breakpoints`` that lie strictly
+    inside it (the rest are ignored, repeats count once), as QUADPACK's QAGP
+    does: a kink of ``f`` placed there sits at a segment end, where the
+    Gauss-Kronrod nodes cannot straddle it and the error estimate cannot
+    miss it.  A segment of width w is accepted once its local error estimate
+    is below ``tol * w / |hi - lo|``, so the accumulated estimate stays below
+    ``tol`` on success.  Raises :class:`QuadratureBudgetError` after
+    ``max_evals`` integrand evaluations, counted over all segments, and
+    propagates evaluation errors from ``f``.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration limits must be finite")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if breakpoints and not all(map(math.isfinite, breakpoints)):
+        raise ValueError("breakpoints must be finite")
     if lo == hi:
         return QuadResult(0.0, 0.0, 0)
     if lo > hi:
-        res = integrate(f, hi, lo, tol=tol, max_evals=max_evals)
+        res = integrate(f, hi, lo, tol=tol, max_evals=max_evals, breakpoints=breakpoints)
         return QuadResult(-res.value, res.abs_error_estimate, res.subdivisions)
 
     span = hi - lo
@@ -134,7 +151,11 @@ def integrate(
     total = 0.0
     err_total = 0.0
     accepted = 0
-    work = [(lo, hi, *rule(lo, hi))]
+    if breakpoints:
+        edges = [lo, *sorted({p for p in breakpoints if lo < p < hi}), hi]
+        work = [(l, r, *rule(l, r)) for l, r in zip(edges, edges[1:])]
+    else:
+        work = [(lo, hi, *rule(lo, hi))]
     while work:
         l, r, v, e = work.pop()
         w = r - l
@@ -154,10 +175,12 @@ def weighted_integral(
     lo: float,
     hi: float,
     tol: float = 1e-10,
+    breakpoints: Sequence[float] = (),
 ) -> QuadResult:
     """The raw ``integral of f(t)/t^2`` from ``lo`` to ``hi`` (callers apply
-    any ``ab/(b-a)`` prefactor themselves)."""
-    return integrate(lambda t: f(t) / (t * t), lo, hi, tol=tol)
+    any ``ab/(b-a)`` prefactor themselves).  ``breakpoints``, typically the
+    kinks of ``f``, go to :func:`integrate`."""
+    return integrate(lambda t: f(t) / (t * t), lo, hi, tol=tol, breakpoints=breakpoints)
 
 
 def reflected_weighted_integral(
@@ -166,13 +189,18 @@ def reflected_weighted_integral(
     x: float,
     y: float,
     tol: float = 1e-10,
+    breakpoints: Sequence[float] = (),
 ) -> QuadResult:
     """``integral of f(t)/t^2`` from r(y) to r(x), r the interval reflection.
 
     By the substitution u = r(t) (du/u^2 = -dt/t^2) this equals the integral
     of f(r(t))/t^2 over [x, y], which is how it enters the split chains.
+    The integral runs in t over [r(y), r(x)], so ``breakpoints`` are the
+    kinks of ``f`` itself, not their reflections.
     """
-    return weighted_integral(f, interval.reflect(y), interval.reflect(x), tol=tol)
+    return weighted_integral(
+        f, interval.reflect(y), interval.reflect(x), tol=tol, breakpoints=breakpoints
+    )
 
 
 def refinement_double_integral(

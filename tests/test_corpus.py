@@ -186,6 +186,12 @@ class TestRandomHarmonicConvex:
             f = random_harmonic_convex(seed, interval)
             assert check_harmonic_convex(f, interval, grid=grid).passed
 
+    def test_kinks_are_reciprocal_interior_knots(self):
+        for seed, interval in ((3, HInterval(1.0, 2.0)), (5, HInterval(-2.0, -1.0))):
+            f = random_harmonic_convex(seed, interval)
+            assert f.kinks == tuple(1.0 / u for u in f.knots[1:-1])
+            assert all(interval.a < t < interval.b for t in f.kinks)
+
     def test_negative_interval_generation(self):
         interval = HInterval(-2.0, -1.0)
         f = random_harmonic_convex(5, interval)

@@ -136,6 +136,21 @@ class TestHarmonicMidpoint:
 
 
 class TestTransforms:
+    def test_kinks_add_reflections_inside_the_interval(self):
+        interval = HInterval(1.0, 2.0)
+
+        class Kinked:
+            kinks = (1.2, 3.0)
+
+            def __call__(self, t):
+                return abs(t - 1.2)
+
+        fb = sym_transform(Kinked(), interval)
+        assert fb.kinks == (1.2, 3.0, interval.reflect(1.2))
+        assert antisym_transform(Kinked(), interval).kinks == fb.kinks
+        # parsed expressions publish none
+        assert sym_transform(parse("abs(x - 1.2)"), interval).kinks == ()
+
     def test_constant_symmetrises_to_itself(self):
         interval = HInterval(1.0, 2.0)
         fb = sym_transform(lambda t: 3.5, interval)

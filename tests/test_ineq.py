@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hhverify.corpus import builtin_functions, builtin_h, random_harmonic_convex
 from hhverify.fnspec import parse
-from hhverify.hmean import HInterval
+from hhverify.hmean import HInterval, sym_transform
 from hhverify import ineq
 from hhverify.ineq import (
     CHAINS,
@@ -439,6 +439,45 @@ class TestWeightedBounds:
         for variant, reference in references.items():
             term = weighted_bounds(parse("1"), h, parse("1"), HInterval(lo, hi), variant=variant).terms[2]
             assert abs(term.value - float(reference)) <= term.abs_error, variant
+
+
+# the kinks each evaluator passes, one entry per integral it takes, on a
+# kinked f with g = f: f's own, those of sym(f) (f's and their
+# reflections), or none for integrals of w and h alone
+_KINKED_F = random_harmonic_convex(6, I12)
+_F_KINKS = _KINKED_F.kinks
+_SYM_KINKS = sym_transform(_KINKED_F, I12).kinks
+_X, _Y = 1.31, 1.83
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda f: chain_hh_classic(f, 1.0, 2.0), [_F_KINKS]),
+        (lambda f: chain_harmonic_hh(f, I12), [_F_KINKS]),
+        (lambda f: chain_subinterval(f, I12, _X, _Y), [_F_KINKS, _F_KINKS]),
+        (lambda f: chain_reflected_pair(f, I12, _X), [_F_KINKS]),
+        (lambda f: chain_harmonic_full(f, I12, _X, _Y), [_F_KINKS, _F_KINKS]),
+        (lambda f: chain_refinement(f, I12, quad_tol=1e-5), [_SYM_KINKS]),
+        (lambda f: product_inequalities(f, f, I12), [_F_KINKS, _F_KINKS, _SYM_KINKS + _F_KINKS]),
+        (lambda f: chain_h_subinterval(f, IDENTITY_H, I12, _X, _Y), [_F_KINKS, _F_KINKS]),
+        (lambda f: weighted_bounds(f, IDENTITY_H, lambda t: 1.0, I12), [(), _SYM_KINKS, (), ()]),
+    ],
+    ids=["hh_classic", "t1", "t3", "r2", "r3", "r4", "t4", "t5", "c1"],
+)
+def test_evaluators_pass_kinks_as_breakpoints(monkeypatch, call, expected):
+    # the nested r4 double integral calls the quadrature module's own
+    # names, so it is not recorded here: it takes no breakpoints
+    seen = []
+    for name in ("integrate", "weighted_integral", "reflected_weighted_integral"):
+
+        def recording(*args, _original=getattr(ineq, name), **kwargs):
+            seen.append(tuple(kwargs.get("breakpoints", ())))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ineq, name, recording)
+    call(_KINKED_F)
+    assert seen == expected
 
 
 class TestChainReportMechanics:

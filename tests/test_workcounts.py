@@ -1,5 +1,6 @@
 """Deterministic work counts of the class checks, the sweep, the r4
-double integral and the c1 weight integrals.
+double integral, the c1 weight integrals and the integrals of kinked
+functions.
 
 Evaluation and scan counts do not depend on the machine, so pinning them is
 a performance-regression gate that cannot flake: a change that scans a grid
@@ -15,8 +16,8 @@ from hhverify.convexity import SampleGrid
 from hhverify.corpus import random_harmonic_convex
 from hhverify.fnspec import parse
 from hhverify.hmean import HInterval
-from hhverify.ineq import HFunction, weighted_bounds
-from hhverify.quad import refinement_double_integral
+from hhverify.ineq import HFunction, chain_refinement, weighted_bounds
+from hhverify.quad import refinement_double_integral, weighted_integral
 
 # one default-grid scan: f once at each of the 16*64 + 1 lattice points, on
 # which every weighted pair of the 65 coarse nodes combines, and three times
@@ -151,6 +152,30 @@ def test_refinement_double_integral_work(make_f, tol, evals, subdivisions):
     # f at x*, then 15 inner nodes per inner segment at every outer node
     assert f.calls == evals
     assert res.subdivisions == subdivisions
+
+
+def test_kinked_weighted_integral_evaluations():
+    # random_hc_6 kinks five times inside [1, 2]; split there, each of the
+    # six pieces takes one Kronrod panel (2 475 evaluations without the
+    # breakpoints)
+    f = random_harmonic_convex(6, HInterval(1.0, 2.0))
+    counted = Counting(f)
+    res = weighted_integral(counted, 1.0, 2.0, breakpoints=f.kinks)
+    assert counted.calls == 90
+    assert res.subdivisions == 6
+
+
+def test_refinement_sym_mean_evaluations():
+    interval = HInterval(1.0, 2.0)
+    f = random_harmonic_convex(3, interval)
+    counted = Counting(f)
+    counted.kinks = f.kinks  # a wrapper hides the kinks unless it publishes them
+    chain_refinement(counted, interval, quad_tol=1e-6)
+    # the double integral as pinned above (it takes no breakpoints), f at
+    # x*, and the mean of sym(f): f twice per node, one Kronrod panel on
+    # each of the five pieces between the two kinks and their reflections
+    # (1 890 evaluations without the breakpoints)
+    assert counted.calls == 58_366 + 1 + 2 * 15 * 5
 
 
 @pytest.mark.parametrize(
