@@ -11,9 +11,9 @@ construction and drive the randomized validity sweeps.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional
@@ -28,6 +28,7 @@ from .convexity import (
 from .fnspec import FunctionSpec, parse
 from .hmean import HInterval
 from .ineq import IDENTITY_H, HFunction
+from .quad import GK15, _gk15
 
 __all__ = [
     "CorpusError",
@@ -337,6 +338,11 @@ class PiecewiseConvexReciprocal:
     for f is the ordinary convexity of G at that combination.  Outside the
     knot span G continues with the nearest segment's slope, which preserves
     convexity.
+
+    :meth:`weighted_gk15` is the hand-written Gauss-Kronrod rule of
+    ``t -> f(t)/t^2``, which :func:`hhverify.quad.weighted_integral` applies
+    through the rule protocol of :mod:`hhverify.quad`; an integrand that
+    wraps the instance takes the generic rule, with the same result.
     """
 
     knots: tuple[float, ...]
@@ -351,7 +357,7 @@ class PiecewiseConvexReciprocal:
         return tuple(1.0 / u for u in self.knots[1:-1] if u != 0.0)
 
     def g(self, u: float) -> float:
-        i = bisect.bisect_right(self.knots, u) - 1
+        i = bisect_right(self.knots, u) - 1
         if i < 0:
             i = 0
         elif i >= len(self.slopes):
@@ -360,6 +366,49 @@ class PiecewiseConvexReciprocal:
 
     def __call__(self, t: float) -> float:
         return self.g(1.0 / t)
+
+    def weighted_gk15(self, lo: float, hi: float) -> tuple[float, float]:
+        """The Gauss-Kronrod rule of ``t -> f(t)/t^2`` on one segment (the
+        rule protocol of :mod:`hhverify.quad`), in one frame.
+
+        It returns what the generic rule ``quad._gk15`` returns on that
+        integrand, bit for bit, and raises what it raises.  On a segment
+        with ``lo < hi`` and no zero inside, the nodes rise from first to
+        last, so 1/t and the index of its piece of G fall: when the first
+        and last node share a piece, every node is in it and the piece is
+        found once; otherwise each node steps down from the previous one's
+        piece.  Any other segment (reversed, or not of one sign) takes the
+        generic rule.
+        """
+        knots, values, slopes = self.knots, self.values, self.slopes
+        last = len(slopes) - 1
+        c = 0.5 * (lo + hi)
+        h = 0.5 * (hi - lo)
+        k = 0.0
+        g = 0.0
+        first = c + h * GK15[0][0]
+        end = c + h * GK15[-1][0]
+        if h > 0.0 and (first > 0.0 or end < 0.0):
+            i = min(max(bisect_right(knots, 1.0 / first) - 1, 0), last)
+            j = min(max(bisect_right(knots, 1.0 / end) - 1, 0), last)
+            if i == j:
+                v, s, q = values[i], slopes[i], knots[i]
+                for x, wk, wg in GK15:
+                    t = c + h * x
+                    fv = (v + s * (1.0 / t - q)) / (t * t)
+                    k += wk * fv
+                    g += wg * fv
+                return h * k, abs(h) * abs(k - g)
+            for x, wk, wg in GK15:
+                t = c + h * x
+                u = 1.0 / t
+                while i > j and u < knots[i]:
+                    i -= 1
+                fv = (values[i] + slopes[i] * (u - knots[i])) / (t * t)
+                k += wk * fv
+                g += wg * fv
+            return h * k, abs(h) * abs(k - g)
+        return _gk15(lambda t: self(t) / (t * t), lo, hi)
 
 
 def random_harmonic_convex(seed: int, interval: HInterval) -> PiecewiseConvexReciprocal:

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .quad import GK15
+
 __all__ = [
     "ExpressionError",
     "ParseError",
@@ -340,19 +342,29 @@ def _format(node: Node, min_prec: int) -> str:
 # names the generated functions see; a function's constants are added as _c<k>
 _RUNTIME = {
     "_ln": math.log, "_exp": math.exp, "_abs": abs, "_min": min, "_max": max, "_pow": math.pow,
-    "_isfinite": math.isfinite, "_EvalDomainError": EvalDomainError,
+    "_isfinite": math.isfinite, "_EvalDomainError": EvalDomainError, "_GK15": GK15,
 }
 
 
-def compile_ast(node: Node) -> Callable[[float], float]:
-    """Generate one Python function that evaluates the tree at ``t``.
+def compile_ast(node: Node) -> tuple[Callable[[float], float], Callable[[float, float], tuple[float, float]]]:
+    """Generate two Python functions from the tree: ``(evaluate, weighted_gk15)``.
 
-    The body has one statement per operator node, in the order a recursive
-    walk evaluates them: left operand before right, and a power's base and
-    its NaN guard before its exponent.  Leaves are operands: ``t``, and the
-    constants bound by name.  The function turns arithmetic errors into
+    ``evaluate(t)`` has one statement per operator node, in the order a
+    recursive walk evaluates them: left operand before right, and a power's
+    base and its NaN guard before its exponent.  Leaves are operands: ``t``,
+    and the constants bound by name.  It turns arithmetic errors into
     :class:`EvalDomainError` and rejects a non-finite result, so it is the
     whole of evaluation.
+
+    ``weighted_gk15(lo, hi)`` is the Gauss-Kronrod rule of
+    ``t -> evaluate(t) / (t*t)`` on one segment (the ``gk15`` protocol of
+    :func:`hhverify.quad.integrate`): the same statements and checks at each
+    of the 15 nodes, in one frame, summed in the order of
+    :data:`hhverify.quad.GK15`.  It returns what the generic rule
+    ``quad._gk15`` returns on that integrand, bit for bit, and raises what it
+    raises at the same node; a zero ``t*t`` raises a bare
+    ``ZeroDivisionError``, as the integrand does.  Both functions come from
+    one ``compile`` call.
     """
     namespace = dict(_RUNTIME)
     body: list[str] = []
@@ -391,19 +403,32 @@ def compile_ast(node: Node) -> Callable[[float], float]:
         return name
 
     body.append(f"value = {operand(node)}")
-    lines = ["def _evaluate(t):", "    try:"]
-    lines += [f"        {stmt}" for stmt in body]
+    # sets ``value`` to the expression at ``t``, or raises
+    guarded = ["try:", *(f"    {stmt}" for stmt in body)] + [
+        "except _EvalDomainError:",
+        "    raise",
+        "except (ValueError, ZeroDivisionError, OverflowError) as exc:",
+        "    raise _EvalDomainError(f'evaluation failed at t={t!r}: {exc}') from None",
+        "if not _isfinite(value):",
+        "    raise _EvalDomainError(f'evaluation at t={t!r} left the finite reals')",
+    ]
+    lines = ["def _evaluate(t):", *(f"    {line}" for line in guarded), "    return value"]
     lines += [
-        "    except _EvalDomainError:",
-        "        raise",
-        "    except (ValueError, ZeroDivisionError, OverflowError) as exc:",
-        "        raise _EvalDomainError(f'evaluation failed at t={t!r}: {exc}') from None",
-        "    if not _isfinite(value):",
-        "        raise _EvalDomainError(f'evaluation at t={t!r} left the finite reals')",
-        "    return value",
+        "def _weighted_gk15(lo, hi):",
+        "    c = 0.5 * (lo + hi)",
+        "    h = 0.5 * (hi - lo)",
+        "    k = 0.0",
+        "    g = 0.0",
+        "    for x, wk, wg in _GK15:",
+        "        t = c + h * x",
+        *(f"        {line}" for line in guarded),
+        "        fv = value / (t * t)",
+        "        k += wk * fv",
+        "        g += wg * fv",
+        "    return h * k, _abs(h) * _abs(k - g)",
     ]
     exec(compile("\n".join(lines), "<hhverify expression>", "exec"), namespace)
-    return namespace["_evaluate"]
+    return namespace["_evaluate"], namespace["_weighted_gk15"]
 
 
 @dataclass(frozen=True)
@@ -415,14 +440,26 @@ class FunctionSpec:
     protocol of :mod:`hhverify.hmean`): the kinks of ``abs``, ``min`` and
     ``max`` are not guessed, so integrals of such expressions rely on
     adaptive subdivision alone.
+
+    ``weighted_gk15(lo, hi)`` is the Gauss-Kronrod rule of ``t -> f(t)/t^2``
+    on one segment, compiled with the evaluator (see :func:`compile_ast`).
+    :func:`hhverify.quad.weighted_integral` applies it through the rule
+    protocol of :mod:`hhverify.quad`, so its integrals never call the
+    instance per node; an integrand that wraps the instance takes the
+    generic rule, with the same result.
     """
 
     source: str
     ast: Node
     _compiled: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    weighted_gk15: Callable[[float, float], tuple[float, float]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        object.__setattr__(self, "_compiled", compile_ast(self.ast))
+        evaluate, rule = compile_ast(self.ast)
+        object.__setattr__(self, "_compiled", evaluate)
+        object.__setattr__(self, "weighted_gk15", rule)
 
     def __call__(self, t: float) -> float:
         return self._compiled(t)

@@ -1,10 +1,13 @@
 """Interval geometry on sign-definite intervals.
 
-An :class:`HInterval` ``[a, b]`` has ``a < b`` and ``a*b > 0``, which keeps
+An :class:`HInterval` ``[a, b]`` has ``a < b``, both of one sign, which keeps
 the reflection denominator ``(a+b)t - ab`` bounded away from zero (it is at
 least ``min(a^2, b^2)`` on the interval).  On top of that sit the harmonic
 combination, the endpoint-swapping reflection, and the splitting of a
-function into its reflection-symmetric and antisymmetric parts.
+function into its reflection-symmetric and antisymmetric parts.  The
+reflection and the harmonic midpoint are computed on the interval scaled by
+a power of two, so their accuracy does not depend on the interval's scale
+(tested from 1e-300 to 1e300).
 
 Kink protocol.  A function whose first derivative jumps at known points
 publishes them as a ``kinks`` attribute, a tuple of floats in t (points
@@ -39,7 +42,8 @@ _CLAMP_REL = 1e-12
 class HInterval:
     a: float
     b: float
-    # (a*b, a+b, clamp pad, harmonic midpoint), fixed at construction
+    # (a'b', a'+b', clamp pad, harmonic midpoint, 2**e, 2**-e), fixed at
+    # construction, where a' = a * 2**-e and b' = b * 2**-e
     _geometry: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -47,11 +51,22 @@ class HInterval:
             raise ValueError("interval endpoints must be finite")
         if not self.a < self.b:
             raise ValueError(f"need a < b, got [{self.a!r}, {self.b!r}]")
-        if not self.a * self.b > 0.0:
+        # the signs themselves: a*b underflows to 0 for tiny endpoints
+        if not (self.a > 0.0 or self.b < 0.0):
             raise ValueError("endpoints must be nonzero and share a sign")
-        a, b = self.a, self.b
+        # The geometry is computed on the interval scaled by 2**-e, with e
+        # chosen so that |a'b'| is near 1.  Scaling by a power of two is
+        # exact, so every result is bit for bit that of the unscaled
+        # formulas wherever those neither underflow nor overflow, and the
+        # products ab, (a+b)t and abt stay in range at any scale.
+        e = (math.frexp(self.a)[1] + math.frexp(self.b)[1]) // 2
+        e = max(-1022, min(1022, e))  # 2**e and 2**-e stay normal floats
+        up, down = math.ldexp(1.0, e), math.ldexp(1.0, -e)
+        a, b = self.a * down, self.b * down
         object.__setattr__(
-            self, "_geometry", (a * b, a + b, _CLAMP_REL * (b - a), 2.0 * a * b / (a + b))
+            self,
+            "_geometry",
+            (a * b, a + b, _CLAMP_REL * (b - a) * up, 2.0 * a * b / (a + b) * up, up, down),
         )
 
     @property
@@ -80,7 +95,7 @@ class HInterval:
         special-casing) and fixes the harmonic midpoint.  ``t`` is clamped
         first; ``ab``, ``a+b`` and the midpoint are fixed at construction.
         """
-        ab, s, _, midpoint = self._geometry
+        ab, s, _, midpoint, up, down = self._geometry
         t = self.clamp(t)
         if not self.a <= t <= self.b:
             raise ValueError(f"t={t!r} outside [{self.a!r}, {self.b!r}]")
@@ -90,7 +105,8 @@ class HInterval:
             return self.a
         if t == midpoint:
             return t
-        return ab * t / (s * t - ab)
+        t *= down
+        return ab * t / (s * t - ab) * up
 
 
 def kinks_of(f: Callable[[float], float]) -> tuple[float, ...]:

@@ -18,12 +18,26 @@ then starts from the segments between them.  ``integrate`` cannot read the
 kinks off the integrand itself, since the integrand is often a wrapper (a
 ``lambda``, ``f(t)/t^2``, or a counting wrapper) that hides them.
 ``refinement_double_integral`` passes none, at either level.
+
+Rule protocol.  An integrand may carry a ``gk15`` attribute: a function of
+``(lo, hi)`` that applies the Gauss-Kronrod pair to that whole segment in
+one call and returns, bit for bit, what the generic rule ``_gk15`` returns
+on the integrand, raising what it raises.  ``integrate`` then applies it in
+place of the generic rule, which calls the integrand once per node; nodes,
+segments and the evaluation budget are the same either way.  Every rule sums
+K15 and G7 over :data:`GK15` in its order.  Functions publish the rule of
+``t -> f(t)/t^2`` as ``weighted_gk15``: parsed expressions compile one at
+parse time, and ``random_harmonic_convex`` functions carry a hand-written
+one.  :func:`weighted_integral` attaches it to its integrand.  A wrapper
+that replaces the integrand (a counting wrapper, say) publishes no rule, so
+it takes the generic one and still sees every evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from .hmean import HInterval
@@ -88,18 +102,27 @@ _KWEIGHTS = _WGK[:7] + (_WGK[7],) + tuple(reversed(_WGK[:7]))
 _GWEIGHTS = tuple(
     _WG[min(i, 14 - i) // 2] if i % 2 == 1 else 0.0 for i in range(15)
 )
+# (node, Kronrod weight, Gauss weight), in the order every GK15 rule visits
+# the nodes and sums K15 and G7: the generic rule below and the compiled
+# ones of hhverify.fnspec and hhverify.corpus alike.
+GK15 = tuple(zip(_NODES, _KWEIGHTS, _GWEIGHTS))
 
 
 def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """One Kronrod-15 application on [lo, hi]; returns (value, |K15 - G7|)."""
+    """One Kronrod-15 application on [lo, hi]; returns (value, |K15 - G7|).
+
+    The generic rule, and the reference for every compiled one: a rule
+    published as an integrand's ``gk15`` returns what this returns, bit for
+    bit, and raises what it raises.
+    """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     k = 0.0
     g = 0.0
-    for i in range(15):
-        fv = f(c + h * _NODES[i])
-        k += _KWEIGHTS[i] * fv
-        g += _GWEIGHTS[i] * fv
+    for x, wk, wg in GK15:
+        fv = f(c + h * x)
+        k += wk * fv
+        g += wg * fv
     return h * k, abs(h) * abs(k - g)
 
 
@@ -122,6 +145,10 @@ def integrate(
     ``tol`` on success.  Raises :class:`QuadratureBudgetError` after
     ``max_evals`` integrand evaluations, counted over all segments, and
     propagates evaluation errors from ``f``.
+
+    If ``f`` carries a ``gk15`` rule (the rule protocol above), each segment
+    takes one call of it instead of 15 calls of ``f``; it still counts as 15
+    evaluations, and the result is bit for bit the same.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration limits must be finite")
@@ -137,6 +164,7 @@ def integrate(
 
     span = hi - lo
     width_floor = 1e-14 * max(abs(lo), abs(hi), 1.0)
+    gk15 = getattr(f, "gk15", None) or partial(_gk15, f)
     evals = 0
 
     def rule(l: float, r: float) -> tuple[float, float]:
@@ -146,7 +174,7 @@ def integrate(
             raise QuadratureBudgetError(
                 f"budget of {max_evals} evaluations exhausted on [{lo!r}, {hi!r}]"
             )
-        return _gk15(f, l, r)
+        return gk15(l, r)
 
     total = 0.0
     err_total = 0.0
@@ -179,8 +207,20 @@ def weighted_integral(
 ) -> QuadResult:
     """The raw ``integral of f(t)/t^2`` from ``lo`` to ``hi`` (callers apply
     any ``ab/(b-a)`` prefactor themselves).  ``breakpoints``, typically the
-    kinks of ``f``, go to :func:`integrate`."""
-    return integrate(lambda t: f(t) / (t * t), lo, hi, tol=tol, breakpoints=breakpoints)
+    kinks of ``f``, go to :func:`integrate`.
+
+    If ``f`` publishes a ``weighted_gk15`` rule (parsed expressions and
+    ``random_harmonic_convex`` functions do), the integrand carries it as
+    its ``gk15`` and :func:`integrate` applies it to whole segments.
+    """
+
+    def integrand(t: float) -> float:
+        return f(t) / (t * t)
+
+    rule = getattr(f, "weighted_gk15", None)
+    if rule is not None:
+        integrand.gk15 = rule
+    return integrate(integrand, lo, hi, tol=tol, breakpoints=breakpoints)
 
 
 def reflected_weighted_integral(

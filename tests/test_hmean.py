@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -239,3 +240,59 @@ def test_hcomb_matches_reciprocal_affine_combination(a, width, al):
     x, y = a, a + width
     v = hcomb(x, y, al)
     assert 1.0 / v == pytest.approx(al / y + (1 - al) / x, rel=1e-12)
+
+
+# --- geometry at extreme scales ------------------------------------------------
+
+EXTREME_SCALES = (1e-300, 1e-150, 1e-110, 1e110, 1e150, 1e300)
+
+
+def _ulps(value: float, exact: Fraction) -> float:
+    return float(abs(Fraction(value) - exact)) / math.ulp(float(exact))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+@pytest.mark.parametrize("scale", EXTREME_SCALES)
+def test_geometry_at_extreme_scales(scale, sign):
+    # [c, 2c] at every scale: the midpoint and reflections against exact
+    # rational values; a*b over- or underflows at all of these scales
+    a, b = sorted((sign * scale, sign * 2.0 * scale))
+    interval = HInterval(a, b)
+    fa, fb = Fraction(a), Fraction(b)
+    assert _ulps(interval.harmonic_midpoint, 2 * fa * fb / (fa + fb)) <= 1.0
+    for frac in (0.1, 0.25, 0.5, 0.9):
+        t = a + frac * (b - a)
+        ft = Fraction(t)
+        exact = fa * fb * ft / ((fa + fb) * ft - fa * fb)
+        r = interval.reflect(t)
+        assert _ulps(r, exact) <= 8.0
+        assert abs(interval.reflect(r) - t) <= 1e-14 * abs(t)
+    assert interval.reflect(a) == b and interval.reflect(b) == a
+
+
+@pytest.mark.parametrize(
+    "a, b", [(1e-300, 2e-300), (-2e-300, -1e-300), (5e-324, 1e-323), (1e307, 1.5e308)]
+)
+def test_tiny_and_huge_intervals_are_accepted(a, b):
+    interval = HInterval(a, b)
+    assert a <= interval.harmonic_midpoint <= b
+
+
+@settings(max_examples=300)
+@given(
+    st.floats(min_value=1e-60, max_value=1e60),
+    st.floats(min_value=1e-6, max_value=1e6),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.booleans(),
+)
+def test_scaled_geometry_is_bit_identical_in_range(a, ratio, frac, negative):
+    # scaling by a power of two is exact: where the unscaled formulas
+    # neither under- nor overflow, they give the same bits
+    b = a * (1.0 + ratio)
+    if negative:
+        a, b = -b, -a
+    interval = HInterval(a, b)
+    assert interval.harmonic_midpoint == 2.0 * a * b / (a + b)
+    t = interval.clamp(a + frac * (b - a))
+    if t not in (a, b, interval.harmonic_midpoint):
+        assert interval.reflect(t) == a * b * t / ((a + b) * t - a * b)

@@ -11,11 +11,11 @@ import dataclasses
 
 import pytest
 
-from hhverify import cli, convexity, corpus, ineq
+from hhverify import cli, convexity, corpus, fnspec, ineq
 from hhverify.convexity import SampleGrid
-from hhverify.corpus import random_harmonic_convex
+from hhverify.corpus import PiecewiseConvexReciprocal, random_harmonic_convex
 from hhverify.fnspec import parse
-from hhverify.hmean import HInterval
+from hhverify.hmean import HInterval, kinks_of
 from hhverify.ineq import HFunction, chain_refinement, weighted_bounds
 from hhverify.quad import refinement_double_integral, weighted_integral
 
@@ -190,3 +190,89 @@ def test_weighted_bounds_h_evaluations(h_source, evals):
     counted = Counting(h.fn)
     weighted_bounds(parse("x^2"), dataclasses.replace(h, fn=counted), parse("1"), HInterval(1.0, 2.0), quad_tol=1e-9)
     assert counted.calls == evals
+
+
+# --- which Gauss-Kronrod rule an integral takes ---------------------------------
+#
+# weighted_integral hands f's compiled weighted_gk15 rule to integrate, which
+# applies it to whole segments; a wrapper such as Counting publishes no rule,
+# so it takes the generic one and counts every evaluation.  Both paths visit
+# the same segments, so the pins above hold on either.
+
+_F_KINDS = {
+    "expression": lambda interval: parse("exp(x) - 1/x"),
+    "piecewise": lambda interval: random_harmonic_convex(6, interval),
+}
+
+
+def _no_scalar_calls(self, t):
+    raise AssertionError("scalar call on the compiled-rule path")
+
+
+def _no_rule(lo, hi):
+    raise AssertionError("compiled rule applied through a wrapper")
+
+
+@pytest.mark.parametrize("kind", _F_KINDS)
+def test_weighted_integral_takes_the_compiled_rule(kind, monkeypatch):
+    interval = HInterval(1.0, 2.0)
+    f = _F_KINDS[kind](interval)
+    generic = weighted_integral(Counting(f), 1.0, 2.0, breakpoints=kinks_of(f))
+    monkeypatch.setattr(type(f), "__call__", _no_scalar_calls)
+    compiled = weighted_integral(f, 1.0, 2.0, breakpoints=kinks_of(f))
+    assert repr(compiled) == repr(generic)
+
+
+@pytest.mark.parametrize("kind", _F_KINDS)
+def test_wrapped_integrand_takes_the_generic_rule(kind, monkeypatch):
+    compile_ast = fnspec.compile_ast
+    monkeypatch.setattr(fnspec, "compile_ast", lambda node: (compile_ast(node)[0], _no_rule))
+    monkeypatch.setattr(PiecewiseConvexReciprocal, "weighted_gk15", lambda self, lo, hi: _no_rule(lo, hi))
+    interval = HInterval(1.0, 2.0)
+    f = _F_KINDS[kind](interval)
+    with pytest.raises(AssertionError, match="through a wrapper"):
+        weighted_integral(f, 1.0, 2.0)
+    counted = Counting(f)
+    res = weighted_integral(counted, 1.0, 2.0, breakpoints=kinks_of(f))
+    # one generic application on each starting segment (one more than the
+    # kinks inside) and on both halves of every split
+    assert counted.calls == 15 * (2 * res.subdivisions - len(kinks_of(f)) - 1)
+
+
+@pytest.fixture
+def piecewise_work(monkeypatch):
+    """Applications of the piecewise rule and scalar calls of f."""
+    counts = {"rule": 0, "scalar": 0}
+    rule, scalar = PiecewiseConvexReciprocal.weighted_gk15, PiecewiseConvexReciprocal.__call__
+
+    def counting_rule(self, lo, hi):
+        counts["rule"] += 1
+        return rule(self, lo, hi)
+
+    def counting_scalar(self, t):
+        counts["scalar"] += 1
+        return scalar(self, t)
+
+    monkeypatch.setattr(PiecewiseConvexReciprocal, "weighted_gk15", counting_rule)
+    monkeypatch.setattr(PiecewiseConvexReciprocal, "__call__", counting_scalar)
+    return counts
+
+
+def test_kinked_weighted_integral_rule_applications(piecewise_work):
+    # the pin of test_kinked_weighted_integral_evaluations, a rule per panel
+    f = random_harmonic_convex(6, HInterval(1.0, 2.0))
+    res = weighted_integral(f, 1.0, 2.0, breakpoints=f.kinks)
+    assert piecewise_work == {"rule": 6, "scalar": 0}
+    assert 15 * piecewise_work["rule"] == 90
+    assert res.subdivisions == 6
+
+
+def test_refinement_double_integral_rule_applications(piecewise_work):
+    # the random_hc_3 pin of test_refinement_double_integral_work: f at x*,
+    # then one rule application per inner segment at every outer node
+    interval = HInterval(1.0, 2.0)
+    res = refinement_double_integral(random_harmonic_convex(3, interval), interval, tol=1e-6)
+    assert piecewise_work["scalar"] == 1
+    assert 15 * piecewise_work["rule"] + piecewise_work["scalar"] == 58_366
+    assert res.subdivisions == 8
+
