@@ -176,8 +176,6 @@ def _emit(payload: dict, fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
         text = format_json(payload) + "\n"
     elif fmt == "csv":
-        if payload["command"] not in ("verify", "sweep"):
-            raise UsageError("csv output is a projection of chain reports; use it with verify or sweep")
         rows = _chain_csv_rows(payload)
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
@@ -207,21 +205,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, interval=True):
+    # csv is a projection of chain reports, so only verify and sweep offer it
+    def add_common(p, interval=True, formats=("json", "csv")):
         if interval:
             p.add_argument("--a", type=float, required=True, help="left interval endpoint")
             p.add_argument("--b", type=float, required=True, help="right interval endpoint")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--grid", type=int, default=64, help="coarse lattice intervals")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
 
     p_check = sub.add_parser("check", help="test membership in a convexity class")
     p_check.add_argument("--fn", required=True, help="function expression in x")
     p_check.add_argument("--class", dest="class_name", required=True, choices=sorted(_CLASS_ALIASES))
     p_check.add_argument("--h", help="weight function expression (hh/shh classes)")
     p_check.add_argument("--tol", type=float, default=1e-9, help="margin tolerance")
-    add_common(p_check)
+    add_common(p_check, formats=("json",))
 
     p_verify = sub.add_parser("verify", help="evaluate one inequality chain")
     p_verify.add_argument("--chain", required=True, choices=tuple(CHAINS) + ("refinement",))
@@ -255,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--c", type=float, help="try only this family coefficient instead of the ladder"
     )
-    add_common(p_search)
+    add_common(p_search, formats=("json",))
     return parser
 
 

@@ -152,7 +152,7 @@ def _check(f, lo, hi, reciprocal, h, symmetrized, grid, tol, direction) -> Conve
     grid = grid or DEFAULT_GRID
     if reciprocal:
         kind = ("symmetrized_" if symmetrized else "") + ("harmonic_" if h is None else "harmonic_h_")
-        centre = 2.0 * lo * hi / (lo + hi)
+        centre = HInterval(lo, hi).harmonic_midpoint
     else:
         kind, centre = "", 0.5 * (lo + hi)
 

@@ -2,8 +2,9 @@
 
 Grammar, lowest precedence first: ``+ -``, then ``* /``, then unary ``-``,
 then ``^`` (whose exponent must be a constant expression, keeping the
-evaluation domain decidable).  Atoms are decimal literals, the variable
-``x``, ``ln(e)``, ``exp(e)``, ``abs(e)`` and two-argument ``min``/``max``.
+evaluation domain decidable).  Atoms are decimal literals (in any Unicode
+decimal digits), the variable ``x``, ``ln(e)``, ``exp(e)``, ``abs(e)`` and
+two-argument ``min``/``max``.
 ``**`` is accepted as a synonym for ``^`` and the unicode signs for
 multiplication and division are normalised to ``*`` and ``/``.
 
@@ -15,6 +16,7 @@ lets a NaN (or an infinity) escape: every invalid operation surfaces as an
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -109,22 +111,6 @@ _UNARY_FUNCS = ("ln", "exp", "abs")
 _BINARY_FUNCS = ("min", "max")
 
 
-def _contains_var(node: Node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Num):
-        return False
-    if isinstance(node, Neg):
-        return _contains_var(node.arg)
-    if isinstance(node, (BinOp, Call2)):
-        return _contains_var(node.left) or _contains_var(node.right)
-    if isinstance(node, Pow):
-        return _contains_var(node.base) or _contains_var(node.exponent)
-    if isinstance(node, Call1):
-        return _contains_var(node.arg)
-    raise TypeError(f"unknown node {node!r}")
-
-
 # --- tokenizer -------------------------------------------------------------
 
 
@@ -139,59 +125,32 @@ def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
 
+# one token after optional whitespace; ``bad`` catches any other character
+_TOKEN = re.compile(
+    r"""\s*(?:
+        (?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+      | (?P<ident>[^\W\d]\w*)
+      | (?P<op>\*\*|[-+*/^×÷])
+      | (?P<lparen>\()
+      | (?P<rparen>\))
+      | (?P<comma>,)
+      | (?P<end>\Z)
+      | (?P<bad>.)
+    )""",
+    re.VERBOSE,
+)
+_OP_ALIASES = {"**": "^", "×": "*", "÷": "/"}
+
+
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-^()," or ch in "*/" or ch in "×÷":
-            if ch == "(":
-                toks.append(_Token("lparen", ch, i))
-            elif ch == ")":
-                toks.append(_Token("rparen", ch, i))
-            elif ch == ",":
-                toks.append(_Token("comma", ch, i))
-            elif ch == "*" and i + 1 < n and text[i + 1] == "*":
-                toks.append(_Token("op", "^", i))
-                i += 2
-                continue
-            else:
-                op = {"×": "*", "÷": "/"}.get(ch, ch)
-                toks.append(_Token("op", op, i))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            toks.append(_Token("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", _byte_offset(text, i))
-    toks.append(_Token("end", "", n))
-    return toks
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", _byte_offset(text, m.start(kind)))
+        toks.append(_Token(kind, _OP_ALIASES.get(m[kind], m[kind]), m.start(kind)))
+        if kind == "end":
+            return toks
 
 
 # --- parser ----------------------------------------------------------------
@@ -227,19 +186,18 @@ class _Parser:
             self._err("unexpected trailing input", tok)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self._peek().kind == "op" and self._peek().text in "+-":
+    def _left_assoc(self, ops: str, operand: Callable[[], Node]) -> Node:
+        node = operand()
+        while self._peek().kind == "op" and self._peek().text in ops:
             op = self._take().text
-            node = BinOp(op, node, self.term())
+            node = BinOp(op, node, operand())
         return node
 
+    def expr(self) -> Node:
+        return self._left_assoc("+-", self.term)
+
     def term(self) -> Node:
-        node = self.unary()
-        while self._peek().kind == "op" and self._peek().text in "*/":
-            op = self._take().text
-            node = BinOp(op, node, self.unary())
-        return node
+        return self._left_assoc("*/", self.unary)
 
     def unary(self) -> Node:
         tok = self._peek()
@@ -253,10 +211,10 @@ class _Parser:
         tok = self._peek()
         if tok.kind == "op" and tok.text == "^":
             self._take()
-            exp_tok = self._peek()
+            first = self.i
             exponent = self.unary()
-            if _contains_var(exponent):
-                self._err("power exponent must be a constant expression", exp_tok)
+            if any(t.kind == "ident" and t.text == "x" for t in self.toks[first : self.i]):
+                self._err("power exponent must be a constant expression", self.toks[first])
             node = Pow(node, exponent)
         return node
 

@@ -187,6 +187,11 @@ class TestCheck:
         assert proc.stdout == ""
         assert "lo < hi" in proc.stderr
 
+    def test_csv_rejected_for_check(self):
+        code, _, err = run_cli(["check", "--fn", "x", "--class", "hc", "--a", "1", "--b", "2", "--format", "csv"])
+        assert code == 2
+        assert "csv" in err
+
 
 @pytest.mark.parametrize("grid", ["0", "-3"])
 @pytest.mark.parametrize(

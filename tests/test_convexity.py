@@ -129,6 +129,26 @@ class TestHarmonicConvex:
         assert a == b
 
 
+def _verdicts(src, interval):
+    f = parse(src)
+    return [
+        (v.passed, v.opposite.passed) for v in (check_harmonic_convex(f, interval), check_symmetrized(f, interval))
+    ]
+
+
+@pytest.mark.parametrize("src", ["1", "1/x", "x"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("e", [-300, -200, -160, 155, 200, 300])
+def test_class_verdicts_are_scale_free(src, sign, e):
+    # the lattice centre is the interval's scaled harmonic midpoint, which
+    # neither underflows nor overflows where 2ab/(a+b) would
+    def interval(e):
+        lo, hi = sorted((sign * 10.0**e, sign * 2 * 10.0**e))
+        return HInterval(lo, hi)
+
+    assert _verdicts(src, interval(e)) == _verdicts(src, interval(0))
+
+
 class TestHarmonicHConvex:
     def test_identity_weight_reduces_to_plain(self):
         ident = parse("x")
