@@ -22,7 +22,7 @@ import io
 import math
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__
 from .convexity import (
@@ -75,10 +75,10 @@ def _fmt_float(v: float) -> str:
     return format(v, ".17g")
 
 
-def format_json(obj, indent: int = 0) -> str:
+def format_json(obj) -> str:
     """Minimal JSON writer: floats at 17 significant digits, stable layout."""
     parts: list[str] = []
-    _put_json(obj, "  " * indent, parts.append)
+    _put_json(obj, "", parts.append)
     return "".join(parts)
 
 
@@ -175,7 +175,7 @@ def _chain_csv_rows(payload: dict) -> list[dict]:
 def _emit(payload: dict, fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
         text = format_json(payload) + "\n"
-    elif fmt == "csv":
+    else:  # csv, the one other format argparse lets through
         rows = _chain_csv_rows(payload)
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
@@ -183,8 +183,6 @@ def _emit(payload: dict, fmt: str, out: Optional[str]) -> None:
         for row in rows:
             writer.writerow(row)
         text = buf.getvalue()
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -449,16 +447,21 @@ _ONE = parse("1")
 _RECIPROCAL = parse("1/x")
 
 
-def _sweep_entry_jobs(
+def _sweep_entry(
     entry: CorpusEntry,
     hs: tuple[HFunction, ...],
     grid: SampleGrid,
     tol: float,
     quad_tol: float,
     variant: str,
-) -> list[tuple[dict, Optional[dict]]]:
-    """One ``(item, arguments)`` per chain and weight: ``arguments`` are the
-    keywords for :func:`run_chain`, or None when ``item`` is a skip."""
+) -> list[dict]:
+    """The sweep's items for one corpus entry, one per chain of
+    :data:`CHAINS` and weight: a skip with its reason, or the chain's
+    reports, or the error its evaluator raised.  The entry's runnable r4
+    cases, the unweighted one and one per weight, differ only in h and
+    direction, so they share one :func:`refinement_reports` call and with it
+    the double integral; if that call raises, each of them records the
+    error."""
     f = entry.spec
     interval = entry.interval
     a, b = interval.a, interval.b
@@ -484,68 +487,51 @@ def _sweep_entry_jobs(
         hdir, basis = _h_direction(entry, nonnegative, h, grid, tol=1e-9)
         weighted.append((h, hdir, basis if hdir else f"h={h.name}: {basis}"))
 
-    jobs: list[tuple[dict, Optional[dict]]] = []
+    items: list[dict] = []
     for chain in CHAINS.values():
         params = chain.parameters()
         cases = [unweighted[chain.hypothesis]] if chain.hypothesis in unweighted else []
         if "h" in params:
             cases += weighted
+        runnable = []
         for h, direction, basis in cases:
             item: dict = {"entry": entry.name, "chain": chain.id, "h": h.name if h else None}
+            items.append(item)
             if direction is None:
                 item.update(hypothesis=None, status="skipped", reason=basis, report=None)
-                jobs.append((item, None))
                 continue
             if "g" in params:
                 basis += f"; g={'entry itself' if g is f else '1/x'}"
             item["hypothesis"] = basis
-            jobs.append((item, dict(common, h=h, direction=direction)))
-    return jobs
+            runnable.append((item, (h, direction)))
+        if chain.id != "r4":
+            for item, (h, direction) in runnable:
+                _record([item], lambda: [run_chain(chain.id, **common, h=h, direction=direction)])
+        elif runnable:
+            _record(
+                [item for item, _ in runnable],
+                lambda: [(report,) for report in refinement_reports(
+                    f, interval, [case for _, case in runnable], tol=tol, quad_tol=quad_tol, variant=variant,
+                )],
+            )
+    return items
 
 
-def _record(item: dict, reports: tuple[ChainReport, ...]) -> dict:
-    passed = all(r.passed for r in reports)
-    item.update(
-        status="passed" if passed else "violated",
-        reason=None,
-        report=[r.to_dict() for r in reports] if len(reports) > 1 else reports[0].to_dict(),
-    )
-    return item
-
-
-def _record_error(item: dict, exc: Exception) -> dict:
-    item.update(status="error", reason=f"{type(exc).__name__}: {exc}", report=None)
-    return item
-
-
-def _run_job(item: dict, arguments: Optional[dict]) -> dict:
-    if arguments is None:
-        return item
+def _record(items: list[dict], run: Callable[[], list[tuple[ChainReport, ...]]]) -> None:
+    """Write onto each of ``items`` its reports from ``run()``, which returns
+    one tuple of reports per item; or, if ``run`` raises, the exception."""
     try:
-        reports = run_chain(item["chain"], **arguments)
+        results = run()
     except Exception as exc:  # recorded, sweep continues
-        return _record_error(item, exc)
-    return _record(item, reports)
-
-
-def _run_entry_jobs(jobs: list[tuple[dict, Optional[dict]]]) -> list[dict]:
-    """Run one entry's jobs.  Its runnable r4 jobs, the unweighted one and
-    one per weight, differ only in h and direction, so they share one
-    :func:`refinement_reports` call and with it the double integral; if that
-    call raises, each of them records the error."""
-    refinements = [(item, args) for item, args in jobs if args is not None and item["chain"] == "r4"]
-    done = [_run_job(item, args) for item, args in jobs if args is None or item["chain"] != "r4"]
-    if not refinements:
-        return done
-    args = refinements[0][1]
-    try:
-        reports = refinement_reports(
-            args["f"], args["interval"], [(a["h"], a["direction"]) for _, a in refinements],
-            tol=args["tol"], quad_tol=args["quad_tol"], variant=args["variant"],
+        for item in items:
+            item.update(status="error", reason=f"{type(exc).__name__}: {exc}", report=None)
+        return
+    for item, reports in zip(items, results):
+        item.update(
+            status="passed" if all(r.passed for r in reports) else "violated",
+            reason=None,
+            report=[r.to_dict() for r in reports] if len(reports) > 1 else reports[0].to_dict(),
         )
-    except Exception as exc:  # recorded, sweep continues
-        return done + [_record_error(item, exc) for item, _ in refinements]
-    return done + [_record(item, (report,)) for (item, _), report in zip(refinements, reports)]
 
 
 def run_sweep(
@@ -556,7 +542,9 @@ def run_sweep(
     grid_size: int = 64,
     entry_names: Optional[list[str]] = None,
 ) -> dict:
-    """Evaluate every applicable chain over the corpus; returns the payload."""
+    """Evaluate every applicable chain over the corpus, in one pass over
+    :data:`CHAINS` per entry; returns the payload, its items sorted by entry,
+    chain and weight."""
     grid = SampleGrid(abscissa_count=grid_size, seed=seed)
     entries = builtin_functions()
     if entry_names:
@@ -566,11 +554,7 @@ def run_sweep(
             raise UsageError(f"unknown corpus entries: {sorted(unknown)}")
         entries = tuple(e for e in entries if e.name in wanted)
     hs = builtin_h()
-    jobs = [
-        item
-        for entry in entries
-        for item in _run_entry_jobs(_sweep_entry_jobs(entry, hs, grid, tol, quad_tol, variant))
-    ]
+    jobs = [item for entry in entries for item in _sweep_entry(entry, hs, grid, tol, quad_tol, variant)]
     jobs.sort(key=lambda j: (j["entry"], j["chain"], j["h"] or ""))
     summary = {
         "total": len(jobs),

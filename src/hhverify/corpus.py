@@ -374,11 +374,10 @@ class PiecewiseConvexReciprocal:
         It returns what the generic rule ``quad._gk15`` returns on that
         integrand, bit for bit, and raises what it raises.  On a segment
         with ``lo < hi`` and no zero inside, the nodes rise from first to
-        last, so 1/t and the index of its piece of G fall: when the first
-        and last node share a piece, every node is in it and the piece is
-        found once; otherwise each node steps down from the previous one's
-        piece.  Any other segment (reversed, or not of one sign) takes the
-        generic rule.
+        last, so 1/t and the index of its piece of G fall: the first node's
+        piece is found by bisection, and each later node steps down from the
+        previous one's piece, no further than the last node's.  Any other
+        segment (reversed, or not of one sign) takes the generic rule.
         """
         knots, values, slopes = self.knots, self.values, self.slopes
         last = len(slopes) - 1
@@ -391,14 +390,6 @@ class PiecewiseConvexReciprocal:
         if h > 0.0 and (first > 0.0 or end < 0.0):
             i = min(max(bisect_right(knots, 1.0 / first) - 1, 0), last)
             j = min(max(bisect_right(knots, 1.0 / end) - 1, 0), last)
-            if i == j:
-                v, s, q = values[i], slopes[i], knots[i]
-                for x, wk, wg in GK15:
-                    t = c + h * x
-                    fv = (v + s * (1.0 / t - q)) / (t * t)
-                    k += wk * fv
-                    g += wg * fv
-                return h * k, abs(h) * abs(k - g)
             for x, wk, wg in GK15:
                 t = c + h * x
                 u = 1.0 / t

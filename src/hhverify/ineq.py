@@ -624,7 +624,9 @@ def weighted_bounds(
     two h-weight integrals therefore run in theta over [0, 1], with
     t = a + (b-a)(1 - cos(pi*theta))/2 and dt = (b-a)(pi/2) sin(pi*theta)
     dtheta (Davis & Rabinowitz, *Methods of Numerical Integration*), which
-    makes the integrand smooth; int w and the middle term run in t.
+    makes the integrand smooth; int w and the middle term run in t.  Every
+    integral takes the kinks of w (and, where w(r(t)) appears, their
+    reflections) as breakpoints, mapped to theta for the two h-weight ones.
     """
     _check_variant(variant)
     a, b = interval.a, interval.b
@@ -633,13 +635,14 @@ def weighted_bounds(
         if w(t) < 0.0:
             raise ValueError(f"weight w is negative at t={t!r}")
     avg_f = _endpoint_avg(f, interval)
-    int_w = integrate(w, a, b, tol=quad_tol)
+    w_kinks = kinks_of(w)
+    int_w = integrate(w, a, b, tol=quad_tol, breakpoints=w_kinks)
     mid_mass = integrate(
         lambda t: w(t) * (f(t) + f(interval.reflect(t))),
         a,
         b,
         tol=quad_tol,
-        breakpoints=sym_transform(f, interval).kinks + kinks_of(w),
+        breakpoints=sym_transform(f, interval).kinks + w_kinks,
     )
 
     def corrected_weight(t: float) -> float:
@@ -661,8 +664,15 @@ def weighted_bounds(
 
         return integrand
 
-    int_corr = integrate(graded(corrected_weight), 0.0, 1.0, tol=quad_tol)
-    int_printed = integrate(graded(printed_weight), 0.0, 1.0, tol=quad_tol)
+    def graded_kinks(kinks: tuple[float, ...]) -> list[float]:
+        """The kinks in ``(a, b)`` as values of theta."""
+        return [math.acos(1.0 - (t - a) / half) / math.pi for t in kinks if a < t < b]
+
+    int_corr = integrate(graded(corrected_weight), 0.0, 1.0, tol=quad_tol, breakpoints=graded_kinks(w_kinks))
+    int_printed = integrate(
+        graded(printed_weight), 0.0, 1.0, tol=quad_tol,
+        breakpoints=graded_kinks(sym_transform(w, interval).kinks),
+    )
     right = int_printed if variant == "as_printed" else int_corr
     meta = _meta(f, interval, h=h, w=w)
     meta["right_derived_corrected"] = avg_f * int_corr.value

@@ -12,9 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hhverify
-from hhverify import cli, ineq
+from hhverify import ineq
 from hhverify.cli import _fmt_float, format_json, main, run_sweep
-from hhverify.convexity import SampleGrid
 from hhverify.corpus import builtin_functions, builtin_h
 from hhverify.ineq import CHAINS
 from hhverify.quad import QuadratureBudgetError
@@ -111,11 +110,11 @@ class TestFormatJson:
         assert json.loads(format_json(doc)) == doc
 
     @settings(max_examples=300, deadline=None)
-    @given(_JSON_VALUES, st.integers(min_value=0, max_value=3))
-    @example({"z": [0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, -1e16, 5e-324, 2.2250738585072014e-308]}, 0)
-    @example(("\x00\x1f\x7f", "é\u2028", "\ud800", "\U0001f600", {"\n": []}, {}), 1)
-    def test_matches_recursive_writer(self, obj, indent):
-        assert format_json(obj, indent) == _recursive_format_json(obj, indent)
+    @given(_JSON_VALUES)
+    @example({"z": [0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, -1e16, 5e-324, 2.2250738585072014e-308]})
+    @example(("\x00\x1f\x7f", "é\u2028", "\ud800", "\U0001f600", {"\n": []}, {}))
+    def test_matches_recursive_writer(self, obj):
+        assert format_json(obj) == _recursive_format_json(obj)
 
     def test_leaves_no_reference_cycles(self):
         payload = run_sweep(entry_names=["square"])
@@ -514,20 +513,30 @@ class TestRunSweepLibrary:
         assert format_json(run_sweep()["results"]) == format_json(per_entry)
 
     def test_double_integral_error_recorded_per_r4_job(self, monkeypatch):
+        entry = next(e for e in builtin_functions() if e.name == "square")
+        hs = {h.name: h for h in builtin_h()}
+        r4_jobs = [
+            job for job in run_sweep(entry_names=["square"])["results"]
+            if job["chain"] == "r4" and job["status"] != "skipped"
+        ]
+
         def exhausted(*args, **kwargs):
             raise QuadratureBudgetError("budget exhausted")
 
         monkeypatch.setattr(ineq, "refinement_double_integral", exhausted)
-        entry = next(e for e in builtin_functions() if e.name == "square")
-        # each r4 job on its own, as the sweep ran them before sharing one
-        # double integral between them
-        expected = [
-            cli._run_job(item, arguments)
-            for item, arguments in cli._sweep_entry_jobs(entry, builtin_h(), SampleGrid(), 1e-8, 1e-9, "derived_corrected")
-            if item["chain"] == "r4" and arguments is not None
-        ]
+        # each r4 job on its own through run_chain, with the weight and
+        # direction it ran with: the sweep shares one double integral
+        # between them, and each records the error that call raises
+        expected = []
+        for job in r4_jobs:
+            try:
+                ineq.run_chain(
+                    "r4", f=entry.spec, interval=entry.interval, h=hs.get(job["h"]),
+                    direction=job["report"]["direction"], tol=1e-8, quad_tol=1e-9,
+                )
+            except QuadratureBudgetError as exc:
+                expected.append(dict(job, status="error", reason=f"{type(exc).__name__}: {exc}", report=None))
         results = run_sweep(entry_names=["square"])["results"]
-        expected.sort(key=lambda job: job["h"] or "")
         assert [job for job in results if job["chain"] == "r4" and job["status"] != "skipped"] == expected
         assert len(expected) == 1 + len(builtin_h())
         assert {job["reason"] for job in expected} == {"QuadratureBudgetError: budget exhausted"}

@@ -443,11 +443,18 @@ class TestWeightedBounds:
 
 # the kinks each evaluator passes, one entry per integral it takes, on a
 # kinked f with g = f: f's own, those of sym(f) (f's and their
-# reflections), or none for integrals of w and h alone
+# reflections), or none for integrals of a kink-free w and h alone; with f
+# as c1's weight w, its h-weight integrals take them as values of theta
 _KINKED_F = random_harmonic_convex(6, I12)
 _F_KINKS = _KINKED_F.kinks
 _SYM_KINKS = sym_transform(_KINKED_F, I12).kinks
 _X, _Y = 1.31, 1.83
+
+
+def _graded(kinks):
+    """Kinks in t on I12 as the theta of c1's h-weight integrals, where
+    t = 1 + (1 - cos(pi*theta))/2."""
+    return tuple(math.acos(1.0 - 2.0 * (t - 1.0)) / math.pi for t in kinks)
 
 
 @pytest.mark.parametrize(
@@ -462,8 +469,12 @@ _X, _Y = 1.31, 1.83
         (lambda f: product_inequalities(f, f, I12), [_F_KINKS, _F_KINKS, _SYM_KINKS + _F_KINKS]),
         (lambda f: chain_h_subinterval(f, IDENTITY_H, I12, _X, _Y), [_F_KINKS, _F_KINKS]),
         (lambda f: weighted_bounds(f, IDENTITY_H, lambda t: 1.0, I12), [(), _SYM_KINKS, (), ()]),
+        (
+            lambda f: weighted_bounds(f, IDENTITY_H, f, I12),
+            [_F_KINKS, _SYM_KINKS + _F_KINKS, _graded(_F_KINKS), _graded(_SYM_KINKS)],
+        ),
     ],
-    ids=["hh_classic", "t1", "t3", "r2", "r3", "r4", "t4", "t5", "c1"],
+    ids=["hh_classic", "t1", "t3", "r2", "r3", "r4", "t4", "t5", "c1", "c1_kinked_w"],
 )
 def test_evaluators_pass_kinks_as_breakpoints(monkeypatch, call, expected):
     # the nested r4 double integral calls the quadrature module's own

@@ -322,8 +322,9 @@ def _kinked_weights(mp):
 
 @pytest.mark.parametrize("seed", range(24))
 def test_kinked_chain_error_bars_cover_exact_values(seed):
-    # Every t1, t3, t4 and c1 term, and the r4 mean of sym(f), on the
-    # kinked functions, against exact values: with u = 1/t,
+    # Every t1, t3, t4 and c1 term, c1 with the kinked function as its
+    # weight too, and the r4 mean of sym(f), on the kinked functions,
+    # against exact values: with u = 1/t,
     # int_a^b k(1/t)/t^2 dt = int_{1/b}^{1/a} k(u) du, f(1/u) = G(u) and
     # f(r(1/u)) = G(1/a + 1/b - u), so the weighted integrals of f come from
     # the antiderivative of G, and the rest are integrals in u of piecewise
@@ -373,6 +374,8 @@ def test_kinked_chain_error_bars_cover_exact_values(seed):
     i_f = scale * weighted(lo, hi)
     product = scale * mp.quad(lambda u: sym_u(u) * g(u), cuts)
     sym_mass = mp.quad(lambda u: sym_u(u) / (u * u), cuts)  # int_a^b sym(f)
+    f_mass = mp.quad(lambda u: g(u) / (u * u), cuts)  # int_a^b f
+    t_cuts = sorted({a, b} | {1 / u for u in cuts[1:-1]})  # the cuts in t
 
     x, y = lo + 0.31 * (hi - lo), lo + 0.83 * (hi - lo)
     mid_xy = 2.0 * x * y / (x + y)
@@ -398,6 +401,11 @@ def test_kinked_chain_error_bars_cover_exact_values(seed):
         (
             weighted_bounds(f, h, lambda t: 1.0, interval),
             [f_mp(m) / (2 * h_half) * (b - a), sym_mass, avg * mp.quad(h_weights, [a, b])],
+        ),
+        (
+            # f as the weight w of the constant 1
+            weighted_bounds(lambda t: 1.0, h, f, interval),
+            [f_mass / (2 * h_half), f_mass, mp.quad(lambda t: h_weights(t) * f_mp(t), t_cuts)],
         ),
         (r4, [None, None, sym_mass / (b - a)]),
         (r4_h, [None, None, 2 * h_int * sym_mass / (b - a)]),
