@@ -8,14 +8,12 @@ from .fnspec import (
     ExpressionError,
     FunctionSpec,
     ParseError,
-    compose,
     parse,
     to_source,
 )
 from .hmean import (
     HInterval,
     TransformedFunction,
-    antisym_transform,
     hcomb,
     sym_transform,
 )
@@ -36,7 +34,6 @@ from .convexity import (
     check_harmonic_h_convex,
     check_symmetrized,
     find_strict_inclusion_witness,
-    second_derivative,
 )
 from .ineq import (
     CHAINS,

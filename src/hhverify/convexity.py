@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .fnspec import FunctionSpec, parse
-from .hmean import HInterval, hcomb
+from .hmean import HInterval
 
 __all__ = [
     "SampleGrid",
@@ -29,7 +29,6 @@ __all__ = [
     "check_harmonic_h_convex",
     "check_symmetrized",
     "find_strict_inclusion_witness",
-    "second_derivative",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -240,28 +239,6 @@ def check_symmetrized(
 ) -> ConvexityVerdict:
     """Check the symmetric part of ``f`` for (h-)convexity on the interval."""
     return _check(f, interval.a, interval.b, True, h, True, grid, tol, direction)
-
-
-def margin_harmonic(
-    f: Callable[[float], float], x: float, y: float, alpha: float
-) -> float:
-    """Single-triple margin f(hcomb) - [alpha f(y) + (1-alpha) f(x)];
-    used to re-verify witnesses independently of any grid."""
-    return f(hcomb(x, y, alpha)) - (alpha * f(y) + (1.0 - alpha) * f(x))
-
-
-def second_derivative(F: Callable[[float], float], x: float, step: Optional[float] = None) -> float:
-    """Central second difference with Richardson extrapolation.
-
-    The steps h, h/2 and h/4 give an O(h^6) truncation error; the default
-    h balances truncation against double-precision rounding.
-    """
-    h = step if step is not None else 0.05 * max(1.0, abs(x))
-    fx2 = 2.0 * F(x)
-    d = [(F(x + hk) - fx2 + F(x - hk)) / (hk * hk) for hk in (h, h / 2.0, h / 4.0)]
-    for fac in (4.0, 16.0):
-        d = [(fac * d[i + 1] - d[i]) / (fac - 1.0) for i in range(len(d) - 1)]
-    return d[0]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Curated test functions with known class memberships and closed forms.
 
-Every declared membership is re-verified by the convexity checkers the first
-time the corpus is built (and the result cached for the process); a mismatch
-raises :class:`CorpusError` instead of silently poisoning downstream tests.
+The built-in declarations are constants of the source, proved by the
+convexity checkers in ``tests/test_corpus.py``, so building the corpus runs
+no scan.
+Documents read by :func:`import_json` are outside data: each declared
+membership is re-verified there, and a mismatch or a malformed field raises
+:class:`CorpusError` instead of silently poisoning downstream results.
 
 Also hosts the seeded generator of harmonic convex functions built as
 G(1/t) for a convex piecewise-linear G, which are harmonic convex by
@@ -25,7 +28,7 @@ from .convexity import (
     check_symmetrized,
     inclusion_family_source,
 )
-from .fnspec import FunctionSpec, parse
+from .fnspec import ExpressionError, FunctionSpec, parse
 from .hmean import HInterval
 from .ineq import IDENTITY_H, HFunction
 from .quad import GK15, _gk15
@@ -51,7 +54,8 @@ CLASS_TAGS = (
 
 
 class CorpusError(RuntimeError):
-    """A declared class membership failed its load-time re-verification."""
+    """An imported corpus document is malformed, or one of its declared class
+    memberships failed re-verification."""
 
 
 @dataclass(frozen=True)
@@ -277,12 +281,9 @@ def _verify_entry(entry: CorpusEntry) -> None:
 
 @lru_cache(maxsize=1)
 def builtin_functions() -> tuple[CorpusEntry, ...]:
-    """The built-in corpus; every declared membership is checker-verified on
-    first access and the verified tuple is cached for the process."""
-    entries = _build_entries()
-    for entry in entries:
-        _verify_entry(entry)
-    return entries
+    """The built-in corpus, built once per process without any class scan:
+    its declared memberships are proved by the checkers in the test suite."""
+    return _build_entries()
 
 
 @lru_cache(maxsize=1)
@@ -303,27 +304,68 @@ def export_json(entries: Optional[tuple[CorpusEntry, ...]] = None) -> dict:
     return {"schema": 1, "entries": [e.to_dict() for e in entries]}
 
 
+# marks an absent field of an imported document
+_MISSING = object()
+
+
 def import_json(doc: dict) -> tuple[CorpusEntry, ...]:
     """Rebuild corpus entries from an :func:`export_json` document.
 
-    Declared memberships go through the same checker gate as the built-in
-    corpus.
+    A missing or mistyped field raises :class:`CorpusError` naming the entry
+    and the field, and so does a declared membership that the checkers
+    refute.
     """
-    if doc.get("schema") != 1:
-        raise CorpusError(f"unsupported corpus schema {doc.get('schema')!r}")
-    entries = []
-    for item in doc["entries"]:
-        entry = CorpusEntry(
-            name=item["name"],
-            spec=parse(item["source"]),
-            interval=HInterval(item["interval"]["a"], item["interval"]["b"]),
-            classes=dict(item.get("classes", {})),
-            closed_forms=dict(item.get("closed_forms", {})),
-            notes=item.get("notes", ""),
-        )
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != 1:
+        raise CorpusError(f"unsupported corpus schema {schema!r}")
+    items = doc.get("entries", _MISSING)
+    if not isinstance(items, list):
+        got = "it is missing" if items is _MISSING else f"got {items!r}"
+        raise CorpusError(f"corpus document: entries must be a list, {got}")
+    return tuple(_import_entry(index, item) for index, item in enumerate(items))
+
+
+# what an imported field must be, by the type JSON decodes it to
+_EXPECTED = {str: "a string", dict: "an object", bool: "true or false", float: "a number"}
+
+
+def _import_entry(index: int, item) -> CorpusEntry:
+    where = f"corpus entry {index}"
+
+    def need(path, value, kind):
+        if kind is float:  # a JSON number decodes to int or float, never bool
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        else:
+            ok = isinstance(value, kind)
+        if not ok:
+            got = "it is missing" if value is _MISSING else f"got {value!r}"
+            raise CorpusError(f"{where}: {path} must be {_EXPECTED[kind]}, {got}")
+        return value
+
+    if not isinstance(item, dict):
+        raise CorpusError(f"{where}: must be an object, got {item!r}")
+    name = need("name", item.get("name", _MISSING), str)
+    where = f"corpus entry {name!r}"
+    source = need("source", item.get("source", _MISSING), str)
+    interval = need("interval", item.get("interval", _MISSING), dict)
+    a, b = (need(f"interval.{k}", interval.get(k, _MISSING), float) for k in "ab")
+    classes = need("classes", item.get("classes", {}), dict)
+    for tag, declared in classes.items():
+        need(f"classes.{tag}", declared, bool)
+    closed_forms = need("closed_forms", item.get("closed_forms", {}), dict)
+    for key, value in closed_forms.items():
+        need(f"closed_forms.{key}", value, float)
+    notes = need("notes", item.get("notes", ""), str)
+    try:
+        hinterval = HInterval(a, b)
+    except (ValueError, OverflowError) as exc:
+        raise CorpusError(f"{where}: interval: {exc}") from exc
+    try:
+        entry = CorpusEntry(name, parse(source), hinterval, dict(classes), dict(closed_forms), notes)
         _verify_entry(entry)
-        entries.append(entry)
-    return tuple(entries)
+    except ExpressionError as exc:
+        raise CorpusError(f"{where}: source {source!r}: {exc}") from exc
+    return entry
 
 
 # --- seeded random harmonic convex functions ---------------------------------

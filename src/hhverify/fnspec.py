@@ -36,7 +36,6 @@ __all__ = [
     "Call2",
     "FunctionSpec",
     "parse",
-    "compose",
     "compile_ast",
     "to_source",
 ]
@@ -431,12 +430,3 @@ def parse(text: str) -> FunctionSpec:
     """
     ast = _Parser(text).parse()
     return FunctionSpec(source=text, ast=ast)
-
-
-def compose(outer: Callable[[float], float], inner: Callable[[float], float]) -> Callable[[float], float]:
-    """Pointwise composition ``t -> outer(inner(t))``; errors propagate."""
-
-    def composed(t: float) -> float:
-        return outer(inner(t))
-
-    return composed

@@ -3,11 +3,10 @@
 An :class:`HInterval` ``[a, b]`` has ``a < b``, both of one sign, which keeps
 the reflection denominator ``(a+b)t - ab`` bounded away from zero (it is at
 least ``min(a^2, b^2)`` on the interval).  On top of that sit the harmonic
-combination, the endpoint-swapping reflection, and the splitting of a
-function into its reflection-symmetric and antisymmetric parts.  The
-reflection and the harmonic midpoint are computed on the interval scaled by
-a power of two, so their accuracy does not depend on the interval's scale
-(tested from 1e-300 to 1e300).
+combination, the endpoint-swapping reflection, and the reflection-symmetric
+part of a function.  The reflection and the harmonic midpoint are computed
+on the interval scaled by a power of two, so their accuracy does not depend
+on the interval's scale (tested from 1e-300 to 1e300).
 
 Kink protocol.  A function whose first derivative jumps at known points
 publishes them as a ``kinks`` attribute, a tuple of floats in t (points
@@ -31,7 +30,6 @@ __all__ = [
     "TransformedFunction",
     "hcomb",
     "sym_transform",
-    "antisym_transform",
     "kinks_of",
 ]
 
@@ -132,30 +130,19 @@ def hcomb(x: float, y: float, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class TransformedFunction:
-    """The reflection-symmetric or antisymmetric part of ``base``.
+    """The reflection-symmetric part of ``base``,
+    t -> (base(t) + base(r(t))) / 2.
 
-    symmetric:      t -> (base(t) + base(r(t))) / 2
-    antisymmetric:  t -> (base(t) - base(r(t))) / 2
-
-    The two parts add back to ``base`` pointwise; nothing is memoised, each
-    call re-evaluates ``base`` twice.  Both parts kink where ``base`` does
-    and at the reflections of those kinks, which :attr:`kinks` lists.
+    Nothing is memoised: each call evaluates ``base`` twice.  It kinks where
+    ``base`` does and at the reflections of those kinks, which :attr:`kinks`
+    lists.
     """
 
     base: Callable[[float], float]
     interval: HInterval
-    kind: str  # "symmetric" | "antisymmetric"
-
-    def __post_init__(self):
-        if self.kind not in ("symmetric", "antisymmetric"):
-            raise ValueError(f"unknown transform kind {self.kind!r}")
 
     def __call__(self, t: float) -> float:
-        ft = self.base(t)
-        fr = self.base(self.interval.reflect(t))
-        if self.kind == "symmetric":
-            return 0.5 * (ft + fr)
-        return 0.5 * (ft - fr)
+        return 0.5 * (self.base(t) + self.base(self.interval.reflect(t)))
 
     @property
     def kinks(self) -> tuple[float, ...]:
@@ -172,9 +159,5 @@ def sym_transform(f: Callable[[float], float], interval: HInterval) -> Transform
     Pins the midpoint (value f(2ab/(a+b)) there) and takes the value
     (f(a)+f(b))/2 at both endpoints.
     """
-    return TransformedFunction(f, interval, "symmetric")
+    return TransformedFunction(f, interval)
 
-
-def antisym_transform(f: Callable[[float], float], interval: HInterval) -> TransformedFunction:
-    """Antisymmetric part of ``f``; vanishes at the harmonic midpoint."""
-    return TransformedFunction(f, interval, "antisymmetric")

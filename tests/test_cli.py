@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -541,3 +543,31 @@ class TestRunSweepLibrary:
         assert len(expected) == 1 + len(builtin_h())
         assert {job["reason"] for job in expected} == {"QuadratureBudgetError: budget exhausted"}
         assert all(job["status"] != "error" for job in results if job["chain"] != "r4")
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_cli_lines():
+    """A (line, exit code) param, with id ``README:<line number>``, for each
+    ``hhverify ...`` line of the README's ``sh`` blocks; the code is the one
+    its comment names as ``exits N``, or 0."""
+    found, in_sh = [], False
+    with open(README, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if line.startswith("```"):
+                in_sh = line.strip() == "```sh"
+            elif in_sh and line.startswith("hhverify "):
+                code = re.search(r"#.*\bexits (\d+)", line)
+                found.append(pytest.param(line.strip(), int(code.group(1)) if code else 0, id=f"README:{number}"))
+    return found
+
+
+def test_readme_has_cli_examples():
+    assert _readme_cli_lines()
+
+
+@pytest.mark.parametrize("line, code", _readme_cli_lines())
+def test_readme_cli_example_exits_as_documented(line, code):
+    got, out, err = run_cli(shlex.split(line, comments=True)[1:])
+    assert got == code, f"{line!r} exited {got}\n{out[-2000:]}{err}"

@@ -17,11 +17,9 @@ from hhverify.fnspec import (
     ParseError,
     Pow,
     Var,
-    compose,
     parse,
     to_source,
 )
-from hhverify.hmean import HInterval
 
 
 class TestParse:
@@ -149,25 +147,6 @@ class TestEvaluate:
         assert parse("min(x, 2)")(5.0) == 2.0
         assert parse("max(x, 2)")(5.0) == 5.0
         assert parse("abs(x)")(-3.0) == 3.0
-
-
-class TestCompose:
-    def test_neg_log_after_reflection(self):
-        interval = HInterval(1.0, 2.0)
-        f = parse("-ln(x)")
-        composed = compose(f, interval.reflect)
-        assert composed(1.0) == pytest.approx(-math.log(2.0), abs=1e-12)
-
-    def test_identity_outer(self):
-        g = parse("x^2")
-        composed = compose(lambda v: v, g)
-        for t in (0.5, 1.0, 2.5):
-            assert composed(t) == g(t)
-
-    def test_error_propagates(self):
-        composed = compose(lambda v: v, parse("ln(x)"))
-        with pytest.raises(EvalDomainError):
-            composed(-1.0)
 
 
 # random AST generation for the round-trip property

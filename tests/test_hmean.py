@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hhverify.fnspec import parse
 from hhverify.hmean import (
     HInterval,
-    antisym_transform,
     hcomb,
     sym_transform,
 )
@@ -148,17 +147,15 @@ class TestTransforms:
 
         fb = sym_transform(Kinked(), interval)
         assert fb.kinks == (1.2, 3.0, interval.reflect(1.2))
-        assert antisym_transform(Kinked(), interval).kinks == fb.kinks
         # parsed expressions publish none
         assert sym_transform(parse("abs(x - 1.2)"), interval).kinks == ()
 
     def test_constant_symmetrises_to_itself(self):
         interval = HInterval(1.0, 2.0)
         fb = sym_transform(lambda t: 3.5, interval)
-        ft = antisym_transform(lambda t: 3.5, interval)
         for t in (1.0, 1.2, 4.0 / 3.0, 1.9, 2.0):
             assert fb(t) == 3.5
-            assert ft(t) == 0.0
+            assert 3.5 - fb(t) == 0.0  # the antisymmetric remainder
 
     def test_reciprocal_symmetrises_to_constant(self):
         # 1/t + 1/r(t) == (a+b)/(ab), so sym(1/t) == (a+b)/(2ab)
@@ -175,15 +172,17 @@ class TestTransforms:
         assert fb(1.5) == pytest.approx(expected, abs=1e-12)
         assert fb(1.5) == pytest.approx(-0.293893, abs=1e-6)
 
+    # the antisymmetric remainder of f is f - sym(f)
     def test_antisym_identity_function(self):
         interval = HInterval(1.0, 2.0)
-        ft = antisym_transform(lambda t: t, interval)
-        assert ft(1.0) == -0.5  # (1 - r(1))/2 = (1 - 2)/2
+        fb = sym_transform(lambda t: t, interval)
+        assert 1.0 - fb(1.0) == -0.5  # (1 - r(1))/2 = (1 - 2)/2
 
     def test_antisym_vanishes_at_midpoint_exactly(self):
         interval = HInterval(1.0, 2.0)
-        ft = antisym_transform(parse("exp(x)"), interval)
-        assert ft(interval.harmonic_midpoint) == 0.0
+        f = parse("exp(x)")
+        m = interval.harmonic_midpoint
+        assert f(m) - sym_transform(f, interval)(m) == 0.0
 
     def test_midpoint_pinning_and_endpoints(self):
         interval = HInterval(1.0, 2.0)
@@ -202,31 +201,28 @@ class TestTransforms:
         for src in ("exp(x)", "-ln(x)", "x^2", "1/x"):
             f = parse(src)
             fb = sym_transform(f, interval)
-            ft = antisym_transform(f, interval)
             for _ in range(50):
                 t = rng.uniform(1.0, 2.0)
-                ftv = f(t)
-                scale = max(1.0, abs(ftv), abs(f(interval.reflect(t))))
-                assert abs(fb(t) + ft(t) - ftv) <= 1e-14 * scale
+                ftv, frv = f(t), f(interval.reflect(t))
+                scale = max(1.0, abs(ftv), abs(frv))
+                # sym(f) plus the antisymmetric part (f(t) - f(r(t)))/2 is f
+                assert abs(fb(t) + 0.5 * (ftv - frv) - ftv) <= 1e-14 * scale
 
     def test_symmetry_kinds(self):
         rng = random.Random(11)
         interval = HInterval(0.5, 3.0)
         f = parse("exp(x)")
         fb = sym_transform(f, interval)
-        ft = antisym_transform(f, interval)
+
+        def ft(t):  # the antisymmetric remainder
+            return f(t) - fb(t)
+
         for _ in range(100):
             t = rng.uniform(0.5, 3.0)
             r = interval.reflect(t)
             scale = max(1.0, abs(fb(t)))
             assert abs(fb(r) - fb(t)) <= 1e-12 * scale
             assert abs(ft(r) + ft(t)) <= 1e-12 * scale
-
-    def test_unknown_kind_rejected(self):
-        from hhverify.hmean import TransformedFunction
-
-        with pytest.raises(ValueError):
-            TransformedFunction(lambda t: t, HInterval(1.0, 2.0), "weird")
 
 
 @settings(max_examples=300)

@@ -66,6 +66,13 @@ def test_gate_scans_each_class_once(scans, counted_entries):
     assert sum(e.spec.calls for e in counted_entries) == 101_409
 
 
+def test_builtin_corpus_runs_no_scan(scans):
+    # the declarations are proved in tier 1 (test_corpus.py), not per process
+    corpus.builtin_functions.cache_clear()
+    assert len(corpus.builtin_functions()) == 11
+    assert scans[0] == 0
+
+
 def test_sweep_entry_evaluations(scans, counted_entries, monkeypatch):
     monkeypatch.setattr(cli, "builtin_functions", lambda: counted_entries)
     payload = cli.run_sweep(entry_names=["square"])
@@ -85,20 +92,14 @@ def test_sweep_entry_evaluations(scans, counted_entries, monkeypatch):
 DECLARED_CONCAVE = ("const_one", "const_three", "reciprocal", "sym_affine_c0", "sym_affine_c1")
 
 
-@pytest.fixture
-def gated():
-    # the corpus gate's own scans run once per process, before the sweep
-    corpus.builtin_functions()
-
-
-def test_full_sweep_scans(gated, scans):
+def test_full_sweep_scans(scans):
     payload = cli.run_sweep()
     assert payload["summary"] == {"total": 253, "passed": 203, "violated": 0, "skipped": 50, "errors": 0}
     assert scans[0] == 3
 
 
 @pytest.mark.parametrize("name", DECLARED_CONCAVE)
-def test_declared_concave_entry_runs_no_scan(gated, scans, name):
+def test_declared_concave_entry_runs_no_scan(scans, name):
     payload = cli.run_sweep(entry_names=[name])
     assert payload["summary"]["violated"] == 0
     assert scans[0] == 0
@@ -117,14 +118,14 @@ def double_integrals(monkeypatch):
     return count
 
 
-def test_full_sweep_double_integrals(gated, double_integrals):
+def test_full_sweep_double_integrals(double_integrals):
     # one per entry: the unweighted r4 job and its weighted ones share it
     cli.run_sweep()
     assert double_integrals[0] == len(corpus.builtin_functions()) == 11
 
 
 @pytest.mark.parametrize("name", [e.name for e in corpus._build_entries()])
-def test_entry_sweep_double_integrals(gated, double_integrals, name):
+def test_entry_sweep_double_integrals(double_integrals, name):
     cli.run_sweep(entry_names=[name])
     assert double_integrals[0] == 1
 
