@@ -358,7 +358,10 @@ def _cmd_verify(args) -> int:
     grid = _grid(args)
     h = HFunction.from_source(args.h) if args.h else None
     params = CHAINS[chain].parameters()
-    if args.direction == "auto":
+    # a chain that takes no direction (t4) fixes the one its reports carry
+    if "direction" not in params:
+        direction = None
+    elif args.direction == "auto":
         symmetrized = CHAINS[chain].hypothesis != "harmonic"
         direction = _auto_direction(fn, interval, grid, symmetrized, h if "h" in params else None)
     else:
@@ -373,6 +376,8 @@ def _cmd_verify(args) -> int:
         elif name in given and param.default is param.empty:
             raise UsageError(f"chain {args.chain} requires --{name}")
     ignored = [f"--{name}" for name, value in given.items() if value is not None and name not in params]
+    if direction is None and args.direction != "auto":
+        ignored.append("--direction")
     if ignored:
         _stderr_line("verify", f"chain {args.chain} takes no {', '.join(ignored)}; ignored")
     reports = run_chain(
@@ -385,7 +390,7 @@ def _cmd_verify(args) -> int:
         "command": "verify",
         "chain": args.chain,
         "variant": args.variant,
-        "direction": direction,
+        "direction": direction or reports[0].direction,
         "seed": args.seed,
         "reports": [r.to_dict() for r in reports],
     }

@@ -17,6 +17,13 @@ is always ``derived_corrected`` and reports name their variant.
 Every integral of f, of its symmetric part or of a product with them gets
 the kinks its integrand publishes (see :func:`hhverify.hmean.kinks_of`) as
 quadrature breakpoints; the nested ``r4`` double integral gets none.
+
+Error bars.  Each quadrature term is built as a value with a bar
+(``_Barred``): the quadrature error estimates of its integrals, each scaled
+by the absolute value of its coefficient, and summed.  Point values (f at a
+point, h(1/2), the integral of h) carry no bar.  A bar does not cover the
+rounding in the arithmetic that combines terms, nor the quadrature error of
+the integral of h, which :class:`HFunction` drops.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from . import fnspec
 from .hmean import HInterval, kinks_of, sym_transform
 from .quad import (
+    QuadResult,
     integrate,
     refinement_double_integral,
     reflected_weighted_integral,
@@ -112,6 +120,34 @@ class ChainTerm:
     label: str
     value: float
     abs_error: float = 0.0
+
+
+class _Barred:
+    """A value with its absolute error bar (see "Error bars" above); point
+    values carry no bar and enter only as the point operand of ``-`` and ``*``."""
+
+    __slots__ = ("value", "error")
+
+    def __init__(self, value: float, error: float):
+        self.value, self.error = value, error
+
+    @classmethod
+    def of(cls, result: QuadResult) -> "_Barred":
+        return cls(result.value, result.abs_error_estimate)
+
+    def __add__(self, other: "_Barred") -> "_Barred":
+        return _Barred(self.value + other.value, self.error + other.error)
+
+    def __sub__(self, point: float) -> "_Barred":
+        return _Barred(self.value - point, self.error)
+
+    def __mul__(self, point: float) -> "_Barred":
+        return _Barred(self.value * point, abs(point) * self.error)
+
+    __rmul__ = __mul__
+
+    def term(self, label: str) -> ChainTerm:
+        return ChainTerm(label, self.value, self.error)
 
 
 @dataclass(frozen=True)
@@ -221,11 +257,11 @@ def chain_hh_classic(
     f((lo+hi)/2)  <=  mean of f  <=  (f(lo)+f(hi))/2."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo!r}, {hi!r}")
-    mean = integrate(f, lo, hi, tol=quad_tol, breakpoints=kinks_of(f))
+    mean = _Barred.of(integrate(f, lo, hi, tol=quad_tol, breakpoints=kinks_of(f)))
     scale = 1.0 / (hi - lo)
     terms = [
         ChainTerm("midpoint", f(0.5 * (lo + hi))),
-        ChainTerm("integral_mean", scale * mean.value, scale * mean.abs_error_estimate),
+        (scale * mean).term("integral_mean"),
         ChainTerm("endpoint_avg", 0.5 * (f(lo) + f(hi))),
     ]
     return ChainReport.build(
@@ -243,11 +279,11 @@ def chain_harmonic_hh(
     """Harmonic Hermite-Hadamard chain (chain id t1):
     f(2ab/(a+b))  <=  (ab/(b-a)) * int_a^b f/t^2  <=  (f(a)+f(b))/2."""
     a, b = interval.a, interval.b
-    wi = weighted_integral(f, a, b, tol=quad_tol, breakpoints=kinks_of(f))
+    wi = _Barred.of(weighted_integral(f, a, b, tol=quad_tol, breakpoints=kinks_of(f)))
     scale = a * b / (b - a)
     terms = [
         ChainTerm("midpoint", f(interval.harmonic_midpoint)),
-        ChainTerm("weighted_mean", scale * wi.value, abs(scale) * wi.abs_error_estimate),
+        (scale * wi).term("weighted_mean"),
         ChainTerm("endpoint_avg", _endpoint_avg(f, interval)),
     ]
     return ChainReport.build("t1", "derived_corrected", direction, terms, tol, _meta(f, interval))
@@ -271,21 +307,24 @@ def bounds_pointwise(
     return ChainReport.build("t2", "derived_corrected", direction, terms, tol, _meta(f, interval, x=x))
 
 
-def _split_weighted_mean(
+def _split_terms(
     f, interval: HInterval, x: float, y: float, quad_tol: float, w2: float
-) -> ChainTerm:
-    """Middle term of the t3 and t5 chains with its error bar:
-    (xy/(2(y-x))) * [int_x^y f/t^2  +  w2 * int_{r(y)}^{r(x)} f/t^2]."""
+) -> tuple[float, ChainTerm, float]:
+    """The t3 and t5 terms before their point scalings: f(m) + f(r(m)) at the
+    harmonic midpoint m of {x, y}; the middle term with its error bar,
+    (xy/(2(y-x))) * [int_x^y f/t^2  +  w2 * int_{r(y)}^{r(x)} f/t^2]; and
+    f(x) + f(r(x)) + f(y) + f(r(y))."""
     if x == y:
         raise ValueError("need x != y")
     kinks = kinks_of(f)
-    i_plain = weighted_integral(f, x, y, tol=quad_tol, breakpoints=kinks)
-    i_refl = reflected_weighted_integral(f, interval, x, y, tol=quad_tol, breakpoints=kinks)
+    i_plain = _Barred.of(weighted_integral(f, x, y, tol=quad_tol, breakpoints=kinks))
+    i_refl = _Barred.of(reflected_weighted_integral(f, interval, x, y, tol=quad_tol, breakpoints=kinks))
     coef = x * y / (2.0 * (y - x))
-    return ChainTerm(
-        "split_weighted_mean",
-        coef * (i_plain.value + w2 * i_refl.value),
-        abs(coef) * (i_plain.abs_error_estimate + w2 * i_refl.abs_error_estimate),
+    mid_xy = 2.0 * x * y / (x + y)
+    return (
+        f(mid_xy) + f(interval.reflect(mid_xy)),
+        (coef * (i_plain + w2 * i_refl)).term("split_weighted_mean"),
+        f(x) + f(interval.reflect(x)) + f(y) + f(interval.reflect(y)),
     )
 
 
@@ -311,18 +350,11 @@ def chain_subinterval(
     the reflected integral, which already breaks f == const.
     """
     _check_variant(variant)
-    middle = _split_weighted_mean(
-        f, interval, x, y, quad_tol, 0.5 if variant == "as_printed" else 1.0
-    )
-    mid_xy = 2.0 * x * y / (x + y)
-    left = 0.5 * (f(mid_xy) + f(interval.reflect(mid_xy)))
-    right = 0.25 * (
-        f(x) + f(interval.reflect(x)) + f(y) + f(interval.reflect(y))
-    )
+    pair, middle, four = _split_terms(f, interval, x, y, quad_tol, 0.5 if variant == "as_printed" else 1.0)
     terms = [
-        ChainTerm("sym_midpoint_pair", left),
+        ChainTerm("sym_midpoint_pair", 0.5 * pair),
         middle,
-        ChainTerm("four_point_avg", right),
+        ChainTerm("four_point_avg", 0.25 * four),
     ]
     return ChainReport.build("t3", variant, direction, terms, tol, _meta(f, interval, x=x, y=y))
 
@@ -354,10 +386,10 @@ def chain_reflected_pair(
     coef = a * b * x / (2.0 * a * b - (a + b) * x)
     if variant == "as_printed":
         coef *= 0.5
-    inner = weighted_integral(f, x, rx, tol=quad_tol, breakpoints=kinks_of(f))
+    inner = _Barred.of(weighted_integral(f, x, rx, tol=quad_tol, breakpoints=kinks_of(f)))
     terms = [
         ChainTerm("midpoint", f(xstar)),
-        ChainTerm("reflected_span_mean", coef * inner.value, abs(coef) * inner.abs_error_estimate),
+        (coef * inner).term("reflected_span_mean"),
         ChainTerm("pair_avg", 0.5 * (f(x) + f(rx))),
     ]
     return ChainReport.build("r2", variant, direction, terms, tol, _meta(f, interval, x=x))
@@ -404,29 +436,25 @@ def refinement_reports(
     """
     _check_variant(variant)
     fb = sym_transform(f, interval)
-    dbl = refinement_double_integral(f, interval, tol=quad_tol)
-    mean_fb = integrate(fb, interval.a, interval.b, tol=quad_tol, breakpoints=fb.kinks)
-    scale = 1.0 / interval.width
+    dbl = _Barred.of(refinement_double_integral(f, interval, tol=quad_tol))
+    mean_fb = _Barred.of(integrate(fb, interval.a, interval.b, tol=quad_tol, breakpoints=fb.kinks))
+    sym_mean = 1.0 / interval.width * mean_fb
     midpoint = f(interval.harmonic_midpoint)
     reports = []
     for h, direction in cases:
-        left = midpoint
-        middle, mid_err = dbl.value, dbl.abs_error_estimate
-        right, right_err = scale * mean_fb.value, scale * mean_fb.abs_error_estimate
+        left, middle, right = midpoint, dbl, sym_mean
         if h is not None:
             left = left / (2.0 * h.h_half)
-            right, right_err = 2.0 * h.h_int * right, 2.0 * h.h_int * right_err
+            right = 2.0 * h.h_int * right
         if variant == "as_printed":
             if h is None:
-                middle, mid_err = 0.5 * middle, 0.5 * mid_err
+                middle = 0.5 * middle
             else:
-                left = 0.5 * left
-                middle, mid_err = 0.25 * middle, 0.25 * mid_err
-                right, right_err = 0.5 * right, 0.5 * right_err
+                left, middle, right = 0.5 * left, 0.25 * middle, 0.5 * right
         terms = [
             ChainTerm("scaled_midpoint", left),
-            ChainTerm("double_integral_mean", middle, mid_err),
-            ChainTerm("scaled_sym_mean", right, right_err),
+            middle.term("double_integral_mean"),
+            right.term("scaled_sym_mean"),
         ]
         reports.append(ChainReport.build("r4", variant, direction, terms, tol, _meta(f, interval, h=h)))
     return tuple(reports)
@@ -483,41 +511,24 @@ def product_inequalities(
     avg_g = _endpoint_avg(g, interval)
     f_mid = f(interval.harmonic_midpoint)
     fb = sym_transform(f, interval)
-    i_f = weighted_integral(f, a, b, tol=quad_tol, breakpoints=kinks_of(f))
-    i_g = weighted_integral(g, a, b, tol=quad_tol, breakpoints=kinks_of(g))
-    i_fg = integrate(
+    i_f = _Barred.of(weighted_integral(f, a, b, tol=quad_tol, breakpoints=kinks_of(f)))
+    i_g = _Barred.of(weighted_integral(g, a, b, tol=quad_tol, breakpoints=kinks_of(g)))
+    i_fg = _Barred.of(integrate(
         lambda t: fb(t) * g(t) / (t * t), a, b, tol=quad_tol, breakpoints=fb.kinks + kinks_of(g)
-    )
-    w_val = scale * i_fg.value
-    w_err = abs(scale) * i_fg.abs_error_estimate
+    ))
+    w = scale * i_fg
 
-    lower_combo = avg_f * scale * i_g.value + avg_g * scale * i_f.value - avg_f * avg_g
-    lower_err = abs(avg_f * scale) * i_g.abs_error_estimate + abs(avg_g * scale) * i_f.abs_error_estimate
+    lower_combo = avg_f * scale * i_g + avg_g * scale * i_f - avg_f * avg_g
     lower = ChainReport.build(
-        "t4_lower",
-        variant,
-        "convex",
-        [
-            ChainTerm("cross_combination", lower_combo, lower_err),
-            ChainTerm("weighted_product_mean", w_val, w_err),
-        ],
-        tol,
-        _meta(f, interval, g=g),
+        "t4_lower", variant, "convex", [lower_combo.term("cross_combination"), w.term("weighted_product_mean")],
+        tol, _meta(f, interval, g=g),
     )
 
     first_coef = f_mid if variant == "as_printed" else avg_g
-    upper_combo = first_coef * scale * i_f.value + f_mid * scale * i_g.value - f_mid * avg_g
-    upper_err = abs(first_coef * scale) * i_f.abs_error_estimate + abs(f_mid * scale) * i_g.abs_error_estimate
+    upper_combo = first_coef * scale * i_f + f_mid * scale * i_g - f_mid * avg_g
     upper = ChainReport.build(
-        "t4_upper",
-        variant,
-        "convex",
-        [
-            ChainTerm("weighted_product_mean", w_val, w_err),
-            ChainTerm("upper_combination", upper_combo, upper_err),
-        ],
-        tol,
-        _meta(f, interval, g=g),
+        "t4_upper", variant, "convex", [w.term("weighted_product_mean"), upper_combo.term("upper_combination")],
+        tol, _meta(f, interval, g=g),
     )
     return lower, upper
 
@@ -541,18 +552,11 @@ def chain_h_subinterval(
     middle is identical to the t3 middle with both integrals unweighted.
     With h(t) = t this reduces exactly to the corrected t3 chain.
     """
-    middle = _split_weighted_mean(f, interval, x, y, quad_tol, 1.0)
-    mid_xy = 2.0 * x * y / (x + y)
-    left = (f(mid_xy) + f(interval.reflect(mid_xy))) / (4.0 * h.h_half)
-    right = (
-        0.5
-        * (f(x) + f(interval.reflect(x)) + f(y) + f(interval.reflect(y)))
-        * h.h_int
-    )
+    pair, middle, four = _split_terms(f, interval, x, y, quad_tol, 1.0)
     terms = [
-        ChainTerm("h_scaled_midpoint_pair", left),
+        ChainTerm("h_scaled_midpoint_pair", pair / (4.0 * h.h_half)),
         middle,
-        ChainTerm("h_scaled_four_point_avg", right),
+        ChainTerm("h_scaled_four_point_avg", 0.5 * four * h.h_int),
     ]
     return ChainReport.build(
         "t5", "derived_corrected", direction, terms, tol, _meta(f, interval, x=x, y=y, h=h)
@@ -636,14 +640,11 @@ def weighted_bounds(
             raise ValueError(f"weight w is negative at t={t!r}")
     avg_f = _endpoint_avg(f, interval)
     w_kinks = kinks_of(w)
-    int_w = integrate(w, a, b, tol=quad_tol, breakpoints=w_kinks)
-    mid_mass = integrate(
-        lambda t: w(t) * (f(t) + f(interval.reflect(t))),
-        a,
-        b,
-        tol=quad_tol,
-        breakpoints=sym_transform(f, interval).kinks + w_kinks,
-    )
+    int_w = _Barred.of(integrate(w, a, b, tol=quad_tol, breakpoints=w_kinks))
+    mid_mass = _Barred.of(integrate(
+        lambda t: w(t) * (f(t) + f(interval.reflect(t))), a, b,
+        tol=quad_tol, breakpoints=sym_transform(f, interval).kinks + w_kinks,
+    ))
 
     def corrected_weight(t: float) -> float:
         w1, w2 = _barycentric_weights(interval, t)
@@ -673,19 +674,15 @@ def weighted_bounds(
         graded(printed_weight), 0.0, 1.0, tol=quad_tol,
         breakpoints=graded_kinks(sym_transform(w, interval).kinks),
     )
-    right = int_printed if variant == "as_printed" else int_corr
+    right = _Barred.of(int_printed if variant == "as_printed" else int_corr)
     meta = _meta(f, interval, h=h, w=w)
     meta["right_derived_corrected"] = avg_f * int_corr.value
     meta["right_as_printed"] = avg_f * int_printed.value
     meta["printed_right_deviation"] = avg_f * (int_printed.value - int_corr.value)
     terms = [
-        ChainTerm(
-            "scaled_midpoint_mass",
-            f(interval.harmonic_midpoint) / (2.0 * h.h_half) * int_w.value,
-            abs(f(interval.harmonic_midpoint) / (2.0 * h.h_half)) * int_w.abs_error_estimate,
-        ),
-        ChainTerm("weighted_sym_mean", 0.5 * mid_mass.value, 0.5 * mid_mass.abs_error_estimate),
-        ChainTerm("h_weighted_endpoint_bound", avg_f * right.value, abs(avg_f) * right.abs_error_estimate),
+        (f(interval.harmonic_midpoint) / (2.0 * h.h_half) * int_w).term("scaled_midpoint_mass"),
+        (0.5 * mid_mass).term("weighted_sym_mean"),
+        (avg_f * right).term("h_weighted_endpoint_bound"),
     ]
     return ChainReport.build("c1", variant, direction, terms, tol, meta)
 

@@ -96,6 +96,30 @@ def test_module_runs_cli():
     assert proc.stdout == "hhverify 0.1.0\n"
 
 
+_STDLIB_ONLY = """\
+import importlib.util, sys
+sys.path.insert(0, sys.argv[1])
+assert importlib.util.find_spec("mpmath") is None, "site-packages is on the path"
+from hhverify.cli import main
+codes = [
+    main(["sweep", "--entry", "reciprocal", "--out", sys.argv[2]]),
+    main(["verify", "--chain", "t1", "--fn", "1/x", "--a", "1", "--b", "2"]),
+]
+sys.stderr.write(repr(codes))
+"""
+
+
+def test_runs_on_the_standard_library_alone(tmp_path):
+    # -I -S: neither site-packages nor PYTHONPATH, so an import under src of
+    # anything outside the standard library fails here
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hhverify.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _STDLIB_ONLY, src, str(tmp_path / "sweep.json")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "[0, 0]")
+
+
 class TestFormatJson:
     def test_seventeen_significant_digits(self):
         text = format_json({"v": 2.0 * math.log(2.0)})
@@ -161,6 +185,16 @@ class TestCheck:
             ["check", "--fn", "1/x", "--a", "1", "--b", "2", "--class", "shh", "--h", "x"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("class_name", ["hh", "hhconc"])
+    def test_harmonic_h_class(self, class_name):
+        # with h(t) = t the harmonic h-classes are the harmonic ones, and 1/x
+        # is harmonic affine
+        code, out, _ = run_cli(
+            ["check", "--fn", "1/x", "--a", "1", "--b", "2", "--class", class_name, "--h", "x"]
+        )
+        assert code == 0
+        assert json.loads(out)["verdict"]["passed"] is True
 
     @pytest.mark.parametrize("class_name", ["convex", "hc", "shconc"])
     def test_h_ignored_by_unweighted_class(self, class_name):
@@ -373,6 +407,25 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out)
         assert doc["direction"] == "concave"
+
+    @pytest.mark.parametrize(
+        "chain, flags, code, err",
+        [
+            ("t1", ["--direction", "convex"], 1, ""),
+            ("t4", ["--g", "-ln(x)"], 0, ""),
+            ("t4", ["--g", "-ln(x)", "--direction", "concave"], 0, "hhverify verify: chain t4 takes no --direction; ignored\n"),
+        ],
+        ids=["t1-forced", "t4-auto", "t4-forced"],
+    )
+    def test_printed_direction_is_the_reports(self, chain, flags, code, err):
+        # -ln(x) is symmetrized harmonic concave, so t1 forced convex fails;
+        # t4 takes no direction, and its reports are convex-oriented when f
+        # and g are both concave-type
+        got, out, got_err = run_cli(["verify", "--chain", chain, "--fn", "-ln(x)", "--a", "1", "--b", "2", *flags])
+        assert (got, got_err) == (code, err)
+        doc = json.loads(out)
+        assert doc["direction"] == "convex"
+        assert {r["direction"] for r in doc["reports"]} == {"convex"}
 
     @pytest.mark.parametrize(
         "chain, params",

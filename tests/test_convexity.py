@@ -14,9 +14,10 @@ from hhverify.convexity import (
     find_strict_inclusion_witness,
     inclusion_family_source,
 )
-from hhverify.corpus import builtin_functions, builtin_h
+from hhverify.corpus import CorpusEntry, builtin_functions, builtin_h
 from hhverify.fnspec import parse
 from hhverify.hmean import HInterval, sym_transform
+from hhverify.ineq import IDENTITY_H
 
 I12 = HInterval(1.0, 2.0)
 
@@ -266,6 +267,18 @@ class TestCheckSymmetrized:
             (name, "t^2")
             for name in ("const_one", "const_three", "reciprocal", "sym_affine_c0", "sym_affine_c1")
         ]
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("x^2", ("convex", "weighted symmetrized check passed")),
+            ("1+min(x,1.3)", (None, "weighted symmetrized checks failed both directions")),
+        ],
+        ids=["x^2", "1+min(x,1.3)"],
+    )
+    def test_sweep_scans_an_entry_that_declares_no_class(self, source, expected):
+        entry = CorpusEntry(source, parse(source), I12, classes={}, closed_forms={})
+        assert cli._h_direction(entry, cli._nonnegative_on(entry), IDENTITY_H, SampleGrid(), tol=1e-9) == expected
 
 
 class TestSecondDerivative:

@@ -127,6 +127,7 @@ class TestExportJson:
         assert len(doc["entries"]) == len(entries)
         first = doc["entries"][0]
         assert {"name", "source", "interval", "classes", "closed_forms"} <= set(first)
+        assert export_json() == doc  # the built-in corpus by default
 
     def test_roundtrips_through_parser(self, entries):
         # exported source text reconstructs the same function

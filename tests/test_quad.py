@@ -10,6 +10,7 @@ from hhverify.corpus import random_harmonic_convex
 from hhverify.fnspec import EvalDomainError, parse
 from hhverify.hmean import HInterval
 from hhverify.quad import (
+    _XGK,
     QuadratureBudgetError,
     QuadResult,
     integrate,
@@ -273,6 +274,33 @@ class TestRefinementDoubleIntegral:
         interval = HInterval(1.0, 2.0)
         res = refinement_double_integral(parse("1/x"), interval, tol=1e-8)
         assert abs(res.value - 0.75) <= max(1e-8, res.abs_error_estimate)
+
+    def test_continuity_value_on_a_node(self):
+        # on [1, (1+x7)/(1-x7)] the harmonic midpoint 2ab/(a+b) = 1 + x7 is
+        # the Kronrod node c - h*x7 of the first outer segment, up to
+        # rounding, so G is taken there as its limit f(x*)
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        x7 = _XGK[6]
+        interval = HInterval(1.0, (1.0 + x7) / (1.0 - x7))
+        a, b = interval.a, interval.b
+        node = 0.5 * (a + b) - 0.5 * (b - a) * x7
+        assert abs(node - interval.harmonic_midpoint) <= 4e-16 * interval.harmonic_midpoint
+
+        a, b = mp.mpf(a), mp.mpf(b)
+        ab, s = a * b, a + b
+
+        def mean_integrand(x):  # -ln(t)/t^2 has the antiderivative (ln t + 1)/t
+            r = ab * x / (s * x - ab)
+            return ab * x / (2 * ab - s * x) * ((mp.log(r) + 1) / r - (mp.log(x) + 1) / x)
+
+        reference = mp.quad(mean_integrand, [a, 2 * ab / s, b]) / (b - a)
+        res = refinement_double_integral(parse("-ln(x)"), interval, tol=1e-10)
+        assert abs(res.value - float(reference)) <= res.abs_error_estimate
+        # x* is a Kronrod node only, so a wrong or ill-conditioned value there
+        # moves K15 away from G7 and splits the segment
+        assert res.subdivisions == 1
 
     @pytest.mark.parametrize("seed", [5, 9, 15, 19])
     def test_error_estimate_honest_on_kinks(self, seed):

@@ -82,8 +82,9 @@ def test_sweep_entry_evaluations(scans, counted_entries, monkeypatch):
     assert scans[0] == 1
     square = next(e for e in counted_entries if e.name == "square")
     # f >= 0 is sampled once per entry (65 evaluations), not once per weight,
-    # and the r4 double integral once for the unweighted chain and every weight
-    assert square.spec.calls == 6_143
+    # the r4 double integral once for the unweighted chain and every weight,
+    # and f(2ab/(a+b)) once per c1 job
+    assert square.spec.calls == 6_139
     assert sum(e.spec.calls for e in counted_entries) == square.spec.calls
 
 
@@ -136,6 +137,13 @@ def test_auto_direction_scans_once(scans):
     assert direction == "concave"
     assert scans[0] == 1
     assert f.calls == SYM_SCAN_EVALS == 4_097
+
+
+def test_verify_t4_runs_no_scan(scans, capsys):
+    # t4 takes no direction, so verify settles none
+    args = ["verify", "--chain", "t4", "--fn", "-ln(x)", "--g", "-ln(x)", "--a", "1", "--b", "2"]
+    assert cli.main(args) == 0
+    assert scans[0] == 0
 
 
 @pytest.mark.parametrize(
