@@ -9,7 +9,8 @@ Commands:
 
 Exit codes: 0 = everything holds, 1 = a mathematical violation (failed
 verdict, violated chain link, witness not found), 2 = usage or evaluation
-error.  JSON output is deterministic for a fixed configuration and seed:
+error.  Every class scan goes through :func:`hhverify.convexity.check_class`.
+JSON output is deterministic for a fixed configuration and seed:
 no timestamps, floats printed with 17 significant digits, stable ordering.
 """
 
@@ -25,14 +26,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Optional
 
 from . import __version__
-from .convexity import (
-    SampleGrid,
-    check_convex,
-    check_harmonic_convex,
-    check_harmonic_h_convex,
-    check_symmetrized,
-    find_strict_inclusion_witness,
-)
+from .convexity import ConvexityVerdict, SampleGrid, check_class, find_strict_inclusion_witness
 from .corpus import CorpusEntry, builtin_functions, builtin_h
 from .fnspec import ExpressionError, parse
 from .hmean import HInterval
@@ -263,13 +257,6 @@ def _parse_fn(text: str, what: str):
         raise UsageError(f"cannot parse {what} {text!r}: {exc}") from None
 
 
-def _interval(args) -> HInterval:
-    try:
-        return HInterval(args.a, args.b)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _grid(args) -> SampleGrid:
     try:
         return SampleGrid(abscissa_count=args.grid, seed=args.seed)
@@ -303,24 +290,13 @@ def _cmd_check(args) -> int:
     fn = _parse_fn(args.fn, "--fn")
     grid = _grid(args)
     h = None
-    if kind in ("harmonic_h", "symmetrized_h"):
+    if kind.endswith("_h"):
         if not args.h:
             raise UsageError(f"--class {args.class_name} requires --h")
         h = HFunction.from_source(args.h)
     elif args.h:
         _stderr_line("check", f"class {args.class_name} takes no --h; ignored")
-    if kind == "convex":
-        verdict = check_convex(fn, args.a, args.b, grid=grid, tol=args.tol, direction=direction)
-    else:
-        interval = _interval(args)
-        if kind == "harmonic":
-            verdict = check_harmonic_convex(fn, interval, grid=grid, tol=args.tol, direction=direction)
-        elif kind == "harmonic_h":
-            verdict = check_harmonic_h_convex(fn, h, interval, grid=grid, tol=args.tol, direction=direction)
-        elif kind == "symmetrized":
-            verdict = check_symmetrized(fn, interval, grid=grid, tol=args.tol, direction=direction)
-        else:
-            verdict = check_symmetrized(fn, interval, grid=grid, tol=args.tol, h=h, direction=direction)
+    verdict = check_class(kind, fn, args.a, args.b, h=h, grid=grid, tol=args.tol, direction=direction)
     payload = {
         "schema": 1,
         "command": "check",
@@ -337,51 +313,48 @@ def _cmd_check(args) -> int:
 # --- verify -------------------------------------------------------------------
 
 
-def _auto_direction(
-    fn, interval: HInterval, grid: SampleGrid, symmetrized: bool, h: Optional[HFunction] = None
-) -> str:
-    """Convex unless the class check fails and its opposite passes: the
-    symmetrized check (h-weighted when ``h`` is given) or the harmonic one."""
-    if symmetrized:
-        verdict = check_symmetrized(fn, interval, grid=grid, h=h)
-    else:
-        verdict = check_harmonic_convex(fn, interval, grid=grid)
-    if not verdict.passed and verdict.opposite.passed:
+def _class_direction(verdict: ConvexityVerdict) -> Optional[str]:
+    """"convex" if a convex-first class verdict passed, "concave" if only its opposite did, else None."""
+    if verdict.passed:
+        return "convex"
+    if verdict.opposite.passed:
         return "concave"
-    return "convex"
+    return None
 
 
 def _cmd_verify(args) -> int:
-    chain = "r4" if args.chain == "refinement" else args.chain
+    chain = CHAINS["r4" if args.chain == "refinement" else args.chain]
     fn = _parse_fn(args.fn, "--fn")
-    interval = _interval(args)
+    interval = HInterval(args.a, args.b)
     grid = _grid(args)
-    h = HFunction.from_source(args.h) if args.h else None
-    params = CHAINS[chain].parameters()
-    # a chain that takes no direction (t4) fixes the one its reports carry
-    if "direction" not in params:
-        direction = None
-    elif args.direction == "auto":
-        symmetrized = CHAINS[chain].hypothesis != "harmonic"
-        direction = _auto_direction(fn, interval, grid, symmetrized, h if "h" in params else None)
-    else:
-        direction = args.direction
-
-    given = {"x": args.x, "y": args.y, "g": args.g or None, "h": h, "w": args.w or None}
+    params = chain.parameters()
+    given = {"x": args.x, "y": args.y, "g": args.g or None, "h": args.h or None, "w": args.w or None}
     kwargs = {}
-    # checked and parsed in the evaluator's signature order
+    # checked and parsed in the evaluator's signature order, before any scan
     for name, param in params.items():
-        if given.get(name) is not None:
-            kwargs[name] = _parse_fn(given[name], f"--{name}") if name in ("g", "w") else given[name]
+        value = given.get(name)
+        if value is not None:
+            if name == "h":
+                value = HFunction.from_source(value)
+            elif name in ("g", "w"):
+                value = _parse_fn(value, f"--{name}")
+            kwargs[name] = value
         elif name in given and param.default is param.empty:
             raise UsageError(f"chain {args.chain} requires --{name}")
     ignored = [f"--{name}" for name, value in given.items() if value is not None and name not in params]
+    # a chain that takes no direction (t4) fixes the one its reports carry
+    direction = args.direction if "direction" in params else None
     if direction is None and args.direction != "auto":
         ignored.append("--direction")
     if ignored:
         _stderr_line("verify", f"chain {args.chain} takes no {', '.join(ignored)}; ignored")
+    if direction == "auto":
+        # the chain's hypothesis, h-weighted when the call binds an h
+        kind = "symmetrized_h" if "h" in kwargs else chain.hypothesis
+        verdict = check_class(kind, fn, interval.a, interval.b, h=kwargs.get("h"), grid=grid)
+        direction = _class_direction(verdict) or "convex"
     reports = run_chain(
-        chain, f=fn, interval=interval, tol=args.tol, quad_tol=args.quad_tol,
+        chain.id, f=fn, interval=interval, tol=args.tol, quad_tol=args.quad_tol,
         variant=args.variant, direction=direction, **kwargs,
     )
 
@@ -440,12 +413,12 @@ def _h_direction(
         return "convex", "corpus-declared symmetrized convexity, h dominates identity"
     if entry.classes.get("symmetrized_harmonic_concave") and _h_below_identity(h):
         return "concave", "corpus-declared symmetrized concavity, h below identity"
-    verdict = check_symmetrized(entry.spec, entry.interval, grid=grid, tol=tol, h=h)
-    if verdict.passed:
-        return "convex", "weighted symmetrized check passed"
-    if verdict.opposite.passed:
-        return "concave", "weighted symmetrized concavity check passed"
-    return None, "weighted symmetrized checks failed both directions"
+    direction = _class_direction(
+        check_class("symmetrized_h", entry.spec, entry.interval.a, entry.interval.b, h=h, grid=grid, tol=tol)
+    )
+    if direction is None:
+        return None, "weighted symmetrized checks failed both directions"
+    return direction, f"weighted symmetrized {'check' if direction == 'convex' else 'concavity check'} passed"
 
 
 _ONE = parse("1")
@@ -596,7 +569,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    interval = _interval(args)
+    interval = HInterval(args.a, args.b)
     kwargs = {}
     if args.c is not None:
         kwargs["ladder"] = (args.c,)

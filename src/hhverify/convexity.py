@@ -7,6 +7,9 @@ plain convexity), reads the margin of every weighted pair of coarse nodes
 off that table, adds a seeded random spillover, and returns the worst
 margin with a reproducible witness.  A "passed" verdict is always of the
 "no sampled violation" kind; the sample count is part of the record.
+
+:func:`check_class` is the one map from a class kind to its checker; the
+command line and the corpus gate scan through it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ __all__ = [
     "ConvexityVerdict",
     "StrictInclusionWitness",
     "DEFAULT_GRID",
+    "check_class",
     "check_convex",
     "check_harmonic_convex",
     "check_harmonic_h_convex",
@@ -48,8 +52,9 @@ class SampleGrid:
     seed: int = 0
 
     def __post_init__(self):
-        if self.abscissa_count < 1:
-            raise ValueError(f"abscissa_count must be at least 1, got {self.abscissa_count!r}")
+        # a scan's work grows with the square of the count: 4096 takes seconds
+        if not 1 <= self.abscissa_count <= 4096:
+            raise ValueError(f"abscissa_count must be from 1 to 4096, got {self.abscissa_count!r}")
         if self.random_triples < 0:
             raise ValueError(f"random_triples must be at least 0, got {self.random_triples!r}")
 
@@ -99,7 +104,7 @@ def _scan(ts: list[float], G: list[float], rows: list[tuple], randoms: Iterable[
     ``randoms`` (x, y, row, g(c), g(y), g(x)).  With d = g(c) - [wy*g(y) +
     wx*g(x)], returns the largest d (the convex margin) and the smallest
     (minus the concave margin), each with the first triple attaining it, the
-    sample count, and the largest |g| sampled, the scale of the tolerance.
+    sample count, and the largest |g| sampled.
 
     A ``mirrored`` table has G[m] == G[M - m] bit for bit, and rows always
     have row(STEPS - k) == (., wx_k, wy_k); then pair (i, j) with weight k
@@ -145,7 +150,9 @@ def _check(f, lo, hi, reciprocal, h, symmetrized, grid, tol, direction) -> Conve
     (a+b)/2 for plain convexity.  The symmetric part's table is its own
     mirror image, so its scan visits only half the pairs.  A margin passes
     up to ``tol`` times the largest |f| the scan evaluated, with no floor,
-    so that verdicts do not depend on units."""
+    so that verdicts do not depend on units; for the symmetric part that is
+    the larger of its own largest sampled value and the largest |f| on the
+    lattice, as the rounding of (f(t) + f(r(t)))/2 is relative to |f|."""
     if direction not in ("convex", "concave"):
         raise ValueError(f"direction must be 'convex' or 'concave', not {direction!r}")
     grid = grid or DEFAULT_GRID
@@ -174,6 +181,7 @@ def _check(f, lo, hi, reciprocal, h, symmetrized, grid, tol, direction) -> Conve
     ts = [lo, *(t(s0 + (s1 - s0) * m / M) for m in range(1, M)), hi]
     ts[M // 2] = centre
     G = [f(x) for x in ts]
+    f_scale = max(0.0, *map(abs, G))  # max keeps 0.0 against a NaN
     if symmetrized:
         G = [0.5 * (u + v) for u, v in zip(G, reversed(G))]
     randoms = (
@@ -182,7 +190,7 @@ def _check(f, lo, hi, reciprocal, h, symmetrized, grid, tol, direction) -> Conve
     )
     rows = [row(k / STEPS) for k in range(1, STEPS)]
     top, top_witness, bottom, bottom_witness, count, scale = _scan(ts, G, rows, randoms, symmetrized)
-    bound = tol * scale
+    bound = tol * max(scale, f_scale)
     convex = (f"{kind}convex", top <= bound, top, top_witness, count, tol)
     concave = (f"{kind}concave", -bottom <= bound, -bottom, bottom_witness, count, tol)
     if direction == "concave":
@@ -239,6 +247,32 @@ def check_symmetrized(
 ) -> ConvexityVerdict:
     """Check the symmetric part of ``f`` for (h-)convexity on the interval."""
     return _check(f, interval.a, interval.b, True, h, True, grid, tol, direction)
+
+
+_KINDS = ("convex", "harmonic", "harmonic_h", "symmetrized", "symmetrized_h")
+
+
+def check_class(
+    kind: str, f: Callable[[float], float], lo: float, hi: float, h: Optional[Callable[[float], float]] = None,
+    grid: Optional[SampleGrid] = None, tol: float = DEFAULT_TOL, direction: str = "convex",
+) -> ConvexityVerdict:
+    """One class scan of ``f`` on [lo, hi] by kind: ``"convex"`` (plain
+    convexity, on any finite lo < hi), ``"harmonic"``, ``"harmonic_h"``,
+    ``"symmetrized"`` or ``"symmetrized_h"``; the ``_h`` kinds need the
+    weight ``h`` and the others take none.  The checker is called by its
+    module-level name, so a wrapper put over it sees the scan."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown class kind {kind!r}; one of {_KINDS}")
+    if (h is None) == kind.endswith("_h"):
+        raise ValueError(f"class kind {kind!r} {'needs' if h is None else 'takes no'} h")
+    if kind == "convex":
+        return check_convex(f, lo, hi, grid=grid, tol=tol, direction=direction)
+    interval = HInterval(lo, hi)
+    if kind == "harmonic":
+        return check_harmonic_convex(f, interval, grid=grid, tol=tol, direction=direction)
+    if kind == "harmonic_h":
+        return check_harmonic_h_convex(f, h, interval, grid=grid, tol=tol, direction=direction)
+    return check_symmetrized(f, interval, grid=grid, tol=tol, h=h, direction=direction)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ The built-in declarations are constants of the source, proved by the
 convexity checkers in ``tests/test_corpus.py``, so building the corpus runs
 no scan.
 Documents read by :func:`import_json` are outside data: each declared
-membership is re-verified there, and a mismatch or a malformed field raises
+membership is re-verified there, by one :func:`~hhverify.convexity.check_class`
+scan per kind of class, and a mismatch or a malformed field raises
 :class:`CorpusError` instead of silently poisoning downstream results.
 
 Also hosts the seeded generator of harmonic convex functions built as
@@ -21,13 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional
 
-from .convexity import (
-    DEFAULT_GRID,
-    check_convex,
-    check_harmonic_convex,
-    check_symmetrized,
-    inclusion_family_source,
-)
+from .convexity import check_class, inclusion_family_source
 from .fnspec import ExpressionError, FunctionSpec, parse
 from .hmean import HInterval
 from .ineq import IDENTITY_H, HFunction
@@ -254,12 +249,8 @@ def _build_entries() -> tuple[CorpusEntry, ...]:
     return tuple(entries)
 
 
-# by kind of class (a tag without its direction): one scan decides both tags
-_GATE_CHECKS = {
-    "": lambda f, interval: check_convex(f, interval.a, interval.b, grid=DEFAULT_GRID),
-    "harmonic": lambda f, interval: check_harmonic_convex(f, interval, grid=DEFAULT_GRID),
-    "symmetrized_harmonic": lambda f, interval: check_symmetrized(f, interval, grid=DEFAULT_GRID),
-}
+# the check_class kind of a tag without its direction: one scan decides both tags
+_GATE_KINDS = {"": "convex", "harmonic": "harmonic", "symmetrized_harmonic": "symmetrized"}
 
 
 def _verify_entry(entry: CorpusEntry) -> None:
@@ -269,7 +260,7 @@ def _verify_entry(entry: CorpusEntry) -> None:
             raise CorpusError(f"{entry.name}: unknown class tag {tag!r}")
         kind, _, direction = tag.rpartition("_")
         if kind not in verdicts:
-            verdicts[kind] = _GATE_CHECKS[kind](entry.spec, entry.interval)
+            verdicts[kind] = check_class(_GATE_KINDS[kind], entry.spec, entry.interval.a, entry.interval.b)
         verdict = verdicts[kind] if direction == "convex" else verdicts[kind].opposite
         if verdict.passed != declared:
             raise CorpusError(

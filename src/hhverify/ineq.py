@@ -692,10 +692,10 @@ def weighted_bounds(
 
 class Chain(NamedTuple):
     """One chain: its id, the name of its evaluator in this module, and the
-    class its hypothesis asks of f: ``"symmetrized"`` (the symmetric part
-    harmonic convex or concave), ``"harmonic"`` (f itself) or
-    ``"symmetrized_h"`` (the symmetric part harmonic h-convex or
-    h-concave, f >= 0)."""
+    class its hypothesis asks of f, a ``convexity.check_class`` kind:
+    ``"symmetrized"`` (the symmetric part harmonic convex or concave),
+    ``"harmonic"`` (f itself) or ``"symmetrized_h"`` (the symmetric part
+    harmonic h-convex or h-concave, f >= 0)."""
 
     id: str
     evaluator: str

@@ -440,6 +440,13 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["direction"] == "concave"
 
+    @pytest.mark.parametrize("h", ["-x", "1/x^2"])
+    def test_untaken_h_is_not_parsed(self, h):
+        # -x is negative and 1/x^2 has no integral on [0, 1], so neither is a
+        # weight; t1 takes none, and ignores the flag
+        code, _, err = run_cli(["verify", "--chain", "t1", "--fn", "1/x", "--a", "1", "--b", "2", "--h", h])
+        assert (code, err) == (0, "hhverify verify: chain t1 takes no --h; ignored\n")
+
     def test_c1(self):
         code, out, _ = run_cli(
             [
@@ -523,6 +530,12 @@ class TestSearch:
         code, out, _ = run_cli(["search", "--a", "-2", "--b", "-1", "--seed", "3"])
         assert code == 0
         assert json.loads(out)["witness"] is not None
+
+    def test_large_interval(self):
+        # the family's antisymmetric bump dwarfs its symmetric part 3/(4e6)
+        code, out, _ = run_cli(["search", "--a", "1e6", "--b", "2e6"])
+        assert code == 0
+        assert json.loads(out)["witness"]["coefficient"] == 0.001
 
     def test_byte_identical_reruns(self):
         args = ["search", "--a", "1", "--b", "2", "--seed", "7"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hhverify import cli, convexity
 from hhverify.convexity import (
     SampleGrid,
+    check_class,
     check_convex,
     check_harmonic_convex,
     check_harmonic_h_convex,
@@ -131,7 +132,7 @@ class TestHarmonicConvex:
         assert len(SampleGrid().random_triple_stream(1.0, 2.0)) == 512
 
     @pytest.mark.parametrize(
-        "kwargs", [{"abscissa_count": 0}, {"abscissa_count": -3}, {"random_triples": -1}]
+        "kwargs", [{"abscissa_count": 0}, {"abscissa_count": -3}, {"abscissa_count": 4097}, {"random_triples": -1}]
     )
     def test_rejects_nonpositive_sizes(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -214,6 +215,36 @@ class TestCheckConvex:
         assert check_convex(F, 1.0 / b, 1.0 / a, direction="concave").passed
 
 
+# each class kind's public checker, called directly, on [1, 2]
+_DIRECT_CHECKS = {
+    "convex": lambda f, h, direction: check_convex(f, 1.0, 2.0, direction=direction),
+    "harmonic": lambda f, h, direction: check_harmonic_convex(f, I12, direction=direction),
+    "harmonic_h": lambda f, h, direction: check_harmonic_h_convex(f, h, I12, direction=direction),
+    "symmetrized": lambda f, h, direction: check_symmetrized(f, I12, direction=direction),
+    "symmetrized_h": lambda f, h, direction: check_symmetrized(f, I12, h=h, direction=direction),
+}
+
+
+class TestCheckClass:
+    @pytest.mark.parametrize("direction", ["convex", "concave"])
+    @pytest.mark.parametrize("src", ["-ln(x)", "x^2"])
+    @pytest.mark.parametrize("kind", _DIRECT_CHECKS)
+    def test_same_verdict_as_the_public_checker(self, kind, src, direction):
+        f, h = parse(src), parse("x^2")
+        got = check_class(kind, f, 1.0, 2.0, h=h if kind.endswith("_h") else None, direction=direction)
+        want = _DIRECT_CHECKS[kind](f, h, direction)
+        assert repr(got) == repr(want)
+        assert repr(got.opposite) == repr(want.opposite)
+
+    @pytest.mark.parametrize(
+        "kind, h, message",
+        [("plain", None, "unknown class kind"), ("symmetrized_h", None, "needs h"), ("harmonic", parse("x"), "takes no h")],
+    )
+    def test_rejects_bad_calls(self, kind, h, message):
+        with pytest.raises(ValueError, match=message):
+            check_class(kind, parse("x"), 1.0, 2.0, h=h)
+
+
 class TestCheckSymmetrized:
     def test_harmonic_convex_corpus_stays_convex(self):
         # symmetrisation preserves harmonic convexity
@@ -230,6 +261,14 @@ class TestCheckSymmetrized:
         v = check_symmetrized(parse("1/x"), I12, h=parse("x"))
         assert v.class_tested == "symmetrized_harmonic_h_convex"
         assert v.passed
+
+    @pytest.mark.parametrize("c", [1e7, 1e10])
+    @pytest.mark.parametrize("direction", ["convex", "concave"])
+    def test_antisymmetric_part_dwarfing_the_symmetric(self, c, direction):
+        # sym(f_c) is the constant 3/4 for every c, but its lattice values
+        # carry the rounding of (f(t) + f(r(t)))/2, which grows with |f|
+        f = parse(inclusion_family_source(I12, c))
+        assert check_symmetrized(f, I12, direction=direction).passed
 
     def test_pointwise_sandwich_extremes_attained(self):
         # sampled symmetric part stays within [f(midpoint), endpoint average]

@@ -132,9 +132,10 @@ def test_entry_sweep_double_integrals(double_integrals, name):
 
 
 def test_auto_direction_scans_once(scans):
+    # verify's auto direction: one symmetrized scan settles both directions
     f = Counting(parse("-ln(x)"))
-    direction = cli._auto_direction(f, HInterval(1.0, 2.0), SampleGrid(), symmetrized=True)
-    assert direction == "concave"
+    verdict = convexity.check_class("symmetrized", f, 1.0, 2.0, grid=SampleGrid())
+    assert cli._class_direction(verdict) == "concave"
     assert scans[0] == 1
     assert f.calls == SYM_SCAN_EVALS == 4_097
 
@@ -144,6 +145,27 @@ def test_verify_t4_runs_no_scan(scans, capsys):
     args = ["verify", "--chain", "t4", "--fn", "-ln(x)", "--g", "-ln(x)", "--a", "1", "--b", "2"]
     assert cli.main(args) == 0
     assert scans[0] == 0
+
+
+_X_ON_12 = ["--fn", "x", "--a", "1", "--b", "2"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--chain", "t5", *_X_ON_12, "--x", "1.2", "--y", "1.8"],
+        ["verify", "--chain", "t3", *_X_ON_12, "--x", "1.2"],
+        ["verify", "--chain", "c1", *_X_ON_12, "--h", "x"],
+        ["verify", "--chain", "t2", *_X_ON_12],
+        ["check", "--class", "hc", *_X_ON_12, "--grid", "4097"],
+    ],
+    ids=["t5-without-h", "t3-without-y", "c1-without-w", "t2-without-x", "check-grid-4097"],
+)
+def test_usage_errors_run_no_scan(scans, capsys, args):
+    # flags are bound and checked before a class scan settles the direction
+    assert cli.main(args) == 2
+    assert scans[0] == 0
+    assert capsys.readouterr().err.startswith(f"hhverify {args[0]}: ")
 
 
 @pytest.mark.parametrize(
