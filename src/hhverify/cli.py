@@ -296,7 +296,9 @@ def _cmd_check(args) -> int:
         h = HFunction.from_source(args.h)
     elif args.h:
         _stderr_line("check", f"class {args.class_name} takes no --h; ignored")
-    verdict = check_class(kind, fn, args.a, args.b, h=h, grid=grid, tol=args.tol, direction=direction)
+    verdict = check_class(kind, fn, args.a, args.b, h=h, grid=grid, tol=args.tol)
+    if direction == "concave":
+        verdict = verdict.opposite
     payload = {
         "schema": 1,
         "command": "check",
@@ -338,6 +340,9 @@ def _cmd_verify(args) -> int:
                 value = HFunction.from_source(value)
             elif name in ("g", "w"):
                 value = _parse_fn(value, f"--{name}")
+            # a point x or y: the evaluators reflect it, which takes what clamps into [a, b]
+            elif not interval.a <= interval.clamp(value) <= interval.b:
+                raise UsageError(f"--{name} must lie in [{interval.a!r}, {interval.b!r}], got {value!r}")
             kwargs[name] = value
         elif name in given and param.default is param.empty:
             raise UsageError(f"chain {args.chain} requires --{name}")
@@ -389,12 +394,9 @@ def _nonnegative_on(entry: CorpusEntry) -> bool:
     return all(entry.spec(a + (b - a) * k / 64) >= 0.0 for k in range(65))
 
 
-def _h_dominates_identity(h: HFunction) -> bool:
-    return all(h(k / 64.0) >= k / 64.0 - 1e-12 for k in range(1, 64))
-
-
-def _h_below_identity(h: HFunction) -> bool:
-    return all(h(k / 64.0) <= k / 64.0 + 1e-12 for k in range(1, 64))
+def _h_beyond_identity(h: HFunction, sign: float) -> bool:
+    """h >= id (``sign`` 1.0) or h <= id (``sign`` -1.0) on a lattice of (0, 1), up to 1e-12."""
+    return all(sign * h(k / 64.0) >= sign * (k / 64.0) - 1e-12 for k in range(1, 64))
 
 
 def _h_direction(
@@ -409,9 +411,9 @@ def _h_direction(
     # when h >= id and below it when h <= id, so harmonic convexity implies
     # h-convexity in the first case and concavity implies h-concavity in
     # the second; convex is tried first
-    if entry.classes.get("symmetrized_harmonic_convex") and _h_dominates_identity(h):
+    if entry.classes.get("symmetrized_harmonic_convex") and _h_beyond_identity(h, 1.0):
         return "convex", "corpus-declared symmetrized convexity, h dominates identity"
-    if entry.classes.get("symmetrized_harmonic_concave") and _h_below_identity(h):
+    if entry.classes.get("symmetrized_harmonic_concave") and _h_beyond_identity(h, -1.0):
         return "concave", "corpus-declared symmetrized concavity, h below identity"
     direction = _class_direction(
         check_class("symmetrized_h", entry.spec, entry.interval.a, entry.interval.b, h=h, grid=grid, tol=tol)

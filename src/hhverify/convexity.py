@@ -9,7 +9,8 @@ margin with a reproducible witness.  A "passed" verdict is always of the
 "no sampled violation" kind; the sample count is part of the record.
 
 :func:`check_class` is the one map from a class kind to its checker; the
-command line and the corpus gate scan through it.
+command line, the corpus gate and :func:`find_strict_inclusion_witness`
+scan through it.
 """
 
 from __future__ import annotations
@@ -73,8 +74,10 @@ DEFAULT_GRID = SampleGrid()
 
 @dataclass(frozen=True, slots=True)
 class ConvexityVerdict:
-    """Outcome of one class check; ``opposite`` is the other direction's
-    verdict from the same scan, and is left out of :meth:`to_dict`."""
+    """Outcome of one class check.  A check returns the convex verdict, which
+    carries the concave one from the same scan as ``opposite``; the concave
+    verdict's ``opposite`` is None.  ``opposite`` is left out of
+    :meth:`to_dict`."""
 
     class_tested: str
     passed: bool
@@ -141,9 +144,9 @@ def _scan(ts: list[float], G: list[float], rows: list[tuple], randoms: Iterable[
     return top, top_witness, bottom, bottom_witness, count, max(f_hi, -f_lo)
 
 
-def _check(f, lo, hi, reciprocal, h, symmetrized, grid, tol, direction) -> ConvexityVerdict:
+def _check(f, lo, hi, reciprocal, h, symmetrized, grid, tol) -> ConvexityVerdict:
     """Scan ``f``, or its symmetric part, once on the lattice of [lo, hi]; the
-    verdict for ``direction`` carries the other as ``opposite``.  Nodes s_x,
+    convex verdict carries the concave one as ``opposite``.  Nodes s_x,
     s_y with weight a combine to (1-a)s_x + a s_y, weighted (a, 1-a) or
     (h(a), h(1-a)); plain convexity (not ``reciprocal``) reports the weight
     as 1-a.  The lattice is centred on the harmonic midpoint 2ab/(a+b), or on
@@ -153,8 +156,6 @@ def _check(f, lo, hi, reciprocal, h, symmetrized, grid, tol, direction) -> Conve
     so that verdicts do not depend on units; for the symmetric part that is
     the larger of its own largest sampled value and the largest |f| on the
     lattice, as the rounding of (f(t) + f(r(t)))/2 is relative to |f|."""
-    if direction not in ("convex", "concave"):
-        raise ValueError(f"direction must be 'convex' or 'concave', not {direction!r}")
     grid = grid or DEFAULT_GRID
     if reciprocal:
         kind = ("symmetrized_" if symmetrized else "") + ("harmonic_" if h is None else "harmonic_h_")
@@ -191,11 +192,8 @@ def _check(f, lo, hi, reciprocal, h, symmetrized, grid, tol, direction) -> Conve
     rows = [row(k / STEPS) for k in range(1, STEPS)]
     top, top_witness, bottom, bottom_witness, count, scale = _scan(ts, G, rows, randoms, symmetrized)
     bound = tol * max(scale, f_scale)
-    convex = (f"{kind}convex", top <= bound, top, top_witness, count, tol)
-    concave = (f"{kind}concave", -bottom <= bound, -bottom, bottom_witness, count, tol)
-    if direction == "concave":
-        convex, concave = concave, convex
-    return ConvexityVerdict(*convex, opposite=ConvexityVerdict(*concave))
+    concave = ConvexityVerdict(f"{kind}concave", -bottom <= bound, -bottom, bottom_witness, count, tol)
+    return ConvexityVerdict(f"{kind}convex", top <= bound, top, top_witness, count, tol, opposite=concave)
 
 
 def check_harmonic_convex(
@@ -203,13 +201,13 @@ def check_harmonic_convex(
     interval: HInterval,
     grid: Optional[SampleGrid] = None,
     tol: float = DEFAULT_TOL,
-    direction: str = "convex",
 ) -> ConvexityVerdict:
     """Margin sweep of  f(xy/(ax + (1-a)y)) <= a f(y) + (1-a) f(x).
 
-    The concave verdict comes from the same scan with the margin negated.
+    The concave verdict, its ``opposite``, comes from the same scan with the
+    margin negated.
     """
-    return _check(f, interval.a, interval.b, True, None, False, grid, tol, direction)
+    return _check(f, interval.a, interval.b, True, None, False, grid, tol)
 
 
 def check_harmonic_h_convex(
@@ -218,10 +216,9 @@ def check_harmonic_h_convex(
     interval: HInterval,
     grid: Optional[SampleGrid] = None,
     tol: float = DEFAULT_TOL,
-    direction: str = "convex",
 ) -> ConvexityVerdict:
     """As :func:`check_harmonic_convex` with weights (h(a), h(1-a))."""
-    return _check(f, interval.a, interval.b, True, h, False, grid, tol, direction)
+    return _check(f, interval.a, interval.b, True, h, False, grid, tol)
 
 
 def check_convex(
@@ -230,11 +227,10 @@ def check_convex(
     hi: float,
     grid: Optional[SampleGrid] = None,
     tol: float = DEFAULT_TOL,
-    direction: str = "convex",
 ) -> ConvexityVerdict:
     """Plain margin sweep of  F(ax + (1-a)y) <= a F(x) + (1-a) F(y)  on
     [lo, hi], which must be finite with lo < hi."""
-    return _check(F, lo, hi, False, None, False, grid, tol, direction)
+    return _check(F, lo, hi, False, None, False, grid, tol)
 
 
 def check_symmetrized(
@@ -243,10 +239,9 @@ def check_symmetrized(
     grid: Optional[SampleGrid] = None,
     tol: float = DEFAULT_TOL,
     h: Optional[Callable[[float], float]] = None,
-    direction: str = "convex",
 ) -> ConvexityVerdict:
     """Check the symmetric part of ``f`` for (h-)convexity on the interval."""
-    return _check(f, interval.a, interval.b, True, h, True, grid, tol, direction)
+    return _check(f, interval.a, interval.b, True, h, True, grid, tol)
 
 
 _KINDS = ("convex", "harmonic", "harmonic_h", "symmetrized", "symmetrized_h")
@@ -254,7 +249,7 @@ _KINDS = ("convex", "harmonic", "harmonic_h", "symmetrized", "symmetrized_h")
 
 def check_class(
     kind: str, f: Callable[[float], float], lo: float, hi: float, h: Optional[Callable[[float], float]] = None,
-    grid: Optional[SampleGrid] = None, tol: float = DEFAULT_TOL, direction: str = "convex",
+    grid: Optional[SampleGrid] = None, tol: float = DEFAULT_TOL,
 ) -> ConvexityVerdict:
     """One class scan of ``f`` on [lo, hi] by kind: ``"convex"`` (plain
     convexity, on any finite lo < hi), ``"harmonic"``, ``"harmonic_h"``,
@@ -266,13 +261,13 @@ def check_class(
     if (h is None) == kind.endswith("_h"):
         raise ValueError(f"class kind {kind!r} {'needs' if h is None else 'takes no'} h")
     if kind == "convex":
-        return check_convex(f, lo, hi, grid=grid, tol=tol, direction=direction)
+        return check_convex(f, lo, hi, grid=grid, tol=tol)
     interval = HInterval(lo, hi)
     if kind == "harmonic":
-        return check_harmonic_convex(f, interval, grid=grid, tol=tol, direction=direction)
+        return check_harmonic_convex(f, interval, grid=grid, tol=tol)
     if kind == "harmonic_h":
-        return check_harmonic_h_convex(f, h, interval, grid=grid, tol=tol, direction=direction)
-    return check_symmetrized(f, interval, grid=grid, tol=tol, h=h, direction=direction)
+        return check_harmonic_h_convex(f, h, interval, grid=grid, tol=tol)
+    return check_symmetrized(f, interval, grid=grid, tol=tol, h=h)
 
 
 @dataclass(frozen=True)
@@ -321,10 +316,10 @@ def find_strict_inclusion_witness(
     """
     for c in sorted(ladder):
         spec = parse(inclusion_family_source(interval, c))
-        base = check_harmonic_convex(spec, interval, grid=grid, tol=tol)
+        base = check_class("harmonic", spec, interval.a, interval.b, grid=grid, tol=tol)
         if base.passed or base.worst_margin <= min_margin:
             continue
-        symmetrized = check_symmetrized(spec, interval, grid=grid, tol=tol)
+        symmetrized = check_class("symmetrized", spec, interval.a, interval.b, grid=grid, tol=tol)
         if symmetrized.passed:
             return StrictInclusionWitness(c, spec, base, symmetrized)
     return None

@@ -35,6 +35,7 @@ __all__ = [
     "builtin_functions",
     "builtin_h",
     "export_json",
+    "import_json",
     "random_harmonic_convex",
 ]
 
@@ -390,11 +391,7 @@ class PiecewiseConvexReciprocal:
         return tuple(1.0 / u for u in self.knots[1:-1] if u != 0.0)
 
     def g(self, u: float) -> float:
-        i = bisect_right(self.knots, u) - 1
-        if i < 0:
-            i = 0
-        elif i >= len(self.slopes):
-            i = len(self.slopes) - 1
+        i = min(max(bisect_right(self.knots, u) - 1, 0), len(self.slopes) - 1)
         return self.values[i] + self.slopes[i] * (u - self.knots[i])
 
     def __call__(self, t: float) -> float:

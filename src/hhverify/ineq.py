@@ -84,7 +84,6 @@ class HFunction:
     over [0, 1] (every upper bound multiplies by it)."""
 
     fn: Callable[[float], float] = field(compare=False)
-    source: str
     name: str
     h_half: float
     h_int: float
@@ -95,10 +94,10 @@ class HFunction:
     @classmethod
     def from_source(cls, text: str, name: Optional[str] = None) -> "HFunction":
         spec = fnspec.parse(text)
-        return cls.from_callable(spec, name=name or text, source=text)
+        return cls.from_callable(spec, name=name or text)
 
     @classmethod
-    def from_callable(cls, fn: Callable[[float], float], name: str, source: str = "") -> "HFunction":
+    def from_callable(cls, fn: Callable[[float], float], name: str) -> "HFunction":
         for k in range(1, 32):
             v = fn(k / 32.0)
             if v < 0.0:
@@ -109,7 +108,7 @@ class HFunction:
         h_int = integrate(fn, 0.0, 1.0, tol=1e-12).value
         if not h_int > 0.0:
             raise ValueError("weight function must not be identically zero")
-        return cls(fn=fn, source=source or name, name=name, h_half=h_half, h_int=h_int)
+        return cls(fn=fn, name=name, h_half=h_half, h_int=h_int)
 
 
 IDENTITY_H = HFunction.from_source("x", name="t")

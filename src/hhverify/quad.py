@@ -179,11 +179,8 @@ def integrate(
     total = 0.0
     err_total = 0.0
     accepted = 0
-    if breakpoints:
-        edges = [lo, *sorted({p for p in breakpoints if lo < p < hi}), hi]
-        work = [(l, r, *rule(l, r)) for l, r in zip(edges, edges[1:])]
-    else:
-        work = [(lo, hi, *rule(lo, hi))]
+    edges = [lo, *sorted({p for p in breakpoints if lo < p < hi}), hi]
+    work = [(l, r, *rule(l, r)) for l, r in zip(edges, edges[1:])]
     while work:
         l, r, v, e = work.pop()
         w = r - l

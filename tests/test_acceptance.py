@@ -80,7 +80,7 @@ def test_criterion_2_transform_curvature_detection():
         for k in range(41):
             u = 0.515 + k * (0.985 - 0.515) / 40.0
             assert second_difference(F, u, 0.007) < 0.0
-        assert hv.check_symmetrized(f, I12, direction="concave").passed
+        assert hv.check_symmetrized(f, I12).opposite.passed
         assert not hv.check_symmetrized(f, I12).passed
 
 

@@ -203,6 +203,31 @@ class TestCheck:
         assert err == f"hhverify check: class {class_name} takes no --h; ignored\n"
         assert (code, out) == run_cli(args)[:2]
 
+    @pytest.mark.parametrize(
+        "class_name, class_tested, passed",
+        [
+            ("convex", "convex", True),
+            ("concave", "concave", False),
+            ("hc", "harmonic_convex", False),
+            ("hconc", "harmonic_concave", True),
+            ("hh", "harmonic_h_convex", True),
+            ("hhconc", "harmonic_h_concave", False),
+            ("shc", "symmetrized_harmonic_convex", False),
+            ("shconc", "symmetrized_harmonic_concave", True),
+            ("shh", "symmetrized_harmonic_h_convex", True),
+            ("shhconc", "symmetrized_harmonic_h_concave", False),
+        ],
+    )
+    def test_every_alias_reports_its_class_and_direction(self, class_name, class_tested, passed):
+        # -ln(x) on [1, 2], with h = t^2 for the h-classes
+        args = ["check", "--fn", "-ln(x)", "--a", "1", "--b", "2", "--class", class_name]
+        if "hh" in class_name:
+            args += ["--h", "x^2"]
+        code, out, err = run_cli(args)
+        verdict = json.loads(out)["verdict"]
+        assert (verdict["class_tested"], verdict["passed"], err) == (class_tested, passed, "")
+        assert code == (0 if passed else 1)
+
     def test_symmetrized_concave_neg_log(self):
         code, out, _ = run_cli(
             ["check", "--fn", "-ln(x)", "--a", "1", "--b", "2", "--class", "shconc"]
@@ -446,6 +471,26 @@ class TestVerify:
         # weight; t1 takes none, and ignores the flag
         code, _, err = run_cli(["verify", "--chain", "t1", "--fn", "1/x", "--a", "1", "--b", "2", "--h", h])
         assert (code, err) == (0, "hhverify verify: chain t1 takes no --h; ignored\n")
+
+    @pytest.mark.parametrize(
+        "chain, flags, code, err",
+        [
+            ("t3", ["--x", "1.2", "--y", "nan"], 2, "hhverify verify: --y must lie in [1.0, 2.0], got nan\n"),
+            ("r2", ["--x", "nan"], 2, "hhverify verify: --x must lie in [1.0, 2.0], got nan\n"),
+            ("t6", ["--h", "x", "--x", "nan"], 2, "hhverify verify: --x must lie in [1.0, 2.0], got nan\n"),
+            ("t2", ["--x", "3"], 2, "hhverify verify: --x must lie in [1.0, 2.0], got 3.0\n"),
+            ("r3", ["--x", "-inf", "--y", "1.5"], 2, "hhverify verify: --x must lie in [1.0, 2.0], got -inf\n"),
+            ("t5", ["--h", "x", "--x", "1.2", "--y", "inf"], 2, "hhverify verify: --y must lie in [1.0, 2.0], got inf\n"),
+            # within the reflection's clamp of an end, as the evaluators take it
+            ("t2", ["--x", "0.9999999999999999"], 0, ""),
+            ("t1", ["--x", "nan"], 0, "hhverify verify: chain t1 takes no --x; ignored\n"),
+        ],
+        ids=["t3-y-nan", "r2-x-nan", "t6-x-nan", "t2-x-outside", "r3-x-ninf", "t5-y-inf", "t2-x-clamped", "t1-x-untaken"],
+    )
+    def test_point_outside_the_interval_is_named(self, chain, flags, code, err):
+        got, out, got_err = run_cli(["verify", "--chain", chain, "--fn", "1/x", "--a", "1", "--b", "2", *flags])
+        assert (got, got_err) == (code, err)
+        assert (out == "") == (code == 2)
 
     def test_c1(self):
         code, out, _ = run_cli(

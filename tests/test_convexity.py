@@ -44,8 +44,7 @@ class TestHarmonicConvex:
         v = check_harmonic_convex(parse("1/x"), I12)
         assert v.passed
         assert abs(v.worst_margin) <= 1e-12
-        concave = check_harmonic_convex(parse("1/x"), I12, direction="concave")
-        assert concave.passed
+        assert v.opposite.passed
 
     def test_constant(self):
         v = check_harmonic_convex(parse("2"), I12)
@@ -212,17 +211,21 @@ class TestCheckConvex:
         a, b = 1.0, 2.0
         F = parse("0.5*ln(x*(3 - 2*x)/2)")
         assert not check_convex(F, 1.0 / b, 1.0 / a).passed
-        assert check_convex(F, 1.0 / b, 1.0 / a, direction="concave").passed
+        assert check_convex(F, 1.0 / b, 1.0 / a).opposite.passed
 
 
 # each class kind's public checker, called directly, on [1, 2]
 _DIRECT_CHECKS = {
-    "convex": lambda f, h, direction: check_convex(f, 1.0, 2.0, direction=direction),
-    "harmonic": lambda f, h, direction: check_harmonic_convex(f, I12, direction=direction),
-    "harmonic_h": lambda f, h, direction: check_harmonic_h_convex(f, h, I12, direction=direction),
-    "symmetrized": lambda f, h, direction: check_symmetrized(f, I12, direction=direction),
-    "symmetrized_h": lambda f, h, direction: check_symmetrized(f, I12, h=h, direction=direction),
+    "convex": lambda f, h: check_convex(f, 1.0, 2.0),
+    "harmonic": lambda f, h: check_harmonic_convex(f, I12),
+    "harmonic_h": lambda f, h: check_harmonic_h_convex(f, h, I12),
+    "symmetrized": lambda f, h: check_symmetrized(f, I12),
+    "symmetrized_h": lambda f, h: check_symmetrized(f, I12, h=h),
 }
+
+
+def _in_direction(verdict, direction):
+    return verdict.opposite if direction == "concave" else verdict
 
 
 class TestCheckClass:
@@ -231,8 +234,8 @@ class TestCheckClass:
     @pytest.mark.parametrize("kind", _DIRECT_CHECKS)
     def test_same_verdict_as_the_public_checker(self, kind, src, direction):
         f, h = parse(src), parse("x^2")
-        got = check_class(kind, f, 1.0, 2.0, h=h if kind.endswith("_h") else None, direction=direction)
-        want = _DIRECT_CHECKS[kind](f, h, direction)
+        got = _in_direction(check_class(kind, f, 1.0, 2.0, h=h if kind.endswith("_h") else None), direction)
+        want = _in_direction(_DIRECT_CHECKS[kind](f, h), direction)
         assert repr(got) == repr(want)
         assert repr(got.opposite) == repr(want.opposite)
 
@@ -255,7 +258,7 @@ class TestCheckSymmetrized:
     def test_neg_log_is_symmetrized_concave_not_convex(self):
         f = parse("-ln(x)")
         assert not check_symmetrized(f, I12).passed
-        assert check_symmetrized(f, I12, direction="concave").passed
+        assert check_symmetrized(f, I12).opposite.passed
 
     def test_h_variant_class_name(self):
         v = check_symmetrized(parse("1/x"), I12, h=parse("x"))
@@ -268,7 +271,7 @@ class TestCheckSymmetrized:
         # sym(f_c) is the constant 3/4 for every c, but its lattice values
         # carry the rounding of (f(t) + f(r(t)))/2, which grows with |f|
         f = parse(inclusion_family_source(I12, c))
-        assert check_symmetrized(f, I12, direction=direction).passed
+        assert _in_direction(check_symmetrized(f, I12), direction).passed
 
     def test_pointwise_sandwich_extremes_attained(self):
         # sampled symmetric part stays within [f(midpoint), endpoint average]
@@ -490,17 +493,10 @@ class TestOnePassScan:
                     assert got == expected, (entry.name, v.class_tested)
 
     def test_concave_request_mirrors_convex(self):
-        f = parse("-ln(x)")
-        convex = check_symmetrized(f, I12)
-        concave = check_symmetrized(f, I12, direction="concave")
-        assert concave == convex.opposite
-        assert concave.opposite == convex
-        assert concave.class_tested == "symmetrized_harmonic_concave"
-        assert concave.opposite.class_tested == "symmetrized_harmonic_convex"
-
-    def test_invalid_direction(self):
-        with pytest.raises(ValueError, match="direction"):
-            check_harmonic_convex(parse("x"), I12, direction="up")
+        convex = check_symmetrized(parse("-ln(x)"), I12)
+        assert convex.class_tested == "symmetrized_harmonic_convex"
+        assert convex.opposite.class_tested == "symmetrized_harmonic_concave"
+        assert convex.opposite.opposite is None
 
 
 # table values: small integers give many tied margins, wide floats few

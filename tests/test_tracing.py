@@ -34,8 +34,10 @@ def test_tracer_installs_and_restores(monkeypatch):
         (lambda: hhverify.cli.main(["verify", "--chain", "t1", "--fn", "-ln(x)", "--a", "1", "--b", "2"]), 1),
         (lambda: hhverify.cli.run_sweep(entry_names=["square"]), 1),
         (lambda: hhverify.corpus._verify_entry(hhverify.corpus._build_entries()[0]), 3),
+        # the harmonic scan fails f_1, so the symmetrized one runs too
+        (lambda: hhverify.cli.main(["search", "--a", "1", "--b", "2", "--c", "1"]), 2),
     ],
-    ids=["check", "verify-auto-direction", "sweep-square", "corpus-gate"],
+    ids=["check", "verify-auto-direction", "sweep-square", "corpus-gate", "search"],
 )
 def test_tracer_counts_every_scan(monkeypatch, capsys, run, scans):
     # every class scan goes through a public checker, the names the tracer wraps
