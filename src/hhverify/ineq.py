@@ -16,7 +16,8 @@ is always ``derived_corrected`` and reports name their variant.
 
 Every integral of f, of its symmetric part or of a product with them gets
 the kinks its integrand publishes (see :func:`hhverify.hmean.kinks_of`) as
-quadrature breakpoints; the nested ``r4`` double integral gets none.
+quadrature breakpoints.  The nested ``r4`` double integral splits its outer
+integral at the kinks of sym(f) and passes none to its inner integrals.
 
 Error bars.  Each quadrature term is built as a value with a bar
 (``_Barred``): the quadrature error estimates of its integrals, each scaled

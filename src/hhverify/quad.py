@@ -17,7 +17,8 @@ there.  Callers that know where the integrand kinks pass those points as
 then starts from the segments between them.  ``integrate`` cannot read the
 kinks off the integrand itself, since the integrand is often a wrapper (a
 ``lambda``, ``f(t)/t^2``, or a counting wrapper) that hides them.
-``refinement_double_integral`` passes none, at either level.
+``refinement_double_integral`` passes the kinks of sym(f) to its outer
+integral and none to its inner ones.
 
 Rule protocol.  An integrand may carry a ``gk15`` attribute: a function of
 ``(lo, hi)`` that applies the Gauss-Kronrod pair to that whole segment in
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
-from .hmean import HInterval
+from .hmean import HInterval, sym_transform
 
 __all__ = [
     "QuadResult",
@@ -252,11 +253,16 @@ def refinement_double_integral(
     product tends to f(x*) (from r(x) - x = x(2ab-(a+b)x)/((a+b)x-ab)).
     Nodes within 1e-8 of the relative width of x* use that continuity value.
 
-    The outer integral of G runs through :func:`integrate` with a budget of
-    100 000 evaluations of G.  The reported error estimate is the outer
-    estimate divided by b - a, plus the largest amount by which an inner
-    quadrature error can move G at any node: the mean of G cannot move by
-    more than G does anywhere.
+    G is continuous with a continuous first derivative, but its second
+    derivative jumps wherever x or r(x) crosses a kink of f: at the kinks of
+    ``sym_transform(f, interval)``, which are f's kinks and the reflections
+    of those inside (a, b).  The outer integral of G runs through
+    :func:`integrate` from the segments between those points, with a budget
+    of 100 000 evaluations of G.  The inner integrals take no breakpoints.
+
+    The reported error estimate is the outer estimate divided by b - a, plus
+    the largest amount by which an inner quadrature error can move G at any
+    node: the mean of G cannot move by more than G does anywhere.
     """
     a, b = interval.a, interval.b
     span = b - a
@@ -279,6 +285,7 @@ def refinement_double_integral(
         inner_err = max(inner_err, abs(coef) * inner.abs_error_estimate)
         return coef * inner.value
 
-    outer = integrate(g, a, b, tol=tol, max_evals=100_000)
+    kinks = sym_transform(f, interval).kinks
+    outer = integrate(g, a, b, tol=tol, max_evals=100_000, breakpoints=kinks)
     err = (outer.abs_error_estimate + inner_err * span) / span
     return QuadResult(outer.value / span, err, outer.subdivisions)

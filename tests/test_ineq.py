@@ -478,7 +478,8 @@ def _graded(kinks):
 )
 def test_evaluators_pass_kinks_as_breakpoints(monkeypatch, call, expected):
     # the nested r4 double integral calls the quadrature module's own
-    # names, so it is not recorded here: it takes no breakpoints
+    # names, so it is not recorded here; test_quad records the kinks of
+    # sym(f) at its outer level and none at its inner one
     seen = []
     for name in ("integrate", "weighted_integral", "reflected_weighted_integral"):
 

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from hhverify import quad
 from hhverify.corpus import random_harmonic_convex
 from hhverify.fnspec import EvalDomainError, parse
-from hhverify.hmean import HInterval
+from hhverify.hmean import HInterval, sym_transform
+from hhverify.ineq import chain_refinement
 from hhverify.quad import (
     _XGK,
     QuadratureBudgetError,
@@ -50,6 +52,41 @@ def piecewise_oracle(f, mp):
         return cumulative[i] + values[i] * d + slopes[i] * d * d / 2
 
     return g, antiderivative
+
+
+def double_integral_reference(f, lo, hi):
+    """The mean over x in [lo, hi] of G(x) = coef(x) * int_x^{r(x)} f/t^2 at
+    30 digits, for f(t) = G(1/t) a ``PiecewiseConvexReciprocal``.  The inner
+    integral is exact: the integral of G from 1/r(x) to 1/x.  The outer mean
+    runs through mpmath, split at x* and at every point where 1/x or 1/r(x)
+    crosses a knot of G."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    _, antiderivative = piecewise_oracle(f, mp)
+    a, b = mp.mpf(lo), mp.mpf(hi)
+    ab, s = a * b, a + b
+    xstar = 2 * ab / s
+
+    def reflect(t):
+        return ab * t / (s * t - ab)
+
+    def mean_integrand(x):  # tanh-sinh never evaluates x* itself
+        coef = ab * x / (2 * ab - s * x)
+        return coef * (antiderivative(1 / x) - antiderivative(1 / reflect(x)))
+
+    kinks = {1 / mp.mpf(k) for k in f.knots[1:-1]}
+    kinks |= {reflect(t) for t in kinks}
+    points = sorted({a, b, xstar} | {t for t in kinks if a < t < b})
+    return float(mp.quad(mean_integrand, points) / (b - a))
+
+
+# The inner integrals of the nested r4 integral take no breakpoints, and at
+# tight tolerances their Gauss-Kronrod estimates miss kinks lying between the
+# nodes, so the bar misses the exact value (by 1.4 to 63 times on these seeds)
+_INNER_KINK_MISS = pytest.mark.xfail(
+    raises=AssertionError, strict=True, reason="inner integrals of the nested r4 integral take no breakpoints"
+)
 
 
 class TestIntegrate:
@@ -302,39 +339,65 @@ class TestRefinementDoubleIntegral:
         # moves K15 away from G7 and splits the segment
         assert res.subdivisions == 1
 
-    @pytest.mark.parametrize("seed", [5, 9, 15, 19])
-    def test_error_estimate_honest_on_kinks(self, seed):
-        # f(t) = G(1/t) with G piecewise linear, so the inner integral is
-        # exact: int_x^{r(x)} f/t^2 dt is the integral of G from 1/r(x) to
-        # 1/x.  The outer mean runs through mpmath, split at x* and at every
-        # point where 1/x or 1/r(x) crosses a knot of G.
-        mpmath = pytest.importorskip("mpmath")
-        mp = mpmath.mp.clone()
-        mp.dps = 30
+    @pytest.mark.parametrize(
+        "seed, tol",
+        [
+            *(pytest.param(seed, 1e-6, id=str(seed)) for seed in (5, 9, 15, 19)),
+            pytest.param(5, 1e-9, id="5-tol1e-9", marks=_INNER_KINK_MISS),
+            pytest.param(9, 1e-9, id="9-tol1e-9"),
+            pytest.param(15, 1e-9, id="15-tol1e-9", marks=_INNER_KINK_MISS),
+            pytest.param(19, 1e-9, id="19-tol1e-9", marks=_INNER_KINK_MISS),
+        ],
+    )
+    def test_error_estimate_honest_on_kinks(self, seed, tol):
+        # seeds 9 and 15 on [1, 2], 19 on [0.5, 3], 5 on [-2, -1]
         lo, hi = KINKED_INTERVALS[seed % 3]
         interval = HInterval(lo, hi)
         f = random_harmonic_convex(seed, interval)
-        _, antiderivative = piecewise_oracle(f, mp)
-        knots = [mp.mpf(k) for k in f.knots]
+        res = refinement_double_integral(f, interval, tol=tol)
+        assert abs(res.value - double_integral_reference(f, lo, hi)) <= res.abs_error_estimate
 
-        a, b = mp.mpf(lo), mp.mpf(hi)
-        ab, s = a * b, a + b
-        xstar = 2 * ab / s
+    def test_chain_at_quad_tol_1e7_on_random_hc_19(self):
+        # without breakpoints at the outer level, the outer integral bisected
+        # toward the kinks of G until its budget of 100 000 evaluations ran
+        # out (about 21 s); split at them, it takes a few milliseconds
+        interval = HInterval(0.5, 3.0)
+        f = random_harmonic_convex(19, interval)
+        report = chain_refinement(f, interval, quad_tol=1e-7)
+        assert report.passed
+        term = report.terms[1]
+        assert term.label == "double_integral_mean"
+        assert abs(term.value - double_integral_reference(f, 0.5, 3.0)) <= term.abs_error
 
-        def reflect(t):
-            return ab * t / (s * t - ab)
+    @pytest.mark.parametrize(
+        "make_f", [lambda i: random_harmonic_convex(6, i), lambda i: parse("exp(x)")], ids=["random_hc_6", "exp"]
+    )
+    def test_kinks_at_the_outer_level_only(self, monkeypatch, make_f):
+        # the outer integral starts from the kinks of sym(f) (none for a
+        # parsed expression, whose call is then the one without breakpoints);
+        # the inner integrals take none
+        interval = HInterval(1.0, 2.0)
+        f = make_f(interval)
+        outer, inner, depth = [], [], [0]
 
-        def mean_integrand(x):  # tanh-sinh never evaluates x* itself
-            coef = ab * x / (2 * ab - s * x)
-            return coef * (antiderivative(1 / x) - antiderivative(1 / reflect(x)))
+        def recording_integrate(*args, _original=quad.integrate, **kwargs):
+            if not depth[0]:
+                outer.append(tuple(kwargs.get("breakpoints", ())))
+            return _original(*args, **kwargs)
 
-        kinks = {1 / k for k in knots[1:-1]}
-        kinks |= {reflect(t) for t in kinks}
-        points = sorted({a, b, xstar} | {t for t in kinks if a < t < b})
-        reference = mp.quad(mean_integrand, points) / (b - a)
+        def recording_weighted(*args, _original=quad.weighted_integral, **kwargs):
+            inner.append(tuple(kwargs.get("breakpoints", ())))
+            depth[0] += 1
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
 
-        res = refinement_double_integral(f, interval, tol=1e-6)
-        assert abs(res.value - float(reference)) <= res.abs_error_estimate
+        monkeypatch.setattr(quad, "integrate", recording_integrate)
+        monkeypatch.setattr(quad, "weighted_integral", recording_weighted)
+        refinement_double_integral(f, interval, tol=1e-6)
+        assert outer == [sym_transform(f, interval).kinks]
+        assert inner and set(inner) == {()}
 
 
 # weights of the kinked chains by seed mod 3: (name, h, h in mpmath, h(1/2),

@@ -180,7 +180,9 @@ def test_refinement_double_integral_work(make_f, tol, evals, subdivisions):
     interval = HInterval(1.0, 2.0)
     f = Counting(make_f(interval))
     res = refinement_double_integral(f, interval, tol=tol)
-    # f at x*, then 15 inner nodes per inner segment at every outer node
+    # f at x*, then 15 inner nodes per inner segment at every outer node.
+    # Counting publishes no kinks, so the outer integral of random_hc_3 is
+    # not split at them here, and bisects toward each one instead
     assert f.calls == evals
     assert res.subdivisions == subdivisions
 
@@ -202,11 +204,12 @@ def test_refinement_sym_mean_evaluations():
     counted = Counting(f)
     counted.kinks = f.kinks  # a wrapper hides the kinks unless it publishes them
     chain_refinement(counted, interval, quad_tol=1e-6)
-    # the double integral as pinned above (it takes no breakpoints), f at
-    # x*, and the mean of sym(f): f twice per node, one Kronrod panel on
-    # each of the five pieces between the two kinks and their reflections
-    # (1 890 evaluations without the breakpoints)
-    assert counted.calls == 58_366 + 1 + 2 * 15 * 5
+    # the double integral with its outer level split at the kinks of sym(f)
+    # (58 366 evaluations without them, as pinned above), f at x*, and the
+    # mean of sym(f): f twice per node, one Kronrod panel on each of the
+    # five pieces between the two kinks and their reflections (1 890
+    # evaluations without the breakpoints)
+    assert counted.calls == 20_116 + 1 + 2 * 15 * 5 == 20_267
 
 
 @pytest.mark.parametrize(
@@ -299,11 +302,13 @@ def test_kinked_weighted_integral_rule_applications(piecewise_work):
 
 
 def test_refinement_double_integral_rule_applications(piecewise_work):
-    # the random_hc_3 pin of test_refinement_double_integral_work: f at x*,
-    # then one rule application per inner segment at every outer node
+    # random_hc_3 as in test_refinement_double_integral_work, but with its
+    # kinks published, so the outer integral starts from the five segments
+    # between them and their reflections: f at x*, then one rule
+    # application per inner segment at every outer node
     interval = HInterval(1.0, 2.0)
     res = refinement_double_integral(random_harmonic_convex(3, interval), interval, tol=1e-6)
-    assert piecewise_work["scalar"] == 1
-    assert 15 * piecewise_work["rule"] + piecewise_work["scalar"] == 58_366
-    assert res.subdivisions == 8
+    assert piecewise_work == {"rule": 1_341, "scalar": 1}
+    assert 15 * piecewise_work["rule"] + piecewise_work["scalar"] == 20_116
+    assert res.subdivisions == 5
 
