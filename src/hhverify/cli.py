@@ -53,6 +53,12 @@ _CLASS_ALIASES = {
 }
 
 
+_CHAIN_TOL_HELP = (
+    "relative slack tolerance: a link passes when its slack is at least "
+    "-(tol * the chain's largest |term| + the bars of its two terms)"
+)
+
+
 class UsageError(Exception):
     pass
 
@@ -60,8 +66,11 @@ class UsageError(Exception):
 # --- deterministic serialization ---------------------------------------------
 
 
+_INFINITIES = (math.inf, -math.inf)
+
+
 def _fmt_float(v: float) -> str:
-    if v != v or v in (float("inf"), float("-inf")):
+    if v != v or v in _INFINITIES:
         return "null"
     if v == int(v) and abs(v) < 1e16:
         # keep integral floats readable; still round-trips exactly
@@ -79,8 +88,17 @@ def format_json(obj) -> str:
 def _put_json(obj, pad: str, put) -> None:
     """Hand the tokens of ``obj`` to ``put``, nested lines indented past
     ``pad``.  Module-level rather than a closure over ``put``: a closure that
-    calls itself is a reference cycle that only the cyclic GC frees."""
-    if obj is None:
+    calls itself is a reference cycle that only the cyclic GC frees.
+
+    The exact types of a report (dict, list, tuple, and str and float
+    inside them) are dispatched on first; subclasses of the JSON types go
+    through the ``isinstance`` chain and come out the same."""
+    kind = type(obj)
+    if kind is dict:
+        _put_dict(obj, pad, put)
+    elif kind is list or kind is tuple:
+        _put_array(obj, pad, put)
+    elif obj is None:
         put("null")
     elif obj is True:
         put("true")
@@ -93,31 +111,51 @@ def _put_json(obj, pad: str, put) -> None:
     elif isinstance(obj, float):
         put(_fmt_float(obj))
     elif isinstance(obj, dict):
-        if not obj:
-            put("{}")
-            return
-        inner = pad + "  "
-        opening = "{\n" + inner
-        for k, v in obj.items():
-            put(opening)
-            put(_quote(str(k)))
-            put(": ")
-            _put_json(v, inner, put)
-            opening = ",\n" + inner
-        put("\n" + pad + "}")
+        _put_dict(obj, pad, put)
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            put("[]")
-            return
-        inner = pad + "  "
-        opening = "[\n" + inner
-        for v in obj:
-            put(opening)
-            _put_json(v, inner, put)
-            opening = ",\n" + inner
-        put("\n" + pad + "]")
+        _put_array(obj, pad, put)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _put_dict(obj: dict, pad: str, put) -> None:
+    if not obj:
+        put("{}")
+        return
+    inner = pad + "  "
+    opening = "{\n" + inner
+    for k, v in obj.items():
+        put(opening)
+        put(_quote(str(k)))
+        put(": ")
+        kind = type(v)
+        if kind is str:
+            put(_quote(v))
+        elif kind is float:
+            put(_fmt_float(v))
+        else:
+            _put_json(v, inner, put)
+        opening = ",\n" + inner
+    put("\n" + pad + "}")
+
+
+def _put_array(obj, pad: str, put) -> None:
+    if not obj:
+        put("[]")
+        return
+    inner = pad + "  "
+    opening = "[\n" + inner
+    for v in obj:
+        put(opening)
+        kind = type(v)
+        if kind is str:
+            put(_quote(v))
+        elif kind is float:
+            put(_fmt_float(v))
+        else:
+            _put_json(v, inner, put)
+        opening = ",\n" + inner
+    put("\n" + pad + "]")
 
 
 _CSV_FIELDS = (
@@ -222,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--w", help="integration weight (c1)")
     p_verify.add_argument("--x", type=float)
     p_verify.add_argument("--y", type=float)
-    p_verify.add_argument("--tol", type=float, default=1e-8, help="slack tolerance")
+    p_verify.add_argument("--tol", type=float, default=1e-8, help=_CHAIN_TOL_HELP)
     p_verify.add_argument("--quad-tol", type=float, default=1e-10)
     p_verify.add_argument("--variant", choices=("derived_corrected", "as_printed"), default="derived_corrected")
     p_verify.add_argument(
@@ -235,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run every chain across the corpus")
     p_sweep.add_argument("--variant", choices=("derived_corrected", "as_printed"), default="derived_corrected")
-    p_sweep.add_argument("--tol", type=float, default=1e-8)
+    p_sweep.add_argument("--tol", type=float, default=1e-8, help=_CHAIN_TOL_HELP)
     p_sweep.add_argument("--quad-tol", type=float, default=1e-9)
     p_sweep.add_argument("--entry", action="append", help="restrict to named corpus entries")
     add_common(p_sweep, interval=False)

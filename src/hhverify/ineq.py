@@ -3,7 +3,7 @@
 Each evaluator returns a :class:`ChainReport`: an ordered list of terms, the
 pairwise slacks (right minus left, sign-flipped for the concave direction),
 and a pass/fail flag that only trips when a slack is negative beyond the
-tolerance plus the adjacent error bars.
+relative tolerance (times the largest |term|) plus the adjacent error bars.
 
 Several of the displays these chains verify circulate in print with
 coefficient slips that contradict their own derivations (an extra 1/2 on a
@@ -152,6 +152,16 @@ class _Barred:
 
 @dataclass(frozen=True)
 class ChainReport:
+    """An evaluated chain: its terms in order, and for each adjacent pair
+    the slack (right minus left, sign-flipped in the concave direction) and
+    its bar (the sum of the two terms' bars).
+
+    ``tol`` is relative, with no absolute floor: ``passed`` holds when every
+    term is finite and every slack ``s`` has ``s >= -(tol * M + bar)``,
+    with ``M`` the largest |value| among the terms.  The allowance scales
+    with the terms, so a chain on a small f cannot pass under it.
+    """
+
     chain_id: str
     variant: str
     direction: str  # "convex" | "concave"
@@ -172,27 +182,29 @@ class ChainReport:
         tol: float,
         metadata: Optional[dict] = None,
     ) -> "ChainReport":
-        if direction not in ("convex", "concave"):
+        if direction == "convex":
+            sign = 1.0
+        elif direction == "concave":
+            sign = -1.0
+        else:
             raise ValueError(f"direction must be 'convex' or 'concave', not {direction!r}")
-        sign = 1.0 if direction == "convex" else -1.0
-        slacks = tuple(
-            sign * (terms[i + 1].value - terms[i].value) for i in range(len(terms) - 1)
-        )
-        errors = tuple(
-            terms[i].abs_error + terms[i + 1].abs_error for i in range(len(terms) - 1)
-        )
-        passed = all(s >= -(tol + e) for s, e in zip(slacks, errors))
-        return cls(
-            chain_id=chain_id,
-            variant=variant,
-            direction=direction,
-            terms=tuple(terms),
-            slacks=slacks,
-            slack_errors=errors,
-            tol=tol,
-            passed=passed,
-            metadata=metadata or {},
-        )
+        terms = tuple(terms)
+        scale = max(map(abs, [t.value for t in terms]), default=0.0)
+        # scale is infinite when a term overflowed, and NaN when the first
+        # term is NaN; a later NaN term makes a slack next to it NaN
+        passed = scale < math.inf
+        allowance = tol * scale
+        slacks = []
+        errors = []
+        for left, right in zip(terms, terms[1:]):
+            s = sign * (right.value - left.value)
+            e = left.abs_error + right.abs_error
+            slacks.append(s)
+            errors.append(e)
+            if not s >= -(allowance + e):
+                passed = False
+        return cls(chain_id, variant, direction, terms, tuple(slacks), tuple(errors), tol, passed,
+                   metadata or {})
 
     def term_values(self) -> tuple[float, ...]:
         return tuple(t.value for t in self.terms)

@@ -127,6 +127,10 @@ def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
     return h * k, abs(h) * abs(k - g)
 
 
+def _exhausted(max_evals, lo: float, hi: float) -> QuadratureBudgetError:
+    return QuadratureBudgetError(f"budget of {max_evals} evaluations exhausted on [{lo!r}, {hi!r}]")
+
+
 def integrate(
     f: Callable[[float], float],
     lo: float,
@@ -141,11 +145,17 @@ def integrate(
     inside it (the rest are ignored, repeats count once), as QUADPACK's QAGP
     does: a kink of ``f`` placed there sits at a segment end, where the
     Gauss-Kronrod nodes cannot straddle it and the error estimate cannot
-    miss it.  A segment of width w is accepted once its local error estimate
-    is below ``tol * w / |hi - lo|``, so the accumulated estimate stays below
-    ``tol`` on success.  Raises :class:`QuadratureBudgetError` after
-    ``max_evals`` integrand evaluations, counted over all segments, and
-    propagates evaluation errors from ``f``.
+    miss it.  Without breakpoints the loop starts from ``(lo, hi)`` alone,
+    with no sorting; breakpoints that all lie outside give the same start.
+    A segment of width w is accepted once its local error estimate is below
+    ``tol * w / |hi - lo|``, so the accumulated estimate stays below ``tol``
+    on success.
+
+    Every rule application counts as 15 evaluations, added before the rule
+    runs: the first application that would take the count past
+    ``max_evals`` raises :class:`QuadratureBudgetError` instead of running,
+    whether it is on a starting segment or on a half of a bisected one.
+    Evaluation errors from ``f`` propagate.
 
     If ``f`` carries a ``gk15`` rule (the rule protocol above), each segment
     takes one call of it instead of 15 calls of ``f``; it still counts as 15
@@ -166,22 +176,22 @@ def integrate(
     span = hi - lo
     width_floor = 1e-14 * max(abs(lo), abs(hi), 1.0)
     gk15 = getattr(f, "gk15", None) or partial(_gk15, f)
+    if breakpoints:
+        edges = [lo, *sorted({p for p in breakpoints if lo < p < hi}), hi]
+        segments = zip(edges, edges[1:])
+    else:
+        segments = ((lo, hi),)
     evals = 0
-
-    def rule(l: float, r: float) -> tuple[float, float]:
-        nonlocal evals
+    work = []
+    for l, r in segments:
         evals += 15
         if evals > max_evals:
-            raise QuadratureBudgetError(
-                f"budget of {max_evals} evaluations exhausted on [{lo!r}, {hi!r}]"
-            )
-        return gk15(l, r)
+            raise _exhausted(max_evals, lo, hi)
+        work.append((l, r, *gk15(l, r)))
 
     total = 0.0
     err_total = 0.0
     accepted = 0
-    edges = [lo, *sorted({p for p in breakpoints if lo < p < hi}), hi]
-    work = [(l, r, *rule(l, r)) for l, r in zip(edges, edges[1:])]
     while work:
         l, r, v, e = work.pop()
         w = r - l
@@ -191,8 +201,14 @@ def integrate(
             accepted += 1
             continue
         m = 0.5 * (l + r)
-        work.append((l, m, *rule(l, m)))
-        work.append((m, r, *rule(m, r)))
+        evals += 15
+        if evals > max_evals:
+            raise _exhausted(max_evals, lo, hi)
+        work.append((l, m, *gk15(l, m)))
+        evals += 15
+        if evals > max_evals:
+            raise _exhausted(max_evals, lo, hi)
+        work.append((m, r, *gk15(m, r)))
     return QuadResult(total, err_total, accepted)
 
 

@@ -111,10 +111,12 @@ sys.stderr.write(repr(codes))
 
 def test_runs_on_the_standard_library_alone(tmp_path):
     # -I -S: neither site-packages nor PYTHONPATH, so an import under src of
-    # anything outside the standard library fails here
+    # anything outside the standard library fails here.  -I also ignores
+    # PYTHONDONTWRITEBYTECODE, so -B keeps the run from caching bytecode
+    # under src.
     src = os.path.dirname(os.path.dirname(os.path.abspath(hhverify.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", _STDLIB_ONLY, src, str(tmp_path / "sweep.json")],
+        [sys.executable, "-B", "-I", "-S", "-c", _STDLIB_ONLY, src, str(tmp_path / "sweep.json")],
         capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stderr) == (0, "[0, 0]")
@@ -141,6 +143,10 @@ class TestFormatJson:
     @example(("\x00\x1f\x7f", "é\u2028", "\ud800", "\U0001f600", {"\n": []}, {}))
     def test_matches_recursive_writer(self, obj):
         assert format_json(obj) == _recursive_format_json(obj)
+
+    def test_matches_recursive_writer_on_the_default_sweep(self):
+        payload = run_sweep()
+        assert format_json(payload) == _recursive_format_json(payload)
 
     def test_leaves_no_reference_cycles(self):
         payload = run_sweep(entry_names=["square"])
@@ -408,6 +414,16 @@ class TestVerify:
         terms = doc["reports"][0]["terms"]
         assert terms[1]["value"] == pytest.approx(0.75, abs=1e-9)
         assert terms[0]["value"] == terms[2]["value"] == 1.0
+
+    @pytest.mark.parametrize("fn", ["-x^2", "-1e-10*x^2"])
+    def test_slack_tolerance_is_relative(self, fn):
+        # -x^2 is harmonic concave on [1, 2]; its slacks are -9 % and -20 % of
+        # its largest term at any scale, so a small one fails too
+        code, out, _ = run_cli(
+            ["verify", "--chain", "t1", "--fn", fn, "--a", "1", "--b", "2", "--direction", "convex"]
+        )
+        assert code == 1
+        assert not json.loads(out)["reports"][0]["passed"]
 
     def test_missing_required_params(self):
         code, _, err = run_cli(["verify", "--chain", "t3", "--fn", "1", "--a", "1", "--b", "2"])

@@ -519,6 +519,44 @@ class TestChainReportMechanics:
         terms = [ChainTerm("a", 1.0, 0.0), ChainTerm("b", 1.0 - 5e-6, 1e-6)]
         assert not ChainReport.build("demo", "derived_corrected", "convex", terms, tol=1e-8).passed
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_tolerance_is_relative(self, scale):
+        def passed(drop):
+            terms = [ChainTerm("a", scale), ChainTerm("b", scale * (1.0 - drop))]
+            return ChainReport.build("demo", "derived_corrected", "convex", terms, tol=1e-8).passed
+
+        assert passed(5e-9)
+        assert not passed(5e-8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+                st.floats(min_value=0.0, allow_infinity=True),
+            ),
+            max_size=5,
+        ),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from(["convex", "concave"]),
+    )
+    def test_build_matches_its_definition(self, pairs, tol, direction):
+        terms = [ChainTerm(f"t{i}", v, e) for i, (v, e) in enumerate(pairs)]
+        r = ChainReport.build("demo", "derived_corrected", direction, terms, tol)
+        sign = 1.0 if direction == "convex" else -1.0
+        values = [t.value for t in terms]
+        slacks = [sign * (values[i + 1] - values[i]) for i in range(len(terms) - 1)]
+        errors = [terms[i].abs_error + terms[i + 1].abs_error for i in range(len(terms) - 1)]
+        finite = all(math.isfinite(v) for v in values)
+        allowance = tol * max(map(abs, values)) if finite and values else 0.0
+        passed = finite and all(s >= -(allowance + e) for s, e in zip(slacks, errors))
+        # repr tells NaN from NaN and -0.0 from 0.0, which == does not
+        assert list(map(repr, r.slacks)) == list(map(repr, slacks))
+        assert list(map(repr, r.slack_errors)) == list(map(repr, errors))
+        assert r.passed is passed
+        assert r.terms == tuple(terms)
+
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             ChainReport.build("demo", "derived_corrected", "sideways", [ChainTerm("a", 1.0)], 1e-8)
@@ -534,6 +572,23 @@ class TestChainReportMechanics:
         assert len(d["terms"]) == 3
         assert len(d["slacks"]) == 2
         assert d["metadata"]["f"] == "1/x"
+
+
+@pytest.mark.parametrize("c", [1e-10, 1e-8])
+def test_small_harmonic_concave_function_violates_every_chain_but_t4(c):
+    # c*(4 - x^2) is strictly harmonic concave on [1, 2] at every scale c > 0,
+    # so in the convex direction every chain reports a violation, except t4,
+    # whose g = f meets its own hypothesis
+    f = parse(f"{c!r}*(4 - x^2)")
+    passed = {
+        chain_id: all(
+            r.passed
+            for r in run_chain(chain_id, f=f, interval=I12, x=1.2, y=1.7, g=f, h=IDENTITY_H,
+                               w=parse("1"), direction="convex")
+        )
+        for chain_id in CHAINS
+    }
+    assert passed == {chain_id: chain_id == "t4" for chain_id in CHAINS}
 
 
 class TestEqualityCharacterization:

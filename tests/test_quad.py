@@ -209,6 +209,39 @@ class TestBreakpoints:
         plain = integrate(self.kink, 0.0, 1.0)
         assert integrate(self.kink, 0.0, 1.0, breakpoints=(0.0, 1.0, 1.5, -0.5)) == plain
 
+    @pytest.mark.parametrize(
+        "f, lo, hi",
+        [(kink.__func__, 0.0, 1.0), (kink.__func__, 1.0, 0.0), (parse("exp(x)/x"), 1.0, 2.0),
+         (lambda t: math.sin(1.0 / (t * t + 1e-3)), 0.0, 1.0), (lambda t: -0.0, 0.0, 1.0)],
+    )
+    def test_no_breakpoints_or_all_outside_give_the_same_bits(self, f, lo, hi):
+        def bits(res):
+            return res.value.hex(), res.abs_error_estimate.hex(), res.subdivisions
+
+        plain = bits(integrate(f, lo, hi, tol=1e-12))
+        assert bits(integrate(f, lo, hi, tol=1e-12, breakpoints=())) == plain
+        outside = (min(lo, hi) - 1.0, lo, hi, max(lo, hi) + 0.5)
+        assert bits(integrate(f, lo, hi, tol=1e-12, breakpoints=outside)) == plain
+
+    @pytest.mark.parametrize("points", [(), (0.25, 0.5)])
+    @pytest.mark.parametrize("max_evals", [15, 30, 45])
+    def test_budget_raises_before_the_first_rule_past_it(self, max_evals, points):
+        # 15 evaluations per rule application, counted before it runs: with
+        # the breakpoints the budget runs out on a starting segment (15, 30)
+        # or on the first bisection (45); without them on the left (15, 45)
+        # or the right (30) half of a bisection.  Either way exactly
+        # max_evals evaluations run.
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return math.sin(1.0 / (t * t + 1e-8))
+
+        message = rf"^budget of {max_evals} evaluations exhausted on \[0\.0, 1\.0\]$"
+        with pytest.raises(QuadratureBudgetError, match=message):
+            integrate(f, 0.0, 1.0, tol=1e-14, max_evals=max_evals, breakpoints=points)
+        assert len(calls) == max_evals
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_breakpoint_raises(self, bad):
         with pytest.raises(ValueError):
