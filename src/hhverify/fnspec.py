@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from .quad import GK15
 
@@ -303,8 +303,15 @@ _RUNTIME = {
 }
 
 
-def compile_ast(node: Node) -> tuple[Callable[[float], float], Callable[[float, float], tuple[float, float]]]:
-    """Generate two Python functions from the tree: ``(evaluate, weighted_gk15)``.
+def compile_ast(
+    node: Node,
+) -> tuple[
+    Callable[[float], float],
+    Callable[[Sequence[float]], list[float]],
+    Callable[[float, float], tuple[float, float]],
+]:
+    """Generate three Python functions from the tree:
+    ``(evaluate, evaluate_all, weighted_gk15)``.
 
     ``evaluate(t)`` has one statement per operator node, in the order a
     recursive walk evaluates them: left operand before right, and a power's
@@ -313,6 +320,11 @@ def compile_ast(node: Node) -> tuple[Callable[[float], float], Callable[[float, 
     :class:`EvalDomainError` and rejects a non-finite result, so it is the
     whole of evaluation.
 
+    ``evaluate_all(ts)`` runs the same statements and checks at each node of
+    ``ts`` in turn, in one frame, and returns the list of values: ``[evaluate(t)
+    for t in ts]`` bit for bit, raising what ``evaluate`` raises at the first
+    node where it raises (the batch protocol of :mod:`hhverify.hmean`).
+
     ``weighted_gk15(lo, hi)`` is the Gauss-Kronrod rule of
     ``t -> evaluate(t) / (t*t)`` on one segment (the ``gk15`` protocol of
     :func:`hhverify.quad.integrate`): the same statements and checks at each
@@ -320,8 +332,8 @@ def compile_ast(node: Node) -> tuple[Callable[[float], float], Callable[[float, 
     :data:`hhverify.quad.GK15`.  It returns what the generic rule
     ``quad._gk15`` returns on that integrand, bit for bit, and raises what it
     raises at the same node; a zero ``t*t`` raises a bare
-    ``ZeroDivisionError``, as the integrand does.  Both functions come from
-    one ``compile`` call.
+    ``ZeroDivisionError``, as the integrand does.  All three functions come
+    from one ``compile`` call.
     """
     namespace = dict(_RUNTIME)
     body: list[str] = []
@@ -371,6 +383,14 @@ def compile_ast(node: Node) -> tuple[Callable[[float], float], Callable[[float, 
     ]
     lines = ["def _evaluate(t):", *(f"    {line}" for line in guarded), "    return value"]
     lines += [
+        "def _evaluate_all(ts):",
+        "    values = []",
+        "    for t in ts:",
+        *(f"        {line}" for line in guarded),
+        "        values.append(value)",
+        "    return values",
+    ]
+    lines += [
         "def _weighted_gk15(lo, hi):",
         "    c = 0.5 * (lo + hi)",
         "    h = 0.5 * (hi - lo)",
@@ -385,7 +405,7 @@ def compile_ast(node: Node) -> tuple[Callable[[float], float], Callable[[float, 
         "    return h * k, _abs(h) * _abs(k - g)",
     ]
     exec(compile("\n".join(lines), "<hhverify expression>", "exec"), namespace)
-    return namespace["_evaluate"], namespace["_weighted_gk15"]
+    return namespace["_evaluate"], namespace["_evaluate_all"], namespace["_weighted_gk15"]
 
 
 @dataclass(frozen=True)
@@ -398,24 +418,30 @@ class FunctionSpec:
     ``max`` are not guessed, so integrals of such expressions rely on
     adaptive subdivision alone.
 
-    ``weighted_gk15(lo, hi)`` is the Gauss-Kronrod rule of ``t -> f(t)/t^2``
-    on one segment, compiled with the evaluator (see :func:`compile_ast`).
-    :func:`hhverify.quad.weighted_integral` applies it through the rule
+    ``evaluate_all(ts)`` is the list of values at the nodes ``ts``, and
+    ``weighted_gk15(lo, hi)`` the Gauss-Kronrod rule of ``t -> f(t)/t^2`` on
+    one segment, both compiled with the evaluator (see :func:`compile_ast`).
+    :func:`hhverify.quad.weighted_integral` applies the rule through the rule
     protocol of :mod:`hhverify.quad`, so its integrals never call the
-    instance per node; an integrand that wraps the instance takes the
-    generic rule, with the same result.
+    instance per node.  The generic rule evaluates an integrand that
+    publishes ``evaluate_all`` (the instance itself, its symmetric part, the
+    ``t4`` and ``c1`` integrands built on them) in one call per segment.  An
+    integrand that wraps the instance and publishes neither takes the
+    generic rule node by node, with the same result.
     """
 
     source: str
     ast: Node
     _compiled: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    evaluate_all: Callable[[Sequence[float]], list[float]] = field(init=False, repr=False, compare=False)
     weighted_gk15: Callable[[float, float], tuple[float, float]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        evaluate, rule = compile_ast(self.ast)
+        evaluate, evaluate_all, rule = compile_ast(self.ast)
         object.__setattr__(self, "_compiled", evaluate)
+        object.__setattr__(self, "evaluate_all", evaluate_all)
         object.__setattr__(self, "weighted_gk15", rule)
 
     def __call__(self, t: float) -> float:

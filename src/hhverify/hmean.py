@@ -8,22 +8,34 @@ part of a function.  The reflection and the harmonic midpoint are computed
 on the interval scaled by a power of two, so their accuracy does not depend
 on the interval's scale (tested from 1e-300 to 1e300).
 
-Kink protocol.  A function whose first derivative jumps at known points
-publishes them as a ``kinks`` attribute, a tuple of floats in t (points
-outside an interval are allowed and ignored there); :func:`kinks_of` reads
-it, giving ``()`` for functions that publish none.  The chain evaluators in
-:mod:`hhverify.ineq` pass these points to the quadrature as breakpoints.
-``PiecewiseConvexReciprocal`` publishes its kinks, and a
-:class:`TransformedFunction` adds their reflections.  Parsed expressions
-publish none: the kinks of ``abs``, ``min`` and ``max`` are not guessed, and
-their integrals rely on adaptive subdivision alone.
+Protocols.  Functions here are plain callables of one float; two optional
+attributes tell the layers above more about them.
+
+- Kinks.  A function whose first derivative jumps at known points publishes
+  them as a ``kinks`` attribute, a tuple of floats in t (points outside an
+  interval are allowed and ignored there); :func:`kinks_of` reads it,
+  giving ``()`` for functions that publish none.  The chain evaluators in
+  :mod:`hhverify.ineq` pass these points to the quadrature as breakpoints.
+  ``PiecewiseConvexReciprocal`` publishes its kinks, and a
+  :class:`TransformedFunction` adds their reflections.  Parsed expressions
+  publish none: the kinks of ``abs``, ``min`` and ``max`` are not guessed,
+  and their integrals rely on adaptive subdivision alone.
+- Batches.  A function may publish ``evaluate_all(ts)``: the list of its
+  values at the nodes ``ts``, equal bit for bit to ``[f(t) for t in ts]``,
+  and raising only where that raises (not necessarily the same exception:
+  the order in which a batch visits its evaluations may differ).
+  :func:`evaluate_all_of` reads it, falling back to one call per node for
+  functions that publish none.  Parsed expressions compile one, a
+  :class:`TransformedFunction` publishes one built on its base's, and the
+  generic Gauss-Kronrod rule of :mod:`hhverify.quad` evaluates a segment's
+  15 nodes through it in one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 __all__ = [
     "HInterval",
@@ -31,6 +43,7 @@ __all__ = [
     "hcomb",
     "sym_transform",
     "kinks_of",
+    "evaluate_all_of",
 ]
 
 _CLAMP_REL = 1e-12
@@ -93,23 +106,43 @@ class HInterval:
         special-casing) and fixes the harmonic midpoint.  ``t`` is clamped
         first; ``ab``, ``a+b`` and the midpoint are fixed at construction.
         """
+        return self.reflect_all((t,))[0]
+
+    def reflect_all(self, ts: Sequence[float]) -> list[float]:
+        """``[self.reflect(t) for t in ts]``, in one loop: the one
+        implementation of the reflection, which :meth:`reflect` calls with a
+        single node.  Raises at the first ``t`` that lies outside the
+        interval after clamping."""
         ab, s, _, midpoint, up, down = self._geometry
-        t = self.clamp(t)
-        if not self.a <= t <= self.b:
-            raise ValueError(f"t={t!r} outside [{self.a!r}, {self.b!r}]")
-        if t == self.a:
-            return self.b
-        if t == self.b:
-            return self.a
-        if t == midpoint:
-            return t
-        t *= down
-        return ab * t / (s * t - ab) * up
+        a, b, clamp = self.a, self.b, self.clamp
+        reflections = []
+        for t in ts:
+            t = clamp(t)
+            if not a <= t <= b:
+                raise ValueError(f"t={t!r} outside [{a!r}, {b!r}]")
+            if t == a:
+                t = b
+            elif t == b:
+                t = a
+            elif t != midpoint:
+                t *= down
+                t = ab * t / (s * t - ab) * up
+            reflections.append(t)
+        return reflections
 
 
 def kinks_of(f: Callable[[float], float]) -> tuple[float, ...]:
     """The kinks ``f`` publishes (see the module docstring), or ``()``."""
     return tuple(getattr(f, "kinks", ()))
+
+
+def evaluate_all_of(f: Callable[[float], float]) -> Callable[[Sequence[float]], list[float]]:
+    """The ``evaluate_all`` that ``f`` publishes (see the module docstring),
+    or one that calls ``f`` once per node, in order."""
+    batch = getattr(f, "evaluate_all", None)
+    if batch is not None:
+        return batch
+    return lambda ts: [f(t) for t in ts]
 
 
 def hcomb(x: float, y: float, alpha: float) -> float:
@@ -135,7 +168,7 @@ class TransformedFunction:
 
     Nothing is memoised: each call evaluates ``base`` twice.  It kinks where
     ``base`` does and at the reflections of those kinks, which :attr:`kinks`
-    lists.
+    lists.  :meth:`evaluate_all` publishes the batch protocol.
     """
 
     base: Callable[[float], float]
@@ -143,6 +176,12 @@ class TransformedFunction:
 
     def __call__(self, t: float) -> float:
         return 0.5 * (self.base(t) + self.base(self.interval.reflect(t)))
+
+    def evaluate_all(self, ts: Sequence[float]) -> list[float]:
+        """``[self(t) for t in ts]``, bit for bit: ``base`` at the nodes and
+        then at their reflections, each in one batch of ``base``."""
+        batch = evaluate_all_of(self.base)
+        return [0.5 * (u + v) for u, v in zip(batch(ts), batch(self.interval.reflect_all(ts)))]
 
     @property
     def kinks(self) -> tuple[float, ...]:

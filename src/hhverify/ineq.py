@@ -19,6 +19,12 @@ the kinks its integrand publishes (see :func:`hhverify.hmean.kinks_of`) as
 quadrature breakpoints.  The nested ``r4`` double integral splits its outer
 integral at the kinks of sym(f) and passes none to its inner integrals.
 
+The integrands built on f and its symmetric part publish ``evaluate_all``
+(the batch protocol of :mod:`hhverify.hmean`), so the generic quadrature
+rule evaluates a segment's nodes in one call: ``t4``'s sym(f)*g/t^2 and
+``c1``'s w*(f + f(r)), besides sym(f) itself (the ``r4`` mean) and parsed
+expressions.  Their values are bit for bit those of the node-by-node rule.
+
 Error bars.  Each quadrature term is built as a value with a bar
 (``_Barred``): the quadrature error estimates of its integrals, each scaled
 by the absolute value of its coefficient, and summed.  Point values (f at a
@@ -35,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import fnspec
-from .hmean import HInterval, kinks_of, sym_transform
+from .hmean import HInterval, evaluate_all_of, kinks_of, sym_transform
 from .quad import (
     QuadResult,
     integrate,
@@ -525,9 +531,16 @@ def product_inequalities(
     fb = sym_transform(f, interval)
     i_f = _Barred.of(weighted_integral(f, a, b, tol=quad_tol, breakpoints=kinks_of(f)))
     i_g = _Barred.of(weighted_integral(g, a, b, tol=quad_tol, breakpoints=kinks_of(g)))
-    i_fg = _Barred.of(integrate(
-        lambda t: fb(t) * g(t) / (t * t), a, b, tol=quad_tol, breakpoints=fb.kinks + kinks_of(g)
-    ))
+    g_all = evaluate_all_of(g)
+
+    def product(t: float) -> float:
+        return fb(t) * g(t) / (t * t)
+
+    def product_all(ts: Sequence[float]) -> list[float]:
+        return [p * q / (t * t) for p, q, t in zip(fb.evaluate_all(ts), g_all(ts), ts)]
+
+    product.evaluate_all = product_all
+    i_fg = _Barred.of(integrate(product, a, b, tol=quad_tol, breakpoints=fb.kinks + kinks_of(g)))
     w = scale * i_fg
 
     lower_combo = avg_f * scale * i_g + avg_g * scale * i_f - avg_f * avg_g
@@ -653,9 +666,17 @@ def weighted_bounds(
     avg_f = _endpoint_avg(f, interval)
     w_kinks = kinks_of(w)
     int_w = _Barred.of(integrate(w, a, b, tol=quad_tol, breakpoints=w_kinks))
+    w_all, f_all = evaluate_all_of(w), evaluate_all_of(f)
+
+    def mass(t: float) -> float:
+        return w(t) * (f(t) + f(interval.reflect(t)))
+
+    def mass_all(ts: Sequence[float]) -> list[float]:
+        return [u * (p + q) for u, p, q in zip(w_all(ts), f_all(ts), f_all(interval.reflect_all(ts)))]
+
+    mass.evaluate_all = mass_all
     mid_mass = _Barred.of(integrate(
-        lambda t: w(t) * (f(t) + f(interval.reflect(t))), a, b,
-        tol=quad_tol, breakpoints=sym_transform(f, interval).kinks + w_kinks,
+        mass, a, b, tol=quad_tol, breakpoints=sym_transform(f, interval).kinks + w_kinks,
     ))
 
     def corrected_weight(t: float) -> float:

@@ -24,14 +24,19 @@ Rule protocol.  An integrand may carry a ``gk15`` attribute: a function of
 ``(lo, hi)`` that applies the Gauss-Kronrod pair to that whole segment in
 one call and returns, bit for bit, what the generic rule ``_gk15`` returns
 on the integrand, raising what it raises.  ``integrate`` then applies it in
-place of the generic rule, which calls the integrand once per node; nodes,
-segments and the evaluation budget are the same either way.  Every rule sums
-K15 and G7 over :data:`GK15` in its order.  Functions publish the rule of
-``t -> f(t)/t^2`` as ``weighted_gk15``: parsed expressions compile one at
-parse time, and ``random_harmonic_convex`` functions carry a hand-written
-one.  :func:`weighted_integral` attaches it to its integrand.  A wrapper
-that replaces the integrand (a counting wrapper, say) publishes no rule, so
-it takes the generic one and still sees every evaluation.
+place of the generic rule; nodes, segments and the evaluation budget are the
+same either way.  Every rule sums K15 and G7 over :data:`GK15` in its order.
+Functions publish the rule of ``t -> f(t)/t^2`` as ``weighted_gk15``: parsed
+expressions compile one at parse time, and ``random_harmonic_convex``
+functions carry a hand-written one.  :func:`weighted_integral` attaches it
+to its integrand.  The generic rule evaluates the 15 nodes in one call of
+the integrand's ``evaluate_all`` (the batch protocol of
+:mod:`hhverify.hmean`) when it publishes one, as parsed expressions, their
+symmetric parts and the ``t4`` and ``c1`` integrands do, and calls the
+integrand once per node otherwise, or when the batch raises.  A wrapper that
+replaces the integrand (a counting wrapper, say) publishes neither a rule
+nor a batch, so it takes the generic rule node by node and still sees every
+evaluation.
 """
 
 from __future__ import annotations
@@ -114,12 +119,26 @@ def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
 
     The generic rule, and the reference for every compiled one: a rule
     published as an integrand's ``gk15`` returns what this returns, bit for
-    bit, and raises what it raises.
+    bit, and raises what it raises.  If ``f`` publishes ``evaluate_all`` (the
+    batch protocol of :mod:`hhverify.hmean`), the 15 nodes are evaluated in
+    one call of it; should that call raise, the nodes are evaluated again one
+    by one, so the exception is the one the first failing node raises.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     k = 0.0
     g = 0.0
+    batch = getattr(f, "evaluate_all", None)
+    if batch is not None:
+        try:
+            values = batch([c + h * x for x in _NODES])
+        except Exception:  # a batch may raise another node's error first
+            pass
+        else:
+            for fv, wk, wg in zip(values, _KWEIGHTS, _GWEIGHTS):
+                k += wk * fv
+                g += wg * fv
+            return h * k, abs(h) * abs(k - g)
     for x, wk, wg in GK15:
         fv = f(c + h * x)
         k += wk * fv

@@ -1,4 +1,5 @@
-"""Compiled Gauss-Kronrod rules of t -> f(t)/t^2 against the generic rule.
+"""Compiled Gauss-Kronrod rules of t -> f(t)/t^2, and batches of node
+evaluations, against the generic rule called node by node.
 
 Parsed expressions and ``random_harmonic_convex`` functions publish a
 ``weighted_gk15`` rule that :func:`hhverify.quad.weighted_integral` hands to
@@ -6,19 +7,27 @@ Parsed expressions and ``random_harmonic_convex`` functions publish a
 what the generic rule returns on ``lambda t: f(t) / (t * t)``, and raise the
 same exception with the same message (the message of an expression's error
 names the node ``t`` at which it was raised).
+
+Parsed expressions, symmetric parts and the ``t4`` and ``c1`` integrands
+publish ``evaluate_all``, which the generic rule calls once per segment.
+Every result must be the one the rule gives with ``evaluate_all`` hidden,
+from one rule application up to the default sweep's bytes.
 """
 
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hhverify import cli, quad
 from hhverify.corpus import random_harmonic_convex
-from hhverify.fnspec import BinOp, Call1, Call2, Neg, Num, Pow, Var, parse, to_source
-from hhverify.hmean import HInterval
-from hhverify.quad import _gk15
+from hhverify.fnspec import BinOp, Call1, Call2, EvalDomainError, Neg, Num, Pow, Var, parse, to_source
+from hhverify.hmean import HInterval, sym_transform
+from hhverify.ineq import HFunction, chain_refinement, product_inequalities, weighted_bounds
+from hhverify.quad import GK15, _gk15
 
 
 def _outcome(rule, lo, hi):
@@ -140,3 +149,147 @@ def test_piecewise_rule_is_generic_rule():
 def test_piecewise_rule_at_extreme_nodes(lo, hi):
     f = random_harmonic_convex(5, HInterval(1.0, 2.0))
     assert_rule_is_generic(f, lo, hi)
+
+
+# --- batches of node evaluations --------------------------------------------------
+
+
+def _values(batch, ts):
+    """``float.hex`` of each value of the batch, or the type and message it raised."""
+    try:
+        return [v.hex() for v in batch(ts)]
+    except Exception as exc:  # the comparison covers every exception type
+        return (type(exc), str(exc))
+
+
+def _per_node(f):
+    """``f`` called node by node, publishing no ``evaluate_all``."""
+    return lambda t: f(t)
+
+
+def assert_batch_is_per_node(f, ts):
+    assert _values(f.evaluate_all, ts) == _values(lambda ts: [f(t) for t in ts], ts)
+
+
+def assert_rule_is_per_node(f, lo, hi):
+    assert _outcome(partial(_gk15, f), lo, hi) == _outcome(partial(_gk15, _per_node(f)), lo, hi)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees, st.sampled_from(DOMAINS), st.lists(_fractions, max_size=16), _fractions, _fractions)
+# a domain error at a middle node, not the first, with nodes out of order
+@example(Call1("ln", BinOp("-", Num(1.5), Var())), (1.0, 2.0), [0.1, 0.4, 0.9, 0.2, 0.6], 0.0, 1.0)
+# a value past the largest double at the last node only
+@example(BinOp("/", Num(1e300), Var()), (1e-6, 2e-6), [1.0, 0.5, 0.0], 1.0, 0.0)
+def test_expression_batch_is_per_node(ast, domain, fractions, p, q):
+    a, b = domain
+    f = parse(to_source(ast))
+    # the same values, or the same exception at the same first failing node
+    assert_batch_is_per_node(f, [a + r * (b - a) for r in fractions])
+    lo, hi = a + p * (b - a), a + q * (b - a)
+    assert_rule_is_per_node(f, lo, hi)
+    assert_rule_is_per_node(sym_transform(f, HInterval(a, b)), lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees, st.sampled_from(DOMAINS), st.lists(_fractions, max_size=16))
+def test_symmetric_part_batch_raises_where_per_node_raises(ast, domain, fractions):
+    a, b = domain
+    fb = sym_transform(parse(to_source(ast)), HInterval(a, b))
+    ts = [a + r * (b - a) for r in fractions]
+    batch, per_node = _values(fb.evaluate_all, ts), _values(lambda ts: [fb(t) for t in ts], ts)
+    # the batch visits base at every node before any reflection, so it may
+    # meet another node's error first (the rule then evaluates node by node)
+    if isinstance(per_node, list):
+        assert batch == per_node
+    else:
+        assert not isinstance(batch, list)
+
+
+def test_rule_falls_back_when_a_reflected_node_fails_first():
+    # f fails on [1.86, 1.91].  Node by node, sym(f) meets the reflection of
+    # node 1 there before it meets node 11; its batch meets node 11 first.
+    fb = sym_transform(parse("ln(abs(x - 1.885) - 0.025)"), HInterval(1.0, 2.0))
+    ts = [1.5 + 0.5 * x for x, _, _ in GK15]
+    first = "evaluation failed at t={!r}: math domain error"
+    assert _values(fb.evaluate_all, ts) == (EvalDomainError, first.format(ts[11]))
+    per_node = (EvalDomainError, first.format(fb.interval.reflect(ts[1])))
+    assert _values(lambda ts: [fb(t) for t in ts], ts) == per_node
+    assert _outcome(partial(_gk15, fb), 1.0, 2.0) == per_node
+    assert_rule_is_per_node(fb, 1.0, 2.0)
+
+
+def test_rule_evaluates_a_batch_in_one_call():
+    f = parse("exp(x) - 1/x")
+    batches = []
+
+    class Batched:
+        def __call__(self, t):
+            raise AssertionError("per-node call")
+
+        def evaluate_all(self, ts):
+            batches.append(len(ts))
+            return f.evaluate_all(ts)
+
+    assert repr(_gk15(Batched(), 1.0, 2.0)) == repr(_gk15(_per_node(f), 1.0, 2.0))
+    assert batches == [15]
+
+
+def test_piecewise_symmetric_part_rule_is_per_node():
+    # random_harmonic_convex functions publish no batch: sym(f) falls back to
+    # one call of f per node and reflection
+    rng = random.Random(11)
+    for seed in range(20):
+        for a, b in KINKED_INTERVALS:
+            f = random_harmonic_convex(seed, HInterval(a, b))
+            fb = sym_transform(f, HInterval(a, b))
+            for lo, hi in _piecewise_segments(f, a, b, rng):
+                assert_rule_is_per_node(fb, lo, hi)
+
+
+# --- the batch path end to end -------------------------------------------------------
+
+
+@pytest.fixture
+def node_by_node(monkeypatch):
+    """Hide every integrand's ``evaluate_all`` from the generic rule."""
+
+    def hide():
+        gk15 = quad._gk15
+        monkeypatch.setattr(quad, "_gk15", lambda f, lo, hi: gk15(_per_node(f), lo, hi))
+
+    return hide
+
+
+_CHAIN_FUNCTIONS = {
+    "parsed": lambda interval: parse("exp(x) - 1/x"),
+    "piecewise": lambda interval: random_harmonic_convex(3, interval),
+}
+
+
+@pytest.mark.parametrize("kind", _CHAIN_FUNCTIONS)
+@pytest.mark.parametrize("a, b", [(1.0, 2.0), (-2.0, -1.0)])
+def test_batched_chains_equal_per_node_chains(kind, a, b, node_by_node):
+    interval = HInterval(a, b)
+    f = _CHAIN_FUNCTIONS[kind](interval)
+    h, w = HFunction.from_source("x^0.5"), parse("x^2 + 1")
+
+    def reports():
+        return repr((
+            product_inequalities(f, f, interval),
+            product_inequalities(f, parse("1/x - x"), interval, variant="as_printed"),
+            weighted_bounds(f, h, w, interval),
+            weighted_bounds(f, h, w, interval, variant="as_printed"),
+            chain_refinement(f, interval, quad_tol=1e-6),
+            chain_refinement(f, interval, h=h, quad_tol=1e-6),
+        ))
+
+    batched = reports()
+    node_by_node()
+    assert reports() == batched
+
+
+def test_batched_sweep_bytes_equal_per_node_bytes(node_by_node):
+    batched = cli.format_json(cli.run_sweep())
+    node_by_node()
+    assert cli.format_json(cli.run_sweep()) == batched
