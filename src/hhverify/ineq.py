@@ -107,8 +107,8 @@ class HFunction:
     def from_callable(cls, fn: Callable[[float], float], name: str) -> "HFunction":
         for k in range(1, 32):
             v = fn(k / 32.0)
-            if v < 0.0:
-                raise ValueError(f"weight function is negative at {k / 32.0}: {v!r}")
+            if not v >= 0.0:
+                raise ValueError(f"weight function is negative or NaN at {k / 32.0}: {v!r}")
         h_half = fn(0.5)
         if not h_half > 0.0:
             raise ValueError(f"h(1/2) must be positive, got {h_half!r}")
@@ -661,8 +661,8 @@ def weighted_bounds(
     a, b = interval.a, interval.b
     for k in range(65):
         t = a + (b - a) * k / 64.0
-        if w(t) < 0.0:
-            raise ValueError(f"weight w is negative at t={t!r}")
+        if not w(t) >= 0.0:
+            raise ValueError(f"weight w is negative or NaN at t={t!r}")
     avg_f = _endpoint_avg(f, interval)
     w_kinks = kinks_of(w)
     int_w = _Barred.of(integrate(w, a, b, tol=quad_tol, breakpoints=w_kinks))

@@ -58,6 +58,10 @@ class TestHFunction:
         with pytest.raises(ValueError, match="negative"):
             HFunction.from_source("x - 0.5")
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match=r"negative or NaN at 0\.25: nan"):
+            HFunction.from_callable(lambda t: math.nan if t == 0.25 else t, name="bad")
+
     def test_zero_at_half_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             HFunction.from_source("abs(x - 0.5)")
@@ -382,6 +386,10 @@ class TestWeightedBounds:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             weighted_bounds(parse("1/x"), IDENTITY_H, parse("x - 1.5"), I12)
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match=r"negative or NaN at t=1\.5$"):
+            weighted_bounds(parse("1/x"), IDENTITY_H, lambda t: math.nan if t == 1.5 else 1.0, I12)
 
     def test_printed_jacobian_slip_recorded(self):
         # for w == 1, h = id the printed right-hand side integrates
