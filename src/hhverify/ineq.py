@@ -27,10 +27,12 @@ expressions.  Their values are bit for bit those of the node-by-node rule.
 
 Error bars.  Each quadrature term is built as a value with a bar
 (``_Barred``): the quadrature error estimates of its integrals, each scaled
-by the absolute value of its coefficient, and summed.  Point values (f at a
-point, h(1/2), the integral of h) carry no bar.  A bar does not cover the
-rounding in the arithmetic that combines terms, nor the quadrature error of
-the integral of h, which :class:`HFunction` drops.
+by the absolute value of its coefficient, and summed.  The integral of h
+over [0, 1] is a quadrature too: :class:`HFunction` keeps its estimate, and
+the terms it scales (``t5``'s ``h_scaled_four_point_avg`` and the weighted
+``r4``'s ``scaled_sym_mean``) add it times their point factor.  Point
+values (f at a point, h(1/2)) carry no bar.  A bar does not cover the
+rounding in the arithmetic that combines terms.
 """
 
 from __future__ import annotations
@@ -88,12 +90,14 @@ def _check_variant(variant: str) -> str:
 class HFunction:
     """A nonnegative weight function on (0, 1) with its two derived scalars:
     the value at 1/2 (every lower bound divides by 2*h(1/2)) and the integral
-    over [0, 1] (every upper bound multiplies by it)."""
+    over [0, 1] (every upper bound multiplies by it), with that integral's
+    quadrature error estimate."""
 
     fn: Callable[[float], float] = field(compare=False)
     name: str
     h_half: float
     h_int: float
+    h_int_error: float
 
     def __call__(self, t: float) -> float:
         return self.fn(t)
@@ -112,10 +116,10 @@ class HFunction:
         h_half = fn(0.5)
         if not h_half > 0.0:
             raise ValueError(f"h(1/2) must be positive, got {h_half!r}")
-        h_int = integrate(fn, 0.0, 1.0, tol=1e-12).value
-        if not h_int > 0.0:
+        h_int = integrate(fn, 0.0, 1.0, tol=1e-12)
+        if not h_int.value > 0.0:
             raise ValueError("weight function must not be identically zero")
-        return cls(fn=fn, name=name, h_half=h_half, h_int=h_int)
+        return cls(fn=fn, name=name, h_half=h_half, h_int=h_int.value, h_int_error=h_int.abs_error_estimate)
 
 
 IDENTITY_H = HFunction.from_source("x", name="t")
@@ -130,7 +134,9 @@ class ChainTerm:
 
 class _Barred:
     """A value with its absolute error bar (see "Error bars" above); point
-    values carry no bar and enter only as the point operand of ``-`` and ``*``."""
+    values carry no bar and enter only as the point operand of ``-`` and ``*``.
+    The product of two barred values bounds the error of each factor times
+    the other's value, plus the product of the errors."""
 
     __slots__ = ("value", "error")
 
@@ -147,8 +153,13 @@ class _Barred:
     def __sub__(self, point: float) -> "_Barred":
         return _Barred(self.value - point, self.error)
 
-    def __mul__(self, point: float) -> "_Barred":
-        return _Barred(self.value * point, abs(point) * self.error)
+    def __mul__(self, other) -> "_Barred":
+        if isinstance(other, _Barred):
+            return _Barred(
+                self.value * other.value,
+                abs(other.value) * self.error + abs(self.value) * other.error + self.error * other.error,
+            )
+        return _Barred(self.value * other, abs(other) * self.error)
 
     __rmul__ = __mul__
 
@@ -463,7 +474,7 @@ def refinement_reports(
         left, middle, right = midpoint, dbl, sym_mean
         if h is not None:
             left = left / (2.0 * h.h_half)
-            right = 2.0 * h.h_int * right
+            right = 2.0 * _Barred(h.h_int, h.h_int_error) * right
         if variant == "as_printed":
             if h is None:
                 middle = 0.5 * middle
@@ -581,7 +592,7 @@ def chain_h_subinterval(
     terms = [
         ChainTerm("h_scaled_midpoint_pair", pair / (4.0 * h.h_half)),
         middle,
-        ChainTerm("h_scaled_four_point_avg", 0.5 * four * h.h_int),
+        (0.5 * four * _Barred(h.h_int, h.h_int_error)).term("h_scaled_four_point_avg"),
     ]
     return ChainReport.build(
         "t5", "derived_corrected", direction, terms, tol, _meta(f, interval, x=x, y=y, h=h)

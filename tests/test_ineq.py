@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -65,6 +66,23 @@ class TestHFunction:
     def test_zero_at_half_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             HFunction.from_source("abs(x - 0.5)")
+
+    def test_integral_error_enters_the_bars_it_scales(self):
+        # the integral of 1/x over [0, 1] diverges, so its estimate is large
+        h = HFunction.from_source("1/x")
+        assert h.h_int_error > 1.0
+        unbarred = dataclasses.replace(h, h_int_error=0.0)
+        f = parse("1")
+        t5, t5_unbarred = (chain_h_subinterval(f, w, I12, 1.2, 1.7) for w in (h, unbarred))
+        # f = 1: the four-point sum is 4, and the point factor 0.5 * 4
+        assert t5.terms[2].abs_error == t5_unbarred.terms[2].abs_error + 2.0 * h.h_int_error
+        r4, r4_unbarred = (chain_refinement(f, I12, h=w) for w in (h, unbarred))
+        # the mean of sym(f) is 1, so the point factor is 2; the bar of that
+        # mean adds its own share and the product of the two errors
+        assert r4.terms[2].abs_error >= r4_unbarred.terms[2].abs_error + 2.0 * h.h_int_error
+        for barred, plain in ((t5, t5_unbarred), (r4, r4_unbarred)):
+            assert repr(barred.terms[:2]) == repr(plain.terms[:2])
+            assert barred.terms[2].value == plain.terms[2].value
 
 
 class TestChainHHClassic:
