@@ -106,29 +106,23 @@ class HInterval:
         special-casing) and fixes the harmonic midpoint.  ``t`` is clamped
         first; ``ab``, ``a+b`` and the midpoint are fixed at construction.
         """
-        return self.reflect_all((t,))[0]
+        ab, s, _, midpoint, up, down = self._geometry
+        t = self.clamp(t)
+        if not self.a <= t <= self.b:
+            raise ValueError(f"t={t!r} outside [{self.a!r}, {self.b!r}]")
+        if t == self.a:
+            return self.b
+        if t == self.b:
+            return self.a
+        if t == midpoint:
+            return t
+        t *= down
+        return ab * t / (s * t - ab) * up
 
     def reflect_all(self, ts: Sequence[float]) -> list[float]:
-        """``[self.reflect(t) for t in ts]``, in one loop: the one
-        implementation of the reflection, which :meth:`reflect` calls with a
-        single node.  Raises at the first ``t`` that lies outside the
-        interval after clamping."""
-        ab, s, _, midpoint, up, down = self._geometry
-        a, b, clamp = self.a, self.b, self.clamp
-        reflections = []
-        for t in ts:
-            t = clamp(t)
-            if not a <= t <= b:
-                raise ValueError(f"t={t!r} outside [{a!r}, {b!r}]")
-            if t == a:
-                t = b
-            elif t == b:
-                t = a
-            elif t != midpoint:
-                t *= down
-                t = ab * t / (s * t - ab) * up
-            reflections.append(t)
-        return reflections
+        """``[self.reflect(t) for t in ts]``, raising at the first ``t`` where
+        :meth:`reflect` raises."""
+        return list(map(self.reflect, ts))
 
 
 def kinks_of(f: Callable[[float], float]) -> tuple[float, ...]:
