@@ -12,6 +12,10 @@ verdict, violated chain link, witness not found), 2 = usage or evaluation
 error.  Every class scan goes through :func:`hhverify.convexity.check_class`.
 JSON output is deterministic for a fixed configuration and seed:
 no timestamps, floats printed with 17 significant digits, stable ordering.
+One recursive writer, ``_put_json``, writes every JSON value; CSV is one
+row per report term, on one base row per item.  Option defaults are the
+constants of :mod:`hhverify.ineq` and :mod:`hhverify.convexity`, and
+:data:`SWEEP_QUAD_TOL` for the sweep.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Optional
 
-from . import __version__
+from . import __version__, convexity, ineq
 from .convexity import ConvexityVerdict, SampleGrid, check_class, find_strict_inclusion_witness
 from .corpus import CorpusEntry, builtin_functions, builtin_h
 from .fnspec import ExpressionError, parse
@@ -90,72 +94,60 @@ def _put_json(obj, pad: str, put) -> None:
     ``pad``.  Module-level rather than a closure over ``put``: a closure that
     calls itself is a reference cycle that only the cyclic GC frees.
 
-    The exact types of a report (dict, list, tuple, and str and float
-    inside them) are dispatched on first; subclasses of the JSON types go
-    through the ``isinstance`` chain and come out the same."""
-    kind = type(obj)
-    if kind is dict:
-        _put_dict(obj, pad, put)
-    elif kind is list or kind is tuple:
-        _put_array(obj, pad, put)
-    elif obj is None:
+    None, True and False are tested by identity, every other type once by
+    ``isinstance``, so subclasses of the JSON types come out as their bases
+    do.  Inside a container an exact str or float, most of a report's
+    values, is written in place rather than through a call."""
+    if obj is None:
         put("null")
     elif obj is True:
         put("true")
     elif obj is False:
         put("false")
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = pad + "  "
+        opening = "{\n" + inner
+        for k, v in obj.items():
+            put(opening)
+            put(_quote(str(k)))
+            put(": ")
+            kind = type(v)
+            if kind is str:
+                put(_quote(v))
+            elif kind is float:
+                put(_fmt_float(v))
+            else:
+                _put_json(v, inner, put)
+            opening = ",\n" + inner
+        put("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            put("[]")
+            return
+        inner = pad + "  "
+        opening = "[\n" + inner
+        for v in obj:
+            put(opening)
+            kind = type(v)
+            if kind is str:
+                put(_quote(v))
+            elif kind is float:
+                put(_fmt_float(v))
+            else:
+                _put_json(v, inner, put)
+            opening = ",\n" + inner
+        put("\n" + pad + "]")
     elif isinstance(obj, str):
         put(_quote(obj))
     elif isinstance(obj, int):
         put(str(obj))
     elif isinstance(obj, float):
         put(_fmt_float(obj))
-    elif isinstance(obj, dict):
-        _put_dict(obj, pad, put)
-    elif isinstance(obj, (list, tuple)):
-        _put_array(obj, pad, put)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _put_dict(obj: dict, pad: str, put) -> None:
-    if not obj:
-        put("{}")
-        return
-    inner = pad + "  "
-    opening = "{\n" + inner
-    for k, v in obj.items():
-        put(opening)
-        put(_quote(str(k)))
-        put(": ")
-        kind = type(v)
-        if kind is str:
-            put(_quote(v))
-        elif kind is float:
-            put(_fmt_float(v))
-        else:
-            _put_json(v, inner, put)
-        opening = ",\n" + inner
-    put("\n" + pad + "}")
-
-
-def _put_array(obj, pad: str, put) -> None:
-    if not obj:
-        put("[]")
-        return
-    inner = pad + "  "
-    opening = "[\n" + inner
-    for v in obj:
-        put(opening)
-        kind = type(v)
-        if kind is str:
-            put(_quote(v))
-        elif kind is float:
-            put(_fmt_float(v))
-        else:
-            _put_json(v, inner, put)
-        opening = ",\n" + inner
-    put("\n" + pad + "]")
 
 
 _CSV_FIELDS = (
@@ -165,42 +157,33 @@ _CSV_FIELDS = (
 
 
 def _chain_csv_rows(payload: dict) -> list[dict]:
+    """One row per term of each report, and one per sweep item without a
+    report (its reason as the label); a field a row lacks is written empty."""
     rows = []
-    results = payload.get("results") or payload.get("reports") or []
-    for item in results:
+    for item in payload.get("results") or payload.get("reports") or []:
+        # a verify payload's items are its reports: h sits in their metadata,
+        # and their status is their verdict
+        base = {
+            "entry": item.get("entry", ""),
+            "chain": item.get("chain", ""),
+            "h": item.get("h", item.get("metadata", {}).get("h", "")),
+            "status": item.get("status") or ("passed" if item["passed"] else "violated"),
+        }
         report = item.get("report", item)
         if report is None:
-            rows.append(
-                dict.fromkeys(_CSV_FIELDS, "")
-                | {
-                    "entry": item.get("entry", ""),
-                    "chain": item.get("chain", ""),
-                    "h": item.get("h", ""),
-                    "status": item.get("status", ""),
-                    "label": item.get("reason", ""),
-                }
-            )
+            rows.append(base | {"label": item.get("reason", "")})
             continue
         for rep in report if isinstance(report, list) else [report]:
-            terms = rep["terms"]
+            row = base | {key: rep[key] for key in ("chain", "variant", "direction", "passed")}
             slacks = rep["slacks"]
-            for i, term in enumerate(terms):
-                rows.append(
-                    {
-                        "entry": item.get("entry", ""),
-                        "chain": rep["chain"],
-                        "h": item.get("h", rep.get("metadata", {}).get("h", "")),
-                        "variant": rep["variant"],
-                        "direction": rep["direction"],
-                        "status": item.get("status", "passed" if rep["passed"] else "violated"),
-                        "term_index": i,
-                        "label": term["label"],
-                        "value": _fmt_float(term["value"]),
-                        "abs_error": _fmt_float(term["abs_error"]),
-                        "slack_to_next": _fmt_float(slacks[i]) if i < len(slacks) else "",
-                        "passed": rep["passed"],
-                    }
-                )
+            for i, term in enumerate(rep["terms"]):
+                rows.append(row | {
+                    "term_index": i,
+                    "label": term["label"],
+                    "value": _fmt_float(term["value"]),
+                    "abs_error": _fmt_float(term["abs_error"]),
+                    "slack_to_next": _fmt_float(slacks[i]) if i < len(slacks) else "",
+                })
     return rows
 
 
@@ -208,12 +191,10 @@ def _emit(payload: dict, fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
         text = format_json(payload) + "\n"
     else:  # csv, the one other format argparse lets through
-        rows = _chain_csv_rows(payload)
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(_chain_csv_rows(payload))
         text = buf.getvalue()
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -240,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
         if interval:
             p.add_argument("--a", type=float, required=True, help="left interval endpoint")
             p.add_argument("--b", type=float, required=True, help="right interval endpoint")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--grid", type=int, default=64, help="coarse lattice intervals")
+        p.add_argument("--seed", type=int, default=convexity.DEFAULT_GRID.seed)
+        p.add_argument("--grid", type=int, default=convexity.DEFAULT_GRID.abscissa_count, help="coarse lattice intervals")
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--format", choices=formats, default="json")
 
@@ -249,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--fn", required=True, help="function expression in x")
     p_check.add_argument("--class", dest="class_name", required=True, choices=sorted(_CLASS_ALIASES))
     p_check.add_argument("--h", help="weight function expression (hh/shh classes)")
-    p_check.add_argument("--tol", type=float, default=1e-9, help="margin tolerance")
+    p_check.add_argument("--tol", type=float, default=convexity.DEFAULT_TOL, help="margin tolerance")
     add_common(p_check, formats=("json",))
 
     p_verify = sub.add_parser("verify", help="evaluate one inequality chain")
@@ -260,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--w", help="integration weight (c1)")
     p_verify.add_argument("--x", type=float)
     p_verify.add_argument("--y", type=float)
-    p_verify.add_argument("--tol", type=float, default=1e-8, help=_CHAIN_TOL_HELP)
-    p_verify.add_argument("--quad-tol", type=float, default=1e-10)
+    p_verify.add_argument("--tol", type=float, default=ineq.DEFAULT_TOL, help=_CHAIN_TOL_HELP)
+    p_verify.add_argument("--quad-tol", type=float, default=ineq.DEFAULT_QUAD_TOL)
     p_verify.add_argument("--variant", choices=("derived_corrected", "as_printed"), default="derived_corrected")
     p_verify.add_argument(
         "--direction",
@@ -273,14 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run every chain across the corpus")
     p_sweep.add_argument("--variant", choices=("derived_corrected", "as_printed"), default="derived_corrected")
-    p_sweep.add_argument("--tol", type=float, default=1e-8, help=_CHAIN_TOL_HELP)
-    p_sweep.add_argument("--quad-tol", type=float, default=1e-9)
+    p_sweep.add_argument("--tol", type=float, default=ineq.DEFAULT_TOL, help=_CHAIN_TOL_HELP)
+    p_sweep.add_argument("--quad-tol", type=float, default=SWEEP_QUAD_TOL)
     p_sweep.add_argument("--entry", action="append", help="restrict to named corpus entries")
     add_common(p_sweep, interval=False)
 
     p_search = sub.add_parser("search", help="find a strict-inclusion witness")
-    p_search.add_argument("--tol", type=float, default=1e-9)
-    p_search.add_argument("--min-margin", type=float, default=1e-3)
+    p_search.add_argument("--tol", type=float, default=convexity.DEFAULT_TOL)
+    p_search.add_argument("--min-margin", type=float, default=convexity.DEFAULT_MIN_MARGIN)
     p_search.add_argument(
         "--c", type=float, help="try only this family coefficient instead of the ladder"
     )
@@ -438,7 +419,7 @@ def _h_beyond_identity(h: HFunction, sign: float) -> bool:
 
 
 def _h_direction(
-    entry: CorpusEntry, nonnegative: bool, h: HFunction, grid: SampleGrid, tol: float
+    entry: CorpusEntry, nonnegative: bool, h: HFunction, grid: SampleGrid
 ) -> tuple[Optional[str], str]:
     """Direction (if any) in which the entry satisfies the weighted-chain
     hypotheses (f >= 0, as ``nonnegative`` says, and its symmetric part
@@ -454,7 +435,7 @@ def _h_direction(
     if entry.classes.get("symmetrized_harmonic_concave") and _h_beyond_identity(h, -1.0):
         return "concave", "corpus-declared symmetrized concavity, h below identity"
     direction = _class_direction(
-        check_class("symmetrized_h", entry.spec, entry.interval.a, entry.interval.b, h=h, grid=grid, tol=tol)
+        check_class("symmetrized_h", entry.spec, entry.interval.a, entry.interval.b, h=h, grid=grid)
     )
     if direction is None:
         return None, "weighted symmetrized checks failed both directions"
@@ -502,7 +483,7 @@ def _sweep_entry(
     nonnegative = _nonnegative_on(entry)
     weighted = []
     for h in hs:
-        hdir, basis = _h_direction(entry, nonnegative, h, grid, tol=1e-9)
+        hdir, basis = _h_direction(entry, nonnegative, h, grid)
         weighted.append((h, hdir, basis if hdir else f"h={h.name}: {basis}"))
 
     items: list[dict] = []
@@ -552,12 +533,16 @@ def _record(items: list[dict], run: Callable[[], list[tuple[ChainReport, ...]]])
         )
 
 
+# the sweep's quadrature tolerance, one for every chain of every entry
+SWEEP_QUAD_TOL = 1e-9
+
+
 def run_sweep(
     variant: str = "derived_corrected",
-    tol: float = 1e-8,
-    quad_tol: float = 1e-9,
-    seed: int = 0,
-    grid_size: int = 64,
+    tol: float = ineq.DEFAULT_TOL,
+    quad_tol: float = SWEEP_QUAD_TOL,
+    seed: int = convexity.DEFAULT_GRID.seed,
+    grid_size: int = convexity.DEFAULT_GRID.abscissa_count,
     entry_names: Optional[list[str]] = None,
 ) -> dict:
     """Evaluate every applicable chain over the corpus, in one pass over

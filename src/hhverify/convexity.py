@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+# the plain harmonic-convexity margin a strict-inclusion witness must fail by
+DEFAULT_MIN_MARGIN = 1e-3
 # fine lattice steps per coarse interval, and the denominator of the weights
 STEPS = 16
 
@@ -302,7 +304,7 @@ _DEFAULT_LADDER = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 def find_strict_inclusion_witness(
     interval: HInterval,
     tol: float = DEFAULT_TOL,
-    min_margin: float = 1e-3,
+    min_margin: float = DEFAULT_MIN_MARGIN,
     ladder: tuple[float, ...] = _DEFAULT_LADDER,
     grid: Optional[SampleGrid] = None,
 ) -> Optional[StrictInclusionWitness]:

@@ -303,8 +303,9 @@ _MISSING = object()
 def import_json(doc: dict) -> tuple[CorpusEntry, ...]:
     """Rebuild corpus entries from an :func:`export_json` document.
 
-    A missing or mistyped field raises :class:`CorpusError` naming the entry
-    and the field, and so does a declared membership that the checkers
+    A missing or mistyped field, a name that an earlier entry has, or a
+    closed form that is not finite raises :class:`CorpusError` naming the
+    entry and the field, and so does a declared membership that the checkers
     refute.
     """
     schema = doc.get("schema") if isinstance(doc, dict) else None
@@ -314,14 +315,17 @@ def import_json(doc: dict) -> tuple[CorpusEntry, ...]:
     if not isinstance(items, list):
         got = "it is missing" if items is _MISSING else f"got {items!r}"
         raise CorpusError(f"corpus document: entries must be a list, {got}")
-    return tuple(_import_entry(index, item) for index, item in enumerate(items))
+    taken: dict[str, int] = {}
+    return tuple(_import_entry(index, item, taken) for index, item in enumerate(items))
 
 
 # what an imported field must be, by the type JSON decodes it to
 _EXPECTED = {str: "a string", dict: "an object", bool: "true or false", float: "a number"}
 
 
-def _import_entry(index: int, item) -> CorpusEntry:
+def _import_entry(index: int, item, taken: dict[str, int]) -> CorpusEntry:
+    """The entry ``item`` describes; ``taken`` maps the names of the entries
+    before it to their indices, and gets this one's."""
     where = f"corpus entry {index}"
 
     def need(path, value, kind):
@@ -337,6 +341,9 @@ def _import_entry(index: int, item) -> CorpusEntry:
     if not isinstance(item, dict):
         raise CorpusError(f"{where}: must be an object, got {item!r}")
     name = need("name", item.get("name", _MISSING), str)
+    if name in taken:
+        raise CorpusError(f"{where}: name must be unique, got {name!r}, the name of corpus entry {taken[name]}")
+    taken[name] = index
     where = f"corpus entry {name!r}"
     source = need("source", item.get("source", _MISSING), str)
     interval = need("interval", item.get("interval", _MISSING), dict)
@@ -347,6 +354,9 @@ def _import_entry(index: int, item) -> CorpusEntry:
     closed_forms = need("closed_forms", item.get("closed_forms", {}), dict)
     for key, value in closed_forms.items():
         need(f"closed_forms.{key}", value, float)
+        # json.loads reads NaN, Infinity and -Infinity; a JSON int is finite
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CorpusError(f"{where}: closed_forms.{key} must be finite, got {value!r}")
     notes = need("notes", item.get("notes", ""), str)
     try:
         hinterval = HInterval(a, b)

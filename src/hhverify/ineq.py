@@ -78,6 +78,8 @@ __all__ = [
 VARIANTS = ("derived_corrected", "as_printed")
 DEFAULT_TOL = 1e-8
 DEFAULT_QUAD_TOL = 1e-10
+# the default quad_tol of r4, whose middle term is a nested double integral
+DEFAULT_REFINEMENT_QUAD_TOL = 1e-9
 
 
 def _check_variant(variant: str) -> str:
@@ -357,6 +359,12 @@ def _split_terms(
     )
 
 
+def _subinterval_terms(f, interval: HInterval, x: float, y: float, quad_tol: float, w2: float) -> list[ChainTerm]:
+    """The three terms of t3, whose as_printed variant has ``w2`` 0.5."""
+    pair, middle, four = _split_terms(f, interval, x, y, quad_tol, w2)
+    return [ChainTerm("sym_midpoint_pair", 0.5 * pair), middle, ChainTerm("four_point_avg", 0.25 * four)]
+
+
 def chain_subinterval(
     f: Callable[[float], float],
     interval: HInterval,
@@ -379,12 +387,7 @@ def chain_subinterval(
     the reflected integral, which already breaks f == const.
     """
     _check_variant(variant)
-    pair, middle, four = _split_terms(f, interval, x, y, quad_tol, 0.5 if variant == "as_printed" else 1.0)
-    terms = [
-        ChainTerm("sym_midpoint_pair", 0.5 * pair),
-        middle,
-        ChainTerm("four_point_avg", 0.25 * four),
-    ]
+    terms = _subinterval_terms(f, interval, x, y, quad_tol, 0.5 if variant == "as_printed" else 1.0)
     return ChainReport.build("t3", variant, direction, terms, tol, _meta(f, interval, x=x, y=y))
 
 
@@ -429,7 +432,7 @@ def chain_refinement(
     interval: HInterval,
     h: Optional[HFunction] = None,
     tol: float = DEFAULT_TOL,
-    quad_tol: float = 1e-9,
+    quad_tol: float = DEFAULT_REFINEMENT_QUAD_TOL,
     variant: str = "derived_corrected",
     direction: str = "convex",
 ) -> ChainReport:
@@ -452,7 +455,7 @@ def refinement_reports(
     interval: HInterval,
     cases: Sequence[tuple[Optional[HFunction], str]],
     tol: float = DEFAULT_TOL,
-    quad_tol: float = 1e-9,
+    quad_tol: float = DEFAULT_REFINEMENT_QUAD_TOL,
     variant: str = "derived_corrected",
 ) -> tuple[ChainReport, ...]:
     """One r4 report (see :func:`chain_refinement`) per ``(h, direction)``
@@ -500,10 +503,8 @@ def chain_harmonic_full(
 ) -> ChainReport:
     """Chain id r3: for plainly harmonic convex f the global midpoint value
     also sits below the t3 chain, giving four terms."""
-    base = chain_subinterval(
-        f, interval, x, y, tol=tol, quad_tol=quad_tol, direction=direction
-    )
-    terms = [ChainTerm("midpoint", f(interval.harmonic_midpoint))] + list(base.terms)
+    t3_terms = _subinterval_terms(f, interval, x, y, quad_tol, 1.0)
+    terms = [ChainTerm("midpoint", f(interval.harmonic_midpoint))] + t3_terms
     return ChainReport.build("r3", "derived_corrected", direction, terms, tol, _meta(f, interval, x=x, y=y))
 
 

@@ -1,3 +1,4 @@
+import csv
 import gc
 import io
 import json
@@ -8,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -122,6 +124,23 @@ def test_runs_on_the_standard_library_alone(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "[0, 0]")
 
 
+class _Dict(dict):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
 class TestFormatJson:
     def test_seventeen_significant_digits(self):
         text = format_json({"v": 2.0 * math.log(2.0)})
@@ -141,8 +160,20 @@ class TestFormatJson:
     @given(_JSON_VALUES)
     @example({"z": [0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, -1e16, 5e-324, 2.2250738585072014e-308]})
     @example(("\x00\x1f\x7f", "é\u2028", "\ud800", "\U0001f600", {"\n": []}, {}))
+    # subclasses of the JSON types, at the top and inside containers
+    @example(_Dict(a=_Str("b\n"), c=[_Float(0.1), _Float(2.0)], d=_Pair(_Str("x"), _Dict())))
+    @example(_Pair(_Float(1 / 3), [_Dict(k=_Pair("", 1.5))]))
+    @example(_Str("é"))
+    @example(_Float(-1e300))
     def test_matches_recursive_writer(self, obj):
         assert format_json(obj) == _recursive_format_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj", [object(), {"a": [1, {2}]}, (b"x",), {"k": 1j}], ids=["object", "set", "bytes", "complex"]
+    )
+    def test_rejects_other_types(self, obj):
+        with pytest.raises(TypeError, match=r"^cannot serialize (object|set|bytes|complex)$"):
+            format_json(obj)
 
     def test_matches_recursive_writer_on_the_default_sweep(self):
         payload = run_sweep()
@@ -529,6 +560,21 @@ class TestVerify:
         assert lines[0].startswith("entry,chain,h,variant,direction,status")
         assert len(lines) == 4  # header + three terms
 
+    def test_csv_rows_field_by_field(self):
+        # a verify report is its own item: h comes from its metadata and the
+        # status from its verdict; 1/x makes every term exactly 3/4
+        code, out, _ = run_cli(
+            ["verify", "--chain", "t6", "--fn", "1/x", "--h", "x", "--a", "1", "--b", "2", "--x", "1.2", "--format", "csv"]
+        )
+        assert code == 0
+        common = {"entry": "", "chain": "t6", "h": "x", "variant": "derived_corrected", "direction": "convex",
+                  "status": "passed", "value": "0.75", "abs_error": "0.0", "passed": "True"}
+        assert list(csv.DictReader(io.StringIO(out))) == [
+            common | {"term_index": "0", "label": "h_scaled_midpoint", "slack_to_next": "0.0"},
+            common | {"term_index": "1", "label": "symmetric_value", "slack_to_next": "0.0"},
+            common | {"term_index": "2", "label": "h_weighted_endpoint_avg", "slack_to_next": ""},
+        ]
+
 
 class TestSweep:
     def test_restricted_sweep_passes(self):
@@ -563,6 +609,16 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert sum("t4_lower" in line for line in lines) == 2
         assert sum("t4_upper" in line for line in lines) == 2
+
+    def test_csv_skipped_row_field_by_field(self):
+        # -ln(x) is negative on [1, 2], so every weighted chain is skipped
+        code, out, _ = run_cli(["sweep", "--entry", "neg_log", "--format", "csv"])
+        assert code == 0
+        rows = [row for row in csv.DictReader(io.StringIO(out)) if row["chain"] == "c1" and row["h"] == "t"]
+        assert rows == [
+            dict.fromkeys(("variant", "direction", "term_index", "value", "abs_error", "slack_to_next", "passed"), "")
+            | {"entry": "neg_log", "chain": "c1", "h": "t", "status": "skipped", "label": "h=t: f takes negative values"}
+        ]
 
     def test_grid_refinement_keeps_verdicts(self):
         # smaller grids never flip in-hypothesis passes on the corpus

@@ -297,7 +297,7 @@ class TestCheckSymmetrized:
         fired = []
         for entry in builtin_functions():
             for h in builtin_h():
-                direction, basis = cli._h_direction(entry, cli._nonnegative_on(entry), h, SampleGrid(), tol=1e-9)
+                direction, basis = cli._h_direction(entry, cli._nonnegative_on(entry), h, SampleGrid())
                 if basis != "corpus-declared symmetrized concavity, h below identity":
                     continue
                 assert direction == "concave"
@@ -320,7 +320,7 @@ class TestCheckSymmetrized:
     )
     def test_sweep_scans_an_entry_that_declares_no_class(self, source, expected):
         entry = CorpusEntry(source, parse(source), I12, classes={}, closed_forms={})
-        assert cli._h_direction(entry, cli._nonnegative_on(entry), IDENTITY_H, SampleGrid(), tol=1e-9) == expected
+        assert cli._h_direction(entry, cli._nonnegative_on(entry), IDENTITY_H, SampleGrid()) == expected
 
 
 class TestSecondDerivative:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -218,6 +219,21 @@ BAD_DOCUMENTS = [
         "corpus entry 'recip': closed_forms.weighted_integral must be a number, got '0.375'",
     ),
     ("notes_null", _doc(notes=None), "corpus entry 'recip': notes must be a string, got None"),
+    (
+        "name_repeated",
+        {"schema": 1, "entries": _doc()["entries"] * 2},
+        "corpus entry 1: name must be unique, got 'recip', the name of corpus entry 0",
+    ),
+    (
+        "closed_form_nan",
+        _doc(closed_forms=json.loads('{"weighted_integral": NaN, "other": Infinity}')),
+        "corpus entry 'recip': closed_forms.weighted_integral must be finite, got nan",
+    ),
+    (
+        "closed_form_infinite",
+        _doc(closed_forms=json.loads('{"weighted_integral": 0.375, "other": -Infinity}')),
+        "corpus entry 'recip': closed_forms.other must be finite, got -inf",
+    ),
 ]
 
 

@@ -33,6 +33,11 @@ class TestHInterval:
         with pytest.raises(ValueError):
             HInterval(a, b)
 
+    @pytest.mark.parametrize("a,b", [(1.0, math.inf), (-math.inf, -1.0), (math.nan, 2.0)])
+    def test_non_finite_endpoint(self, a, b):
+        with pytest.raises(ValueError, match="^interval endpoints must be finite$"):
+            HInterval(a, b)
+
     def test_denominator_positivity(self):
         # (a+b)t - ab stays >= min(a^2, b^2) on the interval, both signs
         rng = random.Random(5)

@@ -67,6 +67,11 @@ class TestHFunction:
         with pytest.raises(ValueError, match="positive"):
             HFunction.from_source("abs(x - 0.5)")
 
+    def test_identically_zero_rejected(self):
+        # positive at 1/2 alone, so only its integral over [0, 1] shows it
+        with pytest.raises(ValueError, match="^weight function must not be identically zero$"):
+            HFunction.from_callable(lambda t: 1.0 if t == 0.5 else 0.0, "spike")
+
     def test_integral_error_enters_the_bars_it_scales(self):
         # the integral of 1/x over [0, 1] diverges, so its estimate is large
         h = HFunction.from_source("1/x")
@@ -298,6 +303,16 @@ class TestChainHarmonicFull:
         r = chain_harmonic_full(parse("x"), I12, 1.25, 1.75, quad_tol=1e-11)
         assert r.terms[0].value == pytest.approx(4.0 / 3.0, rel=1e-14)
         assert r.passed
+
+    @pytest.mark.parametrize("direction", ["convex", "concave"])
+    @pytest.mark.parametrize(
+        "f", [parse("exp(x) + abs(x - 1.5)"), random_harmonic_convex(3, I12)], ids=["parsed", "random_hc_3"]
+    )
+    def test_is_the_midpoint_before_the_t3_terms(self, f, direction):
+        t3 = chain_subinterval(f, I12, 1.2, 1.7, direction=direction)
+        terms = [ChainTerm("midpoint", f(I12.harmonic_midpoint)), *t3.terms]
+        expected = ChainReport.build("r3", "derived_corrected", direction, terms, t3.tol, t3.metadata)
+        assert repr(chain_harmonic_full(f, I12, 1.2, 1.7, direction=direction)) == repr(expected)
 
 
 class TestProductInequalities:

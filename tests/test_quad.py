@@ -146,6 +146,11 @@ class TestIntegrate:
         with pytest.raises(EvalDomainError):
             integrate(parse("ln(x)"), -1.0, 1.0)
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+    def test_non_finite_limit(self, lo, hi):
+        with pytest.raises(ValueError, match="^integration limits must be finite$"):
+            integrate(lambda t: t, lo, hi)
+
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             integrate(lambda t: t, 0.0, 1.0, tol=0.0)
