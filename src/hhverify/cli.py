@@ -34,7 +34,7 @@ from .convexity import ConvexityVerdict, SampleGrid, check_class, find_strict_in
 from .corpus import CorpusEntry, builtin_functions, builtin_h
 from .fnspec import ExpressionError, parse
 from .hmean import HInterval
-from .ineq import CHAINS, ChainReport, HFunction, refinement_reports, run_chain
+from .ineq import CHAINS, ChainReport, HFunction, run_chain
 from .quad import QuadratureBudgetError
 
 __all__ = ["main", "entrypoint", "run_sweep", "format_json"]
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--y", type=float)
     p_verify.add_argument("--tol", type=float, default=ineq.DEFAULT_TOL, help=_CHAIN_TOL_HELP)
     p_verify.add_argument("--quad-tol", type=float, default=ineq.DEFAULT_QUAD_TOL)
-    p_verify.add_argument("--variant", choices=("derived_corrected", "as_printed"), default="derived_corrected")
+    p_verify.add_argument("--variant", choices=ineq.VARIANTS, default=ineq.DEFAULT_VARIANT)
     p_verify.add_argument(
         "--direction",
         choices=("convex", "concave", "auto"),
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
 
     p_sweep = sub.add_parser("sweep", help="run every chain across the corpus")
-    p_sweep.add_argument("--variant", choices=("derived_corrected", "as_printed"), default="derived_corrected")
+    p_sweep.add_argument("--variant", choices=ineq.VARIANTS, default=ineq.DEFAULT_VARIANT)
     p_sweep.add_argument("--tol", type=float, default=ineq.DEFAULT_TOL, help=_CHAIN_TOL_HELP)
     p_sweep.add_argument("--quad-tol", type=float, default=SWEEP_QUAD_TOL)
     p_sweep.add_argument("--entry", action="append", help="restrict to named corpus entries")
@@ -413,11 +413,6 @@ def _nonnegative_on(entry: CorpusEntry) -> bool:
     return all(entry.spec(a + (b - a) * k / 64) >= 0.0 for k in range(65))
 
 
-def _h_beyond_identity(h: HFunction, sign: float) -> bool:
-    """h >= id (``sign`` 1.0) or h <= id (``sign`` -1.0) on a lattice of (0, 1), up to 1e-12."""
-    return all(sign * h(k / 64.0) >= sign * (k / 64.0) - 1e-12 for k in range(1, 64))
-
-
 def _h_direction(
     entry: CorpusEntry, nonnegative: bool, h: HFunction, grid: SampleGrid
 ) -> tuple[Optional[str], str]:
@@ -430,9 +425,10 @@ def _h_direction(
     # when h >= id and below it when h <= id, so harmonic convexity implies
     # h-convexity in the first case and concavity implies h-concavity in
     # the second; convex is tried first
-    if entry.classes.get("symmetrized_harmonic_convex") and _h_beyond_identity(h, 1.0):
+    above, below = h.identity_order
+    if entry.classes.get("symmetrized_harmonic_convex") and above:
         return "convex", "corpus-declared symmetrized convexity, h dominates identity"
-    if entry.classes.get("symmetrized_harmonic_concave") and _h_beyond_identity(h, -1.0):
+    if entry.classes.get("symmetrized_harmonic_concave") and below:
         return "concave", "corpus-declared symmetrized concavity, h below identity"
     direction = _class_direction(
         check_class("symmetrized_h", entry.spec, entry.interval.a, entry.interval.b, h=h, grid=grid)
@@ -456,10 +452,10 @@ def _sweep_entry(
 ) -> list[dict]:
     """The sweep's items for one corpus entry, one per chain of
     :data:`CHAINS` and weight: a skip with its reason, or the chain's
-    reports, or the error its evaluator raised.  The entry's runnable r4
-    cases, the unweighted one and one per weight, differ only in h and
-    direction, so they share one :func:`refinement_reports` call and with it
-    the double integral; if that call raises, each of them records the
+    reports, or the error its evaluator raised.  The runnable jobs of a
+    chain with a ``cases_evaluator`` (r4 and c1) differ only in h and
+    direction, so they share one call of it, and with it the work that does
+    not depend on the weight; if that call raises, each of them records the
     error."""
     f = entry.spec
     interval = entry.interval
@@ -503,15 +499,15 @@ def _sweep_entry(
                 basis += f"; g={'entry itself' if g is f else '1/x'}"
             item["hypothesis"] = basis
             runnable.append((item, (h, direction)))
-        if chain.id != "r4":
+        if chain.cases_evaluator is None:
             for item, (h, direction) in runnable:
                 _record([item], lambda: [run_chain(chain.id, **common, h=h, direction=direction)])
         elif runnable:
+            evaluate = getattr(ineq, chain.cases_evaluator)
+            shared = {name: value for name, value in common.items() if name in params}
             _record(
                 [item for item, _ in runnable],
-                lambda: [(report,) for report in refinement_reports(
-                    f, interval, [case for _, case in runnable], tol=tol, quad_tol=quad_tol, variant=variant,
-                )],
+                lambda: [(report,) for report in evaluate(cases=[case for _, case in runnable], **shared)],
             )
     return items
 
@@ -538,7 +534,7 @@ SWEEP_QUAD_TOL = 1e-9
 
 
 def run_sweep(
-    variant: str = "derived_corrected",
+    variant: str = ineq.DEFAULT_VARIANT,
     tol: float = ineq.DEFAULT_TOL,
     quad_tol: float = SWEEP_QUAD_TOL,
     seed: int = convexity.DEFAULT_GRID.seed,

@@ -354,8 +354,12 @@ def _import_entry(index: int, item, taken: dict[str, int]) -> CorpusEntry:
     closed_forms = need("closed_forms", item.get("closed_forms", {}), dict)
     for key, value in closed_forms.items():
         need(f"closed_forms.{key}", value, float)
-        # json.loads reads NaN, Infinity and -Infinity; a JSON int is finite
-        if isinstance(value, float) and not math.isfinite(value):
+        # json.loads reads NaN, Infinity and -Infinity, and ints of any size
+        try:
+            finite = math.isfinite(value)
+        except OverflowError as exc:
+            raise CorpusError(f"{where}: closed_forms.{key}: {exc}") from exc
+        if not finite:
             raise CorpusError(f"{where}: closed_forms.{key} must be finite, got {value!r}")
     notes = need("notes", item.get("notes", ""), str)
     try:

@@ -424,8 +424,10 @@ class FunctionSpec:
     :func:`hhverify.quad.weighted_integral` applies the rule through the rule
     protocol of :mod:`hhverify.quad`, so its integrals never call the
     instance per node.  The generic rule evaluates an integrand that
-    publishes ``evaluate_all`` (the instance itself, its symmetric part, the
-    ``t4`` and ``c1`` integrands built on them) in one call per segment.  An
+    publishes ``evaluate_all`` (the instance itself, its symmetric part, a
+    weight h built on it, the ``t4`` and ``c1`` integrands built on them) in
+    one call per segment, and the class scans of :mod:`hhverify.convexity`
+    evaluate it and a weight h built on it through ``evaluate_all`` too.  An
     integrand that wraps the instance and publishes neither takes the
     generic rule node by node, with the same result.
     """

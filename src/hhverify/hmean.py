@@ -26,9 +26,12 @@ attributes tell the layers above more about them.
   the order in which a batch visits its evaluations may differ).
   :func:`evaluate_all_of` reads it, falling back to one call per node for
   functions that publish none.  Parsed expressions compile one, a
-  :class:`TransformedFunction` publishes one built on its base's, and the
-  generic Gauss-Kronrod rule of :mod:`hhverify.quad` evaluates a segment's
-  15 nodes through it in one call.
+  :class:`TransformedFunction` and an ``ineq.HFunction`` publish one built
+  on their base's, and so do the integrands of the ``t4`` and ``c1``
+  chains.  The generic Gauss-Kronrod rule of :mod:`hhverify.quad`
+  evaluates a segment's 15 nodes through it in one call, and the class
+  scans of :mod:`hhverify.convexity` their lattice and chunks of their
+  random samples.
 """
 
 from __future__ import annotations

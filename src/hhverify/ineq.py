@@ -22,8 +22,14 @@ integral at the kinks of sym(f) and passes none to its inner integrals.
 The integrands built on f and its symmetric part publish ``evaluate_all``
 (the batch protocol of :mod:`hhverify.hmean`), so the generic quadrature
 rule evaluates a segment's nodes in one call: ``t4``'s sym(f)*g/t^2 and
-``c1``'s w*(f + f(r)), besides sym(f) itself (the ``r4`` mean) and parsed
-expressions.  Their values are bit for bit those of the node-by-node rule.
+``c1``'s three integrands, w*(f + f(r)) and the two h-weight ones, besides
+sym(f) itself (the ``r4`` mean) and parsed expressions.  Their values are
+bit for bit those of the node-by-node rule.
+
+``r4`` and ``c1`` also have an evaluator of several ``(h, direction)``
+cases (:func:`refinement_reports`, :func:`weighted_reports`, named in
+:data:`CHAINS`), which computes what does not depend on the case once;
+``c1`` then integrates only its two h-weight integrals per case.
 
 Error bars.  Each quadrature term is built as a value with a bar
 (``_Barred``): the quadrature error estimates of its integrals, each scaled
@@ -37,6 +43,7 @@ rounding in the arithmetic that combines terms.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -70,12 +77,16 @@ __all__ = [
     "chain_h_subinterval",
     "bounds_h_pointwise",
     "weighted_bounds",
+    "weighted_reports",
     "Chain",
     "CHAINS",
     "run_chain",
 ]
 
-VARIANTS = ("derived_corrected", "as_printed")
+# the default of every evaluator, of ``verify`` and of ``sweep``, and the
+# variant that the chains with no printed form report
+DEFAULT_VARIANT = "derived_corrected"
+VARIANTS = (DEFAULT_VARIANT, "as_printed")
 DEFAULT_TOL = 1e-8
 DEFAULT_QUAD_TOL = 1e-10
 # the default quad_tol of r4, whose middle term is a nested double integral
@@ -103,6 +114,19 @@ class HFunction:
 
     def __call__(self, t: float) -> float:
         return self.fn(t)
+
+    def evaluate_all(self, ts: Sequence[float]) -> list[float]:
+        """``[self(t) for t in ts]``, through the batch of ``fn`` (the batch
+        protocol of :mod:`hhverify.hmean`)."""
+        return evaluate_all_of(self.fn)(ts)
+
+    @functools.cached_property
+    def identity_order(self) -> tuple[bool, bool]:
+        """Whether h >= id and whether h <= id on the lattice k/64 of (0, 1),
+        up to 1e-12; evaluated once per instance, not per equal instance."""
+        ts = [k / 64.0 for k in range(1, 64)]
+        pairs = list(zip(ts, self.evaluate_all(ts)))
+        return tuple(all(sign * v >= sign * t - 1e-12 for t, v in pairs) for sign in (1.0, -1.0))
 
     @classmethod
     def from_source(cls, text: str, name: Optional[str] = None) -> "HFunction":
@@ -296,7 +320,7 @@ def chain_hh_classic(
         ChainTerm("endpoint_avg", 0.5 * (f(lo) + f(hi))),
     ]
     return ChainReport.build(
-        "hh_classic", "derived_corrected", direction, terms, tol, _meta(f, lo=lo, hi=hi)
+        "hh_classic", DEFAULT_VARIANT, direction, terms, tol, _meta(f, lo=lo, hi=hi)
     )
 
 
@@ -317,7 +341,7 @@ def chain_harmonic_hh(
         (scale * wi).term("weighted_mean"),
         ChainTerm("endpoint_avg", _endpoint_avg(f, interval)),
     ]
-    return ChainReport.build("t1", "derived_corrected", direction, terms, tol, _meta(f, interval))
+    return ChainReport.build("t1", DEFAULT_VARIANT, direction, terms, tol, _meta(f, interval))
 
 
 def bounds_pointwise(
@@ -335,7 +359,7 @@ def bounds_pointwise(
         ChainTerm("symmetric_value", fb(x)),
         ChainTerm("endpoint_avg", _endpoint_avg(f, interval)),
     ]
-    return ChainReport.build("t2", "derived_corrected", direction, terms, tol, _meta(f, interval, x=x))
+    return ChainReport.build("t2", DEFAULT_VARIANT, direction, terms, tol, _meta(f, interval, x=x))
 
 
 def _split_terms(
@@ -372,7 +396,7 @@ def chain_subinterval(
     y: float,
     tol: float = DEFAULT_TOL,
     quad_tol: float = DEFAULT_QUAD_TOL,
-    variant: str = "derived_corrected",
+    variant: str = DEFAULT_VARIANT,
     direction: str = "convex",
 ) -> ChainReport:
     """Subinterval chain for the symmetric part (chain id t3).
@@ -397,7 +421,7 @@ def chain_reflected_pair(
     x: float,
     tol: float = DEFAULT_TOL,
     quad_tol: float = DEFAULT_QUAD_TOL,
-    variant: str = "derived_corrected",
+    variant: str = DEFAULT_VARIANT,
     direction: str = "convex",
 ) -> ChainReport:
     """Chain id r2: the subinterval chain with y = r(x).
@@ -433,7 +457,7 @@ def chain_refinement(
     h: Optional[HFunction] = None,
     tol: float = DEFAULT_TOL,
     quad_tol: float = DEFAULT_REFINEMENT_QUAD_TOL,
-    variant: str = "derived_corrected",
+    variant: str = DEFAULT_VARIANT,
     direction: str = "convex",
 ) -> ChainReport:
     """Chain id r4: the reflected-pair chain averaged over x in [a, b].
@@ -456,7 +480,7 @@ def refinement_reports(
     cases: Sequence[tuple[Optional[HFunction], str]],
     tol: float = DEFAULT_TOL,
     quad_tol: float = DEFAULT_REFINEMENT_QUAD_TOL,
-    variant: str = "derived_corrected",
+    variant: str = DEFAULT_VARIANT,
 ) -> tuple[ChainReport, ...]:
     """One r4 report (see :func:`chain_refinement`) per ``(h, direction)``
     in ``cases``, ``h`` None for the unweighted chain.
@@ -505,7 +529,7 @@ def chain_harmonic_full(
     also sits below the t3 chain, giving four terms."""
     t3_terms = _subinterval_terms(f, interval, x, y, quad_tol, 1.0)
     terms = [ChainTerm("midpoint", f(interval.harmonic_midpoint))] + t3_terms
-    return ChainReport.build("r3", "derived_corrected", direction, terms, tol, _meta(f, interval, x=x, y=y))
+    return ChainReport.build("r3", DEFAULT_VARIANT, direction, terms, tol, _meta(f, interval, x=x, y=y))
 
 
 # --- product of a harmonic convex and a symmetrized harmonic convex function -
@@ -517,7 +541,7 @@ def product_inequalities(
     interval: HInterval,
     tol: float = DEFAULT_TOL,
     quad_tol: float = DEFAULT_QUAD_TOL,
-    variant: str = "derived_corrected",
+    variant: str = DEFAULT_VARIANT,
 ) -> tuple[ChainReport, ChainReport]:
     """Chain id t4: two-sided bounds on W = (ab/(b-a)) int sym(f)*g/t^2.
 
@@ -596,7 +620,7 @@ def chain_h_subinterval(
         (0.5 * four * _Barred(h.h_int, h.h_int_error)).term("h_scaled_four_point_avg"),
     ]
     return ChainReport.build(
-        "t5", "derived_corrected", direction, terms, tol, _meta(f, interval, x=x, y=y, h=h)
+        "t5", DEFAULT_VARIANT, direction, terms, tol, _meta(f, interval, x=x, y=y, h=h)
     )
 
 
@@ -614,7 +638,7 @@ def bounds_h_pointwise(
     interval: HInterval,
     x: float,
     tol: float = DEFAULT_TOL,
-    variant: str = "derived_corrected",
+    variant: str = DEFAULT_VARIANT,
     direction: str = "convex",
 ) -> ChainReport:
     """Chain id t6: pointwise h-weighted sandwich for the symmetric part.
@@ -646,7 +670,7 @@ def weighted_bounds(
     interval: HInterval,
     tol: float = DEFAULT_TOL,
     quad_tol: float = DEFAULT_QUAD_TOL,
-    variant: str = "derived_corrected",
+    variant: str = DEFAULT_VARIANT,
     direction: str = "convex",
 ) -> ChainReport:
     """Chain id c1: the t6 sandwich integrated against a weight w >= 0.
@@ -669,6 +693,39 @@ def weighted_bounds(
     integral takes the kinks of w (and, where w(r(t)) appears, their
     reflections) as breakpoints, mapped to theta for the two h-weight ones.
     """
+    return weighted_reports(f, w, interval, ((h, direction),), tol, quad_tol, variant)[0]
+
+
+def _batched(batch: Callable[[Sequence[float]], list[float]]) -> Callable[[float], float]:
+    """The integrand that publishes ``batch`` as its ``evaluate_all`` and
+    evaluates one node as a batch of one."""
+
+    def integrand(t: float) -> float:
+        return batch([t])[0]
+
+    integrand.evaluate_all = batch
+    return integrand
+
+
+def weighted_reports(
+    f: Callable[[float], float],
+    w: Callable[[float], float],
+    interval: HInterval,
+    cases: Sequence[tuple[HFunction, str]],
+    tol: float = DEFAULT_TOL,
+    quad_tol: float = DEFAULT_QUAD_TOL,
+    variant: str = DEFAULT_VARIANT,
+) -> tuple[ChainReport, ...]:
+    """One c1 report (see :func:`weighted_bounds`) per ``(h, direction)``
+    in ``cases``.
+
+    Only the two h-weight integrals depend on the case, so the check of w,
+    int w, the middle term, f(a), f(b) and f(2ab/(a+b)) are computed once
+    for all cases; each report equals the one :func:`weighted_bounds` gives
+    for its case.  The integrands take a segment's nodes through the batches
+    of f, w and h, and one node as a batch of one, which evaluates in the
+    order of the formula.
+    """
     _check_variant(variant)
     a, b = interval.a, interval.b
     for k in range(65):
@@ -680,56 +737,64 @@ def weighted_bounds(
     int_w = _Barred.of(integrate(w, a, b, tol=quad_tol, breakpoints=w_kinks))
     w_all, f_all = evaluate_all_of(w), evaluate_all_of(f)
 
-    def mass(t: float) -> float:
-        return w(t) * (f(t) + f(interval.reflect(t)))
-
-    def mass_all(ts: Sequence[float]) -> list[float]:
+    def mass(ts: Sequence[float]) -> list[float]:
         return [u * (p + q) for u, p, q in zip(w_all(ts), f_all(ts), f_all(interval.reflect_all(ts)))]
 
-    mass.evaluate_all = mass_all
-    mid_mass = _Barred.of(integrate(
-        mass, a, b, tol=quad_tol, breakpoints=sym_transform(f, interval).kinks + w_kinks,
+    mid_mass = 0.5 * _Barred.of(integrate(
+        _batched(mass), a, b, tol=quad_tol, breakpoints=sym_transform(f, interval).kinks + w_kinks,
     ))
-
-    def corrected_weight(t: float) -> float:
-        w1, w2 = _barycentric_weights(interval, t)
-        return (h(w1) + h(w2)) * w(t)
-
-    def printed_weight(t: float) -> float:
-        w1, _ = _barycentric_weights(interval, t)
-        return h(w1) * (w(t) + w(interval.reflect(t)))
-
     half = 0.5 * (b - a)
 
-    def graded(weight: Callable[[float], float]) -> Callable[[float], float]:
-        """``weight`` as an integrand in theta (see above)."""
+    def graded(weight: Callable[[Sequence[float]], list[float]]) -> Callable[[float], float]:
+        """The batch ``weight`` of a weight in t as an integrand in theta."""
 
-        def integrand(theta: float) -> float:
-            u = math.pi * theta
-            return weight(a + half * (1.0 - math.cos(u))) * half * math.pi * math.sin(u)
+        def integrand(thetas: Sequence[float]) -> list[float]:
+            us = [math.pi * theta for theta in thetas]
+            values = weight([a + half * (1.0 - math.cos(u)) for u in us])
+            return [v * half * math.pi * math.sin(u) for v, u in zip(values, us)]
 
-        return integrand
+        return _batched(integrand)
 
     def graded_kinks(kinks: tuple[float, ...]) -> list[float]:
         """The kinks in ``(a, b)`` as values of theta."""
         return [math.acos(1.0 - (t - a) / half) / math.pi for t in kinks if a < t < b]
 
-    int_corr = integrate(graded(corrected_weight), 0.0, 1.0, tol=quad_tol, breakpoints=graded_kinks(w_kinks))
-    int_printed = integrate(
-        graded(printed_weight), 0.0, 1.0, tol=quad_tol,
-        breakpoints=graded_kinks(sym_transform(w, interval).kinks),
-    )
-    right = _Barred.of(int_printed if variant == "as_printed" else int_corr)
-    meta = _meta(f, interval, h=h, w=w)
-    meta["right_derived_corrected"] = avg_f * int_corr.value
-    meta["right_as_printed"] = avg_f * int_printed.value
-    meta["printed_right_deviation"] = avg_f * (int_printed.value - int_corr.value)
-    terms = [
-        (f(interval.harmonic_midpoint) / (2.0 * h.h_half) * int_w).term("scaled_midpoint_mass"),
-        (0.5 * mid_mass).term("weighted_sym_mean"),
-        (avg_f * right).term("h_weighted_endpoint_bound"),
-    ]
-    return ChainReport.build("c1", variant, direction, terms, tol, meta)
+    corrected_kinks = graded_kinks(w_kinks)
+    printed_kinks = graded_kinks(sym_transform(w, interval).kinks)
+
+    def right_integrals(h: HFunction) -> tuple[QuadResult, QuadResult]:
+        """int [h(w1) + h(w2)] w, derived, and int h(w1) [w + w(r)], as printed."""
+        h_all = evaluate_all_of(h)
+
+        def corrected(ts: Sequence[float]) -> list[float]:
+            hv = h_all([v for t in ts for v in _barycentric_weights(interval, t)])
+            return [(p + q) * u for p, q, u in zip(hv[::2], hv[1::2], w_all(ts))]
+
+        def printed(ts: Sequence[float]) -> list[float]:
+            hv = h_all([_barycentric_weights(interval, t)[0] for t in ts])
+            return [p * (u + v) for p, u, v in zip(hv, w_all(ts), w_all(interval.reflect_all(ts)))]
+
+        return (
+            integrate(graded(corrected), 0.0, 1.0, tol=quad_tol, breakpoints=corrected_kinks),
+            integrate(graded(printed), 0.0, 1.0, tol=quad_tol, breakpoints=printed_kinks),
+        )
+
+    rights = [right_integrals(h) for h, _ in cases]
+    f_mid = f(interval.harmonic_midpoint)
+    reports = []
+    for (h, direction), (int_corr, int_printed) in zip(cases, rights):
+        right = _Barred.of(int_printed if variant == "as_printed" else int_corr)
+        meta = _meta(f, interval, h=h, w=w)
+        meta["right_derived_corrected"] = avg_f * int_corr.value
+        meta["right_as_printed"] = avg_f * int_printed.value
+        meta["printed_right_deviation"] = avg_f * (int_printed.value - int_corr.value)
+        terms = [
+            (f_mid / (2.0 * h.h_half) * int_w).term("scaled_midpoint_mass"),
+            mid_mass.term("weighted_sym_mean"),
+            (avg_f * right).term("h_weighted_endpoint_bound"),
+        ]
+        reports.append(ChainReport.build("c1", variant, direction, terms, tol, meta))
+    return tuple(reports)
 
 
 # --- the chain table ------------------------------------------------------------
@@ -740,11 +805,18 @@ class Chain(NamedTuple):
     class its hypothesis asks of f, a ``convexity.check_class`` kind:
     ``"symmetrized"`` (the symmetric part harmonic convex or concave),
     ``"harmonic"`` (f itself) or ``"symmetrized_h"`` (the symmetric part
-    harmonic h-convex or h-concave, f >= 0)."""
+    harmonic h-convex or h-concave, f >= 0).
+
+    ``cases_evaluator`` names, for a chain that has one, the evaluator of
+    several ``(h, direction)`` cases in one call, sharing the work that does
+    not depend on the case.  It takes the parameters of ``evaluator`` with
+    ``cases`` in place of ``h`` and ``direction``, and returns one report
+    per case."""
 
     id: str
     evaluator: str
     hypothesis: str
+    cases_evaluator: Optional[str] = None
 
     def parameters(self) -> Mapping[str, inspect.Parameter]:
         """The evaluator's parameters, in signature order, as read once when
@@ -763,10 +835,10 @@ CHAINS = {
         Chain("t4", "product_inequalities", "symmetrized"),
         Chain("t5", "chain_h_subinterval", "symmetrized_h"),
         Chain("t6", "bounds_h_pointwise", "symmetrized_h"),
-        Chain("c1", "weighted_bounds", "symmetrized_h"),
+        Chain("c1", "weighted_bounds", "symmetrized_h", "weighted_reports"),
         Chain("r2", "chain_reflected_pair", "symmetrized"),
         Chain("r3", "chain_harmonic_full", "harmonic"),
-        Chain("r4", "chain_refinement", "symmetrized"),
+        Chain("r4", "chain_refinement", "symmetrized", "refinement_reports"),
     )
 }
 

@@ -32,8 +32,9 @@ functions carry a hand-written one.  :func:`weighted_integral` attaches it
 to its integrand.  The generic rule evaluates the 15 nodes in one call of
 the integrand's ``evaluate_all`` (the batch protocol of
 :mod:`hhverify.hmean`) when it publishes one, as parsed expressions, their
-symmetric parts and the ``t4`` and ``c1`` integrands do, and calls the
-integrand once per node otherwise, or when the batch raises.  A wrapper that
+symmetric parts, weights h (``ineq.HFunction``) and the ``t4`` and ``c1``
+integrands do (all three of ``c1``'s), and calls the integrand once per
+node otherwise, or when the batch raises.  A wrapper that
 replaces the integrand (a counting wrapper, say) publishes neither a rule
 nor a batch, so it takes the generic rule node by node and still sees every
 evaluation.

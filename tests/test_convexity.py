@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from hhverify import cli, convexity
 from hhverify.convexity import (
+    DEFAULT_GRID,
     SampleGrid,
     check_class,
     check_convex,
@@ -463,6 +465,28 @@ def _lattice_reference(f, lo, hi, centre, reciprocal, symmetrized, weights, grid
             worst, worst_witness = m, witness
     scale = max(abs(v) for sample in samples for v in sample[1:4])
     return worst, worst_witness, len(samples), scale
+
+
+def test_scan_raises_the_first_error_in_triple_order():
+    # f raises only at two random points off the lattice, in the same chunk
+    # of triples: at the reflection of the first triple's point c and at the
+    # second triple's c.  One triple at a time (h, then g(c), g(y), g(x))
+    # meets the first; a batch of the chunk's points before their
+    # reflections would meet the second
+    s0, s1 = 1.0, 0.5
+    (sx, sy, al), (sx2, sy2, al2) = DEFAULT_GRID.random_triple_stream(s0, s1)[:2]
+    first = 1.0 / (s0 + s1 - (sx + al * (sy - sx)))
+    second = 1.0 / (sx2 + al2 * (sy2 - sx2))
+
+    def f(t):
+        for name, point in (("first", first), ("second", second)):
+            if abs(t - point) <= 1e-12:
+                raise ValueError(f"{name} at {t!r}")
+        return 1.0 / t
+
+    for h in (None, IDENTITY_H):
+        with pytest.raises(ValueError, match=rf"^first at {re.escape(repr(first))}$"):
+            check_class("symmetrized" if h is None else "symmetrized_h", f, 1.0, 2.0, h=h)
 
 
 class TestOnePassScan:

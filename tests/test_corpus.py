@@ -234,6 +234,11 @@ BAD_DOCUMENTS = [
         _doc(closed_forms=json.loads('{"weighted_integral": 0.375, "other": -Infinity}')),
         "corpus entry 'recip': closed_forms.other must be finite, got -inf",
     ),
+    (
+        "closed_form_huge_int",
+        _doc(closed_forms={"weighted_integral": 10**400}),
+        "corpus entry 'recip': closed_forms.weighted_integral: int too large to convert to float",
+    ),
 ]
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import math
 
 import pytest
@@ -29,6 +30,7 @@ from hhverify.ineq import (
     refinement_reports,
     run_chain,
     weighted_bounds,
+    weighted_reports,
 )
 
 I12 = HInterval(1.0, 2.0)
@@ -88,6 +90,22 @@ class TestHFunction:
         for barred, plain in ((t5, t5_unbarred), (r4, r4_unbarred)):
             assert repr(barred.terms[:2]) == repr(plain.terms[:2])
             assert barred.terms[2].value == plain.terms[2].value
+
+    def test_identity_order_once_per_instance(self):
+        # equal weights (fn does not take part in ==) can order differently
+        calls = []
+
+        def square(t):
+            calls.append(t)
+            return t * t
+
+        identity, squared = (HFunction(fn, "h", 0.25, 0.5, 0.0) for fn in (lambda t: t, square))
+        assert identity == squared
+        assert identity.identity_order == (True, True)
+        assert squared.identity_order == (False, True)
+        assert squared.identity_order == (False, True)
+        assert len(calls) == 63
+        assert [h.identity_order for h in builtin_h()] == [(True, True), (False, True), (True, False), (True, False)]
 
 
 class TestChainHHClassic:
@@ -283,6 +301,32 @@ def test_refinement_reports_match_chain_refinement(source, variant, cases):
     batched = refinement_reports(f, interval, cases, quad_tol=quad_tol, variant=variant)
     separate = [
         chain_refinement(f, interval, h=h, quad_tol=quad_tol, variant=variant, direction=direction)
+        for h, direction in cases
+    ]
+    # repr prints every float exactly, and tells -0.0 from 0.0
+    assert [repr(r) for r in batched] == [repr(r) for r in separate]
+
+
+_C1_CASES = [(h, direction) for h in builtin_h() for direction in ("convex", "concave")]
+
+
+@pytest.mark.parametrize("variant", ineq.VARIANTS)
+@pytest.mark.parametrize("source", [e.name for e in builtin_functions()] + [7])
+def test_weighted_reports_match_weighted_bounds(source, variant):
+    # one call for all cases shares the weight-independent terms; no case
+    # may see another's h or direction
+    if isinstance(source, str):
+        entry = next(e for e in builtin_functions() if e.name == source)
+        f, interval, w, cases = entry.spec, entry.interval, parse("x^2"), _C1_CASES
+    else:
+        # plain callables: no batch of their own, kinks in f and w
+        f, interval = random_harmonic_convex(source, I12), I12
+        w = random_harmonic_convex(source + 1, I12)
+        h = HFunction.from_callable(lambda t: math.sqrt(t) + t * t, name="sqrt(t)+t^2")
+        cases = [(h, "convex"), (IDENTITY_H, "concave"), (h, "concave")]
+    batched = weighted_reports(f, w, interval, cases, quad_tol=1e-9, variant=variant)
+    separate = [
+        weighted_bounds(f, h, w, interval, quad_tol=1e-9, variant=variant, direction=direction)
         for h, direction in cases
     ]
     # repr prints every float exactly, and tells -0.0 from 0.0
@@ -660,6 +704,15 @@ class TestChainTable:
             assert callable(getattr(ineq, chain.evaluator))
             assert {"f", "interval"} <= set(chain.parameters())
             assert chain.hypothesis in ("symmetrized", "harmonic", "symmetrized_h")
+
+    def test_cases_evaluators_take_their_chains_parameters(self):
+        # the sweep passes a cases evaluator the keywords of its chain's
+        # evaluator, with cases in place of h and direction
+        named = {chain.id: chain.cases_evaluator for chain in CHAINS.values() if chain.cases_evaluator}
+        assert named == {"c1": "weighted_reports", "r4": "refinement_reports"}
+        for chain_id, name in named.items():
+            expected = set(CHAINS[chain_id].parameters()) - {"h", "direction"} | {"cases"}
+            assert set(inspect.signature(getattr(ineq, name)).parameters) == expected
 
     @pytest.mark.parametrize("chain_id", list(CHAINS))
     def test_run_chain_matches_direct_call(self, chain_id):

@@ -83,8 +83,9 @@ def test_sweep_entry_evaluations(scans, counted_entries, monkeypatch):
     square = next(e for e in counted_entries if e.name == "square")
     # f >= 0 is sampled once per entry (65 evaluations), not once per weight,
     # the r4 double integral once for the unweighted chain and every weight,
-    # and f(2ab/(a+b)) once per c1 job
-    assert square.spec.calls == 6_139
+    # and the c1 middle integral, f(a), f(b) and f(2ab/(a+b)) once for all
+    # four weights
+    assert square.spec.calls == 5_680
     assert sum(e.spec.calls for e in counted_entries) == square.spec.calls
 
 
