@@ -359,9 +359,13 @@ def _cmd_verify(args) -> int:
                 value = HFunction.from_source(value)
             elif name in ("g", "w"):
                 value = _parse_fn(value, f"--{name}")
-            # a point x or y: the evaluators reflect it, which takes what clamps into [a, b]
-            elif not interval.a <= interval.clamp(value) <= interval.b:
-                raise UsageError(f"--{name} must lie in [{interval.a!r}, {interval.b!r}], got {value!r}")
+            else:  # a point x or y: the evaluators reflect it, so reflect decides its range
+                try:
+                    interval.reflect(value)
+                except ValueError:
+                    raise UsageError(
+                        f"--{name} must lie in [{interval.a!r}, {interval.b!r}], got {value!r}"
+                    ) from None
             kwargs[name] = value
         elif name in given and param.default is param.empty:
             raise UsageError(f"chain {args.chain} requires --{name}")

@@ -49,15 +49,16 @@ __all__ = [
     "evaluate_all_of",
 ]
 
-_CLAMP_REL = 1e-12
+# a point within this share of the width of an endpoint is that endpoint
+_SNAP_REL = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
 class HInterval:
     a: float
     b: float
-    # (a'b', a'+b', clamp pad, harmonic midpoint, 2**e, 2**-e), fixed at
-    # construction, where a' = a * 2**-e and b' = b * 2**-e
+    # (a'b', a'+b', snap pad, harmonic midpoint, 2**e, 2**-e, a', b'), fixed
+    # at construction, where a' = a * 2**-e and b' = b * 2**-e
     _geometry: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -77,10 +78,12 @@ class HInterval:
         e = max(-1022, min(1022, e))  # 2**e and 2**-e stay normal floats
         up, down = math.ldexp(1.0, e), math.ldexp(1.0, -e)
         a, b = self.a * down, self.b * down
+        # the snap pad is rounded at full scale, where it may be subnormal,
+        # and then scaled, so a snap in the scaled frame makes the comparison
+        # one at full scale would
+        pad = _SNAP_REL * (b - a) * up * down
         object.__setattr__(
-            self,
-            "_geometry",
-            (a * b, a + b, _CLAMP_REL * (b - a) * up, 2.0 * a * b / (a + b) * up, up, down),
+            self, "_geometry", (a * b, a + b, pad, 2.0 * a * b / (a + b) * up, up, down, a, b)
         )
 
     @property
@@ -92,35 +95,28 @@ class HInterval:
         """2ab/(a+b), the unique fixed point of the reflection."""
         return self._geometry[3]
 
-    def clamp(self, t: float) -> float:
-        """Snap values within 1e-12 of the relative width onto the endpoints,
-        so quadrature nodes at interval ends never spuriously fail."""
-        pad = self._geometry[2]
-        if abs(t - self.a) <= pad:
-            return self.a
-        if abs(t - self.b) <= pad:
-            return self.b
-        return t
-
     def reflect(self, t: float) -> float:
         """Map ``t`` to ``abt/((a+b)t - ab)``.
 
         An involution of the interval: swaps ``a`` and ``b`` (exactly, by
-        special-casing) and fixes the harmonic midpoint.  ``t`` is clamped
-        first; ``ab``, ``a+b`` and the midpoint are fixed at construction.
+        special-casing) and fixes the harmonic midpoint.  A ``t`` within
+        1e-12 of the relative width of an endpoint is taken as that endpoint,
+        so quadrature nodes at interval ends never spuriously fail; any other
+        ``t`` outside ``[a, b]`` raises ``ValueError``.  The snap, the range
+        check and the formula all work on ``t`` scaled like the geometry
+        fixed at construction.
         """
-        ab, s, _, midpoint, up, down = self._geometry
-        t = self.clamp(t)
-        if not self.a <= t <= self.b:
-            raise ValueError(f"t={t!r} outside [{self.a!r}, {self.b!r}]")
-        if t == self.a:
+        ab, s, pad, midpoint, up, down, a, b = self._geometry
+        u = t * down
+        if abs(u - a) <= pad:
             return self.b
-        if t == self.b:
+        if abs(u - b) <= pad:
             return self.a
+        if not a <= u <= b:
+            raise ValueError(f"t={t!r} outside [{self.a!r}, {self.b!r}]")
         if t == midpoint:
             return t
-        t *= down
-        return ab * t / (s * t - ab) * up
+        return ab * u / (s * u - ab) * up
 
     def reflect_all(self, ts: Sequence[float]) -> list[float]:
         """``[self.reflect(t) for t in ts]``, raising at the first ``t`` where

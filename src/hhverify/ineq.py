@@ -4,6 +4,9 @@ Each evaluator returns a :class:`ChainReport`: an ordered list of terms, the
 pairwise slacks (right minus left, sign-flipped for the concave direction),
 and a pass/fail flag that only trips when a slack is negative beyond the
 relative tolerance (times the largest |term|) plus the adjacent error bars.
+Reports and their terms (:class:`ChainTerm`) are frozen dataclasses, not
+tuples, so ``isinstance(result, tuple)`` tells one report from several;
+``dataclasses.replace`` makes a changed copy of either.
 
 Several of the displays these chains verify circulate in print with
 coefficient slips that contradict their own derivations (an extra 1/2 on a
@@ -153,9 +156,24 @@ IDENTITY_H = HFunction.from_source("x", name="t")
 
 @dataclass(frozen=True, slots=True)
 class ChainTerm:
+    """One term of a chain: its label, its value and its error bar."""
+
     label: str
     value: float
     abs_error: float = 0.0
+
+    # Written by hand, as QuadResult's is: the generated frozen __init__
+    # pays one object.__setattr__ per field.
+    def __init__(self, label: str, value: float, abs_error: float = 0.0):
+        _set_label(self, label)
+        _set_value(self, value)
+        _set_abs_error(self, abs_error)
+
+
+# the slot descriptors' setters, which bypass the frozen __setattr__
+_set_label = ChainTerm.label.__set__
+_set_value = ChainTerm.value.__set__
+_set_abs_error = ChainTerm.abs_error.__set__
 
 
 class _Barred:
@@ -214,6 +232,25 @@ class ChainReport:
     tol: float
     passed: bool
     metadata: dict
+
+    # Written by hand: one update of the instance dict in place of the
+    # generated frozen __init__'s nine object.__setattr__ calls.
+    def __init__(
+        self,
+        chain_id: str,
+        variant: str,
+        direction: str,
+        terms: tuple[ChainTerm, ...],
+        slacks: tuple[float, ...],
+        slack_errors: tuple[float, ...],
+        tol: float,
+        passed: bool,
+        metadata: dict,
+    ):
+        self.__dict__.update(
+            chain_id=chain_id, variant=variant, direction=direction, terms=terms, slacks=slacks,
+            slack_errors=slack_errors, tol=tol, passed=passed, metadata=metadata,
+        )
 
     @classmethod
     def build(

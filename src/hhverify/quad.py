@@ -38,6 +38,11 @@ node otherwise, or when the batch raises.  A wrapper that
 replaces the integrand (a counting wrapper, say) publishes neither a rule
 nor a batch, so it takes the generic rule node by node and still sees every
 evaluation.
+
+Results.  Every routine returns a :class:`QuadResult`, a frozen dataclass
+rather than a tuple: it neither unpacks nor compares equal to one.  Its
+value must be finite and its error estimate a nonnegative number; a NaN
+estimate is rejected as a negative one is.
 """
 
 from __future__ import annotations
@@ -65,15 +70,31 @@ class QuadratureBudgetError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class QuadResult:
+    """A signed integral, its absolute error estimate, and the number of
+    segments accepted.  A frozen dataclass, not a tuple: it neither unpacks
+    nor compares equal to one.  The value must be finite and the estimate a
+    nonnegative number (not NaN), or construction raises ``ValueError``."""
+
     value: float
     abs_error_estimate: float
     subdivisions: int
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
+    # Written by hand: the generated frozen __init__ pays one
+    # object.__setattr__ per field, and one result is built per integral.
+    def __init__(self, value: float, abs_error_estimate: float, subdivisions: int):
+        if not math.isfinite(value):
             raise ValueError("integral value is not finite")
-        if self.abs_error_estimate < 0.0:
-            raise ValueError("error estimate must be nonnegative")
+        if not abs_error_estimate >= 0.0:
+            raise ValueError("error estimate must be a nonnegative number")
+        _set_value(self, value)
+        _set_abs_error_estimate(self, abs_error_estimate)
+        _set_subdivisions(self, subdivisions)
+
+
+# the slot descriptors' setters, which bypass the frozen __setattr__
+_set_value = QuadResult.value.__set__
+_set_abs_error_estimate = QuadResult.abs_error_estimate.__set__
+_set_subdivisions = QuadResult.subdivisions.__set__
 
 
 # Gauss(7)/Kronrod(15) abscissae and weights on [-1, 1].
@@ -147,6 +168,10 @@ def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
     return h * k, abs(h) * abs(k - g)
 
 
+# the default evaluation budget of one integral
+DEFAULT_MAX_EVALS = 1_000_000
+
+
 def _exhausted(max_evals, lo: float, hi: float) -> QuadratureBudgetError:
     return QuadratureBudgetError(f"budget of {max_evals} evaluations exhausted on [{lo!r}, {hi!r}]")
 
@@ -156,7 +181,7 @@ def integrate(
     lo: float,
     hi: float,
     tol: float = 1e-10,
-    max_evals: int = 1_000_000,
+    max_evals: int = DEFAULT_MAX_EVALS,
     breakpoints: Sequence[float] = (),
 ) -> QuadResult:
     """Signed adaptive integral of ``f`` from ``lo`` to ``hi``.
@@ -190,11 +215,10 @@ def integrate(
     if lo == hi:
         return QuadResult(0.0, 0.0, 0)
     if lo > hi:
-        res = integrate(f, hi, lo, tol=tol, max_evals=max_evals, breakpoints=breakpoints)
+        res = integrate(f, hi, lo, tol, max_evals, breakpoints)
         return QuadResult(-res.value, res.abs_error_estimate, res.subdivisions)
 
     span = hi - lo
-    width_floor = 1e-14 * max(abs(lo), abs(hi), 1.0)
     gk15 = getattr(f, "gk15", None) or partial(_gk15, f)
     if breakpoints:
         edges = [lo, *sorted({p for p in breakpoints if lo < p < hi}), hi]
@@ -207,7 +231,8 @@ def integrate(
         evals += 15
         if evals > max_evals:
             raise _exhausted(max_evals, lo, hi)
-        work.append((l, r, *gk15(l, r)))
+        v, e = gk15(l, r)
+        work.append((l, r, v, e))
 
     total = 0.0
     err_total = 0.0
@@ -215,7 +240,8 @@ def integrate(
     while work:
         l, r, v, e = work.pop()
         w = r - l
-        if e <= tol * (w / span) or w <= width_floor:
+        # the width floor is computed only for a segment that fails the tolerance
+        if e <= tol * (w / span) or w <= 1e-14 * max(abs(lo), abs(hi), 1.0):
             total += v
             err_total += e
             accepted += 1
@@ -224,11 +250,13 @@ def integrate(
         evals += 15
         if evals > max_evals:
             raise _exhausted(max_evals, lo, hi)
-        work.append((l, m, *gk15(l, m)))
+        v, e = gk15(l, m)
+        work.append((l, m, v, e))
         evals += 15
         if evals > max_evals:
             raise _exhausted(max_evals, lo, hi)
-        work.append((m, r, *gk15(m, r)))
+        v, e = gk15(m, r)
+        work.append((m, r, v, e))
     return QuadResult(total, err_total, accepted)
 
 
@@ -254,7 +282,7 @@ def weighted_integral(
     rule = getattr(f, "weighted_gk15", None)
     if rule is not None:
         integrand.gk15 = rule
-    return integrate(integrand, lo, hi, tol=tol, breakpoints=breakpoints)
+    return integrate(integrand, lo, hi, tol, DEFAULT_MAX_EVALS, breakpoints)
 
 
 def reflected_weighted_integral(

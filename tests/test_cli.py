@@ -528,7 +528,7 @@ class TestVerify:
             ("t2", ["--x", "3"], 2, "hhverify verify: --x must lie in [1.0, 2.0], got 3.0\n"),
             ("r3", ["--x", "-inf", "--y", "1.5"], 2, "hhverify verify: --x must lie in [1.0, 2.0], got -inf\n"),
             ("t5", ["--h", "x", "--x", "1.2", "--y", "inf"], 2, "hhverify verify: --y must lie in [1.0, 2.0], got inf\n"),
-            # within the reflection's clamp of an end, as the evaluators take it
+            # within the reflection's snap to an end, as the evaluators take it
             ("t2", ["--x", "0.9999999999999999"], 0, ""),
             ("t1", ["--x", "nan"], 0, "hhverify verify: chain t1 takes no --x; ignored\n"),
         ],

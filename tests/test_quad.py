@@ -165,6 +165,8 @@ class TestIntegrate:
             QuadResult(math.nan, 0.0, 1)
         with pytest.raises(ValueError):
             QuadResult(1.0, -1.0, 1)
+        with pytest.raises(ValueError):
+            QuadResult(1.0, math.nan, 1)
 
     def test_deterministic(self):
         f = parse("exp(x)/x")
