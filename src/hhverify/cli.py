@@ -197,8 +197,11 @@ def _emit(payload: dict, fmt: str, out: Optional[str]) -> None:
         writer.writerows(_chain_csv_rows(payload))
         text = buf.getvalue()
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -276,6 +279,14 @@ def _parse_fn(text: str, what: str):
         raise UsageError(f"cannot parse {what} {text!r}: {exc}") from None
 
 
+def _parse_h(text: str) -> HFunction:
+    fn = _parse_fn(text, "--h")
+    try:
+        return HFunction.from_callable(fn, name=text)
+    except ValueError as exc:  # not a weight, or fails to evaluate on (0, 1)
+        raise UsageError(f"--h {text!r}: {exc}") from None
+
+
 def _grid(args) -> SampleGrid:
     try:
         return SampleGrid(abscissa_count=args.grid, seed=args.seed)
@@ -312,7 +323,7 @@ def _cmd_check(args) -> int:
     if kind.endswith("_h"):
         if not args.h:
             raise UsageError(f"--class {args.class_name} requires --h")
-        h = HFunction.from_source(args.h)
+        h = _parse_h(args.h)
     elif args.h:
         _stderr_line("check", f"class {args.class_name} takes no --h; ignored")
     verdict = check_class(kind, fn, args.a, args.b, h=h, grid=grid, tol=args.tol)
@@ -356,7 +367,7 @@ def _cmd_verify(args) -> int:
         value = given.get(name)
         if value is not None:
             if name == "h":
-                value = HFunction.from_source(value)
+                value = _parse_h(value)
             elif name in ("g", "w"):
                 value = _parse_fn(value, f"--{name}")
             else:  # a point x or y: the evaluators reflect it, so reflect decides its range

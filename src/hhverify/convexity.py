@@ -17,8 +17,8 @@ triple: h, then g(c), g(y), g(x)) at a time, so a scan raises what that
 order meets first.
 
 :func:`check_class` is the one map from a class kind to its checker; the
-command line, the corpus gate and :func:`find_strict_inclusion_witness`
-scan through it.
+command line and :func:`find_strict_inclusion_witness` scan through it, and
+so does the test suite's corpus gate.
 """
 
 from __future__ import annotations

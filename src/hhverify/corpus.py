@@ -3,10 +3,6 @@
 The built-in declarations are constants of the source, proved by the
 convexity checkers in ``tests/test_corpus.py``, so building the corpus runs
 no scan.
-Documents read by :func:`import_json` are outside data: each declared
-membership is re-verified there, by one :func:`~hhverify.convexity.check_class`
-scan per kind of class, and a mismatch or a malformed field raises
-:class:`CorpusError` instead of silently poisoning downstream results.
 
 Also hosts the seeded generator of harmonic convex functions built as
 G(1/t) for a convex piecewise-linear G, which are harmonic convex by
@@ -20,22 +16,19 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Mapping
 
-from .convexity import check_class, inclusion_family_source
-from .fnspec import ExpressionError, FunctionSpec, parse
+from .convexity import inclusion_family_source
+from .fnspec import FunctionSpec, parse
 from .hmean import HInterval
 from .ineq import IDENTITY_H, HFunction
 from .quad import GK15, _gk15
 
 __all__ = [
-    "CorpusError",
     "CorpusEntry",
     "PiecewiseConvexReciprocal",
     "builtin_functions",
     "builtin_h",
-    "export_json",
-    "import_json",
     "random_harmonic_convex",
 ]
 
@@ -49,11 +42,6 @@ CLASS_TAGS = (
 )
 
 
-class CorpusError(RuntimeError):
-    """An imported corpus document is malformed, or one of its declared class
-    memberships failed re-verification."""
-
-
 @dataclass(frozen=True)
 class CorpusEntry:
     name: str
@@ -62,16 +50,6 @@ class CorpusEntry:
     classes: Mapping[str, bool]
     closed_forms: Mapping[str, float]
     notes: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "source": self.spec.source,
-            "interval": {"a": self.interval.a, "b": self.interval.b},
-            "classes": dict(self.classes),
-            "closed_forms": dict(self.closed_forms),
-            "notes": self.notes,
-        }
 
 
 def _entry(name, source, a, b, classes, closed_forms=None, notes=""):
@@ -250,27 +228,6 @@ def _build_entries() -> tuple[CorpusEntry, ...]:
     return tuple(entries)
 
 
-# the check_class kind of a tag without its direction: one scan decides both tags
-_GATE_KINDS = {"": "convex", "harmonic": "harmonic", "symmetrized_harmonic": "symmetrized"}
-
-
-def _verify_entry(entry: CorpusEntry) -> None:
-    verdicts = {}
-    for tag, declared in entry.classes.items():
-        if tag not in CLASS_TAGS:
-            raise CorpusError(f"{entry.name}: unknown class tag {tag!r}")
-        kind, _, direction = tag.rpartition("_")
-        if kind not in verdicts:
-            verdicts[kind] = check_class(_GATE_KINDS[kind], entry.spec, entry.interval.a, entry.interval.b)
-        verdict = verdicts[kind] if direction == "convex" else verdicts[kind].opposite
-        if verdict.passed != declared:
-            raise CorpusError(
-                f"{entry.name}: declared {tag}={declared} but the checker found "
-                f"passed={verdict.passed} (worst margin {verdict.worst_margin!r} "
-                f"at {verdict.witness})"
-            )
-
-
 @lru_cache(maxsize=1)
 def builtin_functions() -> tuple[CorpusEntry, ...]:
     """The built-in corpus, built once per process without any class scan:
@@ -289,91 +246,6 @@ def builtin_h() -> tuple[HFunction, ...]:
     )
 
 
-def export_json(entries: Optional[tuple[CorpusEntry, ...]] = None) -> dict:
-    """Corpus as a plain JSON-ready document for external tooling."""
-    if entries is None:
-        entries = builtin_functions()
-    return {"schema": 1, "entries": [e.to_dict() for e in entries]}
-
-
-# marks an absent field of an imported document
-_MISSING = object()
-
-
-def import_json(doc: dict) -> tuple[CorpusEntry, ...]:
-    """Rebuild corpus entries from an :func:`export_json` document.
-
-    A missing or mistyped field, a name that an earlier entry has, or a
-    closed form that is not finite raises :class:`CorpusError` naming the
-    entry and the field, and so does a declared membership that the checkers
-    refute.
-    """
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != 1:
-        raise CorpusError(f"unsupported corpus schema {schema!r}")
-    items = doc.get("entries", _MISSING)
-    if not isinstance(items, list):
-        got = "it is missing" if items is _MISSING else f"got {items!r}"
-        raise CorpusError(f"corpus document: entries must be a list, {got}")
-    taken: dict[str, int] = {}
-    return tuple(_import_entry(index, item, taken) for index, item in enumerate(items))
-
-
-# what an imported field must be, by the type JSON decodes it to
-_EXPECTED = {str: "a string", dict: "an object", bool: "true or false", float: "a number"}
-
-
-def _import_entry(index: int, item, taken: dict[str, int]) -> CorpusEntry:
-    """The entry ``item`` describes; ``taken`` maps the names of the entries
-    before it to their indices, and gets this one's."""
-    where = f"corpus entry {index}"
-
-    def need(path, value, kind):
-        if kind is float:  # a JSON number decodes to int or float, never bool
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        else:
-            ok = isinstance(value, kind)
-        if not ok:
-            got = "it is missing" if value is _MISSING else f"got {value!r}"
-            raise CorpusError(f"{where}: {path} must be {_EXPECTED[kind]}, {got}")
-        return value
-
-    if not isinstance(item, dict):
-        raise CorpusError(f"{where}: must be an object, got {item!r}")
-    name = need("name", item.get("name", _MISSING), str)
-    if name in taken:
-        raise CorpusError(f"{where}: name must be unique, got {name!r}, the name of corpus entry {taken[name]}")
-    taken[name] = index
-    where = f"corpus entry {name!r}"
-    source = need("source", item.get("source", _MISSING), str)
-    interval = need("interval", item.get("interval", _MISSING), dict)
-    a, b = (need(f"interval.{k}", interval.get(k, _MISSING), float) for k in "ab")
-    classes = need("classes", item.get("classes", {}), dict)
-    for tag, declared in classes.items():
-        need(f"classes.{tag}", declared, bool)
-    closed_forms = need("closed_forms", item.get("closed_forms", {}), dict)
-    for key, value in closed_forms.items():
-        need(f"closed_forms.{key}", value, float)
-        # json.loads reads NaN, Infinity and -Infinity, and ints of any size
-        try:
-            finite = math.isfinite(value)
-        except OverflowError as exc:
-            raise CorpusError(f"{where}: closed_forms.{key}: {exc}") from exc
-        if not finite:
-            raise CorpusError(f"{where}: closed_forms.{key} must be finite, got {value!r}")
-    notes = need("notes", item.get("notes", ""), str)
-    try:
-        hinterval = HInterval(a, b)
-    except (ValueError, OverflowError) as exc:
-        raise CorpusError(f"{where}: interval: {exc}") from exc
-    try:
-        entry = CorpusEntry(name, parse(source), hinterval, dict(classes), dict(closed_forms), notes)
-        _verify_entry(entry)
-    except ExpressionError as exc:
-        raise CorpusError(f"{where}: source {source!r}: {exc}") from exc
-    return entry
-
-
 # --- seeded random harmonic convex functions ---------------------------------
 
 
@@ -381,7 +253,8 @@ def _import_entry(index: int, item, taken: dict[str, int]) -> CorpusEntry:
 class PiecewiseConvexReciprocal:
     """f(t) = G(1/t) with G convex piecewise linear (nondecreasing slopes).
 
-    Harmonic convexity is exact by construction: 1/hcomb(x, y, alpha) is the
+    Harmonic convexity is exact by construction: the harmonic combination
+    xy/(alpha*x + (1-alpha)*y) has the reciprocal alpha/y + (1-alpha)/x, the
     matching affine combination of 1/x and 1/y, so the defining inequality
     for f is the ordinary convexity of G at that combination.  Outside the
     knot span G continues with the nearest segment's slope, which preserves

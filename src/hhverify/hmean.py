@@ -3,7 +3,7 @@
 An :class:`HInterval` ``[a, b]`` has ``a < b``, both of one sign, which keeps
 the reflection denominator ``(a+b)t - ab`` bounded away from zero (it is at
 least ``min(a^2, b^2)`` on the interval).  On top of that sit the harmonic
-combination, the endpoint-swapping reflection, and the reflection-symmetric
+midpoint, the endpoint-swapping reflection, and the reflection-symmetric
 part of a function.  The reflection and the harmonic midpoint are computed
 on the interval scaled by a power of two, so their accuracy does not depend
 on the interval's scale (tested from 1e-300 to 1e300).
@@ -43,7 +43,6 @@ from typing import Callable, Sequence
 __all__ = [
     "HInterval",
     "TransformedFunction",
-    "hcomb",
     "sym_transform",
     "kinks_of",
     "evaluate_all_of",
@@ -136,22 +135,6 @@ def evaluate_all_of(f: Callable[[float], float]) -> Callable[[Sequence[float]], 
     if batch is not None:
         return batch
     return lambda ts: [f(t) for t in ts]
-
-
-def hcomb(x: float, y: float, alpha: float) -> float:
-    """Harmonic combination ``xy/(alpha*x + (1-alpha)*y)``.
-
-    ``alpha = 1`` gives ``y``: in convexity margins the weight ``alpha``
-    multiplies the function value at ``y``.  The result always lies between
-    min(x, y) and max(x, y).
-    """
-    if x == 0.0 or y == 0.0:
-        raise ValueError("hcomb needs nonzero arguments")
-    if (x > 0.0) != (y > 0.0):
-        raise ValueError(f"hcomb arguments must share a sign, got {x!r}, {y!r}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"weight {alpha!r} outside [0, 1]")
-    return x * y / (alpha * x + (1.0 - alpha) * y)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,8 @@ import io
 import json
 import math
 import os
-import re
-import shlex
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from typing import NamedTuple
 
 import pytest
@@ -17,17 +14,13 @@ from hypothesis import strategies as st
 
 import hhverify
 from hhverify import ineq
-from hhverify.cli import _fmt_float, format_json, main, run_sweep
+from hhverify.cli import _fmt_float, format_json, run_sweep
 from hhverify.corpus import builtin_functions, builtin_h
 from hhverify.ineq import CHAINS
 from hhverify.quad import QuadratureBudgetError
 
-
-def run_cli(args):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(args)
-    return code, out.getvalue(), err.getvalue()
+import golden
+from golden import run_cli
 
 
 def run_module(args, timeout=60):
@@ -335,6 +328,34 @@ def test_bad_tolerance_exits_2(args):
     assert code == 2
     assert out == ""
     assert err.startswith(f"hhverify {args[0]}: {args[-2]} must be finite")
+
+
+_HH_X = ["check", "--class", "hh", "--fn", "x", "--a", "1", "--b", "2"]
+_T5_POINTS = ["verify", "--chain", "t5", "--fn", "x", "--a", "1", "--b", "2", "--x", "1.2", "--y", "1.7"]
+
+
+@pytest.mark.parametrize(
+    "args, err",
+    [
+        (_HH_X + ["--h", "x^"], "cannot parse --h 'x^': expected an expression (byte offset 2)"),
+        (_HH_X + ["--h", "-x"], "--h '-x': weight function is negative or NaN at 0.03125: -0.03125"),
+        (_T5_POINTS + ["--h", "x^"], "cannot parse --h 'x^': expected an expression (byte offset 2)"),
+        (_T5_POINTS + ["--h", "-x"], "--h '-x': weight function is negative or NaN at 0.03125: -0.03125"),
+    ],
+    ids=["check-syntax", "check-negative", "verify-syntax", "verify-negative"],
+)
+def test_bad_h_names_the_option(args, err):
+    assert run_cli(args) == (2, "", f"hhverify {args[0]}: {err}\n")
+
+
+@pytest.mark.parametrize("args", [_T1_RECIPROCAL, ["sweep", "--entry", "reciprocal"]], ids=lambda args: args[0])
+def test_unwritable_out_exits_2(tmp_path, args):
+    # a directory, and a file in a directory that does not exist
+    for target in (tmp_path, tmp_path / "missing" / "report.json"):
+        code, out, err = run_cli(args + ["--out", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"hhverify {args[0]}: cannot write --out: [Errno ")
+        assert err.count("\n") == 1 and str(target) in err
 
 
 def test_negative_float_values_are_values():
@@ -728,22 +749,10 @@ class TestRunSweepLibrary:
         assert all(job["status"] != "error" for job in results if job["chain"] != "r4")
 
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
-
-
 def _readme_cli_lines():
     """A (line, exit code) param, with id ``README:<line number>``, for each
-    ``hhverify ...`` line of the README's ``sh`` blocks; the code is the one
-    its comment names as ``exits N``, or 0."""
-    found, in_sh = [], False
-    with open(README, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if line.startswith("```"):
-                in_sh = line.strip() == "```sh"
-            elif in_sh and line.startswith("hhverify "):
-                code = re.search(r"#.*\bexits (\d+)", line)
-                found.append(pytest.param(line.strip(), int(code.group(1)) if code else 0, id=f"README:{number}"))
-    return found
+    ``hhverify ...`` line of the README's ``sh`` blocks (see :mod:`golden`)."""
+    return [pytest.param(line, code, id=f"README:{number}") for number, line, code in golden.readme_cli_lines()]
 
 
 def test_readme_has_cli_examples():
@@ -752,5 +761,19 @@ def test_readme_has_cli_examples():
 
 @pytest.mark.parametrize("line, code", _readme_cli_lines())
 def test_readme_cli_example_exits_as_documented(line, code):
-    got, out, err = run_cli(shlex.split(line, comments=True)[1:])
+    # and prints its golden file: python tests/golden.py --update rewrites them
+    args = golden.readme_args(line)
+    got, out, err = run_cli(args)
     assert got == code, f"{line!r} exited {got}\n{out[-2000:]}{err}"
+    with open(golden.golden_path(args), "rb") as fh:
+        expected = fh.read()
+    if out.encode("utf-8") != expected:
+        pytest.fail(golden.describe_mismatch(expected, out.encode("utf-8"), line), pytrace=False)
+
+
+def test_every_golden_file_has_its_output():
+    # one file per README line, none shared, and none left over
+    paths = [golden.golden_path(golden.readme_args(line)) for _, line, _ in golden.readme_cli_lines()]
+    assert len(set(paths)) == len(paths)
+    assert golden.SWEEP_PATH in paths
+    assert sorted(os.listdir(golden.GOLDEN_DIR)) == sorted(os.path.basename(p) for p in paths)

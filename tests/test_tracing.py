@@ -9,6 +9,8 @@ import pytest
 import hhverify
 import hhverify.cli
 
+import corpus_gate
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
@@ -33,7 +35,7 @@ def test_tracer_installs_and_restores(monkeypatch):
         (lambda: hhverify.cli.main(["check", "--class", "shh", "--fn", "x^2", "--h", "x", "--a", "1", "--b", "2"]), 1),
         (lambda: hhverify.cli.main(["verify", "--chain", "t1", "--fn", "-ln(x)", "--a", "1", "--b", "2"]), 1),
         (lambda: hhverify.cli.run_sweep(entry_names=["square"]), 1),
-        (lambda: hhverify.corpus._verify_entry(hhverify.corpus._build_entries()[0]), 3),
+        (lambda: corpus_gate.verify_entry(hhverify.corpus._build_entries()[0]), 3),
         # the harmonic scan fails f_1, so the symmetrized one runs too
         (lambda: hhverify.cli.main(["search", "--a", "1", "--b", "2", "--c", "1"]), 2),
     ],

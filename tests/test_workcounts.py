@@ -19,6 +19,8 @@ from hhverify.hmean import HInterval, kinks_of
 from hhverify.ineq import HFunction, chain_refinement, weighted_bounds
 from hhverify.quad import refinement_double_integral, weighted_integral
 
+import corpus_gate
+
 # one default-grid scan: f once at each of the 16*64 + 1 lattice points, on
 # which every weighted pair of the 65 coarse nodes combines, and three times
 # per random triple; a symmetrized scan evaluates f at the reflection of each
@@ -59,7 +61,7 @@ def counted_entries():
 
 def test_gate_scans_each_class_once(scans, counted_entries):
     for entry in counted_entries:
-        corpus._verify_entry(entry)
+        corpus_gate.verify_entry(entry)
     # convex/concave, harmonic and symmetrized pairs: one scan each per entry
     assert scans[0] == 3 * len(counted_entries) == 33
     assert [e.spec.calls for e in counted_entries] == [2 * SCAN_EVALS + SYM_SCAN_EVALS] * 11
