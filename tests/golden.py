@@ -9,6 +9,9 @@
   ``hhverify sweep`` is ``sweep.json``.  The lines of
   :data:`CSV_PROJECTED` are run with ``--format csv`` added, and their file
   holds that CSV: the same reports, in a third of the bytes.
+- Each command of :data:`ERROR_LINES` fails to evaluate a function and
+  exits 2.  Its file (:func:`error_path`) holds the command, its exit code
+  and what it prints to stderr; it prints nothing to stdout.
 
 A change that moves an output rewrites every file with::
 
@@ -43,6 +46,20 @@ VERDICT_KEYS = ('"status":', '"passed":')
 # README lines whose golden file is the CSV of their reports (the JSON of
 # the first is 256 KB)
 CSV_PROJECTED = ("sweep --variant as_printed",)
+# commands whose function fails to evaluate: at a point, at a node of an
+# integral or a scan, or under the sign check of the weight w
+ERROR_LINES = (
+    'check --fn "ln(x-1.5)" --a 1 --b 2 --class hc',
+    'check --fn "ln(abs(x-1.885)-0.025)" --a 1 --b 2 --class shc',
+    'check --fn "ln(abs(x-1.885)-0.025)" --a 1 --b 2 --class hc',
+    'verify --chain t4 --fn "ln(abs(x-1.885)-0.025)" --g 1 --a 1 --b 2',
+    'verify --chain c1 --fn "ln(abs(x-1.885)-0.025)" --h x --w 1 --a 1 --b 2',
+    'verify --chain r4 --fn "ln(abs(x-1.885)-0.025)" --a 1 --b 2',
+    'verify --chain t1 --fn "ln(x-1.5)" --a 1 --b 2',
+    'verify --chain t4 --fn 1/x --g "ln(x-1.5)" --a 1 --b 2',
+    'verify --chain c1 --fn 1/x --h x --w "ln(x-1.5)" --a 1 --b 2',
+    "verify --chain c1 --fn 1/x --h x --w -1 --a 1 --b 2",
+)
 
 
 def sweep_bytes() -> bytes:
@@ -76,12 +93,25 @@ def readme_args(line: str) -> list[str]:
     return args
 
 
-def golden_path(args: list[str]) -> str:
+def golden_path(args: list[str], suffix: str = "") -> str:
     """``tests/golden/<the arguments, each run of other characters than
-    letters, digits, '_' and '.' made one '-'>.<json or csv>``."""
+    letters, digits, '_' and '.' made one '-'>.<suffix, or json or csv>``."""
     stem = re.sub(r"[^A-Za-z0-9_.]+", "-", " ".join(args)).strip("-")
-    fmt = args[args.index("--format") + 1] if "--format" in args else "json"
+    fmt = suffix or (args[args.index("--format") + 1] if "--format" in args else "json")
     return os.path.join(GOLDEN_DIR, f"{stem}.{fmt}")
+
+
+def error_path(args: list[str]) -> str:
+    """The golden file of a command of :data:`ERROR_LINES`: its name ends in
+    ``.stderr``.  The name drops signs, so ``--w -1`` and ``--w 1`` share a
+    stem; the file's first line is the command itself."""
+    return golden_path(args, "stderr")
+
+
+def error_text(args: list[str]) -> str:
+    """The command, its exit code and its stderr, as its golden file holds them."""
+    code, _, err = run_cli(args)
+    return f"$ hhverify {shlex.join(args)}\nexit {code}\n{err}"
 
 
 def run_cli(args: list[str]) -> tuple[int, str, str]:
@@ -189,6 +219,9 @@ def main(argv=None) -> int:
         path = golden_path(cli_args)
         if path not in outputs:
             outputs[path] = run_cli(cli_args)[1].encode("utf-8")
+    for line in ERROR_LINES:
+        cli_args = shlex.split(line)
+        outputs[error_path(cli_args)] = error_text(cli_args).encode("utf-8")
     for path, data in outputs.items():
         with open(path, "wb") as fh:
             fh.write(data)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from typing import NamedTuple
@@ -771,9 +772,23 @@ def test_readme_cli_example_exits_as_documented(line, code):
         pytest.fail(golden.describe_mismatch(expected, out.encode("utf-8"), line), pytrace=False)
 
 
+@pytest.mark.parametrize("line", golden.ERROR_LINES, ids=[f"error:{i}" for i in range(len(golden.ERROR_LINES))])
+def test_evaluation_failure_matches_golden(line):
+    # exit code 2 and one stderr line naming the failing t, and no stdout;
+    # the c1, r4 and sym(f) cases run the batch fallbacks
+    args = shlex.split(line)
+    assert run_cli(args)[1] == ""
+    with open(golden.error_path(args), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert expected.splitlines()[1] == "exit 2"
+    assert golden.error_text(args) == expected
+
+
 def test_every_golden_file_has_its_output():
-    # one file per README line, none shared, and none left over
+    # one file per README line and per failing command, none shared, and
+    # none left over
     paths = [golden.golden_path(golden.readme_args(line)) for _, line, _ in golden.readme_cli_lines()]
+    paths += [golden.error_path(shlex.split(line)) for line in golden.ERROR_LINES]
     assert len(set(paths)) == len(paths)
     assert golden.SWEEP_PATH in paths
     assert sorted(os.listdir(golden.GOLDEN_DIR)) == sorted(os.path.basename(p) for p in paths)
