@@ -8,13 +8,13 @@ off that table, adds a seeded random spillover, and returns the worst
 margin with a reproducible witness.  A "passed" verdict is always of the
 "no sampled violation" kind; the sample count is part of the record.
 
-A scan evaluates f through its batch (the batch protocol of
+A scan evaluates f and h through their batches (the function protocol of
 :mod:`hhverify.hmean`): the lattice in one call, and the random triples in
-chunks of :data:`CHUNK`, one call for f and one for h per chunk.  The
-values are bit for bit those of one evaluation at a time.  If a batch
-raises, the lattice, or the chunk, is evaluated again one point (one
-triple: h, then g(c), g(y), g(x)) at a time, so a scan raises what that
-order meets first.
+chunks of :data:`CHUNK`, one call for f and one for h per chunk, each with
+:func:`hhverify.hmean.batch_else_each`.  The values are bit for bit those
+of one evaluation at a time.  If the batch of the chunk raises, the chunk
+is evaluated again one triple (h, then g(c), g(y), g(x)) at a time, so a
+scan raises what that order meets first.
 
 :func:`check_class` is the one map from a class kind to its checker; the
 command line and :func:`find_strict_inclusion_witness` scan through it, and
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .fnspec import FunctionSpec, parse
-from .hmean import HInterval, evaluate_all_of
+from .hmean import HInterval, as_function, batch_else_each
 
 __all__ = [
     "SampleGrid",
@@ -194,22 +194,19 @@ def _check(f, lo, hi, reciprocal, h, symmetrized, grid, tol) -> ConvexityVerdict
     # bit for bit; the ends are set, as s_M rounds to 0 when 1/hi << 1/lo
     ts = [lo, *(t(s0 + (s1 - s0) * m / M) for m in range(1, M)), hi]
     ts[M // 2] = centre
-    f_all = evaluate_all_of(f)
-    try:
-        G = f_all(ts)
-    except Exception:  # a batch may raise another point's error first
-        G = [f(x) for x in ts]
+    fn = as_function(f)
+    G = fn.values(ts)
     f_scale = max(0.0, *map(abs, G))  # max keeps 0.0 against a NaN
     if symmetrized:
         G = [0.5 * (u + v) for u, v in zip(G, reversed(G))]
-    h_all = (lambda als: als) if h is None else evaluate_all_of(h)
+    h_all = (lambda als: als) if h is None else as_function(h).values
 
     def samples(chunk):
         """The random samples of ``chunk``: f at its points c, y and x in one
         call, with their reflections when symmetrized, and h in one call."""
         ss = [s for sx, sy, al in chunk for s in (sx + al * (sy - sx), sy, sx)]
         xs = [t(s) for s in ss]
-        gs = f_all(xs + [t(s0 + s1 - s) for s in ss] if symmetrized else xs)
+        gs = fn.values(xs + [t(s0 + s1 - s) for s in ss] if symmetrized else xs)
         if symmetrized:
             gs = [0.5 * (u + v) for u, v in zip(gs, gs[len(ss):])]
         hs = h_all([v for _, _, al in chunk for v in (al, 1.0 - al)])
@@ -218,15 +215,15 @@ def _check(f, lo, hi, reciprocal, h, symmetrized, grid, tol) -> ConvexityVerdict
             for (_, _, al), i, k in zip(chunk, range(0, len(ss), 3), range(0, len(hs), 2))
         ]
 
+    def sample(triple):
+        """The random sample of one triple: h, then g(c), g(y), g(x)."""
+        sx, sy, al = triple
+        return (t(sx), t(sy), row(al), g(sx + al * (sy - sx)), g(sy), g(sx))
+
     def randoms():
         triples = grid.random_triple_stream(s0, s1)
         for start in range(0, len(triples), CHUNK):
-            chunk = triples[start : start + CHUNK]
-            try:
-                batch = samples(chunk)
-            except Exception:  # again one triple at a time, h before g(c), g(y), g(x)
-                batch = [(t(sx), t(sy), row(al), g(sx + al * (sy - sx)), g(sy), g(sx)) for sx, sy, al in chunk]
-            yield from batch
+            yield from batch_else_each(samples, sample, triples[start : start + CHUNK])
 
     rows = [row(k / STEPS) for k in range(1, STEPS)]
     top, top_witness, bottom, bottom_witness, count, scale = _scan(ts, G, rows, randoms(), symmetrized)

@@ -260,10 +260,8 @@ class PiecewiseConvexReciprocal:
     knot span G continues with the nearest segment's slope, which preserves
     convexity.
 
-    :meth:`weighted_gk15` is the hand-written Gauss-Kronrod rule of
-    ``t -> f(t)/t^2``, which :func:`hhverify.quad.weighted_integral` applies
-    through the rule protocol of :mod:`hhverify.quad`; an integrand that
-    wraps the instance takes the generic rule, with the same result.
+    Instances publish ``kinks``, ``weighted_gk15`` and ``name`` (the
+    function protocol of :mod:`hhverify.hmean`).
     """
 
     knots: tuple[float, ...]
@@ -273,8 +271,8 @@ class PiecewiseConvexReciprocal:
 
     @property
     def kinks(self) -> tuple[float, ...]:
-        """1/knot for the interior knots, where G changes slope (see the kink
-        protocol in :mod:`hhverify.hmean`); a knot at 0 is no kink in t."""
+        """1/knot for the interior knots, where G changes slope; a knot at 0
+        is no kink in t."""
         return tuple(1.0 / u for u in self.knots[1:-1] if u != 0.0)
 
     def g(self, u: float) -> float:
@@ -285,8 +283,8 @@ class PiecewiseConvexReciprocal:
         return self.g(1.0 / t)
 
     def weighted_gk15(self, lo: float, hi: float) -> tuple[float, float]:
-        """The Gauss-Kronrod rule of ``t -> f(t)/t^2`` on one segment (the
-        rule protocol of :mod:`hhverify.quad`), in one frame.
+        """The hand-written Gauss-Kronrod rule of ``t -> f(t)/t^2`` on one
+        segment, in one frame.
 
         It returns what the generic rule ``quad._gk15`` returns on that
         integrand, bit for bit, and raises what it raises.  On a segment

@@ -323,12 +323,11 @@ def compile_ast(
     ``evaluate_all(ts)`` runs the same statements and checks at each node of
     ``ts`` in turn, in one frame, and returns the list of values: ``[evaluate(t)
     for t in ts]`` bit for bit, raising what ``evaluate`` raises at the first
-    node where it raises (the batch protocol of :mod:`hhverify.hmean`).
+    node where it raises.
 
-    ``weighted_gk15(lo, hi)`` is the Gauss-Kronrod rule of
-    ``t -> evaluate(t) / (t*t)`` on one segment (the ``gk15`` protocol of
-    :func:`hhverify.quad.integrate`): the same statements and checks at each
-    of the 15 nodes, in one frame, summed in the order of
+    ``weighted_gk15(lo, hi)`` is the Gauss-Kronrod rule of ``t -> evaluate(t)
+    / (t*t)`` on one segment: the same statements and checks at each of the
+    15 nodes, in one frame, summed in the order of
     :data:`hhverify.quad.GK15`.  It returns what the generic rule
     ``quad._gk15`` returns on that integrand, bit for bit, and raises what it
     raises at the same node; a zero ``t*t`` raises a bare
@@ -413,23 +412,10 @@ class FunctionSpec:
     """A parsed function of one real variable.
 
     Immutable after construction, hence safe to share between concurrent
-    workers.  Instances are callable.  They publish no ``kinks`` (the kink
-    protocol of :mod:`hhverify.hmean`): the kinks of ``abs``, ``min`` and
-    ``max`` are not guessed, so integrals of such expressions rely on
-    adaptive subdivision alone.
-
-    ``evaluate_all(ts)`` is the list of values at the nodes ``ts``, and
-    ``weighted_gk15(lo, hi)`` the Gauss-Kronrod rule of ``t -> f(t)/t^2`` on
-    one segment, both compiled with the evaluator (see :func:`compile_ast`).
-    :func:`hhverify.quad.weighted_integral` applies the rule through the rule
-    protocol of :mod:`hhverify.quad`, so its integrals never call the
-    instance per node.  The generic rule evaluates an integrand that
-    publishes ``evaluate_all`` (the instance itself, its symmetric part, a
-    weight h built on it, the ``t4`` and ``c1`` integrands built on them) in
-    one call per segment, and the class scans of :mod:`hhverify.convexity`
-    evaluate it and a weight h built on it through ``evaluate_all`` too.  An
-    integrand that wraps the instance and publishes neither takes the
-    generic rule node by node, with the same result.
+    workers.  Instances are callable.  They publish ``evaluate_all``,
+    ``weighted_gk15`` and ``source``, and no ``kinks`` (the function protocol
+    of :mod:`hhverify.hmean`); the first two are compiled with the evaluator
+    (see :func:`compile_ast`).
     """
 
     source: str

@@ -1,4 +1,4 @@
-"""Interval geometry on sign-definite intervals.
+"""Interval geometry on sign-definite intervals, and the function record.
 
 An :class:`HInterval` ``[a, b]`` has ``a < b``, both of one sign, which keeps
 the reflection denominator ``(a+b)t - ab`` bounded away from zero (it is at
@@ -8,44 +8,67 @@ part of a function.  The reflection and the harmonic midpoint are computed
 on the interval scaled by a power of two, so their accuracy does not depend
 on the interval's scale (tested from 1e-300 to 1e300).
 
-Protocols.  Functions here are plain callables of one float; two optional
-attributes tell the layers above more about them.
+Function protocol.  Functions are plain callables of one float.  A
+function may publish more about itself as attributes, and
+:func:`as_function` is the one place that reads them, into a
+:class:`Function` record; a record resolves to itself.
 
-- Kinks.  A function whose first derivative jumps at known points publishes
-  them as a ``kinks`` attribute, a tuple of floats in t (points outside an
-  interval are allowed and ignored there); :func:`kinks_of` reads it,
-  giving ``()`` for functions that publish none.  The chain evaluators in
-  :mod:`hhverify.ineq` pass these points to the quadrature as breakpoints.
-  ``PiecewiseConvexReciprocal`` publishes its kinks, and a
-  :class:`TransformedFunction` adds their reflections.  Parsed expressions
-  publish none: the kinks of ``abs``, ``min`` and ``max`` are not guessed,
-  and their integrals rely on adaptive subdivision alone.
-- Batches.  A function may publish ``evaluate_all(ts)``: the list of its
-  values at the nodes ``ts``, equal bit for bit to ``[f(t) for t in ts]``,
-  and raising only where that raises (not necessarily the same exception:
-  the order in which a batch visits its evaluations may differ).
-  :func:`evaluate_all_of` reads it, falling back to one call per node for
-  functions that publish none.  Parsed expressions compile one, a
-  :class:`TransformedFunction` and an ``ineq.HFunction`` publish one built
-  on their base's, and so do the integrands of the ``t4`` and ``c1``
-  chains.  The generic Gauss-Kronrod rule of :mod:`hhverify.quad`
-  evaluates a segment's 15 nodes through it in one call, and the class
-  scans of :mod:`hhverify.convexity` their lattice and chunks of their
-  random samples.
+- ``kinks``: the points where its first derivative jumps, a tuple of floats
+  in t (points outside an interval are allowed and ignored there).
+  :func:`kinks_of` reads them.  The chain evaluators of
+  :mod:`hhverify.ineq` pass them to the quadrature as explicit breakpoints
+  (:mod:`hhverify.quad` says why an integral does not read them itself).
+- ``evaluate_all(ts)``: the list of its values at the nodes ``ts``, equal
+  bit for bit to ``[f(t) for t in ts]`` and raising only where that raises
+  (not necessarily the same exception: a batch may visit its evaluations
+  in another order).  The record calls it ``batch``.
+- ``gk15(lo, hi)``: its own Gauss-Kronrod rule on one segment, which returns
+  what the generic rule ``quad._gk15`` returns on it, bit for bit, and
+  raises what that raises; ``integrate`` applies it in place of the generic
+  rule.  The record calls it ``rule``.
+- ``weighted_gk15(lo, hi)``: the same rule for t -> f(t)/t^2, which
+  ``weighted_integral`` applies.  The record calls it ``weighted``.
+- ``source``, or else ``name``: the label that reports carry.  The record
+  calls it ``label``.
+
+Parsed expressions (``fnspec.FunctionSpec``) publish a compiled batch, a
+compiled weighted rule and their source, and no kinks: the kinks of
+``abs``, ``min`` and ``max`` are not guessed.
+``corpus.PiecewiseConvexReciprocal`` publishes its kinks, a hand-written
+weighted rule and its name.  A
+:class:`TransformedFunction`, the symmetric part sym(f), publishes its
+base's kinks with their reflections, and a batch that evaluates its base at
+the nodes and then at their reflections.  Derived functions are built as
+records: ``ineq.HFunction`` weights are the record of their function,
+labelled with their name; the integrand f(t)/t^2 of ``weighted_integral``
+carries f's weighted rule as its rule; and the integrands of the ``t4`` and
+``c1`` chains carry batches built on those of f, g, w and h.  A wrapper
+that replaces a function (a counting wrapper, say) publishes nothing, so it
+is called once per node and sees every evaluation, with the same results.
+
+Batches.  A list of values goes through :func:`batch_else_each`: the batch
+in one call, and, should it raise, one call per item in order, so that the
+exception is the one the first failing item raises.  :meth:`Function.values`
+applies it to a record.  The generic Gauss-Kronrod rule evaluates a
+segment's 15 nodes so, and the class scans of :mod:`hhverify.convexity`
+their lattice and each chunk of their random samples.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 __all__ = [
     "HInterval",
+    "Function",
+    "as_function",
+    "batch_else_each",
     "TransformedFunction",
     "sym_transform",
     "kinks_of",
-    "evaluate_all_of",
 ]
 
 # a point within this share of the width of an endpoint is that endpoint
@@ -123,18 +146,50 @@ class HInterval:
         return list(map(self.reflect, ts))
 
 
-def kinks_of(f: Callable[[float], float]) -> tuple[float, ...]:
-    """The kinks ``f`` publishes (see the module docstring), or ``()``."""
-    return tuple(getattr(f, "kinks", ()))
-
-
-def evaluate_all_of(f: Callable[[float], float]) -> Callable[[Sequence[float]], list[float]]:
-    """The ``evaluate_all`` that ``f`` publishes (see the module docstring),
-    or one that calls ``f`` once per node, in order."""
-    batch = getattr(f, "evaluate_all", None)
+def batch_else_each(batch: Optional[Callable[[Sequence], list]], each: Callable, items: Sequence) -> list:
+    """``batch(items)``; or, when ``batch`` is None or raises, ``[each(x) for
+    x in items]``, which raises what the first failing item raises."""
     if batch is not None:
-        return batch
-    return lambda ts: [f(t) for t in ts]
+        try:
+            return batch(items)
+        except Exception:  # a batch may meet another item's error first
+            pass
+    return [each(x) for x in items]
+
+
+class Function:
+    """A function of one float and what it publishes (see the module
+    docstring): ``call``, its scalar call; ``batch``, ``rule``, ``weighted``
+    and ``label``, each None where it publishes none; and its ``kinks``.
+    Calling the record calls ``call``."""
+
+    __slots__ = ("call", "batch", "rule", "weighted", "kinks", "label")
+
+    def __init__(self, call, batch=None, rule=None, weighted=None, kinks=(), label=None):
+        self.call, self.batch, self.rule, self.weighted, self.kinks, self.label = call, batch, rule, weighted, kinks, label
+
+    def __call__(self, t: float) -> float:
+        return self.call(t)
+
+    def values(self, ts: Sequence[float]) -> list[float]:
+        """``[self(t) for t in ts]``, bit for bit, through the batch."""
+        return batch_else_each(self.batch, self.call, ts)
+
+
+def as_function(f: Callable[[float], float]) -> Function:
+    """``f`` if it is a :class:`Function`, or else the record of what it
+    publishes, whose scalar call is ``f`` itself."""
+    if isinstance(f, Function):
+        return f
+    return Function(
+        f, getattr(f, "evaluate_all", None), getattr(f, "gk15", None), getattr(f, "weighted_gk15", None),
+        tuple(getattr(f, "kinks", ())), getattr(f, "source", None) or getattr(f, "name", None),
+    )
+
+
+def kinks_of(f: Callable[[float], float]) -> tuple[float, ...]:
+    """The kinks ``f`` publishes, or ``()``."""
+    return as_function(f).kinks
 
 
 @dataclass(frozen=True)
@@ -144,7 +199,7 @@ class TransformedFunction:
 
     Nothing is memoised: each call evaluates ``base`` twice.  It kinks where
     ``base`` does and at the reflections of those kinks, which :attr:`kinks`
-    lists.  :meth:`evaluate_all` publishes the batch protocol.
+    lists; :meth:`evaluate_all` is its batch.
     """
 
     base: Callable[[float], float]
@@ -153,17 +208,22 @@ class TransformedFunction:
     def __call__(self, t: float) -> float:
         return 0.5 * (self.base(t) + self.base(self.interval.reflect(t)))
 
+    @functools.cached_property
+    def _base(self) -> Function:
+        """The record of ``base``, resolved once."""
+        return as_function(self.base)
+
     def evaluate_all(self, ts: Sequence[float]) -> list[float]:
         """``[self(t) for t in ts]``, bit for bit: ``base`` at the nodes and
         then at their reflections, each in one batch of ``base``."""
-        batch = evaluate_all_of(self.base)
-        return [0.5 * (u + v) for u, v in zip(batch(ts), batch(self.interval.reflect_all(ts)))]
+        base = self._base
+        return [0.5 * (u + v) for u, v in zip(base.values(ts), base.values(self.interval.reflect_all(ts)))]
 
     @property
     def kinks(self) -> tuple[float, ...]:
         """The kinks of ``base``, then the reflections of those that lie
         inside the interval."""
-        base = kinks_of(self.base)
+        base = self._base.kinks
         iv = self.interval
         return base + tuple(iv.reflect(k) for k in base if iv.a < k < iv.b)
 

@@ -18,16 +18,11 @@ only one under which constant functions give all-equal terms).  The default
 is always ``derived_corrected`` and reports name their variant.
 
 Every integral of f, of its symmetric part or of a product with them gets
-the kinks its integrand publishes (see :func:`hhverify.hmean.kinks_of`) as
-quadrature breakpoints.  The nested ``r4`` double integral splits its outer
-integral at the kinks of sym(f) and passes none to its inner integrals.
-
-The integrands built on f and its symmetric part publish ``evaluate_all``
-(the batch protocol of :mod:`hhverify.hmean`), so the generic quadrature
-rule evaluates a segment's nodes in one call: ``t4``'s sym(f)*g/t^2 and
-``c1``'s three integrands, w*(f + f(r)) and the two h-weight ones, besides
-sym(f) itself (the ``r4`` mean) and parsed expressions.  Their values are
-bit for bit those of the node-by-node rule.
+their kinks as quadrature breakpoints, and every integrand built on them
+is a function record (the function protocol of :mod:`hhverify.hmean`), so
+it keeps their batches and rules.  The nested ``r4`` double integral splits
+its outer integral at the kinks of sym(f) and passes none to its inner
+integrals.
 
 ``r4`` and ``c1`` also have an evaluator of several ``(h, direction)``
 cases (:func:`refinement_reports`, :func:`weighted_reports`, named in
@@ -53,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import fnspec
-from .hmean import HInterval, evaluate_all_of, kinks_of, sym_transform
+from .hmean import Function, HInterval, as_function, kinks_of, sym_transform
 from .quad import (
     QuadResult,
     integrate,
@@ -103,11 +98,12 @@ def _check_variant(variant: str) -> str:
 
 
 @dataclass(frozen=True)
-class HFunction:
+class HFunction(Function):
     """A nonnegative weight function on (0, 1) with its two derived scalars:
     the value at 1/2 (every lower bound divides by 2*h(1/2)) and the integral
     over [0, 1] (every upper bound multiplies by it), with that integral's
-    quadrature error estimate."""
+    quadrature error estimate.  It is the function record of ``fn``,
+    labelled with ``name``."""
 
     fn: Callable[[float], float] = field(compare=False)
     name: str
@@ -115,20 +111,18 @@ class HFunction:
     h_int: float
     h_int_error: float
 
-    def __call__(self, t: float) -> float:
-        return self.fn(t)
-
-    def evaluate_all(self, ts: Sequence[float]) -> list[float]:
-        """``[self(t) for t in ts]``, through the batch of ``fn`` (the batch
-        protocol of :mod:`hhverify.hmean`)."""
-        return evaluate_all_of(self.fn)(ts)
+    def __post_init__(self):
+        # the record's slots, set as a frozen dataclass sets its own fields
+        fn = as_function(self.fn)
+        for slot in Function.__slots__:
+            object.__setattr__(self, slot, self.name if slot == "label" else getattr(fn, slot))
 
     @functools.cached_property
     def identity_order(self) -> tuple[bool, bool]:
         """Whether h >= id and whether h <= id on the lattice k/64 of (0, 1),
         up to 1e-12; evaluated once per instance, not per equal instance."""
         ts = [k / 64.0 for k in range(1, 64)]
-        pairs = list(zip(ts, self.evaluate_all(ts)))
+        pairs = list(zip(ts, self.values(ts)))
         return tuple(all(sign * v >= sign * t - 1e-12 for t, v in pairs) for sign in (1.0, -1.0))
 
     @classmethod
@@ -306,27 +300,15 @@ class ChainReport:
         }
 
 
-def _source_of(f) -> Optional[str]:
-    return getattr(f, "source", None) or getattr(f, "name", None)
-
-
 def _meta(f, interval: Optional[HInterval] = None, **extra) -> dict:
-    meta: dict = {}
-    src = _source_of(f)
-    if src is not None:
-        meta["f"] = src
+    label = as_function(f).label
+    meta: dict = {} if label is None else {"f": label}
     if interval is not None:
         meta["a"] = interval.a
         meta["b"] = interval.b
     for key, value in extra.items():
-        if value is None:
-            continue
-        if isinstance(value, HFunction):
-            meta[key] = value.name
-        elif callable(value):
-            meta[key] = _source_of(value) or "<callable>"
-        else:
-            meta[key] = value
+        if value is not None:
+            meta[key] = (as_function(value).label or "<callable>") if callable(value) else value
     return meta
 
 
@@ -349,7 +331,8 @@ def chain_hh_classic(
     f((lo+hi)/2)  <=  mean of f  <=  (f(lo)+f(hi))/2."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo!r}, {hi!r}")
-    mean = _Barred.of(integrate(f, lo, hi, tol=quad_tol, breakpoints=kinks_of(f)))
+    fn = as_function(f)
+    mean = _Barred.of(integrate(fn, lo, hi, tol=quad_tol, breakpoints=kinks_of(fn)))
     scale = 1.0 / (hi - lo)
     terms = [
         ChainTerm("midpoint", f(0.5 * (lo + hi))),
@@ -357,7 +340,7 @@ def chain_hh_classic(
         ChainTerm("endpoint_avg", 0.5 * (f(lo) + f(hi))),
     ]
     return ChainReport.build(
-        "hh_classic", DEFAULT_VARIANT, direction, terms, tol, _meta(f, lo=lo, hi=hi)
+        "hh_classic", DEFAULT_VARIANT, direction, terms, tol, _meta(fn, lo=lo, hi=hi)
     )
 
 
@@ -371,14 +354,15 @@ def chain_harmonic_hh(
     """Harmonic Hermite-Hadamard chain (chain id t1):
     f(2ab/(a+b))  <=  (ab/(b-a)) * int_a^b f/t^2  <=  (f(a)+f(b))/2."""
     a, b = interval.a, interval.b
-    wi = _Barred.of(weighted_integral(f, a, b, tol=quad_tol, breakpoints=kinks_of(f)))
+    fn = as_function(f)
+    wi = _Barred.of(weighted_integral(fn, a, b, tol=quad_tol, breakpoints=kinks_of(fn)))
     scale = a * b / (b - a)
     terms = [
         ChainTerm("midpoint", f(interval.harmonic_midpoint)),
         (scale * wi).term("weighted_mean"),
         ChainTerm("endpoint_avg", _endpoint_avg(f, interval)),
     ]
-    return ChainReport.build("t1", DEFAULT_VARIANT, direction, terms, tol, _meta(f, interval))
+    return ChainReport.build("t1", DEFAULT_VARIANT, direction, terms, tol, _meta(fn, interval))
 
 
 def bounds_pointwise(
@@ -400,17 +384,17 @@ def bounds_pointwise(
 
 
 def _split_terms(
-    f, interval: HInterval, x: float, y: float, quad_tol: float, w2: float
+    fn: Function, interval: HInterval, x: float, y: float, quad_tol: float, w2: float
 ) -> tuple[float, ChainTerm, float]:
     """The t3 and t5 terms before their point scalings: f(m) + f(r(m)) at the
     harmonic midpoint m of {x, y}; the middle term with its error bar,
     (xy/(2(y-x))) * [int_x^y f/t^2  +  w2 * int_{r(y)}^{r(x)} f/t^2]; and
-    f(x) + f(r(x)) + f(y) + f(r(y))."""
+    f(x) + f(r(x)) + f(y) + f(r(y)), with ``fn`` the record of f."""
     if x == y:
         raise ValueError("need x != y")
-    kinks = kinks_of(f)
-    i_plain = _Barred.of(weighted_integral(f, x, y, tol=quad_tol, breakpoints=kinks))
-    i_refl = _Barred.of(reflected_weighted_integral(f, interval, x, y, tol=quad_tol, breakpoints=kinks))
+    f, kinks = fn.call, kinks_of(fn)
+    i_plain = _Barred.of(weighted_integral(fn, x, y, tol=quad_tol, breakpoints=kinks))
+    i_refl = _Barred.of(reflected_weighted_integral(fn, interval, x, y, tol=quad_tol, breakpoints=kinks))
     coef = x * y / (2.0 * (y - x))
     mid_xy = 2.0 * x * y / (x + y)
     return (
@@ -420,9 +404,11 @@ def _split_terms(
     )
 
 
-def _subinterval_terms(f, interval: HInterval, x: float, y: float, quad_tol: float, w2: float) -> list[ChainTerm]:
+def _subinterval_terms(
+    fn: Function, interval: HInterval, x: float, y: float, quad_tol: float, w2: float
+) -> list[ChainTerm]:
     """The three terms of t3, whose as_printed variant has ``w2`` 0.5."""
-    pair, middle, four = _split_terms(f, interval, x, y, quad_tol, w2)
+    pair, middle, four = _split_terms(fn, interval, x, y, quad_tol, w2)
     return [ChainTerm("sym_midpoint_pair", 0.5 * pair), middle, ChainTerm("four_point_avg", 0.25 * four)]
 
 
@@ -448,8 +434,9 @@ def chain_subinterval(
     the reflected integral, which already breaks f == const.
     """
     _check_variant(variant)
-    terms = _subinterval_terms(f, interval, x, y, quad_tol, 0.5 if variant == "as_printed" else 1.0)
-    return ChainReport.build("t3", variant, direction, terms, tol, _meta(f, interval, x=x, y=y))
+    fn = as_function(f)
+    terms = _subinterval_terms(fn, interval, x, y, quad_tol, 0.5 if variant == "as_printed" else 1.0)
+    return ChainReport.build("t3", variant, direction, terms, tol, _meta(fn, interval, x=x, y=y))
 
 
 def chain_reflected_pair(
@@ -479,13 +466,14 @@ def chain_reflected_pair(
     coef = a * b * x / (2.0 * a * b - (a + b) * x)
     if variant == "as_printed":
         coef *= 0.5
-    inner = _Barred.of(weighted_integral(f, x, rx, tol=quad_tol, breakpoints=kinks_of(f)))
+    fn = as_function(f)
+    inner = _Barred.of(weighted_integral(fn, x, rx, tol=quad_tol, breakpoints=kinks_of(fn)))
     terms = [
         ChainTerm("midpoint", f(xstar)),
         (coef * inner).term("reflected_span_mean"),
         ChainTerm("pair_avg", 0.5 * (f(x) + f(rx))),
     ]
-    return ChainReport.build("r2", variant, direction, terms, tol, _meta(f, interval, x=x))
+    return ChainReport.build("r2", variant, direction, terms, tol, _meta(fn, interval, x=x))
 
 
 def chain_refinement(
@@ -530,7 +518,7 @@ def refinement_reports(
     _check_variant(variant)
     fb = sym_transform(f, interval)
     dbl = _Barred.of(refinement_double_integral(f, interval, tol=quad_tol))
-    mean_fb = _Barred.of(integrate(fb, interval.a, interval.b, tol=quad_tol, breakpoints=fb.kinks))
+    mean_fb = _Barred.of(integrate(fb, interval.a, interval.b, tol=quad_tol, breakpoints=kinks_of(fb)))
     sym_mean = 1.0 / interval.width * mean_fb
     midpoint = f(interval.harmonic_midpoint)
     reports = []
@@ -564,9 +552,10 @@ def chain_harmonic_full(
 ) -> ChainReport:
     """Chain id r3: for plainly harmonic convex f the global midpoint value
     also sits below the t3 chain, giving four terms."""
-    t3_terms = _subinterval_terms(f, interval, x, y, quad_tol, 1.0)
+    fn = as_function(f)
+    t3_terms = _subinterval_terms(fn, interval, x, y, quad_tol, 1.0)
     terms = [ChainTerm("midpoint", f(interval.harmonic_midpoint))] + t3_terms
-    return ChainReport.build("r3", DEFAULT_VARIANT, direction, terms, tol, _meta(f, interval, x=x, y=y))
+    return ChainReport.build("r3", DEFAULT_VARIANT, direction, terms, tol, _meta(fn, interval, x=x, y=y))
 
 
 # --- product of a harmonic convex and a symmetrized harmonic convex function -
@@ -601,32 +590,27 @@ def product_inequalities(
     avg_f = _endpoint_avg(f, interval)
     avg_g = _endpoint_avg(g, interval)
     f_mid = f(interval.harmonic_midpoint)
-    fb = sym_transform(f, interval)
-    i_f = _Barred.of(weighted_integral(f, a, b, tol=quad_tol, breakpoints=kinks_of(f)))
-    i_g = _Barred.of(weighted_integral(g, a, b, tol=quad_tol, breakpoints=kinks_of(g)))
-    g_all = evaluate_all_of(g)
-
-    def product(t: float) -> float:
-        return fb(t) * g(t) / (t * t)
-
-    def product_all(ts: Sequence[float]) -> list[float]:
-        return [p * q / (t * t) for p, q, t in zip(fb.evaluate_all(ts), g_all(ts), ts)]
-
-    product.evaluate_all = product_all
-    i_fg = _Barred.of(integrate(product, a, b, tol=quad_tol, breakpoints=fb.kinks + kinks_of(g)))
+    fb, fn, gn = map(as_function, (sym_transform(f, interval), f, g))
+    i_f = _Barred.of(weighted_integral(fn, a, b, tol=quad_tol, breakpoints=kinks_of(fn)))
+    i_g = _Barred.of(weighted_integral(gn, a, b, tol=quad_tol, breakpoints=kinks_of(gn)))
+    product = Function(
+        lambda t: fb(t) * g(t) / (t * t),
+        lambda ts: [p * q / (t * t) for p, q, t in zip(fb.values(ts), gn.values(ts), ts)],
+    )
+    i_fg = _Barred.of(integrate(product, a, b, tol=quad_tol, breakpoints=kinks_of(fb) + kinks_of(gn)))
     w = scale * i_fg
 
     lower_combo = avg_f * scale * i_g + avg_g * scale * i_f - avg_f * avg_g
     lower = ChainReport.build(
         "t4_lower", variant, "convex", [lower_combo.term("cross_combination"), w.term("weighted_product_mean")],
-        tol, _meta(f, interval, g=g),
+        tol, _meta(fn, interval, g=gn),
     )
 
     first_coef = f_mid if variant == "as_printed" else avg_g
     upper_combo = first_coef * scale * i_f + f_mid * scale * i_g - f_mid * avg_g
     upper = ChainReport.build(
         "t4_upper", variant, "convex", [w.term("weighted_product_mean"), upper_combo.term("upper_combination")],
-        tol, _meta(f, interval, g=g),
+        tol, _meta(fn, interval, g=gn),
     )
     return lower, upper
 
@@ -650,14 +634,15 @@ def chain_h_subinterval(
     middle is identical to the t3 middle with both integrals unweighted.
     With h(t) = t this reduces exactly to the corrected t3 chain.
     """
-    pair, middle, four = _split_terms(f, interval, x, y, quad_tol, 1.0)
+    fn = as_function(f)
+    pair, middle, four = _split_terms(fn, interval, x, y, quad_tol, 1.0)
     terms = [
         ChainTerm("h_scaled_midpoint_pair", pair / (4.0 * h.h_half)),
         middle,
         (0.5 * four * _Barred(h.h_int, h.h_int_error)).term("h_scaled_four_point_avg"),
     ]
     return ChainReport.build(
-        "t5", DEFAULT_VARIANT, direction, terms, tol, _meta(f, interval, x=x, y=y, h=h)
+        "t5", DEFAULT_VARIANT, direction, terms, tol, _meta(fn, interval, x=x, y=y, h=h)
     )
 
 
@@ -733,17 +718,6 @@ def weighted_bounds(
     return weighted_reports(f, w, interval, ((h, direction),), tol, quad_tol, variant)[0]
 
 
-def _batched(batch: Callable[[Sequence[float]], list[float]]) -> Callable[[float], float]:
-    """The integrand that publishes ``batch`` as its ``evaluate_all`` and
-    evaluates one node as a batch of one."""
-
-    def integrand(t: float) -> float:
-        return batch([t])[0]
-
-    integrand.evaluate_all = batch
-    return integrand
-
-
 def weighted_reports(
     f: Callable[[float], float],
     w: Callable[[float], float],
@@ -759,9 +733,9 @@ def weighted_reports(
     Only the two h-weight integrals depend on the case, so the check of w,
     int w, the middle term, f(a), f(b) and f(2ab/(a+b)) are computed once
     for all cases; each report equals the one :func:`weighted_bounds` gives
-    for its case.  The integrands take a segment's nodes through the batches
-    of f, w and h, and one node as a batch of one, which evaluates in the
-    order of the formula.
+    for its case.  The integrands are records whose batches take a
+    segment's nodes through the batches of f, w and h, and whose scalar
+    call is a batch of one, which evaluates in the order of the formula.
     """
     _check_variant(variant)
     a, b = interval.a, interval.b
@@ -770,19 +744,20 @@ def weighted_reports(
         if not w(t) >= 0.0:
             raise ValueError(f"weight w is negative or NaN at t={t!r}")
     avg_f = _endpoint_avg(f, interval)
-    w_kinks = kinks_of(w)
-    int_w = _Barred.of(integrate(w, a, b, tol=quad_tol, breakpoints=w_kinks))
-    w_all, f_all = evaluate_all_of(w), evaluate_all_of(f)
+    fn, wn = as_function(f), as_function(w)
+    w_kinks = kinks_of(wn)
+    int_w = _Barred.of(integrate(wn, a, b, tol=quad_tol, breakpoints=w_kinks))
 
     def mass(ts: Sequence[float]) -> list[float]:
-        return [u * (p + q) for u, p, q in zip(w_all(ts), f_all(ts), f_all(interval.reflect_all(ts)))]
+        return [u * (p + q) for u, p, q in zip(wn.values(ts), fn.values(ts), fn.values(interval.reflect_all(ts)))]
 
     mid_mass = 0.5 * _Barred.of(integrate(
-        _batched(mass), a, b, tol=quad_tol, breakpoints=sym_transform(f, interval).kinks + w_kinks,
+        Function(lambda t: mass([t])[0], mass), a, b, tol=quad_tol,
+        breakpoints=kinks_of(sym_transform(f, interval)) + w_kinks,
     ))
     half = 0.5 * (b - a)
 
-    def graded(weight: Callable[[Sequence[float]], list[float]]) -> Callable[[float], float]:
+    def graded(weight: Callable[[Sequence[float]], list[float]]) -> Function:
         """The batch ``weight`` of a weight in t as an integrand in theta."""
 
         def integrand(thetas: Sequence[float]) -> list[float]:
@@ -790,26 +765,25 @@ def weighted_reports(
             values = weight([a + half * (1.0 - math.cos(u)) for u in us])
             return [v * half * math.pi * math.sin(u) for v, u in zip(values, us)]
 
-        return _batched(integrand)
+        return Function(lambda theta: integrand([theta])[0], integrand)
 
     def graded_kinks(kinks: tuple[float, ...]) -> list[float]:
         """The kinks in ``(a, b)`` as values of theta."""
         return [math.acos(1.0 - (t - a) / half) / math.pi for t in kinks if a < t < b]
 
     corrected_kinks = graded_kinks(w_kinks)
-    printed_kinks = graded_kinks(sym_transform(w, interval).kinks)
+    printed_kinks = graded_kinks(kinks_of(sym_transform(w, interval)))
 
     def right_integrals(h: HFunction) -> tuple[QuadResult, QuadResult]:
         """int [h(w1) + h(w2)] w, derived, and int h(w1) [w + w(r)], as printed."""
-        h_all = evaluate_all_of(h)
 
         def corrected(ts: Sequence[float]) -> list[float]:
-            hv = h_all([v for t in ts for v in _barycentric_weights(interval, t)])
-            return [(p + q) * u for p, q, u in zip(hv[::2], hv[1::2], w_all(ts))]
+            hv = h.values([v for t in ts for v in _barycentric_weights(interval, t)])
+            return [(p + q) * u for p, q, u in zip(hv[::2], hv[1::2], wn.values(ts))]
 
         def printed(ts: Sequence[float]) -> list[float]:
-            hv = h_all([_barycentric_weights(interval, t)[0] for t in ts])
-            return [p * (u + v) for p, u, v in zip(hv, w_all(ts), w_all(interval.reflect_all(ts)))]
+            hv = h.values([_barycentric_weights(interval, t)[0] for t in ts])
+            return [p * (u + v) for p, u, v in zip(hv, wn.values(ts), wn.values(interval.reflect_all(ts)))]
 
         return (
             integrate(graded(corrected), 0.0, 1.0, tol=quad_tol, breakpoints=corrected_kinks),
@@ -821,7 +795,7 @@ def weighted_reports(
     reports = []
     for (h, direction), (int_corr, int_printed) in zip(cases, rights):
         right = _Barred.of(int_printed if variant == "as_printed" else int_corr)
-        meta = _meta(f, interval, h=h, w=w)
+        meta = _meta(fn, interval, h=h, w=wn)
         meta["right_derived_corrected"] = avg_f * int_corr.value
         meta["right_as_printed"] = avg_f * int_printed.value
         meta["printed_right_deviation"] = avg_f * (int_printed.value - int_corr.value)

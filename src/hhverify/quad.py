@@ -13,31 +13,20 @@ the outer integrand.
 A Gauss-Kronrod pair cannot see a kink (a jump in the first derivative)
 that falls between its nodes, so its error estimate can be far too small
 there.  Callers that know where the integrand kinks pass those points as
-``breakpoints`` (the kink protocol of :mod:`hhverify.hmean`): ``integrate``
-then starts from the segments between them.  ``integrate`` cannot read the
-kinks off the integrand itself, since the integrand is often a wrapper (a
-``lambda``, ``f(t)/t^2``, or a counting wrapper) that hides them.
+``breakpoints``: ``integrate`` then starts from the segments between them.
+Every caller passes them explicitly, and ``integrate`` never reads them off
+its integrand: a wrapper that replaces the integrand to count its
+evaluations (as ``perfbench/tracing.py`` does) publishes no kinks, and an
+integral must split at the same points whether or not it is counted.
 ``refinement_double_integral`` passes the kinks of sym(f) to its outer
 integral and none to its inner ones.
 
-Rule protocol.  An integrand may carry a ``gk15`` attribute: a function of
-``(lo, hi)`` that applies the Gauss-Kronrod pair to that whole segment in
-one call and returns, bit for bit, what the generic rule ``_gk15`` returns
-on the integrand, raising what it raises.  ``integrate`` then applies it in
-place of the generic rule; nodes, segments and the evaluation budget are the
-same either way.  Every rule sums K15 and G7 over :data:`GK15` in its order.
-Functions publish the rule of ``t -> f(t)/t^2`` as ``weighted_gk15``: parsed
-expressions compile one at parse time, and ``random_harmonic_convex``
-functions carry a hand-written one.  :func:`weighted_integral` attaches it
-to its integrand.  The generic rule evaluates the 15 nodes in one call of
-the integrand's ``evaluate_all`` (the batch protocol of
-:mod:`hhverify.hmean`) when it publishes one, as parsed expressions, their
-symmetric parts, weights h (``ineq.HFunction``) and the ``t4`` and ``c1``
-integrands do (all three of ``c1``'s), and calls the integrand once per
-node otherwise, or when the batch raises.  A wrapper that
-replaces the integrand (a counting wrapper, say) publishes neither a rule
-nor a batch, so it takes the generic rule node by node and still sees every
-evaluation.
+Rules.  ``integrate`` applies the integrand's own rule when it has one,
+and the generic rule ``_gk15`` otherwise; :func:`weighted_integral` builds
+its integrand f(t)/t^2 with f's weighted rule as its rule (the function
+protocol of :mod:`hhverify.hmean`).  Nodes, segments, evaluation counts and
+results are the same on either path, bit for bit.  Every rule sums K15 and
+G7 over :data:`GK15` in its order.
 
 Results.  Every routine returns a :class:`QuadResult`, a frozen dataclass
 rather than a tuple: it neither unpacks nor compares equal to one.  Its
@@ -52,7 +41,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
-from .hmean import HInterval, sym_transform
+from .hmean import Function, HInterval, as_function, kinks_of, sym_transform
 
 __all__ = [
     "QuadResult",
@@ -139,30 +128,17 @@ GK15 = tuple(zip(_NODES, _KWEIGHTS, _GWEIGHTS))
 def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """One Kronrod-15 application on [lo, hi]; returns (value, |K15 - G7|).
 
-    The generic rule, and the reference for every compiled one: a rule
-    published as an integrand's ``gk15`` returns what this returns, bit for
-    bit, and raises what it raises.  If ``f`` publishes ``evaluate_all`` (the
-    batch protocol of :mod:`hhverify.hmean`), the 15 nodes are evaluated in
-    one call of it; should that call raise, the nodes are evaluated again one
-    by one, so the exception is the one the first failing node raises.
+    The generic rule, and the reference for every other: an integrand's own
+    rule returns what this returns, bit for bit, and raises what it raises.
+    The 15 nodes are evaluated through the batch of ``f``, if it has one
+    (:meth:`hhverify.hmean.Function.values`), so the exception is the one
+    the first failing node raises.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     k = 0.0
     g = 0.0
-    batch = getattr(f, "evaluate_all", None)
-    if batch is not None:
-        try:
-            values = batch([c + h * x for x in _NODES])
-        except Exception:  # a batch may raise another node's error first
-            pass
-        else:
-            for fv, wk, wg in zip(values, _KWEIGHTS, _GWEIGHTS):
-                k += wk * fv
-                g += wg * fv
-            return h * k, abs(h) * abs(k - g)
-    for x, wk, wg in GK15:
-        fv = f(c + h * x)
+    for fv, wk, wg in zip(as_function(f).values([c + h * x for x in _NODES]), _KWEIGHTS, _GWEIGHTS):
         k += wk * fv
         g += wg * fv
     return h * k, abs(h) * abs(k - g)
@@ -202,9 +178,9 @@ def integrate(
     whether it is on a starting segment or on a half of a bisected one.
     Evaluation errors from ``f`` propagate.
 
-    If ``f`` carries a ``gk15`` rule (the rule protocol above), each segment
-    takes one call of it instead of 15 calls of ``f``; it still counts as 15
-    evaluations, and the result is bit for bit the same.
+    If ``f`` has its own rule (see "Rules" above), each segment takes one
+    call of it; it still counts as 15 evaluations, and the result is bit for
+    bit the same.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration limits must be finite")
@@ -219,7 +195,8 @@ def integrate(
         return QuadResult(-res.value, res.abs_error_estimate, res.subdivisions)
 
     span = hi - lo
-    gk15 = getattr(f, "gk15", None) or partial(_gk15, f)
+    fn = as_function(f)
+    gk15 = fn.rule or partial(_gk15, fn)
     if breakpoints:
         edges = [lo, *sorted({p for p in breakpoints if lo < p < hi}), hi]
         segments = zip(edges, edges[1:])
@@ -271,17 +248,10 @@ def weighted_integral(
     any ``ab/(b-a)`` prefactor themselves).  ``breakpoints``, typically the
     kinks of ``f``, go to :func:`integrate`.
 
-    If ``f`` publishes a ``weighted_gk15`` rule (parsed expressions and
-    ``random_harmonic_convex`` functions do), the integrand carries it as
-    its ``gk15`` and :func:`integrate` applies it to whole segments.
+    The integrand carries the weighted rule ``f`` publishes, if any (parsed
+    expressions and ``random_harmonic_convex`` functions do), as its rule.
     """
-
-    def integrand(t: float) -> float:
-        return f(t) / (t * t)
-
-    rule = getattr(f, "weighted_gk15", None)
-    if rule is not None:
-        integrand.gk15 = rule
+    integrand = Function(lambda t: f(t) / (t * t), None, as_function(f).weighted)
     return integrate(integrand, lo, hi, tol, DEFAULT_MAX_EVALS, breakpoints)
 
 
@@ -336,6 +306,7 @@ def refinement_double_integral(
     ab = a * b
     s = a + b
     inner_err = 0.0
+    fn = as_function(f)  # resolved once for all inner integrals
 
     def g(x: float) -> float:
         nonlocal inner_err
@@ -345,11 +316,11 @@ def refinement_double_integral(
         coef = ab * x / (2.0 * ab - s * x)
         # keep |coef| * inner error bounded by tol pointwise
         inner_tol = max(tol * abs(r - x) / abs(x * r), 1e-15)
-        inner = weighted_integral(f, x, r, tol=inner_tol)
+        inner = weighted_integral(fn, x, r, tol=inner_tol)
         inner_err = max(inner_err, abs(coef) * inner.abs_error_estimate)
         return coef * inner.value
 
-    kinks = sym_transform(f, interval).kinks
+    kinks = kinks_of(sym_transform(f, interval))
     outer = integrate(g, a, b, tol=tol, max_evals=100_000, breakpoints=kinks)
     err = (outer.abs_error_estimate + inner_err * span) / span
     return QuadResult(outer.value / span, err, outer.subdivisions)
