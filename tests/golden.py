@@ -9,9 +9,10 @@
   ``hhverify sweep`` is ``sweep.json``.  The lines of
   :data:`CSV_PROJECTED` are run with ``--format csv`` added, and their file
   holds that CSV: the same reports, in a third of the bytes.
-- Each command of :data:`ERROR_LINES` fails to evaluate a function and
-  exits 2.  Its file (:func:`error_path`) holds the command, its exit code
-  and what it prints to stderr; it prints nothing to stdout.
+- Each command of :data:`ERROR_LINES` fails to evaluate a function, and
+  each of :data:`ARGUMENT_ERROR_LINES` refuses an argument; all exit 2.
+  Each one's file (:func:`error_path`) holds the command, its exit code and
+  what it prints to stderr; it prints nothing to stdout.
 
 A change that moves an output rewrites every file with::
 
@@ -60,6 +61,18 @@ ERROR_LINES = (
     'verify --chain c1 --fn 1/x --h x --w "ln(x-1.5)" --a 1 --b 2',
     "verify --chain c1 --fn 1/x --h x --w -1 --a 1 --b 2",
 )
+# commands that refuse an argument before or after the work: an interval
+# endpoint, a grid size, the order of the endpoints, a tolerance, a ladder
+# value, and an --out path in a directory that does not exist (ENOENT, errno
+# 2 on every platform)
+ARGUMENT_ERROR_LINES = (
+    "verify --chain t1 --fn 1/x --a inf --b 2",
+    "check --fn 1/x --a 1 --b 2 --class hc --grid 0",
+    "check --fn 1/x --a 2 --b 1 --class hc",
+    "verify --chain t1 --fn 1/x --a 1 --b 2 --quad-tol 0",
+    "search --a 1 --b 2 --c nan",
+    "verify --chain t1 --fn 1/x --a 1 --b 2 --out no-such-dir/verify.json",
+)
 
 
 def sweep_bytes() -> bytes:
@@ -102,9 +115,10 @@ def golden_path(args: list[str], suffix: str = "") -> str:
 
 
 def error_path(args: list[str]) -> str:
-    """The golden file of a command of :data:`ERROR_LINES`: its name ends in
-    ``.stderr``.  The name drops signs, so ``--w -1`` and ``--w 1`` share a
-    stem; the file's first line is the command itself."""
+    """The golden file of a command of :data:`ERROR_LINES` or
+    :data:`ARGUMENT_ERROR_LINES`: its name ends in ``.stderr``.  The name
+    drops signs, so ``--w -1`` and ``--w 1`` share a stem; the file's first
+    line is the command itself."""
     return golden_path(args, "stderr")
 
 
@@ -219,7 +233,7 @@ def main(argv=None) -> int:
         path = golden_path(cli_args)
         if path not in outputs:
             outputs[path] = run_cli(cli_args)[1].encode("utf-8")
-    for line in ERROR_LINES:
+    for line in ERROR_LINES + ARGUMENT_ERROR_LINES:
         cli_args = shlex.split(line)
         outputs[error_path(cli_args)] = error_text(cli_args).encode("utf-8")
     for path, data in outputs.items():

@@ -784,11 +784,26 @@ def test_evaluation_failure_matches_golden(line):
     assert golden.error_text(args) == expected
 
 
+@pytest.mark.parametrize(
+    "line", golden.ARGUMENT_ERROR_LINES, ids=[f"argument:{i}" for i in range(len(golden.ARGUMENT_ERROR_LINES))]
+)
+def test_argument_error_matches_golden(line):
+    # exit code 2 and one stderr line naming the refused argument, and no
+    # stdout
+    args = shlex.split(line)
+    assert run_cli(args)[1] == ""
+    with open(golden.error_path(args), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert expected.splitlines()[1] == "exit 2"
+    assert len(expected.splitlines()) == 3
+    assert golden.error_text(args) == expected
+
+
 def test_every_golden_file_has_its_output():
     # one file per README line and per failing command, none shared, and
     # none left over
     paths = [golden.golden_path(golden.readme_args(line)) for _, line, _ in golden.readme_cli_lines()]
-    paths += [golden.error_path(shlex.split(line)) for line in golden.ERROR_LINES]
+    paths += [golden.error_path(shlex.split(line)) for line in golden.ERROR_LINES + golden.ARGUMENT_ERROR_LINES]
     assert len(set(paths)) == len(paths)
     assert golden.SWEEP_PATH in paths
     assert sorted(os.listdir(golden.GOLDEN_DIR)) == sorted(os.path.basename(p) for p in paths)
