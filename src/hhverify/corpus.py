@@ -15,7 +15,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 from .convexity import inclusion_family_source
@@ -269,10 +269,10 @@ class PiecewiseConvexReciprocal:
     slopes: tuple[float, ...]
     name: str = "piecewise_reciprocal"
 
-    @property
+    @cached_property
     def kinks(self) -> tuple[float, ...]:
         """1/knot for the interior knots, where G changes slope; a knot at 0
-        is no kink in t."""
+        is no kink in t.  Built once per instance."""
         return tuple(1.0 / u for u in self.knots[1:-1] if u != 0.0)
 
     def g(self, u: float) -> float:

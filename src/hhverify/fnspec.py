@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from .hmean import Function
 from .quad import GK15
 
 __all__ = [
@@ -408,14 +409,17 @@ def compile_ast(
 
 
 @dataclass(frozen=True)
-class FunctionSpec:
+class FunctionSpec(Function):
     """A parsed function of one real variable.
 
     Immutable after construction, hence safe to share between concurrent
     workers.  Instances are callable.  They publish ``evaluate_all``,
     ``weighted_gk15`` and ``source``, and no ``kinks`` (the function protocol
     of :mod:`hhverify.hmean`); the first two are compiled with the evaluator
-    (see :func:`compile_ast`).
+    (see :func:`compile_ast`).  An instance is its own function record,
+    built once: its batch and weighted rule are those two, its label the
+    source, and its scalar call the instance itself, so that every call
+    goes through :meth:`__call__`.
     """
 
     source: str
@@ -431,6 +435,15 @@ class FunctionSpec:
         object.__setattr__(self, "_compiled", evaluate)
         object.__setattr__(self, "evaluate_all", evaluate_all)
         object.__setattr__(self, "weighted_gk15", rule)
+        # the record's slots, set as a frozen dataclass sets its own fields;
+        # ``call`` is the property below
+        record = {"batch": evaluate_all, "rule": None, "weighted": rule, "kinks": (), "label": self.source or None}
+        for slot, value in record.items():
+            object.__setattr__(self, slot, value)
+
+    @property
+    def call(self) -> "FunctionSpec":
+        return self
 
     def __call__(self, t: float) -> float:
         return self._compiled(t)

@@ -7,6 +7,8 @@ midpoint, the endpoint-swapping reflection, and the reflection-symmetric
 part of a function.  The reflection and the harmonic midpoint are computed
 on the interval scaled by a power of two, so their accuracy does not depend
 on the interval's scale (tested from 1e-300 to 1e300).
+:meth:`HInterval.reflect_all` reflects a list of nodes in one pass, bit for
+bit as :meth:`HInterval.reflect` reflects each.
 
 Function protocol.  Functions are plain callables of one float.  A
 function may publish more about itself as attributes, and
@@ -33,25 +35,33 @@ function may publish more about itself as attributes, and
 
 Parsed expressions (``fnspec.FunctionSpec``) publish a compiled batch, a
 compiled weighted rule and their source, and no kinks: the kinks of
-``abs``, ``min`` and ``max`` are not guessed.
-``corpus.PiecewiseConvexReciprocal`` publishes its kinks, a hand-written
-weighted rule and its name.  A
+``abs``, ``min`` and ``max`` are not guessed.  A parsed expression is
+itself a record, built once when it is parsed, so resolving it costs
+nothing.  ``corpus.PiecewiseConvexReciprocal`` publishes its kinks (a
+tuple built once), a hand-written weighted rule and its name.  A
 :class:`TransformedFunction`, the symmetric part sym(f), publishes its
-base's kinks with their reflections, and a batch that evaluates its base at
-the nodes and then at their reflections.  Derived functions are built as
-records: ``ineq.HFunction`` weights are the record of their function,
-labelled with their name; the integrand f(t)/t^2 of ``weighted_integral``
-carries f's weighted rule as its rule; and the integrands of the ``t4`` and
-``c1`` chains carry batches built on those of f, g, w and h.  A wrapper
-that replaces a function (a counting wrapper, say) publishes nothing, so it
-is called once per node and sees every evaluation, with the same results.
+base's kinks with their reflections, and a batch that evaluates its base in
+one batch over the nodes and then their reflections.  Derived functions are
+built as records: ``ineq.HFunction`` weights are the record of their
+function, labelled with their name; the integrand f(t)/t^2 of
+``weighted_integral`` carries f's weighted rule as its rule; and the
+integrands of the ``t4`` and ``c1`` chains carry batches built on those of
+f, g, w and h, which take f, or w, over the nodes and their reflections in
+one batch (and, for ``t4`` with g the same object as f, g's values from it
+too).  A wrapper that replaces a function (a counting wrapper, say)
+publishes nothing, so it is called once per node and sees every
+evaluation, with the same results.
 
 Batches.  A list of values goes through :func:`batch_else_each`: the batch
 in one call, and, should it raise, one call per item in order, so that the
 exception is the one the first failing item raises.  :meth:`Function.values`
 applies it to a record.  The generic Gauss-Kronrod rule evaluates a
 segment's 15 nodes so, and the class scans of :mod:`hhverify.convexity`
-their lattice and each chunk of their random samples.
+their lattice and each chunk of their random samples.  The batch of a
+derived function calls those of its parts through
+:meth:`Function.batch_values`, which has no fallback, so that when a part
+raises, the rule's one fallback is the only one that evaluates node by
+node.
 """
 
 from __future__ import annotations
@@ -141,8 +151,21 @@ class HInterval:
         return ab * u / (s * u - ab) * up
 
     def reflect_all(self, ts: Sequence[float]) -> list[float]:
-        """``[self.reflect(t) for t in ts]``, raising at the first ``t`` where
-        :meth:`reflect` raises."""
+        """``[self.reflect(t) for t in ts]``, bit for bit, raising at the
+        first ``t`` where :meth:`reflect` raises.
+
+        When every ``t`` lies inside the interval clear of both snap pads,
+        none is NaN and none is the harmonic midpoint, each takes
+        :meth:`reflect`'s formula, and the list is that formula in one
+        comprehension; otherwise :meth:`reflect` is mapped over ``ts``.
+        """
+        ab, s, pad, midpoint, up, down, a, b = self._geometry
+        # Rounding is monotonic, so every t clears the pads when the least
+        # and the greatest do.  A NaN can slip past min and max, not the sum.
+        if ts and min(ts) * down - a > pad and b - max(ts) * down > pad and midpoint not in ts:
+            total = sum(ts)
+            if total == total:
+                return [ab * u / (s * u - ab) * up for t in ts for u in [t * down]]
         return list(map(self.reflect, ts))
 
 
@@ -172,8 +195,18 @@ class Function:
         return self.call(t)
 
     def values(self, ts: Sequence[float]) -> list[float]:
-        """``[self(t) for t in ts]``, bit for bit, through the batch."""
+        """``[self(t) for t in ts]``, bit for bit, through the batch, raising
+        what the first failing ``t`` raises."""
         return batch_else_each(self.batch, self.call, ts)
+
+    def batch_values(self, ts: Sequence[float]) -> list[float]:
+        """``[self(t) for t in ts]``, bit for bit: one call of the batch, with
+        no fallback, or else one call per ``t``.  It raises only where that
+        list raises, but not necessarily what the first failing ``t``
+        raises, so it is for the parts of a batch that falls back as a
+        whole."""
+        batch = self.batch
+        return list(map(self.call, ts)) if batch is None else batch(ts)
 
 
 def as_function(f: Callable[[float], float]) -> Function:
@@ -214,10 +247,10 @@ class TransformedFunction:
         return as_function(self.base)
 
     def evaluate_all(self, ts: Sequence[float]) -> list[float]:
-        """``[self(t) for t in ts]``, bit for bit: ``base`` at the nodes and
-        then at their reflections, each in one batch of ``base``."""
-        base = self._base
-        return [0.5 * (u + v) for u, v in zip(base.values(ts), base.values(self.interval.reflect_all(ts)))]
+        """``[self(t) for t in ts]``, bit for bit: one batch of ``base`` over
+        the nodes and then their reflections, with no fallback of its own."""
+        values = self._base.batch_values([*ts, *self.interval.reflect_all(ts)])
+        return [0.5 * (u + v) for u, v in zip(values, values[len(ts) :])]
 
     @property
     def kinks(self) -> tuple[float, ...]:

@@ -583,6 +583,11 @@ def product_inequalities(
     Both hold with the same orientation when f and g are both convex-type or
     both concave-type for their classes, so reports carry direction
     "convex" either way.
+
+    When ``g is f``, int f/t^2 is integrated once and serves as Ig too, and
+    each segment of the product takes f in one batch over its nodes and
+    their reflections, for sym(f) and g at once; the reports are those of a
+    g equal to f but distinct from it.
     """
     _check_variant(variant)
     a, b = interval.a, interval.b
@@ -592,11 +597,21 @@ def product_inequalities(
     f_mid = f(interval.harmonic_midpoint)
     fb, fn, gn = map(as_function, (sym_transform(f, interval), f, g))
     i_f = _Barred.of(weighted_integral(fn, a, b, tol=quad_tol, breakpoints=kinks_of(fn)))
-    i_g = _Barred.of(weighted_integral(gn, a, b, tol=quad_tol, breakpoints=kinks_of(gn)))
-    product = Function(
-        lambda t: fb(t) * g(t) / (t * t),
-        lambda ts: [p * q / (t * t) for p, q, t in zip(fb.values(ts), gn.values(ts), ts)],
-    )
+    if g is f:
+        i_g = i_f
+
+        def batch(ts: Sequence[float]) -> list[float]:
+            # f at the nodes, then at their reflections: sym(f) and g at once
+            values = fn.batch_values([*ts, *interval.reflect_all(ts)])
+            return [0.5 * (u + v) * u / (t * t) for u, v, t in zip(values, values[len(ts) :], ts)]
+
+    else:
+        i_g = _Barred.of(weighted_integral(gn, a, b, tol=quad_tol, breakpoints=kinks_of(gn)))
+
+        def batch(ts: Sequence[float]) -> list[float]:
+            return [p * q / (t * t) for p, q, t in zip(fb.batch_values(ts), gn.batch_values(ts), ts)]
+
+    product = Function(lambda t: fb(t) * g(t) / (t * t), batch)
     i_fg = _Barred.of(integrate(product, a, b, tol=quad_tol, breakpoints=kinks_of(fb) + kinks_of(gn)))
     w = scale * i_fg
 
@@ -734,8 +749,10 @@ def weighted_reports(
     int w, the middle term, f(a), f(b) and f(2ab/(a+b)) are computed once
     for all cases; each report equals the one :func:`weighted_bounds` gives
     for its case.  The integrands are records whose batches take a
-    segment's nodes through the batches of f, w and h, and whose scalar
-    call is a batch of one, which evaluates in the order of the formula.
+    segment's nodes through the batches of f, w and h, with no fallback of
+    their own (f, or w, over the nodes and their reflections in one call),
+    and whose scalar call is a batch of one, which evaluates in the order
+    of the formula.
     """
     _check_variant(variant)
     a, b = interval.a, interval.b
@@ -749,7 +766,9 @@ def weighted_reports(
     int_w = _Barred.of(integrate(wn, a, b, tol=quad_tol, breakpoints=w_kinks))
 
     def mass(ts: Sequence[float]) -> list[float]:
-        return [u * (p + q) for u, p, q in zip(wn.values(ts), fn.values(ts), fn.values(interval.reflect_all(ts)))]
+        ws = wn.batch_values(ts)
+        values = fn.batch_values([*ts, *interval.reflect_all(ts)])
+        return [u * (p + q) for u, p, q in zip(ws, values, values[len(ts) :])]
 
     mid_mass = 0.5 * _Barred.of(integrate(
         Function(lambda t: mass([t])[0], mass), a, b, tol=quad_tol,
@@ -778,12 +797,13 @@ def weighted_reports(
         """int [h(w1) + h(w2)] w, derived, and int h(w1) [w + w(r)], as printed."""
 
         def corrected(ts: Sequence[float]) -> list[float]:
-            hv = h.values([v for t in ts for v in _barycentric_weights(interval, t)])
-            return [(p + q) * u for p, q, u in zip(hv[::2], hv[1::2], wn.values(ts))]
+            hv = h.batch_values([v for t in ts for v in _barycentric_weights(interval, t)])
+            return [(p + q) * u for p, q, u in zip(hv[::2], hv[1::2], wn.batch_values(ts))]
 
         def printed(ts: Sequence[float]) -> list[float]:
-            hv = h.values([_barycentric_weights(interval, t)[0] for t in ts])
-            return [p * (u + v) for p, u, v in zip(hv, wn.values(ts), wn.values(interval.reflect_all(ts)))]
+            hv = h.batch_values([_barycentric_weights(interval, t)[0] for t in ts])
+            ws = wn.batch_values([*ts, *interval.reflect_all(ts)])
+            return [p * (u + v) for p, u, v in zip(hv, ws, ws[len(ts) :])]
 
         return (
             integrate(graded(corrected), 0.0, 1.0, tol=quad_tol, breakpoints=corrected_kinks),

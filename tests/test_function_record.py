@@ -171,3 +171,36 @@ def test_record_values_fall_back_in_node_order():
     fb = as_function(sym_transform(parse(FAILS), I12))
     assert _values(fb.batch, _TS) == (EvalDomainError, f"evaluation failed at t={_TS[11]!r}: float division by zero")
     assert _values(fb.values, _TS) == FIRST_FAILURE
+
+
+@pytest.mark.parametrize(
+    "make_f", [lambda: parse(FAILS), lambda: random_harmonic_convex(6, I12)], ids=["parsed", "piecewise"]
+)
+def test_t4_integrand_with_g_is_f_keeps_the_batch(make_f, integrands):
+    # one batch of f over the nodes and their reflections serves sym(f) and
+    # g; on SEGMENT, FAILS raises at the reflection of node 1 node by node
+    f = make_f()
+    product_inequalities(f, f, I12)
+    # int f/t^2 once, then sym(f)*f/t^2
+    assert len(integrands) == 2
+    product = integrands[1]
+    assert product.batch is not None and product.rule is None
+    assert_record_is_per_node(product, 1.0, 2.0)
+    assert_record_is_per_node(product, *SEGMENT)
+
+
+def test_c1_batches_fall_back_once(monkeypatch):
+    # f fails at node 11 of the first segment of [1, 2].  The batches of the
+    # c1 integrands call the batches of f, w and h with no fallback of their
+    # own, so only the rule's one fallback evaluates node by node: 65
+    # scalar calls of w for its sign check, f(a) and f(b), and then none,
+    # since the integrand's scalar call is a batch of one
+    node_11 = _nodes(1.0, 2.0)[11]
+    f, h, w = parse(f"x + 0/(x - {node_11!r})"), HFunction.from_source("x^0.5"), parse("x + 1")
+    calls = []
+    call = type(f).__call__
+    monkeypatch.setattr(type(f), "__call__", lambda self, t: calls.append(t) or call(self, t))
+    with pytest.raises(EvalDomainError) as failure:
+        weighted_bounds(f, h, w, I12)
+    assert str(failure.value) == f"evaluation failed at t={node_11!r}: float division by zero"
+    assert len(calls) <= 67

@@ -259,3 +259,73 @@ def test_scaled_geometry_is_bit_identical_in_range(a, ratio, frac, negative):
     # points that reflect snaps to an end, or that it fixes, are not formula values
     if min(t - a, b - t) > 2e-12 * (b - a) and t != interval.harmonic_midpoint:
         assert interval.reflect(t) == a * b * t / ((a + b) * t - a * b)
+
+
+# --- reflect_all --------------------------------------------------------------
+
+
+def _outcome(call):
+    """The float.hex of each value ``call()`` returns, or the ValueError it raises."""
+    try:
+        return [r.hex() for r in call()]
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def _interval_and_points(draw):
+    """An interval at a scale from 1e-300 to 1e300, of either sign, and a
+    list of points inside it, among which up to two others are put: inside
+    or near either snap pad, at either end, at the harmonic midpoint,
+    outside the interval, NaN or infinite."""
+    a = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-300, 293))
+    b = a * (1.0 + draw(st.floats(1e-6, 1e6)))
+    if draw(st.booleans()):
+        a, b = -b, -a
+    interval = HInterval(a, b)
+    width, pad = b - a, 1e-12 * (b - a)
+    other = st.one_of(
+        st.floats(0.0, 1.0).map(lambda k: a + k * pad),
+        st.floats(0.0, 1.0).map(lambda k: b - k * pad),
+        st.floats(-3.0, 3.0).map(lambda k: a + k * pad),
+        st.floats(-3.0, 3.0).map(lambda k: b + k * pad),
+        *map(st.just, (a, b, interval.harmonic_midpoint, math.nan, math.inf, -math.inf)),
+        st.floats(1e-9, 1.0).map(lambda frac: a - frac * width),
+        st.floats(1e-9, 1.0).map(lambda frac: b + frac * width),
+    )
+    # clear of the pads, which hold 1e-12 of the width
+    inside = st.floats(1e-6, 1.0 - 1e-6).map(lambda frac: a + frac * width)
+    points = draw(st.lists(inside, min_size=1, max_size=16))
+    for point in draw(st.lists(other, max_size=2)):
+        points.insert(draw(st.integers(0, len(points))), point)
+    return interval, points
+
+
+@settings(max_examples=1000)
+@given(_interval_and_points())
+def test_reflect_all_is_reflect_of_each(case):
+    # the same bits, or the same ValueError at the first point reflect refuses
+    interval, ts = case
+    assert _outcome(lambda: interval.reflect_all(ts)) == _outcome(lambda: [interval.reflect(t) for t in ts])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+@pytest.mark.parametrize("scale", (1.0,) + EXTREME_SCALES)
+def test_reflect_all_of_quadrature_nodes_is_one_comprehension(monkeypatch, scale, sign):
+    # the nodes of a segment inside the interval take no scalar reflect; a
+    # NaN among them, or the harmonic midpoint, sends them through it one by
+    # one: up to the NaN, which it refuses, and all six with the midpoint
+    a, b = sorted((sign * scale, sign * 2.0 * scale))
+    interval = HInterval(a, b)
+    c, h = 0.5 * (a + b), 0.25 * (b - a)
+    ts = [c + h * x for x in (-0.99, -0.5, 0.0, 0.3, 0.97)]
+    expected = [interval.reflect(t) for t in ts]
+    calls = []
+    reflect = HInterval.reflect
+    monkeypatch.setattr(HInterval, "reflect", lambda self, t: calls.append(t) or reflect(self, t))
+    assert [r.hex() for r in interval.reflect_all(ts)] == [r.hex() for r in expected]
+    assert calls == []
+    with pytest.raises(ValueError, match=r"^t=nan outside "):
+        interval.reflect_all(ts[:3] + [math.nan] + ts[3:])
+    assert interval.reflect_all(ts + [interval.harmonic_midpoint])[-1] == interval.harmonic_midpoint
+    assert len(calls) == 4 + 6

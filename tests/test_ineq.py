@@ -389,6 +389,41 @@ class TestProductInequalities:
         assert not printed.passed
 
 
+def _t4_outcome(f, g, interval, **kwargs):
+    """The repr of t4's reports, or the type and message of what it raises."""
+    try:
+        return repr(product_inequalities(f, g, interval, **kwargs))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("variant", ["derived_corrected", "as_printed"])
+@pytest.mark.parametrize(
+    "make_f, interval",
+    [
+        (lambda: parse("exp(x)"), I12),
+        (lambda: parse("1/x"), HInterval(1e-6, 2e-6)),
+        (lambda: parse("-ln(x)"), HInterval(1e-6, 2e-6)),
+        (lambda: parse("x^2 + 1/x"), HInterval(-3.0, -0.5)),
+        (lambda: parse("ln(x - 1.5)"), I12),
+        (lambda: parse("x + 0/(x - 1.8707655927996971)"), I12),
+        (lambda: parse("x + 0/(x - 1.9054347585233533)"), I12),
+        (lambda: random_harmonic_convex(6, I12), I12),
+    ],
+    ids=[
+        "exp", "reciprocal_tiny", "neg_log_tiny", "negative", "domain_error", "fails_at_a_node",
+        "fails_at_a_reflection", "piecewise",
+    ],
+)
+def test_t4_with_g_is_f_matches_a_distinct_g(make_f, interval, variant):
+    # g is f takes one integral of f/t^2 and one batch of f per segment of
+    # the product; an equal, distinct g takes two integrals and two batches.
+    # The two failing f divide by zero at node 11 of [1, 2], in the integral
+    # of f/t^2, and at the reflection of node 1, in the product
+    f = make_f()
+    assert _t4_outcome(f, f, interval, variant=variant) == _t4_outcome(f, make_f(), interval, variant=variant)
+
+
 class TestChainHSubinterval:
     def test_identity_weight_reduces_to_t3(self):
         for src in ("1/x", "exp(x)", "x^2"):
@@ -527,11 +562,14 @@ class TestWeightedBounds:
 
 
 # the kinks each evaluator passes, one entry per integral it takes, on a
-# kinked f with g = f: f's own, those of sym(f) (f's and their
-# reflections), or none for integrals of a kink-free w and h alone; with f
-# as c1's weight w, its h-weight integrals take them as values of theta
+# kinked f: f's own, those of sym(f) (f's and their reflections), or none
+# for integrals of a kink-free w and h alone; t4 with g = f integrates f/t^2
+# once, and with another kinked g also g/t^2 at g's kinks; with f as c1's
+# weight w, its h-weight integrals take them as values of theta
 _KINKED_F = random_harmonic_convex(6, I12)
+_KINKED_G = random_harmonic_convex(9, I12)
 _F_KINKS = _KINKED_F.kinks
+_G_KINKS = _KINKED_G.kinks
 _SYM_KINKS = sym_transform(_KINKED_F, I12).kinks
 _X, _Y = 1.31, 1.83
 
@@ -551,7 +589,8 @@ def _graded(kinks):
         (lambda f: chain_reflected_pair(f, I12, _X), [_F_KINKS]),
         (lambda f: chain_harmonic_full(f, I12, _X, _Y), [_F_KINKS, _F_KINKS]),
         (lambda f: chain_refinement(f, I12, quad_tol=1e-5), [_SYM_KINKS]),
-        (lambda f: product_inequalities(f, f, I12), [_F_KINKS, _F_KINKS, _SYM_KINKS + _F_KINKS]),
+        (lambda f: product_inequalities(f, f, I12), [_F_KINKS, _SYM_KINKS + _F_KINKS]),
+        (lambda f: product_inequalities(f, _KINKED_G, I12), [_F_KINKS, _G_KINKS, _SYM_KINKS + _G_KINKS]),
         (lambda f: chain_h_subinterval(f, IDENTITY_H, I12, _X, _Y), [_F_KINKS, _F_KINKS]),
         (lambda f: weighted_bounds(f, IDENTITY_H, lambda t: 1.0, I12), [(), _SYM_KINKS, (), ()]),
         (
@@ -559,7 +598,7 @@ def _graded(kinks):
             [_F_KINKS, _SYM_KINKS + _F_KINKS, _graded(_F_KINKS), _graded(_SYM_KINKS)],
         ),
     ],
-    ids=["hh_classic", "t1", "t3", "r2", "r3", "r4", "t4", "t5", "c1", "c1_kinked_w"],
+    ids=["hh_classic", "t1", "t3", "r2", "r3", "r4", "t4", "t4_distinct_g", "t5", "c1", "c1_kinked_w"],
 )
 def test_evaluators_pass_kinks_as_breakpoints(monkeypatch, call, expected):
     # the nested r4 double integral calls the quadrature module's own

@@ -86,8 +86,10 @@ def test_sweep_entry_evaluations(scans, counted_entries, monkeypatch):
     # f >= 0 is sampled once per entry (65 evaluations), not once per weight,
     # the r4 double integral once for the unweighted chain and every weight,
     # and the c1 middle integral, f(a), f(b) and f(2ab/(a+b)) once for all
-    # four weights
-    assert square.spec.calls == 5_680
+    # four weights; t4, whose g is f, integrates f/t^2 once, and its
+    # product takes f at a segment's nodes and their reflections, 30
+    # evaluations per segment, not 45
+    assert square.spec.calls == 5_590
     assert sum(e.spec.calls for e in counted_entries) == square.spec.calls
 
 
