@@ -368,6 +368,8 @@ def _cmd_verify(args) -> int:
         if value is not None:
             if name == "h":
                 value = _parse_h(value)
+            elif name == "g" and value == args.fn:
+                value = fn  # f itself, so t4 takes its path for g the same object as f
             elif name in ("g", "w"):
                 value = _parse_fn(value, f"--{name}")
             else:  # a point x or y: the evaluators reflect it, so reflect decides its range

@@ -516,7 +516,7 @@ def refinement_reports(
     gives for its case.
     """
     _check_variant(variant)
-    fb = sym_transform(f, interval)
+    fb = as_function(sym_transform(f, interval))
     dbl = _Barred.of(refinement_double_integral(f, interval, tol=quad_tol))
     mean_fb = _Barred.of(integrate(fb, interval.a, interval.b, tol=quad_tol, breakpoints=kinks_of(fb)))
     sym_mean = 1.0 / interval.width * mean_fb
@@ -661,12 +661,13 @@ def chain_h_subinterval(
     )
 
 
-def _barycentric_weights(interval: HInterval, x: float) -> tuple[float, float]:
-    """Weights (w1, w2) with w1 + w2 = 1 such that x is the harmonic
-    combination of (a, b) carrying weight w1 on the value at b."""
+def _barycentric_weights(interval: HInterval, xs: Sequence[float]) -> tuple[list[float], list[float]]:
+    """The weights w1 and w2 of each x in ``xs``, as two lists: w1 + w2 = 1,
+    and x is the harmonic combination of (a, b) carrying weight w1 on the
+    value at b."""
     a, b = interval.a, interval.b
-    den = x * (a - b)
-    return b * (a - x) / den, a * (x - b) / den
+    d = a - b
+    return [b * (a - x) / (x * d) for x in xs], [a * (x - b) / (x * d) for x in xs]
 
 
 def bounds_h_pointwise(
@@ -689,7 +690,7 @@ def bounds_h_pointwise(
     """
     _check_variant(variant)
     fb = sym_transform(f, interval)
-    w1, w2 = _barycentric_weights(interval, x)
+    (w1,), (w2,) = _barycentric_weights(interval, [x])
     first = w1 if variant == "as_printed" else h(w1)
     upper = (first + h(w2)) * _endpoint_avg(f, interval)
     terms = [
@@ -733,6 +734,11 @@ def weighted_bounds(
     return weighted_reports(f, w, interval, ((h, direction),), tol, quad_tol, variant)[0]
 
 
+def _batched(batch: Callable[[Sequence[float]], list[float]]) -> Function:
+    """The record of ``batch``, whose scalar call is a batch of one."""
+    return Function(lambda t: batch([t])[0], batch)
+
+
 def weighted_reports(
     f: Callable[[float], float],
     w: Callable[[float], float],
@@ -752,16 +758,23 @@ def weighted_reports(
     segment's nodes through the batches of f, w and h, with no fallback of
     their own (f, or w, over the nodes and their reflections in one call),
     and whose scalar call is a batch of one, which evaluates in the order
-    of the formula.
+    of the formula.  The h-weight batches form all their barycentric
+    weights in one call of the helper t6 uses, and apply the Jacobian in
+    the comprehension that forms each value.  The check of w takes its 65
+    points through w's batch, or, should that raise, one call per point.
     """
     _check_variant(variant)
     a, b = interval.a, interval.b
-    for k in range(65):
-        t = a + (b - a) * k / 64.0
-        if not w(t) >= 0.0:
+    fn, wn = as_function(f), as_function(w)
+    grid = [a + (b - a) * k / 64.0 for k in range(65)]
+    try:
+        checked = wn.batch_values(grid)
+    except Exception:  # w is then called point by point, so the first failing t raises
+        checked = map(w, grid)
+    for t, v in zip(grid, checked):
+        if not v >= 0.0:
             raise ValueError(f"weight w is negative or NaN at t={t!r}")
     avg_f = _endpoint_avg(f, interval)
-    fn, wn = as_function(f), as_function(w)
     w_kinks = kinks_of(wn)
     int_w = _Barred.of(integrate(wn, a, b, tol=quad_tol, breakpoints=w_kinks))
 
@@ -771,20 +784,16 @@ def weighted_reports(
         return [u * (p + q) for u, p, q in zip(ws, values, values[len(ts) :])]
 
     mid_mass = 0.5 * _Barred.of(integrate(
-        Function(lambda t: mass([t])[0], mass), a, b, tol=quad_tol,
+        _batched(mass), a, b, tol=quad_tol,
         breakpoints=kinks_of(sym_transform(f, interval)) + w_kinks,
     ))
     half = 0.5 * (b - a)
+    pi, cos, sin = math.pi, math.cos, math.sin
 
-    def graded(weight: Callable[[Sequence[float]], list[float]]) -> Function:
-        """The batch ``weight`` of a weight in t as an integrand in theta."""
-
-        def integrand(thetas: Sequence[float]) -> list[float]:
-            us = [math.pi * theta for theta in thetas]
-            values = weight([a + half * (1.0 - math.cos(u)) for u in us])
-            return [v * half * math.pi * math.sin(u) for v, u in zip(values, us)]
-
-        return Function(lambda theta: integrand([theta])[0], integrand)
+    def nodes(thetas: Sequence[float]) -> tuple[list[float], list[float]]:
+        """The points t of ``thetas`` and the angles pi*theta."""
+        us = [pi * theta for theta in thetas]
+        return [a + half * (1.0 - cos(u)) for u in us], us
 
     def graded_kinks(kinks: tuple[float, ...]) -> list[float]:
         """The kinks in ``(a, b)`` as values of theta."""
@@ -794,20 +803,27 @@ def weighted_reports(
     printed_kinks = graded_kinks(kinks_of(sym_transform(w, interval)))
 
     def right_integrals(h: HFunction) -> tuple[QuadResult, QuadResult]:
-        """int [h(w1) + h(w2)] w, derived, and int h(w1) [w + w(r)], as printed."""
+        """int [h(w1) + h(w2)] w, derived, and int h(w1) [w + w(r)], as
+        printed, in theta (times dt/dtheta = half * pi * sin(pi*theta))."""
 
-        def corrected(ts: Sequence[float]) -> list[float]:
-            hv = h.batch_values([v for t in ts for v in _barycentric_weights(interval, t)])
-            return [(p + q) * u for p, q, u in zip(hv[::2], hv[1::2], wn.batch_values(ts))]
+        def corrected(thetas: Sequence[float]) -> list[float]:
+            ts, us = nodes(thetas)
+            w1, w2 = _barycentric_weights(interval, ts)
+            hv = h.batch_values(w1 + w2)
+            return [
+                (p + q) * v * half * pi * sin(u)
+                for p, q, v, u in zip(hv, hv[len(ts) :], wn.batch_values(ts), us)
+            ]
 
-        def printed(ts: Sequence[float]) -> list[float]:
-            hv = h.batch_values([_barycentric_weights(interval, t)[0] for t in ts])
+        def printed(thetas: Sequence[float]) -> list[float]:
+            ts, us = nodes(thetas)
+            hv = h.batch_values(_barycentric_weights(interval, ts)[0])
             ws = wn.batch_values([*ts, *interval.reflect_all(ts)])
-            return [p * (u + v) for p, u, v in zip(hv, ws, ws[len(ts) :])]
+            return [p * (v + vr) * half * pi * sin(u) for p, v, vr, u in zip(hv, ws, ws[len(ts) :], us)]
 
         return (
-            integrate(graded(corrected), 0.0, 1.0, tol=quad_tol, breakpoints=corrected_kinks),
-            integrate(graded(printed), 0.0, 1.0, tol=quad_tol, breakpoints=printed_kinks),
+            integrate(_batched(corrected), 0.0, 1.0, tol=quad_tol, breakpoints=corrected_kinks),
+            integrate(_batched(printed), 0.0, 1.0, tol=quad_tol, breakpoints=printed_kinks),
         )
 
     rights = [right_integrals(h) for h, _ in cases]

@@ -6,7 +6,8 @@ Kronrod-Gauss discrepancy drops below the share of the tolerance proportional
 to the segment's width.  All integrals are signed, so reversed limits need no
 special casing by callers.  ``integrate`` enforces an evaluation budget and
 raises instead of silently truncating; the other routines are integrands
-handed to it.  The refinement double integral nests it: its error estimate is
+handed to it.  A lone starting segment that meets the tolerance is returned
+at once.  The refinement double integral nests it: its error estimate is
 the outer estimate plus the largest error any inner integral passes on to
 the outer integrand.
 
@@ -26,7 +27,9 @@ and the generic rule ``_gk15`` otherwise; :func:`weighted_integral` builds
 its integrand f(t)/t^2 with f's weighted rule as its rule (the function
 protocol of :mod:`hhverify.hmean`).  Nodes, segments, evaluation counts and
 results are the same on either path, bit for bit.  Every rule sums K15 and
-G7 over :data:`GK15` in its order.
+G7 over :data:`GK15` in its order.  ``refinement_double_integral`` builds
+that integrand once for all its inner integrals, and its outer integrand
+is a record with a batch.
 
 Results.  Every routine returns a :class:`QuadResult`, a frozen dataclass
 rather than a tuple: it neither unpacks nor compares equal to one.  Its
@@ -197,19 +200,23 @@ def integrate(
     span = hi - lo
     fn = as_function(f)
     gk15 = fn.rule or partial(_gk15, fn)
-    if breakpoints:
-        edges = [lo, *sorted({p for p in breakpoints if lo < p < hi}), hi]
-        segments = zip(edges, edges[1:])
-    else:
-        segments = ((lo, hi),)
-    evals = 0
-    work = []
-    for l, r in segments:
-        evals += 15
-        if evals > max_evals:
+    if not breakpoints:
+        if max_evals < 15:
             raise _exhausted(max_evals, lo, hi)
-        v, e = gk15(l, r)
-        work.append((l, r, v, e))
+        v, e = gk15(lo, hi)
+        # a lone segment that the loop below would accept at once
+        if e <= tol * (span / span) or span <= 1e-14 * max(abs(lo), abs(hi), 1.0):
+            return QuadResult(0.0 + v, 0.0 + e, 1)
+        evals, work = 15, [(lo, hi, v, e)]
+    else:
+        edges = [lo, *sorted({p for p in breakpoints if lo < p < hi}), hi]
+        evals, work = 0, []
+        for l, r in zip(edges, edges[1:]):
+            evals += 15
+            if evals > max_evals:
+                raise _exhausted(max_evals, lo, hi)
+            v, e = gk15(l, r)
+            work.append((l, r, v, e))
 
     total = 0.0
     err_total = 0.0
@@ -294,6 +301,11 @@ def refinement_double_integral(
     :func:`integrate` from the segments between those points, with a budget
     of 100 000 evaluations of G.  The inner integrals take no breakpoints.
 
+    G is a record whose batch reflects a segment's nodes in one pass, forms
+    their coefficients and inner tolerances in one comprehension, and takes
+    int_x^r as -int_r^x where r < x, sparing ``integrate`` its delegation.
+    Every inner integral takes one f(t)/t^2 record, built once.
+
     The reported error estimate is the outer estimate divided by b - a, plus
     the largest amount by which an inner quadrature error can move G at any
     node: the mean of G cannot move by more than G does anywhere.
@@ -306,7 +318,7 @@ def refinement_double_integral(
     ab = a * b
     s = a + b
     inner_err = 0.0
-    fn = as_function(f)  # resolved once for all inner integrals
+    inner = Function(lambda t: f(t) / (t * t), None, as_function(f).weighted)
 
     def g(x: float) -> float:
         nonlocal inner_err
@@ -316,11 +328,28 @@ def refinement_double_integral(
         coef = ab * x / (2.0 * ab - s * x)
         # keep |coef| * inner error bounded by tol pointwise
         inner_tol = max(tol * abs(r - x) / abs(x * r), 1e-15)
-        inner = weighted_integral(fn, x, r, tol=inner_tol)
-        inner_err = max(inner_err, abs(coef) * inner.abs_error_estimate)
-        return coef * inner.value
+        res = integrate(inner, x, r, inner_tol)
+        inner_err = max(inner_err, abs(coef) * res.abs_error_estimate)
+        return coef * res.value
+
+    def batch(xs: Sequence[float]) -> list[float]:
+        """``[g(x) for x in xs]``, bit for bit (see above)."""
+        nonlocal inner_err
+        values = []
+        for x, r, coef, inner_tol in [
+            (x, r, None, None) if abs(x - xstar) <= near
+            else (x, r, ab * x / (2.0 * ab - s * x), max(tol * abs(r - x) / abs(x * r), 1e-15))
+            for x, r in zip(xs, interval.reflect_all(xs))
+        ]:
+            if coef is None:
+                values.append(f_star)
+                continue
+            res = integrate(inner, x, r, inner_tol) if x < r else integrate(inner, r, x, inner_tol)
+            inner_err = max(inner_err, abs(coef) * res.abs_error_estimate)
+            values.append(coef * res.value if x < r else coef * -res.value)
+        return values
 
     kinks = kinks_of(sym_transform(f, interval))
-    outer = integrate(g, a, b, tol=tol, max_evals=100_000, breakpoints=kinks)
+    outer = integrate(Function(g, batch), a, b, tol=tol, max_evals=100_000, breakpoints=kinks)
     err = (outer.abs_error_estimate + inner_err * span) / span
     return QuadResult(outer.value / span, err, outer.subdivisions)

@@ -807,3 +807,19 @@ def test_every_golden_file_has_its_output():
     assert len(set(paths)) == len(paths)
     assert golden.SWEEP_PATH in paths
     assert sorted(os.listdir(golden.GOLDEN_DIR)) == sorted(os.path.basename(p) for p in paths)
+
+
+@pytest.mark.parametrize("g, is_f", [("exp(x)", True), ("exp( x )", False)], ids=["same_text", "other_text"])
+def test_verify_binds_a_g_that_reads_as_fn_to_f(monkeypatch, capsys, g, is_f):
+    # a --g whose text is --fn's is the parsed --fn itself, so t4 takes its
+    # path for g the same object as f; any other text is parsed on its own
+    seen = []
+    original = ineq.product_inequalities
+
+    def recording(f, g, *args, **kwargs):
+        seen.append(g is f)
+        return original(f, g, *args, **kwargs)
+
+    monkeypatch.setattr(ineq, "product_inequalities", recording)
+    assert hhverify.cli.main(["verify", "--chain", "t4", "--fn", "exp(x)", "--g", g, "--a", "1", "--b", "2"]) == 0
+    assert seen == [is_f]

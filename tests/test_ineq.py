@@ -449,8 +449,9 @@ class TestBoundsHPointwise:
     def test_barycentric_weights_sum_to_one(self):
         from hhverify.ineq import _barycentric_weights
 
-        for x in (1.0, 1.2, 4.0 / 3.0, 1.9, 2.0):
-            w1, w2 = _barycentric_weights(I12, x)
+        weights = _barycentric_weights(I12, [1.0, 1.2, 4.0 / 3.0, 1.9, 2.0])
+        assert list(map(len, weights)) == [5, 5]
+        for w1, w2 in zip(*weights):
             assert w1 + w2 == pytest.approx(1.0, abs=1e-14)
             assert -1e-12 <= w1 <= 1.0 + 1e-12
 
