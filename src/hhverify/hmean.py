@@ -40,12 +40,11 @@ itself a record, built once when it is parsed, so resolving it costs
 nothing.  ``corpus.PiecewiseConvexReciprocal`` publishes its kinks (a
 tuple built once), a hand-written weighted rule and its name.  A
 :class:`TransformedFunction`, the symmetric part sym(f), publishes its
-base's kinks with their reflections (a tuple built once), and a batch that
-evaluates its base in one batch over the nodes and then their reflections.
-Derived functions are built as records: ``ineq.HFunction`` weights are the
-record of their function, labelled with their name; the integrand f(t)/t^2
-of ``weighted_integral`` carries f's weighted rule as its rule; the outer
-integrand of ``quad.refinement_double_integral`` carries a batch; and the
+base's kinks with their reflections, and a batch that evaluates its base in
+one batch over the nodes and then their reflections.  Derived functions are
+built as records: ``ineq.HFunction`` weights are the record of their
+function, labelled with their name; the integrand f(t)/t^2 of
+``weighted_integral`` carries f's weighted rule as its rule; and the
 integrands of the ``t4`` and ``c1`` chains carry batches built on those of
 f, g, w and h, which take f, or w, over the nodes and their reflections in
 one batch (and, for ``t4`` with g the same object as f, g's values from it
@@ -253,11 +252,11 @@ class TransformedFunction:
         values = self._base.batch_values([*ts, *self.interval.reflect_all(ts)])
         return [0.5 * (u + v) for u, v in zip(values, values[len(ts) :])]
 
-    @functools.cached_property
+    @property
     def kinks(self) -> tuple[float, ...]:
         """The kinks of ``base``, then the reflections of those that lie
-        inside the interval; built once."""
-        base = kinks_of(self.base)
+        inside the interval."""
+        base = self._base.kinks
         iv = self.interval
         return base + tuple(iv.reflect(k) for k in base if iv.a < k < iv.b)
 

@@ -28,8 +28,8 @@ its integrand f(t)/t^2 with f's weighted rule as its rule (the function
 protocol of :mod:`hhverify.hmean`).  Nodes, segments, evaluation counts and
 results are the same on either path, bit for bit.  Every rule sums K15 and
 G7 over :data:`GK15` in its order.  ``refinement_double_integral`` builds
-that integrand once for all its inner integrals, and its outer integrand
-is a record with a batch.
+that integrand once for all its inner integrals; its outer integrand is a
+plain function, called node by node.
 
 Results.  Every routine returns a :class:`QuadResult`, a frozen dataclass
 rather than a tuple: it neither unpacks nor compares equal to one.  Its
@@ -204,7 +204,8 @@ def integrate(
         if max_evals < 15:
             raise _exhausted(max_evals, lo, hi)
         v, e = gk15(lo, hi)
-        # a lone segment that the loop below would accept at once
+        # the loop's accept test for w = span, and its sums: a lone segment
+        # that passes is returned without building the work list
         if e <= tol * (span / span) or span <= 1e-14 * max(abs(lo), abs(hi), 1.0):
             return QuadResult(0.0 + v, 0.0 + e, 1)
         evals, work = 15, [(lo, hi, v, e)]
@@ -224,7 +225,8 @@ def integrate(
     while work:
         l, r, v, e = work.pop()
         w = r - l
-        # the width floor is computed only for a segment that fails the tolerance
+        # the width floor is computed only for a segment that fails the
+        # tolerance; the lone-segment return above repeats this test
         if e <= tol * (w / span) or w <= 1e-14 * max(abs(lo), abs(hi), 1.0):
             total += v
             err_total += e
@@ -301,10 +303,9 @@ def refinement_double_integral(
     :func:`integrate` from the segments between those points, with a budget
     of 100 000 evaluations of G.  The inner integrals take no breakpoints.
 
-    G is a record whose batch reflects a segment's nodes in one pass, forms
-    their coefficients and inner tolerances in one comprehension, and takes
-    int_x^r as -int_r^x where r < x, sparing ``integrate`` its delegation.
-    Every inner integral takes one f(t)/t^2 record, built once.
+    G is called node by node.  Every inner integral takes one f(t)/t^2
+    record, built once with f's weighted rule, and runs over ascending
+    limits: where r(x) < x, G takes -int_{r(x)}^x.
 
     The reported error estimate is the outer estimate divided by b - a, plus
     the largest amount by which an inner quadrature error can move G at any
@@ -328,28 +329,12 @@ def refinement_double_integral(
         coef = ab * x / (2.0 * ab - s * x)
         # keep |coef| * inner error bounded by tol pointwise
         inner_tol = max(tol * abs(r - x) / abs(x * r), 1e-15)
-        res = integrate(inner, x, r, inner_tol)
+        # int_x^r over ascending limits, sparing integrate its delegation
+        res = integrate(inner, r, x, inner_tol) if r < x else integrate(inner, x, r, inner_tol)
         inner_err = max(inner_err, abs(coef) * res.abs_error_estimate)
-        return coef * res.value
-
-    def batch(xs: Sequence[float]) -> list[float]:
-        """``[g(x) for x in xs]``, bit for bit (see above)."""
-        nonlocal inner_err
-        values = []
-        for x, r, coef, inner_tol in [
-            (x, r, None, None) if abs(x - xstar) <= near
-            else (x, r, ab * x / (2.0 * ab - s * x), max(tol * abs(r - x) / abs(x * r), 1e-15))
-            for x, r in zip(xs, interval.reflect_all(xs))
-        ]:
-            if coef is None:
-                values.append(f_star)
-                continue
-            res = integrate(inner, x, r, inner_tol) if x < r else integrate(inner, r, x, inner_tol)
-            inner_err = max(inner_err, abs(coef) * res.abs_error_estimate)
-            values.append(coef * res.value if x < r else coef * -res.value)
-        return values
+        return coef * -res.value if r < x else coef * res.value
 
     kinks = kinks_of(sym_transform(f, interval))
-    outer = integrate(Function(g, batch), a, b, tol=tol, max_evals=100_000, breakpoints=kinks)
+    outer = integrate(g, a, b, tol=tol, max_evals=100_000, breakpoints=kinks)
     err = (outer.abs_error_estimate + inner_err * span) / span
     return QuadResult(outer.value / span, err, outer.subdivisions)

@@ -1,10 +1,11 @@
-"""The batched composite integrands of ``r4`` and ``c1`` against per-node
-copies of them.
+"""The composite integrands of ``r4`` and ``c1`` against per-node copies
+of them.
 
-``quad.refinement_double_integral`` takes its outer integrand G through a
-batch, and ``ineq.weighted_reports`` forms its barycentric weights, its
-theta map and its Jacobian a batch at a time.  The copies below do each
-node on its own: G calls ``weighted_integral`` once per node, and the
+``quad.refinement_double_integral`` takes every inner integral of its
+outer integrand G over ascending limits through one f(t)/t^2 record, and
+``ineq.weighted_reports`` forms its barycentric weights, its theta map and
+its Jacobian a batch at a time.  The copies below do each node on its own:
+G calls ``weighted_integral`` from x to r(x) once per node, and the
 ``c1`` integrands take one barycentric pair per node and apply the
 Jacobian to the finished weight.  Each pair must give the same reports,
 ``repr`` for ``repr``, or raise the same exception with the same message.

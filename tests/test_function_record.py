@@ -13,7 +13,7 @@ from hhverify.corpus import random_harmonic_convex
 from hhverify.fnspec import EvalDomainError, parse
 from hhverify.hmean import Function, HInterval, as_function, batch_else_each, kinks_of, sym_transform
 from hhverify.ineq import HFunction, product_inequalities, weighted_bounds
-from hhverify.quad import _XGK, GK15, _gk15, refinement_double_integral, weighted_integral
+from hhverify.quad import GK15, _gk15, weighted_integral
 
 from test_rules import _outcome, _values
 
@@ -143,37 +143,6 @@ def test_c1_integrands_keep_the_batches(integrands):
     for record in (corrected, printed):
         assert_record_is_per_node(record, 0.0, 1.0)
         assert_record_is_per_node(record, 0.2, 0.3)
-
-
-_X11 = _nodes(1.0, 2.0)[11]
-# x7 puts the harmonic midpoint of [1, (1+x7)/(1-x7)] on a Kronrod node
-_X7_INTERVAL = HInterval(1.0, (1.0 + _XGK[6]) / (1.0 - _XGK[6]))
-
-
-@pytest.mark.parametrize(
-    "make_f, interval",
-    [
-        (lambda: parse("exp(x) - 1/x"), I12),
-        (lambda: random_harmonic_convex(6, I12), I12),
-        (lambda: parse("-ln(x)"), _X7_INTERVAL),
-        # fails in the inner integral at outer node 11, whose limits ascend
-        (lambda: parse(f"x + 0/(x - {0.5 * (I12.reflect(_X11) + _X11)!r})"), I12),
-    ],
-    ids=["parsed", "piecewise", "midpoint_on_a_node", "fails_at_node_11"],
-)
-def test_refinement_outer_integrand_batch_is_per_node(make_f, interval, integrands):
-    # the outer G of the r4 double integral: its batch reflects the nodes in
-    # one pass and takes each inner integral over ascending limits; its
-    # scalar call reflects one node and integrates from x to r(x)
-    try:
-        refinement_double_integral(make_f(), interval, tol=1e-6)
-    except EvalDomainError:
-        pass
-    outer = integrands[0]
-    assert isinstance(outer, Function) and outer.batch is not None and outer.rule is None
-    assert_record_is_per_node(outer, interval.a, interval.b)
-    assert_record_is_per_node(outer, interval.a, interval.harmonic_midpoint)
-    assert_record_is_per_node(outer, *SEGMENT)
 
 
 def test_batch_else_each_raises_the_first_error_in_item_order():

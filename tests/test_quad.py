@@ -423,8 +423,7 @@ class TestRefinementDoubleIntegral:
         signature = inspect.signature(quad.integrate)
 
         def recording_integrate(*args, _original=quad.integrate, **kwargs):
-            # an inner integral over reversed limits passes its breakpoints
-            # on by position, to the call it delegates to
+            # breakpoints by keyword or by position
             breakpoints = tuple(signature.bind(*args, **kwargs).arguments.get("breakpoints", ()))
             (inner if depth[0] else outer).append(breakpoints)
             depth[0] += 1
@@ -437,6 +436,22 @@ class TestRefinementDoubleIntegral:
         refinement_double_integral(f, interval, tol=1e-6)
         assert outer == [sym_transform(f, interval).kinks]
         assert inner and set(inner) == {()}
+
+    def test_inner_integrals_run_over_ascending_limits(self, monkeypatch):
+        # G takes int_x^r(x) as -int_r(x)^x where r(x) < x, so no integral
+        # delegates to one over the limits reversed
+        limits = []
+
+        def recording_integrate(f, lo, hi, *args, _original=quad.integrate, **kwargs):
+            limits.append((lo, hi))
+            return _original(f, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(quad, "integrate", recording_integrate)
+        interval = HInterval(1.0, 2.0)
+        refinement_double_integral(parse("exp(x)"), interval, tol=1e-6)
+        # the outer integral, then the inner ones of nodes on either side of x*
+        assert limits[0] == (1.0, 2.0) and len(limits) > 15
+        assert all(lo < hi for lo, hi in limits)
 
 
 # weights of the kinked chains by seed mod 3: (name, h, h in mpmath, h(1/2),
