@@ -32,7 +32,7 @@ from typing import Callable, Optional
 from . import __version__, convexity, ineq
 from .convexity import ConvexityVerdict, SampleGrid, check_class, find_strict_inclusion_witness
 from .corpus import CorpusEntry, builtin_functions, builtin_h
-from .fnspec import ExpressionError, parse
+from .fnspec import EvalDomainError, ExpressionError, parse
 from .hmean import HInterval
 from .ineq import CHAINS, ChainReport, HFunction, run_chain
 from .quad import QuadratureBudgetError
@@ -632,9 +632,11 @@ def _cmd_search(args) -> int:
 # --- entry point ---------------------------------------------------------------
 
 
+# options whose value is an expression
+_EXPRESSION_OPTS = ("--fn", "--g", "--h", "--w")
 # options whose value may start with '-': expressions and floats
 _VALUE_OPTS = {
-    "--fn", "--g", "--h", "--w",
+    *_EXPRESSION_OPTS,
     "--a", "--b", "--x", "--y", "--c", "--tol", "--quad-tol", "--min-margin",
 }
 
@@ -656,6 +658,16 @@ def _preprocess_argv(argv: list[str]) -> list[str]:
     return out
 
 
+def _error_line(args, exc: Exception) -> str:
+    """The message of ``exc``; for an expression that failed to evaluate,
+    after the options that gave its text, as in ``--g 'ln(x-1.5)': ...``."""
+    if isinstance(exc, EvalDomainError):
+        given = [opt for opt in _EXPRESSION_OPTS if getattr(args, opt[2:], None) == exc.expression]
+        if given:
+            return f"{'/'.join(given)} {exc.expression!r}: {exc}"
+    return str(exc)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     if argv is None:
@@ -675,7 +687,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         _check_tolerances(args)
         return handlers[args.command](args)
     except (UsageError, ExpressionError, QuadratureBudgetError, ValueError) as exc:
-        _stderr_line(args.command, str(exc))
+        _stderr_line(args.command, _error_line(args, exc))
         return EXIT_USAGE
 
 

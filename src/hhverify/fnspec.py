@@ -10,7 +10,16 @@ multiplication and division are normalised to ``*`` and ``/``.
 
 Evaluation follows the IEEE double path of the tree node by node and never
 lets a NaN (or an infinity) escape: every invalid operation surfaces as an
-:class:`EvalDomainError` instead.
+:class:`EvalDomainError` instead, which names the expression's source.
+
+:func:`compile_ast` generates three functions from a tree.  The scalar
+evaluator is guarded: it checks each node that could hide a NaN, and its
+result.  The batch ``evaluate_all`` and the weighted Gauss-Kronrod rule
+``weighted_gk15`` compute the bare arithmetic of the tree at each node and
+check finiteness once per call, on the sums of their values.  When that
+check fails, or the arithmetic raises, they evaluate again from the first
+node through the scalar evaluator.  So they return its values bit for bit
+and raise what it raises, at the same node.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .hmean import Function
-from .quad import GK15
+from .quad import GK15, _gk15
 
 __all__ = [
     "ExpressionError",
@@ -56,7 +65,15 @@ class ParseError(ExpressionError):
 
 class EvalDomainError(ExpressionError):
     """Evaluation left the reals: log of a non-positive value, division by
-    zero, a negative base under a fractional power, overflow, ..."""
+    zero, a negative base under a fractional power, overflow, ...
+
+    ``expression`` is the source of the expression that failed, when known;
+    it is not part of the message.
+    """
+
+    def __init__(self, message: str, expression: str | None = None):
+        super().__init__(message)
+        self.expression = expression
 
 
 # --- AST -------------------------------------------------------------------
@@ -297,15 +314,60 @@ def _format(node: Node, min_prec: int) -> str:
 # --- compilation and evaluation ---------------------------------------------
 
 
+def _weighted_each(evaluate: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """The generic rule of ``t -> evaluate(t) / (t*t)``, node by node."""
+    return _gk15(lambda t: evaluate(t) / (t * t), lo, hi)
+
+
 # names the generated functions see; a function's constants are added as _c<k>
 _RUNTIME = {
     "_ln": math.log, "_exp": math.exp, "_abs": abs, "_min": min, "_max": max, "_pow": math.pow,
-    "_isfinite": math.isfinite, "_EvalDomainError": EvalDomainError, "_GK15": GK15,
+    "_isfinite": math.isfinite, "_nan": math.nan, "_EvalDomainError": EvalDomainError, "_GK15": GK15,
+    "_weighted_each": _weighted_each,
 }
+
+# ``evaluate_all`` and ``weighted_gk15`` around the bare expression ``{fast}``
+# of ``t``.  On any exception or a non-finite sum, each starts again through
+# the guarded ``_evaluate`` node by node, which raises at the first failing node
+_FAST = """
+def _evaluate_all(ts):
+    try:
+        values = [{fast} for t in ts]
+        s = sum(values)
+        if s - s == 0.0:
+            return values
+    except Exception:
+        pass
+    return list(map(_evaluate, ts))
+def _weighted_gk15(lo, hi):
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    k = 0.0
+    g = 0.0
+    try:
+        for x, wk, wg in _GK15:
+            t = c + h * x
+            fv = {fast} / (t * t)
+            k += wk * fv
+            g += wg * fv
+        if k - k == 0.0 == g - g:
+            return h * k, _abs(h) * _abs(k - g)
+    except Exception:
+        pass
+    return _weighted_each(_evaluate, lo, hi)
+"""
+
+
+def _nonzero_literal(node: Node) -> bool:
+    """Whether ``node`` is a nonzero number, negated or not: ``pow(nan, y)``
+    is NaN for every such exponent ``y``."""
+    while isinstance(node, Neg):
+        node = node.arg
+    return isinstance(node, Num) and node.value != 0.0
 
 
 def compile_ast(
-    node: Node,
+    node: Node, source: str | None = None
 ) -> tuple[
     Callable[[float], float],
     Callable[[Sequence[float]], list[float]],
@@ -319,92 +381,97 @@ def compile_ast(
     base and its NaN guard before its exponent.  Leaves are operands: ``t``,
     and the constants bound by name.  It turns arithmetic errors into
     :class:`EvalDomainError` and rejects a non-finite result, so it is the
-    whole of evaluation.
+    whole of evaluation.  Its errors carry ``source`` as their
+    ``expression``.
 
-    ``evaluate_all(ts)`` runs the same statements and checks at each node of
-    ``ts`` in turn, in one frame, and returns the list of values: ``[evaluate(t)
-    for t in ts]`` bit for bit, raising what ``evaluate`` raises at the first
-    node where it raises.
-
-    ``weighted_gk15(lo, hi)`` is the Gauss-Kronrod rule of ``t -> evaluate(t)
-    / (t*t)`` on one segment: the same statements and checks at each of the
-    15 nodes, in one frame, summed in the order of
-    :data:`hhverify.quad.GK15`.  It returns what the generic rule
-    ``quad._gk15`` returns on that integrand, bit for bit, and raises what it
-    raises at the same node; a zero ``t*t`` raises a bare
-    ``ZeroDivisionError``, as the integrand does.  All three functions come
-    from one ``compile`` call.
+    ``evaluate_all(ts)`` and ``weighted_gk15(lo, hi)`` evaluate the tree as
+    one bare expression, the same IEEE operations in the same order with no
+    check per node: a comprehension over ``ts``, and the 15 nodes of the
+    Gauss-Kronrod rule of ``t -> evaluate(t) / (t*t)`` on one segment,
+    summed in the order of :data:`hhverify.quad.GK15`.  Each checks
+    finiteness once per call: ``s - s == 0.0`` for the sum ``s`` of the
+    values, or for both sums of the rule (every Kronrod weight is positive,
+    so a non-finite value makes them non-finite).  A ``min``, a ``max`` or
+    a power whose exponent is not a nonzero literal returns NaN there when
+    an operand (a power's base) is NaN, since ``min``, ``max`` and
+    ``pow(nan, 0)`` could drop it.  On any exception or non-finite result
+    they start again from the first node through ``evaluate``.  So
+    ``evaluate_all`` returns ``[evaluate(t) for t in ts]`` bit for bit, and
+    ``weighted_gk15`` what the generic rule ``quad._gk15`` returns on that
+    integrand; each raises what those raise, at the same node, and a zero
+    ``t*t`` raises a bare ``ZeroDivisionError``, as the integrand does.  All
+    three functions come from one ``compile`` call.
     """
-    namespace = dict(_RUNTIME)
+    namespace = dict(_RUNTIME, _source=source)
     body: list[str] = []
 
-    def operand(node: Node) -> str:
+    def once(fast: str, name: str) -> tuple[str, str]:
+        """A bare expression that evaluates ``fast``, and a name that holds
+        its value after it."""
+        return (fast, fast) if fast.isidentifier() else (f"({name} := {fast})", name)
+
+    def operand(node: Node) -> tuple[str, str]:
+        """Emit the guarded statements of ``node`` into ``body``; return the
+        name that holds its value there, and its bare expression."""
         if isinstance(node, Var):
-            return "t"
+            return "t", "t"
         if isinstance(node, Num):
             name = f"_c{len(namespace)}"
             namespace[name] = node.value
-            return name
+            return name, name
         if isinstance(node, Neg):
-            expr = f"-{operand(node.arg)}"
+            arg, fast_arg = operand(node.arg)
+            expr, fast = f"-{arg}", f"-{fast_arg}"
         elif isinstance(node, BinOp):
-            left = operand(node.left)
-            expr = f"{left} {node.op} {operand(node.right)}"
+            (left, fast_left), (right, fast_right) = operand(node.left), operand(node.right)
+            expr = f"{left} {node.op} {right}"
+            fast = f"({fast_left} {node.op} {fast_right})"
         elif isinstance(node, Pow):
-            base = operand(node.base)
+            base, fast_base = operand(node.base)
             # math.pow(nan, 0) would silently absorb a NaN produced upstream
-            body.append(f"if {base} != {base}: raise _EvalDomainError('NaN reached a power')")
-            expr = f"_pow({base}, {operand(node.exponent)})"
+            body.append(f"if {base} != {base}: raise _EvalDomainError('NaN reached a power', _source)")
+            exponent, fast_exponent = operand(node.exponent)
+            expr = f"_pow({base}, {exponent})"
+            if _nonzero_literal(node.exponent):
+                fast = f"_pow({fast_base}, {fast_exponent})"
+            else:
+                first, b = once(fast_base, f"b{len(body)}")
+                fast = f"(_nan if {first} != {b} else _pow({b}, {fast_exponent}))"
         elif isinstance(node, Call1):
-            expr = f"_{node.name}({operand(node.arg)})"
+            arg, fast_arg = operand(node.arg)
+            expr, fast = f"_{node.name}({arg})", f"_{node.name}({fast_arg})"
         elif isinstance(node, Call2):
-            left, right = operand(node.left), operand(node.right)
+            (left, fast_left), (right, fast_right) = operand(node.left), operand(node.right)
             # Python's min/max can silently drop a NaN operand
             body.append(
                 f"if {left} != {left} or {right} != {right}: "
-                "raise _EvalDomainError('NaN reached min/max')"
+                "raise _EvalDomainError('NaN reached min/max', _source)"
             )
             expr = f"_{node.name}({left}, {right})"
+            (first, p), (second, q) = once(fast_left, f"p{len(body)}"), once(fast_right, f"q{len(body)}")
+            fast = f"(_nan if {first} != {p} or {second} != {q} else _{node.name}({p}, {q}))"
         else:
             raise TypeError(f"unknown node {node!r}")
         name = f"v{len(body)}"
         body.append(f"{name} = {expr}")
-        return name
+        return name, fast
 
-    body.append(f"value = {operand(node)}")
-    # sets ``value`` to the expression at ``t``, or raises
-    guarded = ["try:", *(f"    {stmt}" for stmt in body)] + [
-        "except _EvalDomainError:",
-        "    raise",
-        "except (ValueError, ZeroDivisionError, OverflowError) as exc:",
-        "    raise _EvalDomainError(f'evaluation failed at t={t!r}: {exc}') from None",
-        "if not _isfinite(value):",
-        "    raise _EvalDomainError(f'evaluation at t={t!r} left the finite reals')",
+    value, fast = operand(node)
+    body.append(f"value = {value}")
+    lines = [
+        "def _evaluate(t):",
+        "    try:",
+        *(f"        {stmt}" for stmt in body),
+        "    except _EvalDomainError:",
+        "        raise",
+        "    except (ValueError, ZeroDivisionError, OverflowError) as exc:",
+        "        raise _EvalDomainError(f'evaluation failed at t={t!r}: {exc}', _source) from None",
+        "    if not _isfinite(value):",
+        "        raise _EvalDomainError(f'evaluation at t={t!r} left the finite reals', _source)",
+        "    return value",
     ]
-    lines = ["def _evaluate(t):", *(f"    {line}" for line in guarded), "    return value"]
-    lines += [
-        "def _evaluate_all(ts):",
-        "    values = []",
-        "    for t in ts:",
-        *(f"        {line}" for line in guarded),
-        "        values.append(value)",
-        "    return values",
-    ]
-    lines += [
-        "def _weighted_gk15(lo, hi):",
-        "    c = 0.5 * (lo + hi)",
-        "    h = 0.5 * (hi - lo)",
-        "    k = 0.0",
-        "    g = 0.0",
-        "    for x, wk, wg in _GK15:",
-        "        t = c + h * x",
-        *(f"        {line}" for line in guarded),
-        "        fv = value / (t * t)",
-        "        k += wk * fv",
-        "        g += wg * fv",
-        "    return h * k, _abs(h) * _abs(k - g)",
-    ]
-    exec(compile("\n".join(lines), "<hhverify expression>", "exec"), namespace)
+    code = "\n".join(lines) + _FAST.format(fast=fast)
+    exec(compile(code, "<hhverify expression>", "exec"), namespace)
     return namespace["_evaluate"], namespace["_evaluate_all"], namespace["_weighted_gk15"]
 
 
@@ -431,7 +498,7 @@ class FunctionSpec(Function):
     )
 
     def __post_init__(self):
-        evaluate, evaluate_all, rule = compile_ast(self.ast)
+        evaluate, evaluate_all, rule = compile_ast(self.ast, self.source)
         object.__setattr__(self, "_compiled", evaluate)
         object.__setattr__(self, "evaluate_all", evaluate_all)
         object.__setattr__(self, "weighted_gk15", rule)

@@ -23,13 +23,18 @@ function may publish more about itself as attributes, and
 - ``evaluate_all(ts)``: the list of its values at the nodes ``ts``, equal
   bit for bit to ``[f(t) for t in ts]`` and raising only where that raises
   (not necessarily the same exception: a batch may visit its evaluations
-  in another order).  The record calls it ``batch``.
+  in another order).  The record calls it ``batch``.  A parsed
+  expression's batch checks finiteness once per call, not per node, and
+  evaluates again node by node when the check fails, so it raises the
+  exception of the first failing node.
 - ``gk15(lo, hi)``: its own Gauss-Kronrod rule on one segment, which returns
   what the generic rule ``quad._gk15`` returns on it, bit for bit, and
   raises what that raises; ``integrate`` applies it in place of the generic
   rule.  The record calls it ``rule``.
 - ``weighted_gk15(lo, hi)``: the same rule for t -> f(t)/t^2, which
-  ``weighted_integral`` applies.  The record calls it ``weighted``.
+  ``weighted_integral`` applies.  The record calls it ``weighted``.  A
+  parsed expression's rule checks its two sums once, and applies the
+  rule again through the scalar evaluator when they are not finite.
 - ``source``, or else ``name``: the label that reports carry.  The record
   calls it ``label``.
 

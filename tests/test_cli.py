@@ -349,6 +349,28 @@ def test_bad_h_names_the_option(args, err):
     assert run_cli(args) == (2, "", f"hhverify {args[0]}: {err}\n")
 
 
+_FAILS = "ln(x-1.5)"
+_AT_1 = "evaluation failed at t=1.0: math domain error"
+_C1 = ["verify", "--chain", "c1", "--a", "1", "--b", "2"]
+
+
+@pytest.mark.parametrize(
+    "args, err",
+    [
+        (["check", "--class", "hc", "--fn", _FAILS, "--a", "1", "--b", "2"], f"--fn {_FAILS!r}: {_AT_1}"),
+        (_C1 + ["--fn", "1/x", "--h", "x", "--w", _FAILS], f"--w {_FAILS!r}: {_AT_1}"),
+        (_C1 + ["--fn", _FAILS, "--h", "x", "--w", _FAILS], f"--fn/--w {_FAILS!r}: {_AT_1}"),
+        (_C1 + ["--fn", "1/x", "--h", "x^-0.9", "--w", "1"], "--h 'x^-0.9': evaluation failed at t=-0.0: math domain error"),
+        (["verify", "--chain", "t4", "--fn", "1/x", "--g", _FAILS, "--a", "1", "--b", "2"], f"--g {_FAILS!r}: {_AT_1}"),
+        # verify binds a --g that reads as --fn to f itself
+        (["verify", "--chain", "t4", "--fn", _FAILS, "--g", _FAILS, "--a", "1", "--b", "2"], f"--fn/--g {_FAILS!r}: {_AT_1}"),
+    ],
+    ids=["check-fn", "verify-w", "verify-fn-and-w", "verify-h", "verify-g", "verify-fn-and-g"],
+)
+def test_failed_evaluation_names_the_options(args, err):
+    assert run_cli(args) == (2, "", f"hhverify {args[0]}: {err}\n")
+
+
 @pytest.mark.parametrize("args", [_T1_RECIPROCAL, ["sweep", "--entry", "reciprocal"]], ids=lambda args: args[0])
 def test_unwritable_out_exits_2(tmp_path, args):
     # a directory, and a file in a directory that does not exist

@@ -265,7 +265,7 @@ def test_weighted_integral_takes_the_compiled_rule(kind, monkeypatch):
 @pytest.mark.parametrize("kind", _F_KINDS)
 def test_wrapped_integrand_takes_the_generic_rule(kind, monkeypatch):
     compile_ast = fnspec.compile_ast
-    monkeypatch.setattr(fnspec, "compile_ast", lambda node: (*compile_ast(node)[:2], _no_rule))
+    monkeypatch.setattr(fnspec, "compile_ast", lambda *args: (*compile_ast(*args)[:2], _no_rule))
     monkeypatch.setattr(PiecewiseConvexReciprocal, "weighted_gk15", lambda self, lo, hi: _no_rule(lo, hi))
     interval = HInterval(1.0, 2.0)
     f = _F_KINDS[kind](interval)
