@@ -358,12 +358,14 @@ def _weighted_gk15(lo, hi):
 """
 
 
-def _nonzero_literal(node: Node) -> bool:
-    """Whether ``node`` is a nonzero number, negated or not: ``pow(nan, y)``
-    is NaN for every such exponent ``y``."""
+def _literal(node: Node) -> float | None:
+    """The value of ``node`` if it is a number other than NaN, negated or
+    not, else None.  Such an exponent ``y`` needs no NaN check, and
+    ``pow(nan, y)`` is NaN for every nonzero one."""
+    sign = 1.0
     while isinstance(node, Neg):
-        node = node.arg
-    return isinstance(node, Num) and node.value != 0.0
+        node, sign = node.arg, -sign
+    return sign * node.value if isinstance(node, Num) and node.value == node.value else None
 
 
 def compile_ast(
@@ -378,11 +380,12 @@ def compile_ast(
 
     ``evaluate(t)`` has one statement per operator node, in the order a
     recursive walk evaluates them: left operand before right, and a power's
-    base and its NaN guard before its exponent.  Leaves are operands: ``t``,
-    and the constants bound by name.  It turns arithmetic errors into
-    :class:`EvalDomainError` and rejects a non-finite result, so it is the
-    whole of evaluation.  Its errors carry ``source`` as their
-    ``expression``.
+    base and its NaN guard before its exponent and the exponent's guard
+    (which a literal exponent, a number other than NaN, goes without).
+    Leaves are operands: ``t``, and the constants bound by name.  It turns
+    arithmetic errors into :class:`EvalDomainError` and rejects a non-finite
+    result, so it is the whole of evaluation.  Its errors carry ``source``
+    as their ``expression``.
 
     ``evaluate_all(ts)`` and ``weighted_gk15(lo, hi)`` evaluate the tree as
     one bare expression, the same IEEE operations in the same order with no
@@ -391,16 +394,17 @@ def compile_ast(
     summed in the order of :data:`hhverify.quad.GK15`.  Each checks
     finiteness once per call: ``s - s == 0.0`` for the sum ``s`` of the
     values, or for both sums of the rule (every Kronrod weight is positive,
-    so a non-finite value makes them non-finite).  A ``min``, a ``max`` or
-    a power whose exponent is not a nonzero literal returns NaN there when
-    an operand (a power's base) is NaN, since ``min``, ``max`` and
-    ``pow(nan, 0)`` could drop it.  On any exception or non-finite result
-    they start again from the first node through ``evaluate``.  So
-    ``evaluate_all`` returns ``[evaluate(t) for t in ts]`` bit for bit, and
-    ``weighted_gk15`` what the generic rule ``quad._gk15`` returns on that
-    integrand; each raises what those raise, at the same node, and a zero
-    ``t*t`` raises a bare ``ZeroDivisionError``, as the integrand does.  All
-    three functions come from one ``compile`` call.
+    so a non-finite value makes them non-finite).  A ``min``, a ``max`` or a
+    power whose exponent is not a nonzero literal returns NaN there when an
+    operand (a power's base, or an exponent that is not a literal) is NaN,
+    since ``min``, ``max``, ``pow(nan, 0)`` and ``pow(1, nan)`` could drop
+    it.  On any exception or non-finite result they start again from the
+    first node through ``evaluate``.  So ``evaluate_all`` returns
+    ``[evaluate(t) for t in ts]`` bit for bit, and ``weighted_gk15`` what
+    the generic rule ``quad._gk15`` returns on that integrand; each raises
+    what those raise, at the same node, and a zero ``t*t`` raises a bare
+    ``ZeroDivisionError``, as the integrand does.  All three functions come
+    from one ``compile`` call.
     """
     namespace = dict(_RUNTIME, _source=source)
     body: list[str] = []
@@ -428,15 +432,23 @@ def compile_ast(
             fast = f"({fast_left} {node.op} {fast_right})"
         elif isinstance(node, Pow):
             base, fast_base = operand(node.base)
-            # math.pow(nan, 0) would silently absorb a NaN produced upstream
+            # math.pow(nan, 0) and math.pow(1, nan) would silently absorb a
+            # NaN produced upstream; a literal exponent needs no check
             body.append(f"if {base} != {base}: raise _EvalDomainError('NaN reached a power', _source)")
             exponent, fast_exponent = operand(node.exponent)
+            literal = _literal(node.exponent)
+            if literal is None:
+                body.append(f"if {exponent} != {exponent}: raise _EvalDomainError('NaN reached a power', _source)")
             expr = f"_pow({base}, {exponent})"
-            if _nonzero_literal(node.exponent):
+            if literal:  # nonzero
                 fast = f"_pow({fast_base}, {fast_exponent})"
             else:
                 first, b = once(fast_base, f"b{len(body)}")
-                fast = f"(_nan if {first} != {b} else _pow({b}, {fast_exponent}))"
+                nan_checks = [f"{first} != {b}"]
+                if literal is None:
+                    second, fast_exponent = once(fast_exponent, f"e{len(body)}")
+                    nan_checks.append(f"{second} != {fast_exponent}")
+                fast = f"(_nan if {' or '.join(nan_checks)} else _pow({b}, {fast_exponent}))"
         elif isinstance(node, Call1):
             arg, fast_arg = operand(node.arg)
             expr, fast = f"_{node.name}({arg})", f"_{node.name}({fast_arg})"

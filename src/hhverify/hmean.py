@@ -27,12 +27,10 @@ function may publish more about itself as attributes, and
   expression's batch checks finiteness once per call, not per node, and
   evaluates again node by node when the check fails, so it raises the
   exception of the first failing node.
-- ``gk15(lo, hi)``: its own Gauss-Kronrod rule on one segment, which returns
-  what the generic rule ``quad._gk15`` returns on it, bit for bit, and
-  raises what that raises; ``integrate`` applies it in place of the generic
-  rule.  The record calls it ``rule``.
-- ``weighted_gk15(lo, hi)``: the same rule for t -> f(t)/t^2, which
-  ``weighted_integral`` applies.  The record calls it ``weighted``.  A
+- ``weighted_gk15(lo, hi)``: its own Gauss-Kronrod rule for t -> f(t)/t^2
+  on one segment, which returns what the generic rule ``quad._gk15``
+  returns on that integrand, bit for bit, and raises what that raises;
+  ``weighted_integral`` applies it.  The record calls it ``weighted``.  A
   parsed expression's rule checks its two sums once, and applies the
   rule again through the scalar evaluator when they are not finite.
 - ``source``, or else ``name``: the label that reports carry.  The record
@@ -187,8 +185,10 @@ def batch_else_each(batch: Optional[Callable[[Sequence], list]], each: Callable,
 
 class Function:
     """A function of one float and what it publishes (see the module
-    docstring): ``call``, its scalar call; ``batch``, ``rule``, ``weighted``
-    and ``label``, each None where it publishes none; and its ``kinks``.
+    docstring): ``call``, its scalar call; ``batch``, ``weighted`` and
+    ``label``, each None where it publishes none; its ``kinks``; and
+    ``rule``, a Gauss-Kronrod rule of its own, which no function publishes
+    and only the integrand of ``weighted_integral`` fills (else None).
     Calling the record calls ``call``."""
 
     __slots__ = ("call", "batch", "rule", "weighted", "kinks", "label")
@@ -220,7 +220,7 @@ def as_function(f: Callable[[float], float]) -> Function:
     if isinstance(f, Function):
         return f
     return Function(
-        f, getattr(f, "evaluate_all", None), getattr(f, "gk15", None), getattr(f, "weighted_gk15", None),
+        f, getattr(f, "evaluate_all", None), None, getattr(f, "weighted_gk15", None),
         tuple(getattr(f, "kinks", ())), getattr(f, "source", None) or getattr(f, "name", None),
     )
 

@@ -255,7 +255,10 @@ def _walk(node, t):
         base = _walk(node.base, t)
         if math.isnan(base):
             raise EvalDomainError("NaN reached a power")
-        return math.pow(base, _walk(node.exponent, t))
+        exponent = _walk(node.exponent, t)
+        if math.isnan(exponent):
+            raise EvalDomainError("NaN reached a power")
+        return math.pow(base, exponent)
     if isinstance(node, Call1):
         return _REFERENCE_CALLS[node.name](_walk(node.arg, t))
     left, right = _walk(node.left, t), _walk(node.right, t)
@@ -326,6 +329,10 @@ def test_generated_evaluator_is_exact(ast, t):
         ("exp(x)", None, 1e6, "evaluation failed at t=1000000.0: math range error"),
         ("x*1e308*10", None, 2.0, "evaluation at t=2.0 left the finite reals"),
         ("(x*1e308*10 - x*1e308*10)^0", None, 2.0, "NaN reached a power"),
+        ("1^(1e308*10 - 1e308*10)", None, 2.0, "NaN reached a power"),
+        ("1^(1e308*10 - 1e308*10) * x", None, 2.0, "NaN reached a power"),
+        ("x^(1e308*10 - 1e308*10)", None, 2.0, "NaN reached a power"),
+        ("(x*1e308*10 - x*1e308*10)^(1e308*10 - 1e308*10)", None, 2.0, "NaN reached a power"),
         ("min(x*1e308*10 - x*1e308*10, 5)", None, 2.0, "NaN reached min/max"),
         ("max(1, x*1e308*10 - x*1e308*10)", None, 2.0, "NaN reached min/max"),
     ],

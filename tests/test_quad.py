@@ -1,4 +1,3 @@
-import bisect
 import inspect
 import math
 import random
@@ -27,59 +26,10 @@ from hhverify.quad import (
 KINKED_INTERVALS = ((1.0, 2.0), (0.5, 3.0), (-2.0, -1.0))
 
 
-def piecewise_oracle(f, mp):
-    """G and its antiderivative, in ``mp`` arithmetic, for f(t) = G(1/t) a
-    ``PiecewiseConvexReciprocal``: G continues past the end knots with the
-    end slopes, and the antiderivative is exact piece by piece."""
-    knots = [mp.mpf(k) for k in f.knots]
-    values = [mp.mpf(v) for v in f.values]
-    slopes = [mp.mpf(m) for m in f.slopes]
-    # antiderivative of G at each knot, from the first one
-    cumulative = [mp.mpf(0)]
-    for i in range(len(slopes)):
-        d = knots[i + 1] - knots[i]
-        cumulative.append(cumulative[-1] + values[i] * d + slopes[i] * d * d / 2)
-
-    def piece(u):
-        return min(max(bisect.bisect_right(f.knots, float(u)) - 1, 0), len(slopes) - 1)
-
-    def g(u):
-        i = piece(u)
-        return values[i] + slopes[i] * (u - knots[i])
-
-    def antiderivative(u):
-        i = piece(u)
-        d = u - knots[i]
-        return cumulative[i] + values[i] * d + slopes[i] * d * d / 2
-
-    return g, antiderivative
-
-
-def double_integral_reference(f, lo, hi):
-    """The mean over x in [lo, hi] of G(x) = coef(x) * int_x^{r(x)} f/t^2 at
-    30 digits, for f(t) = G(1/t) a ``PiecewiseConvexReciprocal``.  The inner
-    integral is exact: the integral of G from 1/r(x) to 1/x.  The outer mean
-    runs through mpmath, split at x* and at every point where 1/x or 1/r(x)
-    crosses a knot of G."""
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp.clone()
-    mp.dps = 30
-    _, antiderivative = piecewise_oracle(f, mp)
-    a, b = mp.mpf(lo), mp.mpf(hi)
-    ab, s = a * b, a + b
-    xstar = 2 * ab / s
-
-    def reflect(t):
-        return ab * t / (s * t - ab)
-
-    def mean_integrand(x):  # tanh-sinh never evaluates x* itself
-        coef = ab * x / (2 * ab - s * x)
-        return coef * (antiderivative(1 / x) - antiderivative(1 / reflect(x)))
-
-    kinks = {1 / mp.mpf(k) for k in f.knots[1:-1]}
-    kinks |= {reflect(t) for t in kinks}
-    points = sorted({a, b, xstar} | {t for t in kinks if a < t < b})
-    return float(mp.quad(mean_integrand, points) / (b - a))
+def _double_integral_reference(refs, ref, interval):
+    """The mean over x in [a, b] of G(x) = coef(x) * int_x^{r(x)} f/t^2: the
+    middle term of the r4 reference."""
+    return float(refs.chain_reference("r4", ref, interval)[0][1])
 
 
 # The inner integrals of the nested r4 integral take no breakpoints, and at
@@ -353,29 +303,19 @@ class TestRefinementDoubleIntegral:
         res = refinement_double_integral(parse("1/x"), interval, tol=1e-8)
         assert abs(res.value - 0.75) <= max(1e-8, res.abs_error_estimate)
 
-    def test_continuity_value_on_a_node(self):
+    def test_continuity_value_on_a_node(self, refs, ref_of):
         # on [1, (1+x7)/(1-x7)] the harmonic midpoint 2ab/(a+b) = 1 + x7 is
         # the Kronrod node c - h*x7 of the first outer segment, up to
         # rounding, so G is taken there as its limit f(x*)
-        mpmath = pytest.importorskip("mpmath")
-        mp = mpmath.mp.clone()
-        mp.dps = 30
         x7 = _XGK[6]
         interval = HInterval(1.0, (1.0 + x7) / (1.0 - x7))
         a, b = interval.a, interval.b
         node = 0.5 * (a + b) - 0.5 * (b - a) * x7
         assert abs(node - interval.harmonic_midpoint) <= 4e-16 * interval.harmonic_midpoint
 
-        a, b = mp.mpf(a), mp.mpf(b)
-        ab, s = a * b, a + b
-
-        def mean_integrand(x):  # -ln(t)/t^2 has the antiderivative (ln t + 1)/t
-            r = ab * x / (s * x - ab)
-            return ab * x / (2 * ab - s * x) * ((mp.log(r) + 1) / r - (mp.log(x) + 1) / x)
-
-        reference = mp.quad(mean_integrand, [a, 2 * ab / s, b]) / (b - a)
+        reference = _double_integral_reference(refs, ref_of("-ln(x)"), interval)
         res = refinement_double_integral(parse("-ln(x)"), interval, tol=1e-10)
-        assert abs(res.value - float(reference)) <= res.abs_error_estimate
+        assert abs(res.value - reference) <= res.abs_error_estimate
         # x* is a Kronrod node only, so a wrong or ill-conditioned value there
         # moves K15 away from G7 and splits the segment
         assert res.subdivisions == 1
@@ -390,15 +330,14 @@ class TestRefinementDoubleIntegral:
             pytest.param(19, 1e-9, id="19-tol1e-9", marks=_INNER_KINK_MISS),
         ],
     )
-    def test_error_estimate_honest_on_kinks(self, seed, tol):
+    def test_error_estimate_honest_on_kinks(self, refs, ref_of, seed, tol):
         # seeds 9 and 15 on [1, 2], 19 on [0.5, 3], 5 on [-2, -1]
-        lo, hi = KINKED_INTERVALS[seed % 3]
-        interval = HInterval(lo, hi)
+        interval = HInterval(*KINKED_INTERVALS[seed % 3])
         f = random_harmonic_convex(seed, interval)
         res = refinement_double_integral(f, interval, tol=tol)
-        assert abs(res.value - double_integral_reference(f, lo, hi)) <= res.abs_error_estimate
+        assert abs(res.value - _double_integral_reference(refs, ref_of(f), interval)) <= res.abs_error_estimate
 
-    def test_chain_at_quad_tol_1e7_on_random_hc_19(self):
+    def test_chain_at_quad_tol_1e7_on_random_hc_19(self, refs, ref_of):
         # without breakpoints at the outer level, the outer integral bisected
         # toward the kinks of G until its budget of 100 000 evaluations ran
         # out (about 21 s); split at them, it takes a few milliseconds
@@ -408,7 +347,7 @@ class TestRefinementDoubleIntegral:
         assert report.passed
         term = report.terms[1]
         assert term.label == "double_integral_mean"
-        assert abs(term.value - double_integral_reference(f, 0.5, 3.0)) <= term.abs_error
+        assert abs(term.value - _double_integral_reference(refs, ref_of(f), interval)) <= term.abs_error
 
     @pytest.mark.parametrize(
         "make_f", [lambda i: random_harmonic_convex(6, i), lambda i: parse("exp(x)")], ids=["random_hc_6", "exp"]
@@ -454,26 +393,15 @@ class TestRefinementDoubleIntegral:
         assert all(lo < hi for lo, hi in limits)
 
 
-# weights of the kinked chains by seed mod 3: (name, h, h in mpmath, h(1/2),
-# int_0^1 h), the last two exact
-def _kinked_weights(mp):
-    half = mp.mpf(1) / 2
-    return (
-        ("t", lambda s: s, lambda s: s, half, half),
-        ("sqrt(t)", math.sqrt, mp.sqrt, mp.sqrt(half), mp.mpf(2) / 3),
-        ("1", lambda s: 1.0, lambda s: mp.mpf(1), mp.mpf(1), mp.mpf(1)),
-    )
+# the weights h of the kinked chains by seed mod 3, named as in refs.H_REFS
+KINKED_WEIGHTS = (("t", lambda s: s), ("sqrt(t)", math.sqrt), ("1", lambda s: 1.0))
 
 
 @pytest.mark.parametrize("seed", range(24))
-def test_kinked_chain_error_bars_cover_exact_values(seed):
-    # Every t1, t3, t4 and c1 term, c1 with the kinked function as its
-    # weight too, and the r4 mean of sym(f), on the kinked functions,
-    # against exact values: with u = 1/t,
-    # int_a^b k(1/t)/t^2 dt = int_{1/b}^{1/a} k(u) du, f(1/u) = G(u) and
-    # f(r(1/u)) = G(1/a + 1/b - u), so the weighted integrals of f come from
-    # the antiderivative of G, and the rest are integrals in u of piecewise
-    # polynomial or rational integrands, split at every kink.
+def test_kinked_chain_error_bars_cover_exact_values(refs, ref_of, c1_terms_with_kinked_weight, seed):
+    # The integral terms of t1, t3, t4, c1 and r4 (unweighted and with h) on
+    # the kinked functions, against their references; c1 also with the
+    # kinked function as its weight w and the constant 1 as f.
     from hhverify.ineq import (
         HFunction,
         chain_harmonic_hh,
@@ -483,82 +411,36 @@ def test_kinked_chain_error_bars_cover_exact_values(seed):
         weighted_bounds,
     )
 
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp.clone()
-    mp.dps = 30
     lo, hi = KINKED_INTERVALS[seed % 3]
     interval = HInterval(lo, hi)
     f = random_harmonic_convex(seed, interval)
-    g, antiderivative = piecewise_oracle(f, mp)
-    h_name, h_fn, h_mp, h_half, h_int = _kinked_weights(mp)[seed % 3]
+    ref = ref_of(f)
+    h_name, h_fn = KINKED_WEIGHTS[seed % 3]
     h = HFunction.from_callable(h_fn, name=h_name)
-
-    a, b = mp.mpf(lo), mp.mpf(hi)
-    ab, s = a * b, a + b
-    c = 1 / a + 1 / b  # the reflection in u = 1/t is u -> c - u
-    u_lo, u_hi = 1 / b, 1 / a
-    kinks = [mp.mpf(k) for k in f.knots[1:-1]]
-    cuts = sorted({u_lo, u_hi} | {k for k in kinks + [c - k for k in kinks] if u_lo < k < u_hi})
-
-    def f_mp(t):
-        return g(1 / mp.mpf(t))
-
-    def reflect(t):
-        t = mp.mpf(t)
-        return ab * t / (s * t - ab)
-
-    def weighted(p, q):  # int_p^q f/t^2
-        return antiderivative(1 / mp.mpf(p)) - antiderivative(1 / mp.mpf(q))
-
-    def sym_u(u):  # sym(f)(1/u)
-        return (g(u) + g(c - u)) / 2
-
-    scale = ab / (b - a)
-    m = 2 * ab / s
-    avg = (f_mp(lo) + f_mp(hi)) / 2
-    i_f = scale * weighted(lo, hi)
-    product = scale * mp.quad(lambda u: sym_u(u) * g(u), cuts)
-    sym_mass = mp.quad(lambda u: sym_u(u) / (u * u), cuts)  # int_a^b sym(f)
-    f_mass = mp.quad(lambda u: g(u) / (u * u), cuts)  # int_a^b f
-    t_cuts = sorted({a, b} | {1 / u for u in cuts[1:-1]})  # the cuts in t
-
     x, y = lo + 0.31 * (hi - lo), lo + 0.83 * (hi - lo)
-    mid_xy = 2.0 * x * y / (x + y)
 
-    def h_weights(t):
-        w1 = b * (a - t) / (t * (a - b))
-        return h_mp(w1) + h_mp(1 - w1)
+    def reference(chain, **kw):
+        return refs.chain_reference(chain, ref, interval, x=x, y=y, **kw)
 
-    t4_lower, t4_upper = product_inequalities(f, f, interval)
-    r4, r4_h = refinement_reports(f, interval, ((None, "convex"), (h, "convex")), quad_tol=1e-6)
     expected = [
-        (chain_harmonic_hh(f, interval), [f_mp(m), i_f, avg]),
+        ((chain_harmonic_hh(f, interval),), reference("t1")),
+        ((chain_subinterval(f, interval, x, y),), reference("t3")),
+        (product_inequalities(f, f, interval), reference("t4")),
+        ((weighted_bounds(f, h, lambda t: 1.0, interval),), reference("c1", h=h_name)),
         (
-            chain_subinterval(f, interval, x, y),
-            [
-                (f_mp(mid_xy) + f_mp(reflect(mid_xy))) / 2,
-                x * y / (2 * (y - x)) * (weighted(x, y) + weighted(reflect(y), reflect(x))),
-                (f_mp(x) + f_mp(reflect(x)) + f_mp(y) + f_mp(reflect(y))) / 4,
-            ],
-        ),
-        (t4_lower, [2 * avg * i_f - avg * avg, product]),
-        (t4_upper, [product, avg * i_f + f_mp(m) * i_f - f_mp(m) * avg]),
-        (
-            weighted_bounds(f, h, lambda t: 1.0, interval),
-            [f_mp(m) / (2 * h_half) * (b - a), sym_mass, avg * mp.quad(h_weights, [a, b])],
+            (weighted_bounds(lambda t: 1.0, h, f, interval),),
+            c1_terms_with_kinked_weight(lambda t: 1, ref, interval, [h_name]),
         ),
         (
-            # f as the weight w of the constant 1
-            weighted_bounds(lambda t: 1.0, h, f, interval),
-            [f_mass / (2 * h_half), f_mass, mp.quad(lambda t: h_weights(t) * f_mp(t), t_cuts)],
+            refinement_reports(f, interval, ((None, "convex"), (h, "convex")), quad_tol=1e-6),
+            reference("r4") + reference("r4", h=h_name),
         ),
-        (r4, [None, None, sym_mass / (b - a)]),
-        (r4_h, [None, None, 2 * h_int * sym_mass / (b - a)]),
     ]
     uncovered = [
         f"{rep.chain_id} {term.label}: {term.value!r} vs {float(ref)!r}, bar {term.abs_error!r}"
-        for rep, refs in expected
-        for term, ref in zip(rep.terms, refs)
+        for reports, rows in expected
+        for rep, row in zip(reports, rows)
+        for term, ref in zip(rep.terms, row)
         if ref is not None and not abs(term.value - float(ref)) <= term.abs_error + rep.tol
     ]
     assert not uncovered
