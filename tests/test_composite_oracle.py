@@ -8,10 +8,13 @@ weights t, sqrt(t) and 1) of both variants must hold every reference within
 the term's error bar, plus 8 eps times the report's largest |term|, since
 the bars leave rounding out.  The grid is the corpus, seven smooth
 expressions on five intervals and 24 seeded kinked functions, at quad_tol
-1e-6 and 1e-9.  An ``as_printed`` term is checked, at quad_tol 1e-6, where
-it is a fixed multiple of the derived one.  The ``sym_affine_c*`` entries take the
-reference of 1/x: their antisymmetric bump integrates to 0 against dt/t^2
-over [x, r(x)] and leaves f(m), (f(a)+f(b))/2 and sym(f) unchanged.
+1e-6 and 1e-9.  The ``as_printed`` terms are checked at quad_tol 1e-6:
+each is a fixed multiple of a derived one, except c1's right term, whose
+reference the ``c1_printed_right`` fixture computes, as the
+``c1_terms_with_kinked_weight`` fixture does the c1 terms for a kinked w.
+The ``sym_affine_c*`` entries take the reference of 1/x: their
+antisymmetric bump integrates to 0 against dt/t^2 over [x, r(x)] and leaves
+f(m), (f(a)+f(b))/2 and sym(f) unchanged.
 
 The grid tests keep the names, and each row its id, of the per-node
 comparisons they replace.  Their last rows, and the tests of failing
@@ -229,14 +232,8 @@ def _c1_params():
         yield pytest.param(name, 1e-9, id=name)
 
 
-def _derived_terms_only(expected):
-    # the printed right-hand integral drops the factor r(t)^2/t^2 of the
-    # derived one, so no multiple of a derived term gives it
-    return [[left, middle, None] for left, middle, _ in expected]
-
-
 @pytest.mark.parametrize("name, tol", _c1_params())
-def test_c1_reports_match_the_per_node_copy(refs, ref_of, name, tol):
+def test_c1_reports_match_the_per_node_copy(refs, ref_of, c1_printed_right, name, tol):
     if name in C1_FAILING:
         f, w, point = C1_FAILING[name]
         for variant in VARIANTS:
@@ -244,23 +241,29 @@ def test_c1_reports_match_the_per_node_copy(refs, ref_of, name, tol):
         return
     f, interval, key = FUNCTIONS[name]
     expected = [refs.chain_reference("c1", ref_of(key), interval, h=h.name)[0] for h, _ in C1_CASES]
+    # as printed, the right term is (f(a)+f(b))/2 * 2 int h(w1) for w = 1
+    printed = [
+        [left, middle, c1_printed_right(ref_of(key), ref_of("1"), interval, h.name)]
+        for (left, middle, _), (h, _) in zip(expected, C1_CASES)
+    ]
     uncovered = []
     for variant in _variants(tol):
         reports = ineq.weighted_reports(f, lambda t: 1.0, interval, C1_CASES, quad_tol=tol, variant=variant)
-        uncovered += _uncovered(reports, expected if variant == DEFAULT_VARIANT else _derived_terms_only(expected))
+        uncovered += _uncovered(reports, expected if variant == DEFAULT_VARIANT else printed)
     assert not uncovered
 
 
 def test_c1_with_a_kinked_weight_matches_the_per_node_copy(ref_of, c1_terms_with_kinked_weight):
-    # w publishes kinks: the h-weight integrals split at them in theta
+    # w publishes kinks: the h-weight integrals split in theta at them, and
+    # the printed one also at their reflections
     f = parse("x^2")
     for seed in range(3):
         interval = HInterval(*KINKED_INTERVALS[seed])
         w = random_harmonic_convex(seed, interval)
-        expected = c1_terms_with_kinked_weight(ref_of("x^2").f, ref_of(w), interval, [h.name for h in WEIGHTS])
         for variant in VARIANTS:
-            reports = ineq.weighted_reports(f, w, interval, C1_CASES, variant=variant)
-            assert not _uncovered(reports, expected if variant == DEFAULT_VARIANT else _derived_terms_only(expected))
+            expected = c1_terms_with_kinked_weight(ref_of("x^2"), ref_of(w), interval, [h.name for h in WEIGHTS],
+                                                   variant=variant)
+            assert not _uncovered(ineq.weighted_reports(f, w, interval, C1_CASES, variant=variant), expected)
 
 
 @pytest.mark.parametrize("name", C1_FAILING)

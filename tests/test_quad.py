@@ -399,9 +399,10 @@ KINKED_WEIGHTS = (("t", lambda s: s), ("sqrt(t)", math.sqrt), ("1", lambda s: 1.
 
 @pytest.mark.parametrize("seed", range(24))
 def test_kinked_chain_error_bars_cover_exact_values(refs, ref_of, c1_terms_with_kinked_weight, seed):
-    # The integral terms of t1, t3, t4, c1 and r4 (unweighted and with h) on
-    # the kinked functions, against their references; c1 also with the
-    # kinked function as its weight w and the constant 1 as f.
+    # Every term of t1, t3, t4 and c1, and the integral terms of r4
+    # (unweighted and with h), on the kinked functions, against their
+    # references; c1 also with the kinked function as its weight w and the
+    # constant 1 as f.
     from hhverify.ineq import (
         HFunction,
         chain_harmonic_hh,
@@ -422,14 +423,26 @@ def test_kinked_chain_error_bars_cover_exact_values(refs, ref_of, c1_terms_with_
     def reference(chain, **kw):
         return refs.chain_reference(chain, ref, interval, x=x, y=y, **kw)
 
+    # refs leaves the point-valued terms of t1 and t3 to the checks: f(m)
+    # and (f(a)+f(b))/2, and sym(f) at the harmonic midpoint of x and y and
+    # the mean of sym(f) at x and y
+    with refs.mp.workdps(refs.DPS):
+        a, b = refs.mp.mpf(lo), refs.mp.mpf(hi)
+
+        def sym_f(t):
+            return (ref.f(t) + ref.f(refs.reflect(a, b, t))) / 2
+
+        t1 = [ref.f(2 * a * b / (a + b)), reference("t1")[0][1], (ref.f(a) + ref.f(b)) / 2]
+        t3 = [sym_f(2.0 * x * y / (x + y)), reference("t3")[0][1], (sym_f(x) + sym_f(y)) / 2]
+
     expected = [
-        ((chain_harmonic_hh(f, interval),), reference("t1")),
-        ((chain_subinterval(f, interval, x, y),), reference("t3")),
+        ((chain_harmonic_hh(f, interval),), [t1]),
+        ((chain_subinterval(f, interval, x, y),), [t3]),
         (product_inequalities(f, f, interval), reference("t4")),
         ((weighted_bounds(f, h, lambda t: 1.0, interval),), reference("c1", h=h_name)),
         (
             (weighted_bounds(lambda t: 1.0, h, f, interval),),
-            c1_terms_with_kinked_weight(lambda t: 1, ref, interval, [h_name]),
+            c1_terms_with_kinked_weight(ref_of("1"), ref, interval, [h_name]),
         ),
         (
             refinement_reports(f, interval, ((None, "convex"), (h, "convex")), quad_tol=1e-6),
