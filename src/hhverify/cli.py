@@ -33,7 +33,7 @@ from . import __version__, convexity, ineq
 from .convexity import ConvexityVerdict, SampleGrid, check_class, find_strict_inclusion_witness
 from .corpus import CorpusEntry, builtin_functions, builtin_h
 from .fnspec import EvalDomainError, ExpressionError, parse
-from .hmean import HInterval
+from .hmean import HInterval, first_negative
 from .ineq import CHAINS, ChainReport, HFunction, run_chain
 from .quad import QuadratureBudgetError
 
@@ -425,11 +425,6 @@ def _declared_direction(entry: CorpusEntry, kind: str) -> tuple[Optional[str], O
     return None, None
 
 
-def _nonnegative_on(entry: CorpusEntry) -> bool:
-    a, b = entry.interval.a, entry.interval.b
-    return all(entry.spec(a + (b - a) * k / 64) >= 0.0 for k in range(65))
-
-
 def _h_direction(
     entry: CorpusEntry, nonnegative: bool, h: HFunction, grid: SampleGrid
 ) -> tuple[Optional[str], str]:
@@ -493,7 +488,7 @@ def _sweep_entry(
         "symmetrized": (None, sym_dir, sym_basis or "symmetric part is neither harmonic convex nor concave"),
         "harmonic": (None, har_dir, har_basis or "not harmonic convex or concave"),
     }
-    nonnegative = _nonnegative_on(entry)
+    nonnegative = first_negative(entry.spec, entry.interval) is None
     weighted = []
     for h in hs:
         hdir, basis = _h_direction(entry, nonnegative, h, grid)

@@ -8,7 +8,7 @@ off that table, adds a seeded random spillover, and returns the worst
 margin with a reproducible witness.  A "passed" verdict is always of the
 "no sampled violation" kind; the sample count is part of the record.
 
-A scan evaluates f and h through their batches (the function protocol of
+A scan evaluates f and h through their batches (the function records of
 :mod:`hhverify.hmean`): the lattice in one call, and the random triples in
 chunks of :data:`CHUNK`, one call for f and one for h per chunk, each with
 :func:`hhverify.hmean.batch_else_each`.  The values are bit for bit those
@@ -195,18 +195,18 @@ def _check(f, lo, hi, reciprocal, h, symmetrized, grid, tol) -> ConvexityVerdict
     ts = [lo, *(t(s0 + (s1 - s0) * m / M) for m in range(1, M)), hi]
     ts[M // 2] = centre
     fn = as_function(f)
-    G = fn.values(ts)
+    G = fn.values_at(ts)
     f_scale = max(0.0, *map(abs, G))  # max keeps 0.0 against a NaN
     if symmetrized:
         G = [0.5 * (u + v) for u, v in zip(G, reversed(G))]
-    h_all = (lambda als: als) if h is None else as_function(h).values
+    h_all = (lambda als: als) if h is None else as_function(h).values_at
 
     def samples(chunk):
         """The random samples of ``chunk``: f at its points c, y and x in one
         call, with their reflections when symmetrized, and h in one call."""
         ss = [s for sx, sy, al in chunk for s in (sx + al * (sy - sx), sy, sx)]
         xs = [t(s) for s in ss]
-        gs = fn.values(xs + [t(s0 + s1 - s) for s in ss] if symmetrized else xs)
+        gs = fn.values_at(xs + [t(s0 + s1 - s) for s in ss] if symmetrized else xs)
         if symmetrized:
             gs = [0.5 * (u + v) for u, v in zip(gs, gs[len(ss):])]
         hs = h_all([v for _, _, al in chunk for v in (al, 1.0 - al)])

@@ -15,12 +15,12 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Mapping
+from functools import lru_cache
+from typing import Callable, Mapping
 
 from .convexity import inclusion_family_source
 from .fnspec import FunctionSpec, parse
-from .hmean import HInterval
+from .hmean import HInterval, _FrozenFunction
 from .ineq import IDENTITY_H, HFunction
 from .quad import GK15, _gk15
 
@@ -250,7 +250,7 @@ def builtin_h() -> tuple[HFunction, ...]:
 
 
 @dataclass(frozen=True)
-class PiecewiseConvexReciprocal:
+class PiecewiseConvexReciprocal(_FrozenFunction):
     """f(t) = G(1/t) with G convex piecewise linear (nondecreasing slopes).
 
     Harmonic convexity is exact by construction: the harmonic combination
@@ -260,8 +260,11 @@ class PiecewiseConvexReciprocal:
     knot span G continues with the nearest segment's slope, which preserves
     convexity.
 
-    Instances publish ``kinks``, ``weighted_gk15`` and ``name`` (the
-    function protocol of :mod:`hhverify.hmean`).
+    An instance is its own function record (see :mod:`hhverify.hmean`):
+    its kinks are 1/knot for the interior knots, where G changes slope (a
+    knot at 0 is no kink in t), built once; its weighted rule is
+    :meth:`weighted_gk15`, looked up when read; its label is ``name``; it
+    has no batch; and its scalar call is the instance itself.
     """
 
     knots: tuple[float, ...]
@@ -269,11 +272,13 @@ class PiecewiseConvexReciprocal:
     slopes: tuple[float, ...]
     name: str = "piecewise_reciprocal"
 
-    @cached_property
-    def kinks(self) -> tuple[float, ...]:
-        """1/knot for the interior knots, where G changes slope; a knot at 0
-        is no kink in t.  Built once per instance."""
-        return tuple(1.0 / u for u in self.knots[1:-1] if u != 0.0)
+    def __post_init__(self):
+        kinks = tuple(1.0 / u for u in self.knots[1:-1] if u != 0.0)
+        self._set_slots(batch=None, rule=None, kinks=kinks, label=self.name)
+
+    @property
+    def weighted(self) -> Callable[[float, float], tuple[float, float]]:
+        return self.weighted_gk15
 
     def g(self, u: float) -> float:
         i = min(max(bisect_right(self.knots, u) - 1, 0), len(self.slopes) - 1)

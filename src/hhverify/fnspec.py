@@ -14,8 +14,8 @@ lets a NaN (or an infinity) escape: every invalid operation surfaces as an
 
 :func:`compile_ast` generates three functions from a tree.  The scalar
 evaluator is guarded: it checks each node that could hide a NaN, and its
-result.  The batch ``evaluate_all`` and the weighted Gauss-Kronrod rule
-``weighted_gk15`` compute the bare arithmetic of the tree at each node and
+result.  The batch and the weighted Gauss-Kronrod rule of a parsed
+expression's record compute the bare arithmetic of the tree at each node and
 check finiteness once per call, on the sums of their values.  When that
 check fails, or the arithmetic raises, they evaluate again from the first
 node through the scalar evaluator.  So they return its values bit for bit
@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .hmean import Function
+from .hmean import _FrozenFunction
 from .quad import GK15, _gk15
 
 __all__ = [
@@ -326,11 +326,11 @@ _RUNTIME = {
     "_weighted_each": _weighted_each,
 }
 
-# ``evaluate_all`` and ``weighted_gk15`` around the bare expression ``{fast}``
-# of ``t``.  On any exception or a non-finite sum, each starts again through
-# the guarded ``_evaluate`` node by node, which raises at the first failing node
+# ``batch`` and ``weighted`` around the bare expression ``{fast}`` of ``t``.
+# On any exception or a non-finite sum, each starts again through the
+# guarded ``_evaluate`` node by node, which raises at the first failing node
 _FAST = """
-def _evaluate_all(ts):
+def _batch(ts):
     try:
         values = [{fast} for t in ts]
         s = sum(values)
@@ -339,7 +339,7 @@ def _evaluate_all(ts):
     except Exception:
         pass
     return list(map(_evaluate, ts))
-def _weighted_gk15(lo, hi):
+def _weighted(lo, hi):
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     k = 0.0
@@ -376,7 +376,7 @@ def compile_ast(
     Callable[[float, float], tuple[float, float]],
 ]:
     """Generate three Python functions from the tree:
-    ``(evaluate, evaluate_all, weighted_gk15)``.
+    ``(evaluate, batch, weighted)``.
 
     ``evaluate(t)`` has one statement per operator node, in the order a
     recursive walk evaluates them: left operand before right, and a power's
@@ -387,9 +387,9 @@ def compile_ast(
     result, so it is the whole of evaluation.  Its errors carry ``source``
     as their ``expression``.
 
-    ``evaluate_all(ts)`` and ``weighted_gk15(lo, hi)`` evaluate the tree as
-    one bare expression, the same IEEE operations in the same order with no
-    check per node: a comprehension over ``ts``, and the 15 nodes of the
+    ``batch(ts)`` and ``weighted(lo, hi)`` evaluate the tree as one bare
+    expression, the same IEEE operations in the same order with no check
+    per node: a comprehension over ``ts``, and the 15 nodes of the
     Gauss-Kronrod rule of ``t -> evaluate(t) / (t*t)`` on one segment,
     summed in the order of :data:`hhverify.quad.GK15`.  Each checks
     finiteness once per call: ``s - s == 0.0`` for the sum ``s`` of the
@@ -399,9 +399,9 @@ def compile_ast(
     operand (a power's base, or an exponent that is not a literal) is NaN,
     since ``min``, ``max``, ``pow(nan, 0)`` and ``pow(1, nan)`` could drop
     it.  On any exception or non-finite result they start again from the
-    first node through ``evaluate``.  So ``evaluate_all`` returns
-    ``[evaluate(t) for t in ts]`` bit for bit, and ``weighted_gk15`` what
-    the generic rule ``quad._gk15`` returns on that integrand; each raises
+    first node through ``evaluate``.  So ``batch`` returns ``[evaluate(t)
+    for t in ts]`` bit for bit, and ``weighted`` what the generic rule
+    ``quad._gk15`` returns on that integrand; each raises
     what those raise, at the same node, and a zero ``t*t`` raises a bare
     ``ZeroDivisionError``, as the integrand does.  All three functions come
     from one ``compile`` call.
@@ -484,45 +484,30 @@ def compile_ast(
     ]
     code = "\n".join(lines) + _FAST.format(fast=fast)
     exec(compile(code, "<hhverify expression>", "exec"), namespace)
-    return namespace["_evaluate"], namespace["_evaluate_all"], namespace["_weighted_gk15"]
+    return namespace["_evaluate"], namespace["_batch"], namespace["_weighted"]
 
 
 @dataclass(frozen=True)
-class FunctionSpec(Function):
+class FunctionSpec(_FrozenFunction):
     """A parsed function of one real variable.
 
     Immutable after construction, hence safe to share between concurrent
-    workers.  Instances are callable.  They publish ``evaluate_all``,
-    ``weighted_gk15`` and ``source``, and no ``kinks`` (the function protocol
-    of :mod:`hhverify.hmean`); the first two are compiled with the evaluator
-    (see :func:`compile_ast`).  An instance is its own function record,
-    built once: its batch and weighted rule are those two, its label the
-    source, and its scalar call the instance itself, so that every call
-    goes through :meth:`__call__`.
+    workers.  Instances are callable.  An instance is its own function
+    record (see :mod:`hhverify.hmean`), built once: its batch and weighted
+    rule are compiled with the evaluator (see :func:`compile_ast`), its
+    label is the source, it has no kinks, and its scalar call is the
+    instance itself, so that every call goes through :meth:`__call__`.
     """
 
     source: str
     ast: Node
     _compiled: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    evaluate_all: Callable[[Sequence[float]], list[float]] = field(init=False, repr=False, compare=False)
-    weighted_gk15: Callable[[float, float], tuple[float, float]] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
-        evaluate, evaluate_all, rule = compile_ast(self.ast, self.source)
-        object.__setattr__(self, "_compiled", evaluate)
-        object.__setattr__(self, "evaluate_all", evaluate_all)
-        object.__setattr__(self, "weighted_gk15", rule)
-        # the record's slots, set as a frozen dataclass sets its own fields;
-        # ``call`` is the property below
-        record = {"batch": evaluate_all, "rule": None, "weighted": rule, "kinks": (), "label": self.source or None}
-        for slot, value in record.items():
-            object.__setattr__(self, slot, value)
-
-    @property
-    def call(self) -> "FunctionSpec":
-        return self
+        evaluate, batch, weighted = compile_ast(self.ast, self.source)
+        self._set_slots(
+            _compiled=evaluate, batch=batch, rule=None, weighted=weighted, kinks=(), label=self.source or None
+        )
 
     def __call__(self, t: float) -> float:
         return self._compiled(t)

@@ -10,66 +10,70 @@ on the interval's scale (tested from 1e-300 to 1e300).
 :meth:`HInterval.reflect_all` reflects a list of nodes in one pass, bit for
 bit as :meth:`HInterval.reflect` reflects each.
 
-Function protocol.  Functions are plain callables of one float.  A
-function may publish more about itself as attributes, and
-:func:`as_function` is the one place that reads them, into a
-:class:`Function` record; a record resolves to itself.
+Function records.  Every function the package builds is a
+:class:`Function` record: its scalar call, and what else it knows about
+itself, each slot None (``()`` for the kinks) where it knows nothing.
+:func:`as_function` resolves a record to itself and wraps any other
+callable of one float in a record that holds its call alone: no attribute
+of a plain callable is read.  A caller passes kinks, a batch or a rule by
+building the record, ``Function(call, batch=..., weighted=..., kinks=...,
+label=...)``.
 
 - ``kinks``: the points where its first derivative jumps, a tuple of floats
   in t (points outside an interval are allowed and ignored there).
   :func:`kinks_of` reads them.  The chain evaluators of
   :mod:`hhverify.ineq` pass them to the quadrature as explicit breakpoints
   (:mod:`hhverify.quad` says why an integral does not read them itself).
-- ``evaluate_all(ts)``: the list of its values at the nodes ``ts``, equal
-  bit for bit to ``[f(t) for t in ts]`` and raising only where that raises
-  (not necessarily the same exception: a batch may visit its evaluations
-  in another order).  The record calls it ``batch``.  A parsed
-  expression's batch checks finiteness once per call, not per node, and
-  evaluates again node by node when the check fails, so it raises the
-  exception of the first failing node.
-- ``weighted_gk15(lo, hi)``: its own Gauss-Kronrod rule for t -> f(t)/t^2
-  on one segment, which returns what the generic rule ``quad._gk15``
-  returns on that integrand, bit for bit, and raises what that raises;
-  ``weighted_integral`` applies it.  The record calls it ``weighted``.  A
-  parsed expression's rule checks its two sums once, and applies the
-  rule again through the scalar evaluator when they are not finite.
-- ``source``, or else ``name``: the label that reports carry.  The record
-  calls it ``label``.
+- ``batch(ts)``: the list of its values at the nodes ``ts``, equal bit for
+  bit to ``[f(t) for t in ts]`` and raising only where that raises (not
+  necessarily the same exception: a batch may visit its evaluations in
+  another order).  A parsed expression's batch checks finiteness once per
+  call, not per node, and evaluates again node by node when the check
+  fails, so it raises the exception of the first failing node.
+- ``weighted(lo, hi)``: its own Gauss-Kronrod rule for t -> f(t)/t^2 on
+  one segment, which returns what the generic rule ``quad._gk15`` returns
+  on that integrand, bit for bit, and raises what that raises;
+  ``weighted_integral`` applies it.  A parsed expression's rule checks its
+  two sums once, and applies the rule again through the scalar evaluator
+  when they are not finite.
+- ``rule``: a Gauss-Kronrod rule of the record's own values, which only the
+  integrand of ``weighted_integral`` fills.
+- ``label``: the label that reports carry.
 
-Parsed expressions (``fnspec.FunctionSpec``) publish a compiled batch, a
-compiled weighted rule and their source, and no kinks: the kinks of
-``abs``, ``min`` and ``max`` are not guessed.  A parsed expression is
-itself a record, built once when it is parsed, so resolving it costs
-nothing.  ``corpus.PiecewiseConvexReciprocal`` publishes its kinks (a
-tuple built once), a hand-written weighted rule and its name.  A
-:class:`TransformedFunction`, the symmetric part sym(f), publishes its
-base's kinks with their reflections, and a batch that evaluates its base in
-one batch over the nodes and then their reflections.  Derived functions are
-built as records: ``ineq.HFunction`` weights are the record of their
-function, labelled with their name; the integrand f(t)/t^2 of
-``weighted_integral`` carries f's weighted rule as its rule; and the
-integrands of the ``t4`` and ``c1`` chains carry batches built on those of
-f, g, w and h, which take f, or w, over the nodes and their reflections in
-one batch (and, for ``t4`` with g the same object as f, g's values from it
-too).  A wrapper that replaces a function (a counting wrapper, say)
-publishes nothing, so it is called once per node and sees every
-evaluation, with the same results.
+Parsed expressions (``fnspec.FunctionSpec``) are records built once when
+they are parsed, with a compiled batch, a compiled weighted rule, their
+source as label, and no kinks: the kinks of ``abs``, ``min`` and ``max``
+are not guessed.  ``corpus.PiecewiseConvexReciprocal`` is a record with its
+kinks (a tuple built once), a hand-written weighted rule and its name.  A
+:class:`TransformedFunction`, the symmetric part sym(f), is a record whose
+kinks are :func:`sym_kinks` of its base, computed when read, and whose
+batch evaluates its base in one batch over the nodes and then their
+reflections.  Each of these three is its own scalar call, so every call
+goes through its ``__call__``.  Derived functions are records too:
+``ineq.HFunction`` weights are the record of their function, labelled with
+their name; the integrand f(t)/t^2 of ``weighted_integral`` carries f's
+weighted rule as its rule; and the integrands of the ``t4`` and ``c1``
+chains carry batches built on those of f, g, w and h, which take f, or w,
+over the nodes and their reflections in one batch (and, for ``t4`` with g
+the same object as f, g's values from it too).  A wrapper that replaces a
+function (a counting wrapper, say) is a plain callable, so it is called
+once per node and sees every evaluation, with the same results.
 
 Batches.  A list of values goes through :func:`batch_else_each`: the batch
 in one call, and, should it raise, one call per item in order, so that the
-exception is the one the first failing item raises.  :meth:`Function.values`
-applies it to a record.  The generic Gauss-Kronrod rule evaluates a
-segment's 15 nodes so, and the class scans of :mod:`hhverify.convexity`
-their lattice and each chunk of their random samples.  The batch of a
-derived function calls those of its parts through
+exception is the one the first failing item raises.
+:meth:`Function.values_at` applies it to a record.  The generic
+Gauss-Kronrod rule evaluates a segment's 15 nodes so, and the class scans
+of :mod:`hhverify.convexity` their lattice and each chunk of their random
+samples.  The batch of a derived function calls those of its parts through
 :meth:`Function.batch_values`, which has no fallback, so that when a part
 raises, the rule's one fallback is the only one that evaluates node by
-node.
+node.  :func:`first_negative`, the sign check of f >= 0 on 65 points,
+takes its points through the batch and falls back one point at a time.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -82,6 +86,8 @@ __all__ = [
     "TransformedFunction",
     "sym_transform",
     "kinks_of",
+    "sym_kinks",
+    "first_negative",
 ]
 
 # a point within this share of the width of an endpoint is that endpoint
@@ -184,12 +190,12 @@ def batch_else_each(batch: Optional[Callable[[Sequence], list]], each: Callable,
 
 
 class Function:
-    """A function of one float and what it publishes (see the module
-    docstring): ``call``, its scalar call; ``batch``, ``weighted`` and
-    ``label``, each None where it publishes none; its ``kinks``; and
-    ``rule``, a Gauss-Kronrod rule of its own, which no function publishes
-    and only the integrand of ``weighted_integral`` fills (else None).
-    Calling the record calls ``call``."""
+    """A function of one float and what it knows about itself (see the
+    module docstring): ``call``, its scalar call; ``batch``, ``weighted``
+    and ``label``, each None where it knows none; its ``kinks``; and
+    ``rule``, a Gauss-Kronrod rule of its own, which only the integrand of
+    ``weighted_integral`` fills (else None).  Calling the record calls
+    ``call``."""
 
     __slots__ = ("call", "batch", "rule", "weighted", "kinks", "label")
 
@@ -199,7 +205,7 @@ class Function:
     def __call__(self, t: float) -> float:
         return self.call(t)
 
-    def values(self, ts: Sequence[float]) -> list[float]:
+    def values_at(self, ts: Sequence[float]) -> list[float]:
         """``[self(t) for t in ts]``, bit for bit, through the batch, raising
         what the first failing ``t`` raises."""
         return batch_else_each(self.batch, self.call, ts)
@@ -214,56 +220,93 @@ class Function:
         return list(map(self.call, ts)) if batch is None else batch(ts)
 
 
+class _FrozenFunction(Function):
+    """A record that is a frozen dataclass (a parsed expression, a piecewise
+    function, a symmetric part) and its own scalar call, so that every call
+    goes through its ``__call__``.  It sets the slots that vary between its
+    instances once, in its ``__post_init__``, with :meth:`_set_slots`."""
+
+    __slots__ = ()
+
+    @property
+    def call(self) -> "_FrozenFunction":
+        return self
+
+    def _set_slots(self, **slots) -> None:
+        """Set slots as a frozen dataclass sets its own fields."""
+        for slot, value in slots.items():
+            object.__setattr__(self, slot, value)
+
+
 def as_function(f: Callable[[float], float]) -> Function:
-    """``f`` if it is a :class:`Function`, or else the record of what it
-    publishes, whose scalar call is ``f`` itself."""
-    if isinstance(f, Function):
-        return f
-    return Function(
-        f, getattr(f, "evaluate_all", None), None, getattr(f, "weighted_gk15", None),
-        tuple(getattr(f, "kinks", ())), getattr(f, "source", None) or getattr(f, "name", None),
-    )
+    """``f`` if it is a :class:`Function`, or else the record whose scalar
+    call is ``f`` and which holds nothing else."""
+    return f if isinstance(f, Function) else Function(f)
 
 
 def kinks_of(f: Callable[[float], float]) -> tuple[float, ...]:
-    """The kinks ``f`` publishes, or ``()``."""
+    """The kinks of ``f``'s record: ``()`` for a plain callable."""
     return as_function(f).kinks
 
 
+def sym_kinks(f: Callable[[float], float], interval: HInterval) -> tuple[float, ...]:
+    """The kinks of sym(f) on ``interval``: the kinks of ``f``, then the
+    reflections of those that lie inside the interval."""
+    kinks = kinks_of(f)
+    return kinks + tuple(interval.reflect(k) for k in kinks if interval.a < k < interval.b)
+
+
+def first_negative(f: Callable[[float], float], interval: HInterval) -> Optional[float]:
+    """The first t of ``a + (b-a)k/64``, k = 0..64, at which ``f`` is
+    negative or NaN, or None.
+
+    The 65 points go through ``f``'s batch in one call (one call each
+    without a batch).  Should that raise, ``f`` is called again one point at
+    a time, up to the first t where it is negative or raises.
+    """
+    a, b = interval.a, interval.b
+    grid = [a + (b - a) * k / 64.0 for k in range(65)]
+    fn = as_function(f)
+    try:
+        values = fn.batch_values(grid)
+    except Exception:  # the first failing t decides
+        values = map(fn.call, grid)
+    return next((t for t, v in zip(grid, values) if not v >= 0.0), None)
+
+
 @dataclass(frozen=True)
-class TransformedFunction:
+class TransformedFunction(_FrozenFunction):
     """The reflection-symmetric part of ``base``,
     t -> (base(t) + base(r(t))) / 2.
 
     Nothing is memoised: each call evaluates ``base`` twice.  It kinks where
     ``base`` does and at the reflections of those kinks, which :attr:`kinks`
-    lists; :meth:`evaluate_all` is its batch.
+    lists when read.  Its batch is one batch of ``base`` over the nodes and
+    then their reflections, with no fallback of its own, on ``base``'s
+    record resolved once, at construction.  It has no rule, weighted rule
+    or label, for every instance alike.
     """
 
     base: Callable[[float], float]
     interval: HInterval
+    rule = weighted = label = None
+
+    def __post_init__(self):
+        fn, reflect_all = as_function(self.base), self.interval.reflect_all
+
+        def batch(ts: Sequence[float]) -> list[float]:
+            values = fn.batch_values([*ts, *reflect_all(ts)])
+            return [0.5 * (u + v) for u, v in zip(values, values[len(ts) :])]
+
+        self._set_slots(batch=batch)
 
     def __call__(self, t: float) -> float:
         return 0.5 * (self.base(t) + self.base(self.interval.reflect(t)))
 
-    @functools.cached_property
-    def _base(self) -> Function:
-        """The record of ``base``, resolved once."""
-        return as_function(self.base)
-
-    def evaluate_all(self, ts: Sequence[float]) -> list[float]:
-        """``[self(t) for t in ts]``, bit for bit: one batch of ``base`` over
-        the nodes and then their reflections, with no fallback of its own."""
-        values = self._base.batch_values([*ts, *self.interval.reflect_all(ts)])
-        return [0.5 * (u + v) for u, v in zip(values, values[len(ts) :])]
-
     @property
     def kinks(self) -> tuple[float, ...]:
-        """The kinks of ``base``, then the reflections of those that lie
-        inside the interval."""
-        base = self._base.kinks
-        iv = self.interval
-        return base + tuple(iv.reflect(k) for k in base if iv.a < k < iv.b)
+        """:func:`sym_kinks` of ``base``."""
+        return sym_kinks(self.base, self.interval)
 
 
 def sym_transform(f: Callable[[float], float], interval: HInterval) -> TransformedFunction:
@@ -273,4 +316,3 @@ def sym_transform(f: Callable[[float], float], interval: HInterval) -> Transform
     (f(a)+f(b))/2 at both endpoints.
     """
     return TransformedFunction(f, interval)
-

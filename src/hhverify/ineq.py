@@ -19,10 +19,9 @@ is always ``derived_corrected`` and reports name their variant.
 
 Every integral of f, of its symmetric part or of a product with them gets
 their kinks as quadrature breakpoints, and every integrand built on them
-is a function record (the function protocol of :mod:`hhverify.hmean`), so
-it keeps their batches and rules.  The nested ``r4`` double integral splits
-its outer integral at the kinks of sym(f) and passes none to its inner
-integrals.
+is a function record (see :mod:`hhverify.hmean`), so it keeps their
+batches and rules.  The nested ``r4`` double integral splits its outer
+integral at the kinks of sym(f) and passes none to its inner integrals.
 
 ``r4`` and ``c1`` also have an evaluator of several ``(h, direction)``
 cases (:func:`refinement_reports`, :func:`weighted_reports`, named in
@@ -48,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import fnspec
-from .hmean import Function, HInterval, as_function, kinks_of, sym_transform
+from .hmean import Function, HInterval, as_function, first_negative, kinks_of, sym_kinks, sym_transform
 from .quad import (
     QuadResult,
     integrate,
@@ -122,7 +121,7 @@ class HFunction(Function):
         """Whether h >= id and whether h <= id on the lattice k/64 of (0, 1),
         up to 1e-12; evaluated once per instance, not per equal instance."""
         ts = [k / 64.0 for k in range(1, 64)]
-        pairs = list(zip(ts, self.values(ts)))
+        pairs = list(zip(ts, self.values_at(ts)))
         return tuple(all(sign * v >= sign * t - 1e-12 for t, v in pairs) for sign in (1.0, -1.0))
 
     @classmethod
@@ -279,9 +278,6 @@ class ChainReport:
                 passed = False
         return cls(chain_id, variant, direction, terms, tuple(slacks), tuple(errors), tol, passed,
                    metadata or {})
-
-    def term_values(self) -> tuple[float, ...]:
-        return tuple(t.value for t in self.terms)
 
     def to_dict(self) -> dict:
         return {
@@ -516,7 +512,7 @@ def refinement_reports(
     gives for its case.
     """
     _check_variant(variant)
-    fb = as_function(sym_transform(f, interval))
+    fb = sym_transform(f, interval)
     dbl = _Barred.of(refinement_double_integral(f, interval, tol=quad_tol))
     mean_fb = _Barred.of(integrate(fb, interval.a, interval.b, tol=quad_tol, breakpoints=kinks_of(fb)))
     sym_mean = 1.0 / interval.width * mean_fb
@@ -760,20 +756,15 @@ def weighted_reports(
     and whose scalar call is a batch of one, which evaluates in the order
     of the formula.  The h-weight batches form all their barycentric
     weights in one call of the helper t6 uses, and apply the Jacobian in
-    the comprehension that forms each value.  The check of w takes its 65
-    points through w's batch, or, should that raise, one call per point.
+    the comprehension that forms each value.  The check of w is
+    :func:`hhverify.hmean.first_negative`.
     """
     _check_variant(variant)
     a, b = interval.a, interval.b
     fn, wn = as_function(f), as_function(w)
-    grid = [a + (b - a) * k / 64.0 for k in range(65)]
-    try:
-        checked = wn.batch_values(grid)
-    except Exception:  # w is then called point by point, so the first failing t raises
-        checked = map(w, grid)
-    for t, v in zip(grid, checked):
-        if not v >= 0.0:
-            raise ValueError(f"weight w is negative or NaN at t={t!r}")
+    negative = first_negative(wn, interval)
+    if negative is not None:
+        raise ValueError(f"weight w is negative or NaN at t={negative!r}")
     avg_f = _endpoint_avg(f, interval)
     w_kinks = kinks_of(wn)
     int_w = _Barred.of(integrate(wn, a, b, tol=quad_tol, breakpoints=w_kinks))
@@ -785,7 +776,7 @@ def weighted_reports(
 
     mid_mass = 0.5 * _Barred.of(integrate(
         _batched(mass), a, b, tol=quad_tol,
-        breakpoints=kinks_of(sym_transform(f, interval)) + w_kinks,
+        breakpoints=sym_kinks(fn, interval) + w_kinks,
     ))
     half = 0.5 * (b - a)
     pi, cos, sin = math.pi, math.cos, math.sin
@@ -800,7 +791,7 @@ def weighted_reports(
         return [math.acos(1.0 - (t - a) / half) / math.pi for t in kinks if a < t < b]
 
     corrected_kinks = graded_kinks(w_kinks)
-    printed_kinks = graded_kinks(kinks_of(sym_transform(w, interval)))
+    printed_kinks = graded_kinks(sym_kinks(wn, interval))
 
     def right_integrals(h: HFunction) -> tuple[QuadResult, QuadResult]:
         """int [h(w1) + h(w2)] w, derived, and int h(w1) [w + w(r)], as

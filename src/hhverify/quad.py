@@ -17,15 +17,15 @@ there.  Callers that know where the integrand kinks pass those points as
 ``breakpoints``: ``integrate`` then starts from the segments between them.
 Every caller passes them explicitly, and ``integrate`` never reads them off
 its integrand: a wrapper that replaces the integrand to count its
-evaluations (as ``perfbench/tracing.py`` does) publishes no kinks, and an
-integral must split at the same points whether or not it is counted.
+evaluations (as ``perfbench/tracing.py`` does) is a plain callable, with
+no kinks, and an integral must split at the same points whether or not it is counted.
 ``refinement_double_integral`` passes the kinks of sym(f) to its outer
 integral and none to its inner ones.
 
 Rules.  ``integrate`` applies the integrand's own rule when it has one,
 and the generic rule ``_gk15`` otherwise; :func:`weighted_integral` builds
 its integrand f(t)/t^2 with f's weighted rule as its rule (the function
-protocol of :mod:`hhverify.hmean`).  Nodes, segments, evaluation counts and
+records of :mod:`hhverify.hmean`).  Nodes, segments, evaluation counts and
 results are the same on either path, bit for bit.  Every rule sums K15 and
 G7 over :data:`GK15` in its order.  ``refinement_double_integral`` builds
 that integrand once for all its inner integrals; its outer integrand is a
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
-from .hmean import Function, HInterval, as_function, kinks_of, sym_transform
+from .hmean import Function, HInterval, as_function, sym_kinks
 
 __all__ = [
     "QuadResult",
@@ -134,14 +134,14 @@ def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
     The generic rule, and the reference for every other: an integrand's own
     rule returns what this returns, bit for bit, and raises what it raises.
     The 15 nodes are evaluated through the batch of ``f``, if it has one
-    (:meth:`hhverify.hmean.Function.values`), so the exception is the one
+    (:meth:`hhverify.hmean.Function.values_at`), so the exception is the one
     the first failing node raises.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     k = 0.0
     g = 0.0
-    for fv, wk, wg in zip(as_function(f).values([c + h * x for x in _NODES]), _KWEIGHTS, _GWEIGHTS):
+    for fv, wk, wg in zip(as_function(f).values_at([c + h * x for x in _NODES]), _KWEIGHTS, _GWEIGHTS):
         k += wk * fv
         g += wg * fv
     return h * k, abs(h) * abs(k - g)
@@ -257,8 +257,9 @@ def weighted_integral(
     any ``ab/(b-a)`` prefactor themselves).  ``breakpoints``, typically the
     kinks of ``f``, go to :func:`integrate`.
 
-    The integrand carries the weighted rule ``f`` publishes, if any (parsed
-    expressions and ``random_harmonic_convex`` functions do), as its rule.
+    The integrand carries the weighted rule of ``f``'s record, if any
+    (parsed expressions and ``random_harmonic_convex`` functions have one),
+    as its rule.
     """
     integrand = Function(lambda t: f(t) / (t * t), None, as_function(f).weighted)
     return integrate(integrand, lo, hi, tol, DEFAULT_MAX_EVALS, breakpoints)
@@ -298,8 +299,8 @@ def refinement_double_integral(
 
     G is continuous with a continuous first derivative, but its second
     derivative jumps wherever x or r(x) crosses a kink of f: at the kinks of
-    ``sym_transform(f, interval)``, which are f's kinks and the reflections
-    of those inside (a, b).  The outer integral of G runs through
+    sym(f), ``hmean.sym_kinks(f, interval)``, which are f's kinks and the
+    reflections of those inside (a, b).  The outer integral of G runs through
     :func:`integrate` from the segments between those points, with a budget
     of 100 000 evaluations of G.  The inner integrals take no breakpoints.
 
@@ -334,7 +335,6 @@ def refinement_double_integral(
         inner_err = max(inner_err, abs(coef) * res.abs_error_estimate)
         return coef * -res.value if r < x else coef * res.value
 
-    kinks = kinks_of(sym_transform(f, interval))
-    outer = integrate(g, a, b, tol=tol, max_evals=100_000, breakpoints=kinks)
+    outer = integrate(g, a, b, tol=tol, max_evals=100_000, breakpoints=sym_kinks(f, interval))
     err = (outer.abs_error_estimate + inner_err * span) / span
     return QuadResult(outer.value / span, err, outer.subdivisions)

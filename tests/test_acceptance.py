@@ -126,7 +126,7 @@ def test_criterion_4_constant_regression():
             *hv.product_inequalities(one, one, I12, quad_tol=1e-11),
         ]
         for report in derived:
-            values = report.term_values()
+            values = [t.value for t in report.terms]
             for v in values:
                 assert v == pytest.approx(values[0], abs=1e-10), report.chain_id
             assert report.passed
@@ -279,11 +279,11 @@ def test_criterion_9_reduction_web():
             y = interval.a + 0.78 * width
             t3 = hv.chain_subinterval(entry.spec, interval, x, y, quad_tol=1e-12)
             t5 = hv.chain_h_subinterval(entry.spec, IDENTITY_H, interval, x, y, quad_tol=1e-12)
-            for u, v in zip(t3.term_values(), t5.term_values()):
+            for u, v in zip([t.value for t in t3.terms], [t.value for t in t5.terms]):
                 assert u == pytest.approx(v, abs=1e-10), entry.name
             t2 = hv.bounds_pointwise(entry.spec, interval, x)
             t6 = hv.bounds_h_pointwise(entry.spec, IDENTITY_H, interval, x)
-            for u, v in zip(t2.term_values(), t6.term_values()):
+            for u, v in zip([t.value for t in t2.terms], [t.value for t in t6.terms]):
                 assert u == pytest.approx(v, abs=1e-10), entry.name
             count += 1
         assert count >= 10

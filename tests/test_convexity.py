@@ -19,7 +19,7 @@ from hhverify.convexity import (
 )
 from hhverify.corpus import CorpusEntry, builtin_functions, builtin_h
 from hhverify.fnspec import parse
-from hhverify.hmean import HInterval, sym_transform
+from hhverify.hmean import HInterval, first_negative, sym_transform
 from hhverify.ineq import IDENTITY_H
 
 I12 = HInterval(1.0, 2.0)
@@ -298,8 +298,9 @@ class TestCheckSymmetrized:
         # would have picked concave too
         fired = []
         for entry in builtin_functions():
+            nonnegative = first_negative(entry.spec, entry.interval) is None
             for h in builtin_h():
-                direction, basis = cli._h_direction(entry, cli._nonnegative_on(entry), h, SampleGrid())
+                direction, basis = cli._h_direction(entry, nonnegative, h, SampleGrid())
                 if basis != "corpus-declared symmetrized concavity, h below identity":
                     continue
                 assert direction == "concave"
@@ -322,7 +323,8 @@ class TestCheckSymmetrized:
     )
     def test_sweep_scans_an_entry_that_declares_no_class(self, source, expected):
         entry = CorpusEntry(source, parse(source), I12, classes={}, closed_forms={})
-        assert cli._h_direction(entry, cli._nonnegative_on(entry), IDENTITY_H, SampleGrid()) == expected
+        nonnegative = first_negative(entry.spec, entry.interval) is None
+        assert cli._h_direction(entry, nonnegative, IDENTITY_H, SampleGrid()) == expected
 
 
 class TestSecondDerivative:

@@ -89,7 +89,7 @@ class TestBuiltinFunctions:
             interval = entry.interval
             t1 = chain_harmonic_hh(entry.spec, interval, quad_tol=1e-12)
             t3 = chain_subinterval(entry.spec, interval, interval.a, interval.b, quad_tol=1e-12)
-            for u, v in zip(t1.term_values(), t3.term_values()):
+            for u, v in zip([t.value for t in t1.terms], [t.value for t in t3.terms]):
                 assert u == pytest.approx(v, abs=1e-10), entry.name
 
     def test_gate_rejects_wrong_declaration(self):

@@ -356,9 +356,9 @@ def _bits_or_error(fn, *args):
 
 def assert_batch_and_rule_are_scalar(spec, ts, lo, hi):
     # the same values bit for bit, or the same exception at the same first node
-    assert _bits_or_error(spec.evaluate_all, ts) == _bits_or_error(lambda ts: [spec(t) for t in ts], ts)
+    assert _bits_or_error(spec.batch, ts) == _bits_or_error(lambda ts: [spec(t) for t in ts], ts)
     generic = partial(quad._gk15, lambda t: spec(t) / (t * t))
-    assert _bits_or_error(spec.weighted_gk15, lo, hi) == _bits_or_error(generic, lo, hi)
+    assert _bits_or_error(spec.weighted, lo, hi) == _bits_or_error(generic, lo, hi)
 
 
 # nodes where errors of each kind are met: zero (a zero t*t), t*t underflowing

@@ -47,7 +47,7 @@ def assert_record_is_per_node(record, lo, hi):
     per_node = _per_node(record)
     rule = record.rule or partial(_gk15, record)
     for ts in (_nodes(lo, hi), _nodes(hi, lo)):
-        assert _values(record.values, ts) == _values(lambda ts: [per_node(t) for t in ts], ts)
+        assert _values(record.values_at, ts) == _values(lambda ts: [per_node(t) for t in ts], ts)
     for a, b in ((lo, hi), (hi, lo)):
         assert _outcome(rule, a, b) == _outcome(partial(_gk15, per_node), a, b)
 
@@ -66,6 +66,25 @@ def integrands(monkeypatch):
     return seen
 
 
+def test_every_function_the_package_builds_is_its_own_record(integrands):
+    f, g, h, kinked = parse("x^2 + 1"), parse("x + 1"), HFunction.from_source("x^0.5"), random_harmonic_convex(6, I12)
+    integrands.clear()  # h's integral over [0, 1]
+    product_inequalities(f, g, I12)
+    weighted_bounds(f, h, g, I12)
+    # int f/t^2, int g/t^2 and sym(f)*g/t^2 of t4; int w, w*(f + f(r)) and
+    # the two h-weight integrands of c1
+    assert len(integrands) == 7
+    for record in (f, h, kinked, sym_transform(kinked, I12), *integrands):
+        assert isinstance(record, Function) and as_function(record) is record
+    # a plain callable is a record of its call alone: no attribute is read
+    def plain(t):
+        return t
+
+    plain.kinks = (1.5,)
+    assert kinks_of(plain) == ()
+    assert as_function(plain).call is plain
+
+
 def test_weight_is_the_record_of_its_function():
     for f in (parse("x^2 + 1"), random_harmonic_convex(6, I12)):
         h = HFunction(f, "h", 0.25, 0.5, 0.0)
@@ -75,7 +94,7 @@ def test_weight_is_the_record_of_its_function():
             f, fn.batch, None, fn.weighted, fn.kinks, "h"
         )
         assert h(1.5) == f(1.5)
-        assert h.values([1.2, 1.5]) == [f(1.2), f(1.5)]
+        assert h.values_at([1.2, 1.5]) == [f(1.2), f(1.5)]
 
 
 def test_symmetric_part_keeps_the_kinks_and_the_batch():
@@ -95,7 +114,7 @@ def test_weighted_integrand_keeps_the_rule(source, integrands):
         pass
     (integrand,) = integrands
     assert isinstance(integrand, Function)
-    assert integrand.rule == f.weighted_gk15
+    assert integrand.rule == f.weighted
     assert integrand(1.75) == f(1.75) / (1.75 * 1.75)
     assert_record_is_per_node(integrand, 1.0, 2.0)
     assert_record_is_per_node(integrand, *SEGMENT)
@@ -105,7 +124,7 @@ def test_piecewise_weighted_integrand_keeps_the_rule(integrands):
     f = random_harmonic_convex(6, I12)
     weighted_integral(f, 1.0, 2.0, breakpoints=kinks_of(f))
     (integrand,) = integrands
-    assert integrand.rule == f.weighted_gk15
+    assert integrand.rule == f.weighted
     for lo, hi in zip((1.0, *kinks_of(f)), (*kinks_of(f), 2.0)):
         assert_record_is_per_node(integrand, lo, hi)
 
@@ -125,7 +144,7 @@ def test_t4_integrand_keeps_the_batches(make_f, integrands):
 def test_t4_integrand_raises_at_the_first_failing_node(integrands):
     product_inequalities(parse(FAILS), parse("x^2 + 1"), I12)
     product = integrands[2]
-    assert _values(product.values, _TS) == FIRST_FAILURE
+    assert _values(product.values_at, _TS) == FIRST_FAILURE
     assert _outcome(partial(_gk15, product), *SEGMENT) == FIRST_FAILURE
 
 
@@ -134,12 +153,12 @@ def test_c1_integrands_keep_the_batches(integrands):
     weighted_bounds(parse(FAILS), h, w, I12)
     # int w, then w*(f + f(r)) in t, then the two h-weight integrals in theta
     int_w, mass, corrected, printed = integrands[-4:]
-    assert int_w.batch == w.evaluate_all
+    assert int_w.batch == w.batch
     for record in (mass, corrected, printed):
         assert isinstance(record, Function) and record.batch is not None and record.rule is None
     assert_record_is_per_node(mass, 1.0, 2.0)
     assert_record_is_per_node(mass, *SEGMENT)
-    assert _values(mass.values, _TS) == FIRST_FAILURE
+    assert _values(mass.values_at, _TS) == FIRST_FAILURE
     for record in (corrected, printed):
         assert_record_is_per_node(record, 0.0, 1.0)
         assert_record_is_per_node(record, 0.2, 0.3)
@@ -170,7 +189,7 @@ def test_record_values_fall_back_in_node_order():
     # meets node 11 first; node by node, the reflection of node 1 fails first
     fb = as_function(sym_transform(parse(FAILS), I12))
     assert _values(fb.batch, _TS) == (EvalDomainError, f"evaluation failed at t={_TS[11]!r}: float division by zero")
-    assert _values(fb.values, _TS) == FIRST_FAILURE
+    assert _values(fb.values_at, _TS) == FIRST_FAILURE
 
 
 @pytest.mark.parametrize(

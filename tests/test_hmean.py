@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhverify.fnspec import parse
+from hhverify.fnspec import EvalDomainError, parse
 from hhverify.hmean import (
+    Function,
     HInterval,
+    first_negative,
     sym_transform,
 )
 
@@ -117,17 +119,22 @@ class TestHarmonicMidpoint:
 class TestTransforms:
     def test_kinks_add_reflections_inside_the_interval(self):
         interval = HInterval(1.0, 2.0)
-
-        class Kinked:
-            kinks = (1.2, 3.0)
-
-            def __call__(self, t):
-                return abs(t - 1.2)
-
-        fb = sym_transform(Kinked(), interval)
+        kinked = Function(lambda t: abs(t - 1.2), kinks=(1.2, 3.0))
+        fb = sym_transform(kinked, interval)
         assert fb.kinks == (1.2, 3.0, interval.reflect(1.2))
-        # parsed expressions publish none
+        # parsed expressions have none
         assert sym_transform(parse("abs(x - 1.2)"), interval).kinks == ()
+
+    def test_first_negative_is_the_first_failing_point(self):
+        interval = HInterval(1.0, 2.0)
+        # 0 is not negative; 1.5 - x is 0 at k = 32 and negative from k = 33
+        assert first_negative(parse("x - 1"), interval) is None
+        for f in (parse("1.5 - x"), lambda t: 1.5 - t):
+            assert first_negative(f, interval) == 1.0 + 33 / 64
+        # the batch raises at t = 1.25, so the points are taken one at a
+        # time, and f raises there, before any negative t
+        with pytest.raises(EvalDomainError, match=r"at t=1\.25: float division by zero$"):
+            first_negative(parse("1.75 - x + 0/(x - 1.25)"), interval)
 
     def test_constant_symmetrises_to_itself(self):
         interval = HInterval(1.0, 2.0)

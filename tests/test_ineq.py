@@ -111,7 +111,7 @@ class TestHFunction:
 class TestChainHHClassic:
     def test_square(self):
         r = chain_hh_classic(parse("x^2"), 0.0, 1.0, quad_tol=1e-12)
-        assert r.term_values() == pytest.approx((0.25, 1.0 / 3.0, 0.5), abs=1e-11)
+        assert [t.value for t in r.terms] == pytest.approx((0.25, 1.0 / 3.0, 0.5), abs=1e-11)
         assert r.passed
 
     def test_constant(self):
@@ -121,7 +121,7 @@ class TestChainHHClassic:
 
     def test_absolute_value(self):
         r = chain_hh_classic(parse("abs(x)"), -1.0, 1.0, quad_tol=1e-11)
-        assert r.term_values() == pytest.approx((0.0, 0.5, 1.0), abs=1e-9)
+        assert [t.value for t in r.terms] == pytest.approx((0.0, 0.5, 1.0), abs=1e-9)
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
@@ -136,13 +136,13 @@ class TestChainHarmonicHH:
 
     def test_identity_function(self):
         r = chain_harmonic_hh(parse("x"), I12, quad_tol=1e-12)
-        assert r.term_values() == pytest.approx((4.0 / 3.0, 2.0 * LN2, 1.5), abs=1e-11)
+        assert [t.value for t in r.terms] == pytest.approx((4.0 / 3.0, 2.0 * LN2, 1.5), abs=1e-11)
         assert r.passed
 
     def test_concave_direction(self):
         r = chain_harmonic_hh(parse("-ln(x)"), I12, direction="concave")
         assert r.passed
-        assert r.term_values()[0] > r.term_values()[2]
+        assert r.terms[0].value > r.terms[2].value
 
     def test_negative_interval(self):
         r = chain_harmonic_hh(parse("1/x"), HInterval(-2.0, -1.0), quad_tol=1e-12)
@@ -171,7 +171,7 @@ class TestChainSubinterval:
             f = parse(src)
             t1 = chain_harmonic_hh(f, I12, quad_tol=1e-12)
             t3 = chain_subinterval(f, I12, 1.0, 2.0, quad_tol=1e-12)
-            for u, v in zip(t1.term_values(), t3.term_values()):
+            for u, v in zip([t.value for t in t1.terms], [t.value for t in t3.terms]):
                 assert u == pytest.approx(v, abs=1e-10)
 
     def test_constant_corrected_vs_printed(self):
@@ -191,7 +191,7 @@ class TestChainSubinterval:
         f = parse("exp(x)")
         fwd = chain_subinterval(f, I12, 1.2, 1.8, quad_tol=1e-12)
         rev = chain_subinterval(f, I12, 1.8, 1.2, quad_tol=1e-12)
-        for u, v in zip(fwd.term_values(), rev.term_values()):
+        for u, v in zip([t.value for t in fwd.terms], [t.value for t in rev.terms]):
             assert u == pytest.approx(v, abs=1e-10)
 
     def test_equal_parameters_rejected(self):
@@ -202,7 +202,7 @@ class TestChainSubinterval:
         # sym(-ln) is harmonic concave: the chain holds with reversed slacks
         r = chain_subinterval(parse("-ln(x)"), I12, 1.2, 1.8, quad_tol=1e-11, direction="concave")
         assert r.passed
-        values = r.term_values()
+        values = [t.value for t in r.terms]
         assert values[0] >= values[1] >= values[2]
         assert not chain_subinterval(parse("-ln(x)"), I12, 1.2, 1.8, quad_tol=1e-11).passed
 
@@ -218,7 +218,7 @@ class TestChainReflectedPair:
 
     def test_identity_function_slack_signs(self):
         r = chain_reflected_pair(parse("x"), I12, 1.1, quad_tol=1e-12)
-        values = r.term_values()
+        values = [t.value for t in r.terms]
         assert values[0] == pytest.approx(4.0 / 3.0, rel=1e-14)
         assert r.passed
         assert values[0] <= values[1] <= values[2]
@@ -249,7 +249,7 @@ class TestChainRefinement:
 
     def test_neg_log_reversed(self):
         r = chain_refinement(parse("-ln(x)"), I12, direction="concave", quad_tol=1e-10)
-        values = r.term_values()
+        values = [t.value for t in r.terms]
         assert values[0] == pytest.approx(-math.log(4.0 / 3.0), rel=1e-12)
         assert values[2] == pytest.approx(0.5 - 7.0 / 6.0 * LN2, abs=1e-9)
         assert values[0] >= values[1] >= values[2]
@@ -259,13 +259,13 @@ class TestChainRefinement:
         f = parse("exp(x)")
         plain = chain_refinement(f, I12, quad_tol=1e-10)
         weighted = chain_refinement(f, I12, h=IDENTITY_H, quad_tol=1e-10)
-        for u, v in zip(plain.term_values(), weighted.term_values()):
+        for u, v in zip([t.value for t in plain.terms], [t.value for t in weighted.terms]):
             assert u == pytest.approx(v, rel=1e-10)
 
     def test_p_weight_scalings(self):
         h1 = HFunction.from_source("1")
         r = chain_refinement(parse("1"), I12, h=h1, quad_tol=1e-10)
-        assert r.term_values() == pytest.approx((0.5, 1.0, 2.0), abs=1e-9)
+        assert [t.value for t in r.terms] == pytest.approx((0.5, 1.0, 2.0), abs=1e-9)
         assert r.passed
 
     def test_printed_variant_fails_constants(self):
@@ -362,8 +362,8 @@ class TestChainHarmonicFull:
 class TestProductInequalities:
     def test_reciprocal_pair_equality(self):
         lower, upper = product_inequalities(parse("1/x"), parse("1/x"), I12, quad_tol=1e-12)
-        assert lower.term_values() == pytest.approx((9.0 / 16.0, 9.0 / 16.0), abs=1e-10)
-        assert upper.term_values() == pytest.approx((9.0 / 16.0, 9.0 / 16.0), abs=1e-10)
+        assert [t.value for t in lower.terms] == pytest.approx((9.0 / 16.0, 9.0 / 16.0), abs=1e-10)
+        assert [t.value for t in upper.terms] == pytest.approx((9.0 / 16.0, 9.0 / 16.0), abs=1e-10)
         assert lower.passed and upper.passed
 
     def test_constants(self):
@@ -430,7 +430,7 @@ class TestChainHSubinterval:
             f = parse(src)
             t3 = chain_subinterval(f, I12, 1.2, 1.8, quad_tol=1e-12)
             t5 = chain_h_subinterval(f, IDENTITY_H, I12, 1.2, 1.8, quad_tol=1e-12)
-            for u, v in zip(t3.term_values(), t5.term_values()):
+            for u, v in zip([t.value for t in t3.terms], [t.value for t in t5.terms]):
                 assert u == pytest.approx(v, abs=1e-12)
 
     def test_constant_identity_weight_full_range(self):
@@ -441,7 +441,7 @@ class TestChainHSubinterval:
         # x = a, y = b with h == 1 on f = 1/t
         h1 = HFunction.from_source("1")
         r = chain_h_subinterval(parse("1/x"), h1, I12, 1.0, 2.0, quad_tol=1e-12)
-        assert r.term_values() == pytest.approx((0.375, 0.75, 1.5), abs=1e-10)
+        assert [t.value for t in r.terms] == pytest.approx((0.375, 0.75, 1.5), abs=1e-10)
         assert r.passed
 
 
@@ -460,7 +460,7 @@ class TestBoundsHPointwise:
             f = parse(src)
             t2 = bounds_pointwise(f, I12, 1.4)
             t6 = bounds_h_pointwise(f, IDENTITY_H, I12, 1.4)
-            for u, v in zip(t2.term_values(), t6.term_values()):
+            for u, v in zip([t.value for t in t2.terms], [t.value for t in t6.terms]):
                 assert u == pytest.approx(v, abs=1e-12)
 
     def test_reciprocal_equality(self):
@@ -490,7 +490,7 @@ class TestWeightedBounds:
 
     def test_identity_function_slack_signs(self):
         r = weighted_bounds(parse("x"), IDENTITY_H, parse("1"), I12, quad_tol=1e-12)
-        values = r.term_values()
+        values = [t.value for t in r.terms]
         assert values[0] == pytest.approx(4.0 / 3.0, rel=1e-12)
         assert values[2] == pytest.approx(1.5, abs=1e-10)
         assert values[0] <= values[1] <= values[2]

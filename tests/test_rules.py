@@ -1,16 +1,16 @@
 """Compiled Gauss-Kronrod rules of t -> f(t)/t^2, and batches of node
 evaluations, against the generic rule called node by node.
 
-Parsed expressions and ``random_harmonic_convex`` functions publish a
-``weighted_gk15`` rule that :func:`hhverify.quad.weighted_integral` hands to
+Parsed expressions and ``random_harmonic_convex`` functions are records
+with a ``weighted`` rule that :func:`hhverify.quad.weighted_integral` hands to
 ``integrate`` in place of ``quad._gk15``.  Each must return, bit for bit,
 what the generic rule returns on ``lambda t: f(t) / (t * t)``, and raise the
 same exception with the same message (the message of an expression's error
 names the node ``t`` at which it was raised).
 
 Parsed expressions, symmetric parts and the ``t4`` and ``c1`` integrands
-publish ``evaluate_all``, which the generic rule calls once per segment.
-Every result must be the one the rule gives with ``evaluate_all`` hidden,
+are records with a ``batch``, which the generic rule calls once per segment.
+Every result must be the one the rule gives with the batch hidden,
 from one rule application up to the default sweep's bytes.
 """
 
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from hhverify import cli, quad
 from hhverify.corpus import random_harmonic_convex
 from hhverify.fnspec import BinOp, Call1, Call2, EvalDomainError, Neg, Num, Pow, Var, parse, to_source
-from hhverify.hmean import HInterval, sym_transform
+from hhverify.hmean import Function, HInterval, sym_transform
 from hhverify.ineq import HFunction, chain_refinement, product_inequalities, weighted_bounds
 from hhverify.quad import GK15, _gk15
 
@@ -43,7 +43,7 @@ def _generic(f):
 
 
 def assert_rule_is_generic(f, lo, hi):
-    assert _outcome(f.weighted_gk15, lo, hi) == _outcome(_generic(f), lo, hi)
+    assert _outcome(f.weighted, lo, hi) == _outcome(_generic(f), lo, hi)
 
 
 # --- parsed expressions -------------------------------------------------------
@@ -103,7 +103,7 @@ def test_expression_rule_at_extreme_nodes(source, lo, hi):
 
 def test_expression_rule_raises_zero_division_bare():
     with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
-        parse("1").weighted_gk15(1e-170, 2e-170)
+        parse("1").weighted(1e-170, 2e-170)
 
 
 # --- piecewise functions --------------------------------------------------------
@@ -163,12 +163,12 @@ def _values(batch, ts):
 
 
 def _per_node(f):
-    """``f`` called node by node, publishing no ``evaluate_all``."""
+    """``f`` called node by node: a plain callable, with no batch."""
     return lambda t: f(t)
 
 
 def assert_batch_is_per_node(f, ts):
-    assert _values(f.evaluate_all, ts) == _values(lambda ts: [f(t) for t in ts], ts)
+    assert _values(f.batch, ts) == _values(lambda ts: [f(t) for t in ts], ts)
 
 
 def assert_rule_is_per_node(f, lo, hi):
@@ -197,7 +197,7 @@ def test_symmetric_part_batch_raises_where_per_node_raises(ast, domain, fraction
     a, b = domain
     fb = sym_transform(parse(to_source(ast)), HInterval(a, b))
     ts = [a + r * (b - a) for r in fractions]
-    batch, per_node = _values(fb.evaluate_all, ts), _values(lambda ts: [fb(t) for t in ts], ts)
+    batch, per_node = _values(fb.batch, ts), _values(lambda ts: [fb(t) for t in ts], ts)
     # the batch visits base at every node before any reflection, so it may
     # meet another node's error first (the rule then evaluates node by node)
     if isinstance(per_node, list):
@@ -212,7 +212,7 @@ def test_rule_falls_back_when_a_reflected_node_fails_first():
     fb = sym_transform(parse("ln(abs(x - 1.885) - 0.025)"), HInterval(1.0, 2.0))
     ts = [1.5 + 0.5 * x for x, _, _ in GK15]
     first = "evaluation failed at t={!r}: math domain error"
-    assert _values(fb.evaluate_all, ts) == (EvalDomainError, first.format(ts[11]))
+    assert _values(fb.batch, ts) == (EvalDomainError, first.format(ts[11]))
     per_node = (EvalDomainError, first.format(fb.interval.reflect(ts[1])))
     assert _values(lambda ts: [fb(t) for t in ts], ts) == per_node
     assert _outcome(partial(_gk15, fb), 1.0, 2.0) == per_node
@@ -223,15 +223,14 @@ def test_rule_evaluates_a_batch_in_one_call():
     f = parse("exp(x) - 1/x")
     batches = []
 
-    class Batched:
-        def __call__(self, t):
-            raise AssertionError("per-node call")
+    def per_node_call(t):
+        raise AssertionError("per-node call")
 
-        def evaluate_all(self, ts):
-            batches.append(len(ts))
-            return f.evaluate_all(ts)
+    def batch(ts):
+        batches.append(len(ts))
+        return f.batch(ts)
 
-    assert repr(_gk15(Batched(), 1.0, 2.0)) == repr(_gk15(_per_node(f), 1.0, 2.0))
+    assert repr(_gk15(Function(per_node_call, batch), 1.0, 2.0)) == repr(_gk15(_per_node(f), 1.0, 2.0))
     assert batches == [15]
 
 
@@ -252,7 +251,7 @@ def test_piecewise_symmetric_part_rule_is_per_node():
 
 @pytest.fixture
 def node_by_node(monkeypatch):
-    """Hide every integrand's ``evaluate_all`` from the generic rule."""
+    """Hide every integrand's batch from the generic rule."""
 
     def hide():
         gk15 = quad._gk15

@@ -15,7 +15,7 @@ from hhverify import cli, convexity, corpus, fnspec, ineq
 from hhverify.convexity import SampleGrid
 from hhverify.corpus import PiecewiseConvexReciprocal, random_harmonic_convex
 from hhverify.fnspec import parse
-from hhverify.hmean import HInterval, kinks_of
+from hhverify.hmean import Function, HInterval, kinks_of
 from hhverify.ineq import HFunction, chain_refinement, weighted_bounds
 from hhverify.quad import refinement_double_integral, weighted_integral
 
@@ -207,8 +207,8 @@ def test_refinement_sym_mean_evaluations():
     interval = HInterval(1.0, 2.0)
     f = random_harmonic_convex(3, interval)
     counted = Counting(f)
-    counted.kinks = f.kinks  # a wrapper hides the kinks unless it publishes them
-    chain_refinement(counted, interval, quad_tol=1e-6)
+    # a wrapper hides the kinks unless it is built as a record that has them
+    chain_refinement(Function(counted, kinks=f.kinks), interval, quad_tol=1e-6)
     # the double integral with its outer level split at the kinks of sym(f)
     # (58 366 evaluations without them, as pinned above), f at x*, and the
     # mean of sym(f): f twice per node, one Kronrod panel on each of the
@@ -233,8 +233,8 @@ def test_weighted_bounds_h_evaluations(h_source, evals):
 
 # --- which Gauss-Kronrod rule an integral takes ---------------------------------
 #
-# weighted_integral hands f's compiled weighted_gk15 rule to integrate, which
-# applies it to whole segments; a wrapper such as Counting publishes no rule,
+# weighted_integral hands f's compiled weighted rule to integrate, which
+# applies it to whole segments; a wrapper such as Counting has no rule,
 # so it takes the generic one and counts every evaluation.  Both paths visit
 # the same segments, so the pins above hold on either.
 
