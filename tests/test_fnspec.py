@@ -335,6 +335,14 @@ def test_generated_evaluator_is_exact(ast, t):
         ("(x*1e308*10 - x*1e308*10)^(1e308*10 - 1e308*10)", None, 2.0, "NaN reached a power"),
         ("min(x*1e308*10 - x*1e308*10, 5)", None, 2.0, "NaN reached min/max"),
         ("max(1, x*1e308*10 - x*1e308*10)", None, 2.0, "NaN reached min/max"),
+        # pow(nan, y) is NaN for a nonzero literal y, yet the base is checked
+        ("(x*1e308*10 - x*1e308*10)^2", None, 2.0, "NaN reached a power"),
+        ("(x*1e308*10 - x*1e308*10)^-0.5", None, 2.0, "NaN reached a power"),
+        # both operands are evaluated before the check
+        ("min(x*1e308*10 - x*1e308*10, 1/(x-x))", None, 2.0, "evaluation failed at t=2.0: float division by zero"),
+        ("max(1/(x-x), x*1e308*10 - x*1e308*10)", None, 2.0, "evaluation failed at t=2.0: float division by zero"),
+        # the base is checked before the exponent is evaluated
+        ("(x*1e308*10 - x*1e308*10)^(1/0)", None, 2.0, "NaN reached a power"),
     ],
 )
 def test_generated_evaluator_errors_match_reference(source, unused, t, message):
@@ -395,6 +403,9 @@ def test_batch_and_rule_are_the_scalar_evaluator(ast, ts, lo, hi):
         "max(1, x*1e308*10 - x*1e308*10)",
         "max(min(x, x*1e308*10 - x*1e308*10), 1)",
         "min(x, 1)^0 + 1",
+        "(x*1e308*10 - x*1e308*10)^2",
+        "min(x*1e308*10 - x*1e308*10, 1/(x-x))",
+        "max(1/(x-x), x*1e308*10 - x*1e308*10)",
     ],
 )
 @pytest.mark.parametrize(

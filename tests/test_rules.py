@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from hhverify import cli, quad
 from hhverify.corpus import random_harmonic_convex
-from hhverify.fnspec import BinOp, Call1, Call2, EvalDomainError, Neg, Num, Pow, Var, parse, to_source
+from hhverify.fnspec import BinOp, Call1, Call2, EvalDomainError, FunctionSpec, Neg, Num, Pow, Var, parse
 from hhverify.hmean import Function, HInterval, sym_transform
 from hhverify.ineq import HFunction, chain_refinement, product_inequalities, weighted_bounds
 from hhverify.quad import GK15, _gk15
@@ -81,7 +81,7 @@ _fractions = st.sampled_from((0.0, 1.0, 0.5)) | st.floats(0.0, 1.0)
 @example(Call1("ln", BinOp("-", Num(1.5), Var())), (1.0, 2.0), 1.0, 0.0)
 def test_expression_rule_is_generic_rule(ast, domain, p, q):
     a, b = domain
-    f = parse(to_source(ast))
+    f = FunctionSpec(source="<generated>", ast=ast)
     assert_rule_is_generic(f, a + p * (b - a), a + q * (b - a))
 
 
@@ -183,7 +183,7 @@ def assert_rule_is_per_node(f, lo, hi):
 @example(BinOp("/", Num(1e300), Var()), (1e-6, 2e-6), [1.0, 0.5, 0.0], 1.0, 0.0)
 def test_expression_batch_is_per_node(ast, domain, fractions, p, q):
     a, b = domain
-    f = parse(to_source(ast))
+    f = FunctionSpec(source="<generated>", ast=ast)
     # the same values, or the same exception at the same first failing node
     assert_batch_is_per_node(f, [a + r * (b - a) for r in fractions])
     lo, hi = a + p * (b - a), a + q * (b - a)
@@ -195,7 +195,7 @@ def test_expression_batch_is_per_node(ast, domain, fractions, p, q):
 @given(_trees, st.sampled_from(DOMAINS), st.lists(_fractions, max_size=16))
 def test_symmetric_part_batch_raises_where_per_node_raises(ast, domain, fractions):
     a, b = domain
-    fb = sym_transform(parse(to_source(ast)), HInterval(a, b))
+    fb = sym_transform(FunctionSpec(source="<generated>", ast=ast), HInterval(a, b))
     ts = [a + r * (b - a) for r in fractions]
     batch, per_node = _values(fb.batch, ts), _values(lambda ts: [fb(t) for t in ts], ts)
     # the batch visits base at every node before any reflection, so it may
