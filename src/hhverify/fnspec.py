@@ -12,22 +12,24 @@ Evaluation follows the IEEE double path of the tree node by node and never
 lets a NaN (or an infinity) escape: every invalid operation surfaces as an
 :class:`EvalDomainError` instead, which names the expression's source.
 
-:func:`compile_ast` generates three functions from a tree.  The scalar
-evaluator is guarded: it checks each node that could hide a NaN, and its
-result.  The batch and the weighted Gauss-Kronrod rule of a parsed
-expression's record compute the bare arithmetic of the tree at each node and
-check finiteness once per call, on the sums of their values.  When that
-check fails, or the arithmetic raises, they evaluate again from the first
-node through the scalar evaluator.  So they return its values bit for bit
-and raise what it raises, at the same node.
+:func:`compile_ast` translates a tree into one Python expression, whose NaN
+guards raise in place, and generates three functions around it.  The scalar
+evaluator is that expression with its errors translated and its result
+checked.  The batch and the weighted Gauss-Kronrod rule of a parsed
+expression's record evaluate it at each node, without the guard of a base
+under a nonzero literal exponent, and check finiteness once per call, on
+the sums of their values.  When that check fails, or a node raises, they
+evaluate again from the first node through the scalar evaluator.  So they
+return its values bit for bit and raise what it raises, at the same node.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .hmean import _FrozenFunction
 from .quad import GK15, _gk15
@@ -47,7 +49,6 @@ __all__ = [
     "FunctionSpec",
     "parse",
     "compile_ast",
-    "to_source",
 ]
 
 
@@ -272,64 +273,36 @@ class _Parser:
         self._err("expected an expression", tok)
 
 
-# --- printer ---------------------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def to_source(node: Node) -> str:
-    """Render the tree back to source.
-
-    Grouping is fully parenthesised where precedence alone would not
-    reconstruct the same tree, so re-parsing reproduces the exact IEEE
-    evaluation order; numeric literals use ``repr`` and round-trip exactly.
-    """
-    return _format(node, 0)
-
-
-def _format(node: Node, min_prec: int) -> str:
-    if isinstance(node, Num):
-        s = repr(node.value)
-        prec = _PREC_NEG if node.value < 0 else _PREC_ATOM
-    elif isinstance(node, Var):
-        s, prec = "x", _PREC_ATOM
-    elif isinstance(node, Neg):
-        s, prec = "-" + _format(node.arg, _PREC_NEG), _PREC_NEG
-    elif isinstance(node, BinOp):
-        prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
-        s = _format(node.left, prec) + node.op + _format(node.right, prec + 1)
-    elif isinstance(node, Pow):
-        s = _format(node.base, _PREC_ATOM) + "^" + _format(node.exponent, _PREC_NEG)
-        prec = _PREC_POW
-    elif isinstance(node, Call1):
-        s, prec = f"{node.name}({_format(node.arg, 0)})", _PREC_ATOM
-    elif isinstance(node, Call2):
-        s = f"{node.name}({_format(node.left, 0)}, {_format(node.right, 0)})"
-        prec = _PREC_ATOM
-    else:
-        raise TypeError(f"unknown node {node!r}")
-    return f"({s})" if prec < min_prec else s
-
-
 # --- compilation and evaluation ---------------------------------------------
 
 
-def _weighted_each(evaluate: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """The generic rule of ``t -> evaluate(t) / (t*t)``, node by node."""
-    return _gk15(lambda t: evaluate(t) / (t * t), lo, hi)
+def _nan(message: str, source: str | None) -> NoReturn:
+    """Raise the error of a NaN that reached a guard."""
+    raise EvalDomainError(message, source)
 
 
 # names the generated functions see; a function's constants are added as _c<k>
 _RUNTIME = {
-    "_ln": math.log, "_exp": math.exp, "_abs": abs, "_min": min, "_max": max, "_pow": math.pow,
-    "_isfinite": math.isfinite, "_nan": math.nan, "_EvalDomainError": EvalDomainError, "_GK15": GK15,
-    "_weighted_each": _weighted_each,
+    "_ln": math.log, "_exp": math.exp, "_abs": abs, "_pow": math.pow, "_isfinite": math.isfinite,
+    "_nan": _nan, "_EvalDomainError": EvalDomainError, "_GK15": GK15, "_gk15": _gk15,
 }
 
-# ``batch`` and ``weighted`` around the bare expression ``{fast}`` of ``t``.
-# On any exception or a non-finite sum, each starts again through the
-# guarded ``_evaluate`` node by node, which raises at the first failing node
-_FAST = """
+# the three functions around the expression of ``t``: ``{checked}``, which
+# checks every power's base, and ``{fast}``, which skips that check under a
+# nonzero literal exponent.  On any exception or a non-finite sum, ``_batch``
+# and ``_weighted`` start again through ``_evaluate`` node by node, which
+# raises at the first failing node
+_TEMPLATE = """
+def _evaluate(t):
+    try:
+        value = {checked}
+    except _EvalDomainError:
+        raise
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise _EvalDomainError('evaluation failed at t=%r: %s' % (t, exc), _source) from None
+    if not _isfinite(value):
+        raise _EvalDomainError('evaluation at t=%r left the finite reals' % (t,), _source)
+    return value
 def _batch(ts):
     try:
         values = [{fast} for t in ts]
@@ -354,7 +327,7 @@ def _weighted(lo, hi):
             return h * k, _abs(h) * _abs(k - g)
     except Exception:
         pass
-    return _weighted_each(_evaluate, lo, hi)
+    return _gk15(lambda t: _evaluate(t) / (t * t), lo, hi)
 """
 
 
@@ -368,6 +341,60 @@ def _literal(node: Node) -> float | None:
     return sign * node.value if isinstance(node, Num) and node.value == node.value else None
 
 
+def _translate(node: Node, namespace: dict, check_every_base: bool) -> str:
+    """One Python expression of ``t`` that evaluates ``node``, binding its
+    constants in ``namespace``.  Every string it returns is a name, a call,
+    parenthesised or the negation of one of those, so it may stand as an
+    operand of ``+ - * /``.  The names of constants and of the values a
+    guard reads count the nodes in walk order, so both translations of a
+    tree bind the same constants."""
+    count = itertools.count()
+
+    def bound(expr: str, name: str) -> tuple[str, str]:
+        """``expr`` assigned to ``name`` where it is evaluated, and the name
+        that holds its value after; a name is itself."""
+        return (expr, expr) if expr.isidentifier() else (f"{name} := {expr}", name)
+
+    def walk(node: Node) -> str:
+        k = next(count)
+        if isinstance(node, Var):
+            return "t"
+        if isinstance(node, Num):
+            namespace[f"_c{k}"] = node.value
+            return f"_c{k}"
+        if isinstance(node, Neg):
+            return f"-{walk(node.arg)}"
+        if isinstance(node, BinOp):
+            return f"({walk(node.left)} {node.op} {walk(node.right)})"
+        if isinstance(node, Call1):
+            return f"_{node.name}({walk(node.arg)})"
+        if isinstance(node, Pow):
+            base, exponent = walk(node.base), walk(node.exponent)
+            literal = _literal(node.exponent)
+            if literal and not check_every_base:
+                return f"_pow({base}, {exponent})"
+            # math.pow(nan, 0) and math.pow(1, nan) would silently absorb a
+            # NaN produced upstream; the base is checked before the
+            # exponent is evaluated, and a literal exponent needs no check
+            base, b = bound(base, f"b{k}")
+            check = f"{b} == {b}"
+            if literal is None:
+                assign, exponent = bound(exponent, f"e{k}")
+                check += f" and ({assign}) == {exponent}"
+            return f"_pow({base}, {exponent} if {check} else _nan('NaN reached a power', _source))"
+        if isinstance(node, Call2):
+            # Python's min and max could drop a NaN operand.  Both operands
+            # are evaluated before the comparisons, which are false for a
+            # NaN: min is q if q < p else p, and max q if q > p else p
+            (left, p), (right, q) = bound(walk(node.left), f"p{k}"), bound(walk(node.right), f"q{k}")
+            first, second = (">", "<=") if node.name == "min" else ("<", ">=")
+            pick = f"{q} if ({left}) {first} ({right}) else {p} if {p} {second} {q}"
+            return f"({pick} else _nan('NaN reached min/max', _source))"
+        raise TypeError(f"unknown node {node!r}")
+
+    return walk(node)
+
+
 def compile_ast(
     node: Node, source: str | None = None
 ) -> tuple[
@@ -378,111 +405,40 @@ def compile_ast(
     """Generate three Python functions from the tree:
     ``(evaluate, batch, weighted)``.
 
-    ``evaluate(t)`` has one statement per operator node, in the order a
-    recursive walk evaluates them: left operand before right, and a power's
-    base and its NaN guard before its exponent and the exponent's guard
-    (which a literal exponent, a number other than NaN, goes without).
-    Leaves are operands: ``t``, and the constants bound by name.  It turns
-    arithmetic errors into :class:`EvalDomainError` and rejects a non-finite
-    result, so it is the whole of evaluation.  Its errors carry ``source``
+    The tree is translated into one Python expression of ``t``: the IEEE
+    operations of a recursive walk in its order, left operand before right.
+    Leaves are ``t`` and the constants, bound by name.  NaN guards raise
+    :class:`EvalDomainError` in place: a power's base is checked before its
+    exponent is evaluated and the exponent after (a literal exponent, a
+    number other than NaN, goes without), and both operands of a ``min`` or
+    ``max`` are evaluated before their check, since ``min``, ``max``,
+    ``pow(nan, 0)`` and ``pow(1, nan)`` could drop a NaN.
+
+    ``evaluate(t)`` is that expression inside the translation of arithmetic
+    errors into :class:`EvalDomainError` and a check that the result is
+    finite, so it is the whole of evaluation.  Its errors carry ``source``
     as their ``expression``.
 
-    ``batch(ts)`` and ``weighted(lo, hi)`` evaluate the tree as one bare
-    expression, the same IEEE operations in the same order with no check
-    per node: a comprehension over ``ts``, and the 15 nodes of the
-    Gauss-Kronrod rule of ``t -> evaluate(t) / (t*t)`` on one segment,
-    summed in the order of :data:`hhverify.quad.GK15`.  Each checks
+    ``batch(ts)`` and ``weighted(lo, hi)`` evaluate the same expression,
+    except that a power under a nonzero literal exponent skips its base's
+    check (``pow(nan, y)`` is NaN): a comprehension over ``ts``, and the 15
+    nodes of the Gauss-Kronrod rule of ``t -> evaluate(t) / (t*t)`` on one
+    segment, summed in the order of :data:`hhverify.quad.GK15`.  Each checks
     finiteness once per call: ``s - s == 0.0`` for the sum ``s`` of the
     values, or for both sums of the rule (every Kronrod weight is positive,
-    so a non-finite value makes them non-finite).  A ``min``, a ``max`` or a
-    power whose exponent is not a nonzero literal returns NaN there when an
-    operand (a power's base, or an exponent that is not a literal) is NaN,
-    since ``min``, ``max``, ``pow(nan, 0)`` and ``pow(1, nan)`` could drop
-    it.  On any exception or non-finite result they start again from the
-    first node through ``evaluate``.  So ``batch`` returns ``[evaluate(t)
-    for t in ts]`` bit for bit, and ``weighted`` what the generic rule
-    ``quad._gk15`` returns on that integrand; each raises
-    what those raise, at the same node, and a zero ``t*t`` raises a bare
-    ``ZeroDivisionError``, as the integrand does.  All three functions come
-    from one ``compile`` call.
+    so a non-finite value makes them non-finite).  On any exception or
+    non-finite result they start again from the first node through
+    ``evaluate``.  So ``batch`` returns ``[evaluate(t) for t in ts]`` bit
+    for bit, and ``weighted`` what the generic rule ``quad._gk15`` returns
+    on that integrand; each raises what those raise, at the same node, and
+    a zero ``t*t`` raises a bare ``ZeroDivisionError``, as the integrand
+    does.  All three functions come from one template and one ``compile``
+    call, which raises ``SyntaxError`` or ``RecursionError`` on a tree that
+    nests deeper than Python's compiler follows.
     """
     namespace = dict(_RUNTIME, _source=source)
-    body: list[str] = []
-
-    def once(fast: str, name: str) -> tuple[str, str]:
-        """A bare expression that evaluates ``fast``, and a name that holds
-        its value after it."""
-        return (fast, fast) if fast.isidentifier() else (f"({name} := {fast})", name)
-
-    def operand(node: Node) -> tuple[str, str]:
-        """Emit the guarded statements of ``node`` into ``body``; return the
-        name that holds its value there, and its bare expression."""
-        if isinstance(node, Var):
-            return "t", "t"
-        if isinstance(node, Num):
-            name = f"_c{len(namespace)}"
-            namespace[name] = node.value
-            return name, name
-        if isinstance(node, Neg):
-            arg, fast_arg = operand(node.arg)
-            expr, fast = f"-{arg}", f"-{fast_arg}"
-        elif isinstance(node, BinOp):
-            (left, fast_left), (right, fast_right) = operand(node.left), operand(node.right)
-            expr = f"{left} {node.op} {right}"
-            fast = f"({fast_left} {node.op} {fast_right})"
-        elif isinstance(node, Pow):
-            base, fast_base = operand(node.base)
-            # math.pow(nan, 0) and math.pow(1, nan) would silently absorb a
-            # NaN produced upstream; a literal exponent needs no check
-            body.append(f"if {base} != {base}: raise _EvalDomainError('NaN reached a power', _source)")
-            exponent, fast_exponent = operand(node.exponent)
-            literal = _literal(node.exponent)
-            if literal is None:
-                body.append(f"if {exponent} != {exponent}: raise _EvalDomainError('NaN reached a power', _source)")
-            expr = f"_pow({base}, {exponent})"
-            if literal:  # nonzero
-                fast = f"_pow({fast_base}, {fast_exponent})"
-            else:
-                first, b = once(fast_base, f"b{len(body)}")
-                nan_checks = [f"{first} != {b}"]
-                if literal is None:
-                    second, fast_exponent = once(fast_exponent, f"e{len(body)}")
-                    nan_checks.append(f"{second} != {fast_exponent}")
-                fast = f"(_nan if {' or '.join(nan_checks)} else _pow({b}, {fast_exponent}))"
-        elif isinstance(node, Call1):
-            arg, fast_arg = operand(node.arg)
-            expr, fast = f"_{node.name}({arg})", f"_{node.name}({fast_arg})"
-        elif isinstance(node, Call2):
-            (left, fast_left), (right, fast_right) = operand(node.left), operand(node.right)
-            # Python's min/max can silently drop a NaN operand
-            body.append(
-                f"if {left} != {left} or {right} != {right}: "
-                "raise _EvalDomainError('NaN reached min/max', _source)"
-            )
-            expr = f"_{node.name}({left}, {right})"
-            (first, p), (second, q) = once(fast_left, f"p{len(body)}"), once(fast_right, f"q{len(body)}")
-            fast = f"(_nan if {first} != {p} or {second} != {q} else _{node.name}({p}, {q}))"
-        else:
-            raise TypeError(f"unknown node {node!r}")
-        name = f"v{len(body)}"
-        body.append(f"{name} = {expr}")
-        return name, fast
-
-    value, fast = operand(node)
-    body.append(f"value = {value}")
-    lines = [
-        "def _evaluate(t):",
-        "    try:",
-        *(f"        {stmt}" for stmt in body),
-        "    except _EvalDomainError:",
-        "        raise",
-        "    except (ValueError, ZeroDivisionError, OverflowError) as exc:",
-        "        raise _EvalDomainError(f'evaluation failed at t={t!r}: {exc}', _source) from None",
-        "    if not _isfinite(value):",
-        "        raise _EvalDomainError(f'evaluation at t={t!r} left the finite reals', _source)",
-        "    return value",
-    ]
-    code = "\n".join(lines) + _FAST.format(fast=fast)
+    checked, fast = _translate(node, namespace, True), _translate(node, namespace, False)
+    code = _TEMPLATE.format(checked=checked, fast=fast)
     exec(compile(code, "<hhverify expression>", "exec"), namespace)
     return namespace["_evaluate"], namespace["_batch"], namespace["_weighted"]
 
@@ -517,7 +473,12 @@ def parse(text: str) -> FunctionSpec:
     """Parse ``text`` into a :class:`FunctionSpec`.
 
     Raises :class:`ParseError` with a byte offset on syntax errors, unknown
-    identifiers, arity mismatches and non-constant power exponents.
+    identifiers, arity mismatches, non-constant power exponents, and input
+    that nests deeper than the parser or Python's compiler of the generated
+    code follows (the offset is where parsing stopped).
     """
-    ast = _Parser(text).parse()
-    return FunctionSpec(source=text, ast=ast)
+    parser = _Parser(text)
+    try:
+        return FunctionSpec(source=text, ast=parser.parse())
+    except (RecursionError, SyntaxError):  # the parser's or Python's compiler's
+        raise ParseError("expression nests too deeply", _byte_offset(text, parser._peek().pos)) from None

@@ -28,8 +28,9 @@ label=...)``.
   bit to ``[f(t) for t in ts]`` and raising only where that raises (not
   necessarily the same exception: a batch may visit its evaluations in
   another order).  A parsed expression's batch checks finiteness once per
-  call, not per node, and evaluates again node by node when the check
-  fails, so it raises the exception of the first failing node.
+  call, not per node, and evaluates again node by node through its scalar
+  evaluator when the check fails or a node raises, so it raises the
+  exception of the first failing node.
 - ``weighted(lo, hi)``: its own Gauss-Kronrod rule for t -> f(t)/t^2 on
   one segment, which returns what the generic rule ``quad._gk15`` returns
   on that integrand, bit for bit, and raises what that raises;

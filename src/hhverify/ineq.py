@@ -593,19 +593,13 @@ def product_inequalities(
     f_mid = f(interval.harmonic_midpoint)
     fb, fn, gn = map(as_function, (sym_transform(f, interval), f, g))
     i_f = _Barred.of(weighted_integral(fn, a, b, tol=quad_tol, breakpoints=kinks_of(fn)))
-    if g is f:
-        i_g = i_f
+    i_g = i_f if g is f else _Barred.of(weighted_integral(gn, a, b, tol=quad_tol, breakpoints=kinks_of(gn)))
 
-        def batch(ts: Sequence[float]) -> list[float]:
-            # f at the nodes, then at their reflections: sym(f) and g at once
-            values = fn.batch_values([*ts, *interval.reflect_all(ts)])
-            return [0.5 * (u + v) * u / (t * t) for u, v, t in zip(values, values[len(ts) :], ts)]
-
-    else:
-        i_g = _Barred.of(weighted_integral(gn, a, b, tol=quad_tol, breakpoints=kinks_of(gn)))
-
-        def batch(ts: Sequence[float]) -> list[float]:
-            return [p * q / (t * t) for p, q, t in zip(fb.batch_values(ts), gn.batch_values(ts), ts)]
+    def batch(ts: Sequence[float]) -> list[float]:
+        # f at the nodes, then at their reflections: sym(f), and g when g is f
+        values = fn.batch_values([*ts, *interval.reflect_all(ts)])
+        gs = values if g is f else gn.batch_values(ts)
+        return [0.5 * (u + v) * q / (t * t) for u, v, q, t in zip(values, values[len(ts) :], gs, ts)]
 
     product = Function(lambda t: fb(t) * g(t) / (t * t), batch)
     i_fg = _Barred.of(integrate(product, a, b, tol=quad_tol, breakpoints=kinks_of(fb) + kinks_of(gn)))

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -347,6 +348,28 @@ _T5_POINTS = ["verify", "--chain", "t5", "--fn", "x", "--a", "1", "--b", "2", "-
 )
 def test_bad_h_names_the_option(args, err):
     assert run_cli(args) == (2, "", f"hhverify {args[0]}: {err}\n")
+
+
+_LONG_SUM = "+".join(["x"] * 301)
+_DEEP_PARENTHESES = "(" * 300 + "x" + ")" * 300
+
+
+@pytest.mark.parametrize(
+    "args, option, text",
+    [
+        (["verify", "--chain", "t1", "--fn", _LONG_SUM, "--a", "1", "--b", "2"], "--fn", _LONG_SUM),
+        (["check", "--class", "hc", "--fn", _DEEP_PARENTHESES, "--a", "1", "--b", "2"], "--fn", _DEEP_PARENTHESES),
+        (_HH_X + ["--h", _LONG_SUM], "--h", _LONG_SUM),
+    ],
+    ids=["verify-sum", "check-parentheses", "check-h-sum"],
+)
+def test_over_deep_expression_exits_2(args, option, text):
+    # one usage line, no traceback: exit 1 would claim a mathematical violation
+    result = run_module(args)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "Traceback" not in result.stderr
+    prefix = re.escape(f"hhverify {args[0]}: cannot parse {option} {text!r}: ")
+    assert re.fullmatch(prefix + r"expression nests too deeply \(byte offset \d+\)\n", result.stderr)
 
 
 _FAILS = "ln(x-1.5)"

@@ -20,7 +20,6 @@ from hhverify.fnspec import (
     Pow,
     Var,
     parse,
-    to_source,
 )
 
 
@@ -175,27 +174,6 @@ def _random_ast(rng: random.Random, depth: int):
     return BinOp(op, _random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
 
 
-def _eval_or_error(spec, t):
-    try:
-        return spec(t)
-    except EvalDomainError:
-        return "error"
-
-
-def test_roundtrip_print_parse_exact():
-    # 100 random trees, 50 points each: identical doubles (or identical errors)
-    rng = random.Random(20240817)
-    from hhverify.fnspec import FunctionSpec
-
-    for _ in range(100):
-        ast = _random_ast(rng, rng.randint(1, 6))
-        original = FunctionSpec(source="<generated>", ast=ast)
-        reparsed = parse(to_source(ast))
-        for _ in range(50):
-            t = rng.uniform(0.05, 3.0)
-            assert _eval_or_error(original, t) == _eval_or_error(reparsed, t)
-
-
 def test_no_silent_nan_fuzz():
     rng = random.Random(99)
     from hhverify.fnspec import FunctionSpec
@@ -348,6 +326,26 @@ def test_generated_evaluator_is_exact(ast, t):
 def test_generated_evaluator_errors_match_reference(source, unused, t, message):
     spec = parse(source)
     assert _outcome(spec, t) == _outcome(_reference, spec.ast, t) == ("error", message)
+
+
+# input that nests deeper than the parser, or Python's compiler of the
+# generated code, can follow is refused when parsed, not when first evaluated
+_LONG_SUM = "+".join(["x"] * 301)
+_DEEP_PARENTHESES = "(" * 300 + "x" + ")" * 300
+
+
+@pytest.mark.parametrize("source", [_LONG_SUM, _DEEP_PARENTHESES], ids=["301-term sum", "300 parentheses"])
+def test_over_deep_input_is_a_parse_error(source):
+    with pytest.raises(ParseError, match=r"^expression nests too deeply \(byte offset \d+\)$"):
+        parse(source)
+
+
+def test_long_sum_within_the_limits_is_exact():
+    spec = parse("+".join(["x"] * 151))
+    for t in (0.1, 1.0, 3.7, 1e306):
+        assert _outcome(spec, t) == _outcome(_reference, spec.ast, t)
+    assert_batch_and_rule_are_scalar(spec, [0.1, 1.0, 3.7], 1.0, 2.0)
+    assert_batch_and_rule_are_scalar(spec, [0.1, 1e306], 1e305, 1e306)
 
 
 # --- the compiled batch and rule against the scalar evaluator ------------------
