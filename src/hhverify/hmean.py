@@ -38,7 +38,8 @@ label=...)``.
   two sums once, and applies the rule again through the scalar evaluator
   when they are not finite.
 - ``rule``: a Gauss-Kronrod rule of the record's own values, which only the
-  integrand of ``weighted_integral`` fills.
+  integrand of ``weighted_integral`` and the product integrand of the
+  ``t4`` chain fill.
 - ``label``: the label that reports carry.
 
 Parsed expressions (``fnspec.FunctionSpec``) are records built once when
@@ -48,17 +49,20 @@ are not guessed.  ``corpus.PiecewiseConvexReciprocal`` is a record with its
 kinks (a tuple built once), a hand-written weighted rule and its name.  A
 :class:`TransformedFunction`, the symmetric part sym(f), is a record whose
 kinks are :func:`sym_kinks` of its base, computed when read, and whose
-batch evaluates its base in one batch over the nodes and then their
-reflections.  Each of these three is its own scalar call, so every call
-goes through its ``__call__``.  Derived functions are records too:
-``ineq.HFunction`` weights are the record of their function, labelled with
-their name; the integrand f(t)/t^2 of ``weighted_integral`` carries f's
-weighted rule as its rule; and the integrands of the ``t4`` and ``c1``
-chains carry batches built on those of f, g, w and h, which take f, or w,
-over the nodes and their reflections in one batch (and, for ``t4`` with g
-the same object as f, g's values from it too).  A wrapper that replaces a
-function (a counting wrapper, say) is a plain callable, so it is called
-once per node and sees every evaluation, with the same results.
+batch, a method looked up when read, evaluates its base in one batch over
+the nodes and then their reflections.  Each of these three is its own
+scalar call, so every call goes through its ``__call__``.  Derived
+functions are records too: ``ineq.HFunction`` weights are the record of
+their function, labelled with their name; the integrand f(t)/t^2 of
+``weighted_integral`` carries f's weighted rule as its rule; the product
+integrand sym(f)*g/t^2 of the ``t4`` chain carries a rule of its own,
+which takes f over a segment's nodes and their reflections in one batch
+(and g's values from it too, when g is the same object as f); and the
+integrands of the ``c1`` chain carry batches built on those of f, w and
+h, which take f, or w, over the nodes and their reflections in one batch.
+A wrapper that replaces a function (a counting wrapper, say) is a plain
+callable, so it is called once per node and sees every evaluation, with
+the same results.
 
 Batches.  A list of values goes through :func:`batch_else_each`: the batch
 in one call, and, should it raise, one call per item in order, so that the
@@ -194,9 +198,9 @@ class Function:
     """A function of one float and what it knows about itself (see the
     module docstring): ``call``, its scalar call; ``batch``, ``weighted``
     and ``label``, each None where it knows none; its ``kinks``; and
-    ``rule``, a Gauss-Kronrod rule of its own, which only the integrand of
-    ``weighted_integral`` fills (else None).  Calling the record calls
-    ``call``."""
+    ``rule``, a Gauss-Kronrod rule of its own, which only the integrands of
+    ``weighted_integral`` and of the ``t4`` product fill (else None).
+    Calling the record calls ``call``."""
 
     __slots__ = ("call", "batch", "rule", "weighted", "kinks", "label")
 
@@ -282,27 +286,24 @@ class TransformedFunction(_FrozenFunction):
 
     Nothing is memoised: each call evaluates ``base`` twice.  It kinks where
     ``base`` does and at the reflections of those kinks, which :attr:`kinks`
-    lists when read.  Its batch is one batch of ``base`` over the nodes and
-    then their reflections, with no fallback of its own, on ``base``'s
-    record resolved once, at construction.  It has no rule, weighted rule
-    or label, for every instance alike.
+    lists when read.  Its batch is the method :meth:`batch`, looked up when
+    read, so that an instance built to be called at one point (as the
+    pointwise chains build one) builds nothing more.  It has no rule,
+    weighted rule or label, for every instance alike.
     """
 
     base: Callable[[float], float]
     interval: HInterval
     rule = weighted = label = None
 
-    def __post_init__(self):
-        fn, reflect_all = as_function(self.base), self.interval.reflect_all
-
-        def batch(ts: Sequence[float]) -> list[float]:
-            values = fn.batch_values([*ts, *reflect_all(ts)])
-            return [0.5 * (u + v) for u, v in zip(values, values[len(ts) :])]
-
-        self._set_slots(batch=batch)
-
     def __call__(self, t: float) -> float:
         return 0.5 * (self.base(t) + self.base(self.interval.reflect(t)))
+
+    def batch(self, ts: Sequence[float]) -> list[float]:
+        """One batch of ``base`` over ``ts`` and then their reflections, with
+        no fallback of its own."""
+        values = as_function(self.base).batch_values([*ts, *self.interval.reflect_all(ts)])
+        return [0.5 * (u + v) for u, v in zip(values, values[len(ts) :])]
 
     @property
     def kinks(self) -> tuple[float, ...]:

@@ -20,8 +20,10 @@ is always ``derived_corrected`` and reports name their variant.
 Every integral of f, of its symmetric part or of a product with them gets
 their kinks as quadrature breakpoints, and every integrand built on them
 is a function record (see :mod:`hhverify.hmean`), so it keeps their
-batches and rules.  The nested ``r4`` double integral splits its outer
-integral at the kinks of sym(f) and passes none to its inner integrals.
+batches and rules.  The ``t4`` product integrand sym(f)*g/t^2 carries a
+Gauss-Kronrod rule of its own, built on the batches of f and g.  The
+nested ``r4`` double integral splits its outer integral at the kinks of
+sym(f) and passes none to its inner integrals.
 
 ``r4`` and ``c1`` also have an evaluator of several ``(h, direction)``
 cases (:func:`refinement_reports`, :func:`weighted_reports`, named in
@@ -49,7 +51,9 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from . import fnspec
 from .hmean import Function, HInterval, as_function, first_negative, kinks_of, sym_kinks, sym_transform
 from .quad import (
+    GK15,
     QuadResult,
+    _gk15,
     integrate,
     refinement_double_integral,
     reflected_weighted_integral,
@@ -557,6 +561,51 @@ def chain_harmonic_full(
 # --- product of a harmonic convex and a symmetrized harmonic convex function -
 
 
+def _product_integrand(f, g, interval: HInterval) -> Function:
+    """The record of t -> sym(f)(t) * g(t) / t^2, with :func:`_product_rule`
+    as its rule.  Neither its scalar call nor its rule refers to the
+    record: a cycle would keep every ``t4`` call's record alive until the
+    cyclic collector runs."""
+    fb = sym_transform(f, interval)
+
+    def call(t: float) -> float:
+        return fb(t) * g(t) / (t * t)
+
+    gn = None if g is f else as_function(g)
+    return Function(call, rule=functools.partial(_product_rule, call, as_function(f), gn, interval.reflect_all))
+
+
+def _product_rule(
+    call, fn: Function, gn: Optional[Function], reflect_all, lo: float, hi: float
+) -> tuple[float, float]:
+    """The Gauss-Kronrod rule of the ``t4`` product integrand ``call`` on
+    [lo, hi]: what ``quad._gk15`` returns on ``call``, bit for bit.
+
+    It forms the 15 nodes as ``_gk15`` does, takes f over the nodes and then
+    their reflections ``reflect_all(nodes)`` in one batch, and g's values
+    from that batch when ``gn`` is None (g is f), else from ``gn``'s one
+    batch; each node's value 0.5 * (u + v) * q / t^2 is formed in the loop
+    that sums K15 and G7.  When a batch raises, the segment goes to
+    ``_gk15`` on ``call``, node by node, which raises what the first
+    failing node raises.
+    """
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    ts = [c + h * x for x, _, _ in GK15]
+    try:
+        values = fn.batch_values([*ts, *reflect_all(ts)])
+        gs = values if gn is None else gn.batch_values(ts)
+    except Exception:  # the first failing node decides
+        return _gk15(call, lo, hi)
+    k = 0.0
+    g = 0.0
+    for (_, wk, wg), t, u, v, q in zip(GK15, ts, values, values[15:], gs):
+        fv = 0.5 * (u + v) * q / (t * t)
+        k += wk * fv
+        g += wg * fv
+    return h * k, abs(h) * abs(k - g)
+
+
 def product_inequalities(
     f: Callable[[float], float],
     g: Callable[[float], float],
@@ -580,10 +629,13 @@ def product_inequalities(
     both concave-type for their classes, so reports carry direction
     "convex" either way.
 
+    The product integrand sym(f)*g/t^2 carries its own rule
+    (:func:`_product_rule`): each segment takes f in one batch over its
+    nodes and their reflections, and g in one batch over its nodes, and
+    returns what the generic rule returns on the integrand, bit for bit.
     When ``g is f``, int f/t^2 is integrated once and serves as Ig too, and
-    each segment of the product takes f in one batch over its nodes and
-    their reflections, for sym(f) and g at once; the reports are those of a
-    g equal to f but distinct from it.
+    the product takes g's values from f's batch; the reports are those of
+    a g equal to f but distinct from it.
     """
     _check_variant(variant)
     a, b = interval.a, interval.b
@@ -591,18 +643,11 @@ def product_inequalities(
     avg_f = _endpoint_avg(f, interval)
     avg_g = _endpoint_avg(g, interval)
     f_mid = f(interval.harmonic_midpoint)
-    fb, fn, gn = map(as_function, (sym_transform(f, interval), f, g))
+    fn, gn = as_function(f), as_function(g)
     i_f = _Barred.of(weighted_integral(fn, a, b, tol=quad_tol, breakpoints=kinks_of(fn)))
     i_g = i_f if g is f else _Barred.of(weighted_integral(gn, a, b, tol=quad_tol, breakpoints=kinks_of(gn)))
-
-    def batch(ts: Sequence[float]) -> list[float]:
-        # f at the nodes, then at their reflections: sym(f), and g when g is f
-        values = fn.batch_values([*ts, *interval.reflect_all(ts)])
-        gs = values if g is f else gn.batch_values(ts)
-        return [0.5 * (u + v) * q / (t * t) for u, v, q, t in zip(values, values[len(ts) :], gs, ts)]
-
-    product = Function(lambda t: fb(t) * g(t) / (t * t), batch)
-    i_fg = _Barred.of(integrate(product, a, b, tol=quad_tol, breakpoints=kinks_of(fb) + kinks_of(gn)))
+    product = _product_integrand(f, g, interval)
+    i_fg = _Barred.of(integrate(product, a, b, tol=quad_tol, breakpoints=sym_kinks(fn, interval) + kinks_of(gn)))
     w = scale * i_fg
 
     lower_combo = avg_f * scale * i_g + avg_g * scale * i_f - avg_f * avg_g

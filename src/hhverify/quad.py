@@ -25,11 +25,14 @@ integral and none to its inner ones.
 Rules.  ``integrate`` applies the integrand's own rule when it has one,
 and the generic rule ``_gk15`` otherwise; :func:`weighted_integral` builds
 its integrand f(t)/t^2 with f's weighted rule as its rule (the function
-records of :mod:`hhverify.hmean`).  Nodes, segments, evaluation counts and
-results are the same on either path, bit for bit.  Every rule sums K15 and
-G7 over :data:`GK15` in its order.  ``refinement_double_integral`` builds
-that integrand once for all its inner integrals; its outer integrand is a
-plain function, called node by node.
+records of :mod:`hhverify.hmean`), and the ``t4`` chain
+(``ineq.product_inequalities``) builds its product integrand
+sym(f)*g/t^2 with a rule of its own, one kernel per segment over f's and
+g's batches.  Nodes, segments, evaluation counts and results are the same
+on either path, bit for bit.  Every rule sums K15 and G7 over :data:`GK15`
+in its order.  ``refinement_double_integral`` builds that integrand once
+for all its inner integrals; its outer integrand is a plain function,
+called node by node.
 
 Results.  Every routine returns a :class:`QuadResult`, a frozen dataclass
 rather than a tuple: it neither unpacks nor compares equal to one.  Its

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+from functools import partial
 from typing import NamedTuple
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hhverify
-from hhverify import ineq
+from hhverify import convexity, ineq
 from hhverify.cli import _fmt_float, format_json, run_sweep
 from hhverify.corpus import builtin_functions, builtin_h
 from hhverify.ineq import CHAINS
@@ -185,6 +186,40 @@ class TestFormatJson:
         finally:
             if enabled:
                 gc.enable()
+
+
+def _library_calls():
+    """One call of each library entry point the CLI builds on, by name: the
+    functions they take are built here, before any of them runs."""
+    f, g, w = hhverify.parse("x^2 + 1"), hhverify.parse("1/x"), hhverify.parse("x^2 + 1")
+    h, interval = ineq.HFunction.from_source("x^0.5"), hhverify.HInterval(1.0, 2.0)
+    calls = {"parse": lambda: hhverify.parse("x^2 + 1")}
+    for chain in CHAINS.values():
+        calls[chain.id] = partial(
+            ineq.run_chain, chain.id, f=f, interval=interval, x=1.2, y=1.7, g=g, h=h, w=w, quad_tol=1e-8
+        )
+    calls["t4_g_is_f"] = partial(ineq.run_chain, "t4", f=f, interval=interval, g=f)
+    calls["check_class"] = partial(convexity.check_class, "symmetrized", f, 1.0, 2.0)
+    calls["run_sweep"] = partial(run_sweep, entry_names=["square"])
+    return calls
+
+
+@pytest.mark.parametrize("name", _library_calls())
+def test_library_calls_leave_no_reference_cycles(name):
+    # each result is held while the collector runs: a parsed expression's
+    # compiled functions and their namespace refer to each other
+    call = _library_calls()[name]
+    call()  # first-call caches are not this call's garbage
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = call()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert result is not None
 
 
 class TestCheck:

@@ -13,6 +13,7 @@ from hhverify.fnspec import (
     Call1,
     Call2,
     EvalDomainError,
+    ExpressionError,
     FunctionSpec,
     Neg,
     Num,
@@ -338,6 +339,30 @@ _DEEP_PARENTHESES = "(" * 300 + "x" + ")" * 300
 def test_over_deep_input_is_a_parse_error(source):
     with pytest.raises(ParseError, match=r"^expression nests too deeply \(byte offset \d+\)$"):
         parse(source)
+
+
+def _nested(wrap, depth):
+    node = Var()
+    for _ in range(depth):
+        node = wrap(node)
+    return node
+
+
+@pytest.mark.parametrize(
+    "ast",
+    [
+        _nested(lambda node: BinOp("+", node, Var()), 200),
+        _nested(lambda node: Pow(node, Num(0.0)), 200),
+        # deeper than the translation recurses
+        _nested(Neg, 5000),
+    ],
+    ids=["left-nested sum of 200", "200 powers of 0", "5000 negations"],
+)
+def test_over_deep_tree_is_an_expression_error(ast):
+    # a tree built without the parser has no byte offset to report
+    with pytest.raises(ExpressionError, match="^expression nests too deeply$") as info:
+        FunctionSpec(source="<generated>", ast=ast)
+    assert type(info.value) is ExpressionError
 
 
 def test_long_sum_within_the_limits_is_exact():

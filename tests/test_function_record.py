@@ -134,9 +134,10 @@ def test_piecewise_weighted_integrand_keeps_the_rule(integrands):
 )
 def test_t4_integrand_keeps_the_batches(make_f, integrands):
     product_inequalities(make_f(), parse("x^2 + 1"), I12)
-    # int f/t^2 and int g/t^2, then sym(f)*g/t^2
+    # int f/t^2 and int g/t^2, then sym(f)*g/t^2, whose own rule takes the
+    # batches of f and g
     product = integrands[2]
-    assert product.batch is not None and product.rule is None
+    assert product.rule is not None and product.batch is None
     assert_record_is_per_node(product, 1.0, 2.0)
     assert_record_is_per_node(product, *SEGMENT)
 
@@ -145,6 +146,7 @@ def test_t4_integrand_raises_at_the_first_failing_node(integrands):
     product_inequalities(parse(FAILS), parse("x^2 + 1"), I12)
     product = integrands[2]
     assert _values(product.values_at, _TS) == FIRST_FAILURE
+    assert _outcome(product.rule, *SEGMENT) == FIRST_FAILURE
     assert _outcome(partial(_gk15, product), *SEGMENT) == FIRST_FAILURE
 
 
@@ -200,10 +202,10 @@ def test_t4_integrand_with_g_is_f_keeps_the_batch(make_f, integrands):
     # g; on SEGMENT, FAILS raises at the reflection of node 1 node by node
     f = make_f()
     product_inequalities(f, f, I12)
-    # int f/t^2 once, then sym(f)*f/t^2
+    # int f/t^2 once, then sym(f)*f/t^2, whose own rule takes f's batch
     assert len(integrands) == 2
     product = integrands[1]
-    assert product.batch is not None and product.rule is None
+    assert product.rule is not None and product.batch is None
     assert_record_is_per_node(product, 1.0, 2.0)
     assert_record_is_per_node(product, *SEGMENT)
 

@@ -8,10 +8,12 @@ what the generic rule returns on ``lambda t: f(t) / (t * t)``, and raise the
 same exception with the same message (the message of an expression's error
 names the node ``t`` at which it was raised).
 
-Parsed expressions, symmetric parts and the ``t4`` and ``c1`` integrands
-are records with a ``batch``, which the generic rule calls once per segment.
-Every result must be the one the rule gives with the batch hidden,
-from one rule application up to the default sweep's bytes.
+Parsed expressions, symmetric parts and the ``c1`` integrands are records
+with a ``batch``, which the generic rule calls once per segment.  The ``t4``
+product integrand is a record with a ``rule`` of its own, built on the
+batches of f and g.  Every result must be the one the generic rule gives
+with the batch or the rule hidden, from one rule application up to the
+default sweep's bytes.
 """
 
 import math
@@ -22,11 +24,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hhverify import cli, quad
+from hhverify import cli, ineq, quad
 from hhverify.corpus import random_harmonic_convex
 from hhverify.fnspec import BinOp, Call1, Call2, EvalDomainError, FunctionSpec, Neg, Num, Pow, Var, parse
 from hhverify.hmean import Function, HInterval, sym_transform
-from hhverify.ineq import HFunction, chain_refinement, product_inequalities, weighted_bounds
+from hhverify.ineq import HFunction, _product_integrand, chain_refinement, product_inequalities, weighted_bounds
 from hhverify.quad import GK15, _gk15
 
 
@@ -246,16 +248,99 @@ def test_piecewise_symmetric_part_rule_is_per_node():
                 assert_rule_is_per_node(fb, lo, hi)
 
 
+# --- the t4 product integrand ---------------------------------------------------------
+
+
+def _product_functions(a, b):
+    """(name, f) of parsed, piecewise and plain-callable functions on [a, b],
+    and of a parsed and a plain-callable one that fail to evaluate where
+    |t| <= c, for a c inside the interval."""
+    c = min(abs(a), abs(b)) + 0.3 * (b - a)
+    interval = HInterval(a, b)
+    return [
+        ("parsed", parse("exp(x) - 1/x")),
+        ("parsed square", parse("x^2")),
+        ("parsed failing", parse(f"ln(abs(x) - {c!r})")),
+        ("piecewise 3", random_harmonic_convex(3, interval)),
+        ("piecewise 8", random_harmonic_convex(8, interval)),
+        ("callable", lambda t: t * t + 1.0),
+        ("callable failing", lambda t: math.log(abs(t) - c)),
+    ]
+
+
+def _product_segments(a, b, rng):
+    """The whole interval, segments that end at a or at b, segments across
+    and up to the harmonic midpoint, random ones, and each reversed."""
+    m = HInterval(a, b).harmonic_midpoint
+    width = b - a
+    inner = [a + rng.random() * width for _ in range(6)]
+    segments = [(a, b), (a, inner[0]), (inner[1], b), (a, a + 1e-9 * width), (b - 1e-9 * width, b)]
+    segments += [(m - 1e-3 * width, m + 1e-3 * width), (inner[2], m), (m, inner[3]), (inner[4], inner[5])]
+    return segments + [(hi, lo) for lo, hi in segments]
+
+
+def assert_product_rule_is_generic(f, g, interval, lo, hi):
+    product = _product_integrand(f, g, interval)
+    # the same record's scalar call, with its rule and batch hidden
+    assert _outcome(product.rule, lo, hi) == _outcome(partial(_gk15, Function(product.call)), lo, hi)
+
+
+@pytest.mark.parametrize("a, b", KINKED_INTERVALS)
+def test_product_rule_is_generic_rule(a, b):
+    rng = random.Random(13)
+    interval = HInterval(a, b)
+    functions = _product_functions(a, b)
+    for name, f in functions:
+        # g is f (one batch for both), and g distinct, of each kind
+        for g in [f, *(g for other, g in functions if other != name)]:
+            for lo, hi in _product_segments(a, b, rng):
+                assert_product_rule_is_generic(f, g, interval, lo, hi)
+
+
+def test_product_rule_raises_zero_division_bare():
+    # t*t underflows to zero at every node: every batch succeeds, and the
+    # rule raises where the integrand divides
+    interval = HInterval(1e-170, 2e-170)
+    for f in (parse("1"), lambda t: 1.0):
+        for g in (f, parse("2")):
+            assert_product_rule_is_generic(f, g, interval, 1e-170, 2e-170)
+            with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+                _product_integrand(f, g, interval).rule(1e-170, 2e-170)
+
+
+def test_product_rule_evaluates_each_batch_once():
+    calls = []
+
+    def counted(fn):
+        def batch(ts):
+            calls.append((fn.label, len(ts)))
+            return fn.batch(ts)
+
+        return Function(fn, batch)
+
+    f, g, interval = counted(parse("exp(x) - 1/x")), counted(parse("x^2")), HInterval(1.0, 2.0)
+    # f over the nodes and their reflections, then g over the nodes
+    _product_integrand(f, g, interval).rule(1.2, 1.7)
+    assert calls == [("exp(x) - 1/x", 30), ("x^2", 15)]
+    calls.clear()
+    # g is f: its values come from f's batch
+    _product_integrand(f, f, interval).rule(1.2, 1.7)
+    assert calls == [("exp(x) - 1/x", 30)]
+
+
 # --- the batch path end to end -------------------------------------------------------
 
 
 @pytest.fixture
 def node_by_node(monkeypatch):
-    """Hide every integrand's batch from the generic rule."""
+    """Hide every integrand's batch from the generic rule, and the ``t4``
+    product integrand's own rule, so that it takes the generic rule too."""
 
     def hide():
         gk15 = quad._gk15
         monkeypatch.setattr(quad, "_gk15", lambda f, lo, hi: gk15(_per_node(f), lo, hi))
+        product_integrand = ineq._product_integrand
+        monkeypatch.setattr(ineq, "_product_integrand", lambda *args: Function(product_integrand(*args).call))
 
     return hide
 
