@@ -291,43 +291,46 @@ _RUNTIME = {
 # checks every power's base, and ``{fast}``, which skips that check under a
 # nonzero literal exponent.  On any exception or a non-finite sum, ``_batch``
 # and ``_weighted`` start again through ``_evaluate`` node by node, which
-# raises at the first failing node
+# raises at the first failing node.  ``_make`` builds and returns the three,
+# so that the namespace, their globals, does not hold them
 _TEMPLATE = """
-def _evaluate(t):
-    try:
-        value = {checked}
-    except _EvalDomainError:
-        raise
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise _EvalDomainError('evaluation failed at t=%r: %s' % (t, exc), _source) from None
-    if not _isfinite(value):
-        raise _EvalDomainError('evaluation at t=%r left the finite reals' % (t,), _source)
-    return value
-def _batch(ts):
-    try:
-        values = [{fast} for t in ts]
-        s = sum(values)
-        if s - s == 0.0:
-            return values
-    except Exception:
-        pass
-    return list(map(_evaluate, ts))
-def _weighted(lo, hi):
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    k = 0.0
-    g = 0.0
-    try:
-        for x, wk, wg in _GK15:
-            t = c + h * x
-            fv = {fast} / (t * t)
-            k += wk * fv
-            g += wg * fv
-        if k - k == 0.0 == g - g:
-            return h * k, _abs(h) * _abs(k - g)
-    except Exception:
-        pass
-    return _gk15(lambda t: _evaluate(t) / (t * t), lo, hi)
+def _make():
+    def _evaluate(t):
+        try:
+            value = {checked}
+        except _EvalDomainError:
+            raise
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise _EvalDomainError('evaluation failed at t=%r: %s' % (t, exc), _source) from None
+        if not _isfinite(value):
+            raise _EvalDomainError('evaluation at t=%r left the finite reals' % (t,), _source)
+        return value
+    def _batch(ts):
+        try:
+            values = [{fast} for t in ts]
+            s = sum(values)
+            if s - s == 0.0:
+                return values
+        except Exception:
+            pass
+        return list(map(_evaluate, ts))
+    def _weighted(lo, hi):
+        c = 0.5 * (lo + hi)
+        h = 0.5 * (hi - lo)
+        k = 0.0
+        g = 0.0
+        try:
+            for x, wk, wg in _GK15:
+                t = c + h * x
+                fv = {fast} / (t * t)
+                k += wk * fv
+                g += wg * fv
+            if k - k == 0.0 == g - g:
+                return h * k, _abs(h) * _abs(k - g)
+        except Exception:
+            pass
+        return _gk15(lambda t: _evaluate(t) / (t * t), lo, hi)
+    return _evaluate, _batch, _weighted
 """
 
 
@@ -435,7 +438,11 @@ def compile_ast(
     on that integrand; each raises what those raise, at the same node, and
     a zero ``t*t`` raises a bare ``ZeroDivisionError``, as the integrand
     does.  All three functions come from one template and one ``compile``
-    call.  A tree that nests deeper than the translation or Python's
+    call, which defines a factory that builds them.  The factory is called
+    once and popped from the namespace the code ran in: that namespace is
+    the functions' globals, so if it held them, each parsed expression
+    would be a reference cycle, freed only by the cyclic collector once
+    dropped.  A tree that nests deeper than the translation or Python's
     compiler follows raises :class:`ExpressionError` ("expression nests too
     deeply").
     """
@@ -446,7 +453,7 @@ def compile_ast(
     except (RecursionError, SyntaxError):  # the translation's or Python's compiler's
         raise ExpressionError("expression nests too deeply") from None
     exec(code, namespace)
-    return namespace["_evaluate"], namespace["_batch"], namespace["_weighted"]
+    return namespace.pop("_make")()
 
 
 @dataclass(frozen=True)

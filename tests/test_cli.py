@@ -193,7 +193,8 @@ def _library_calls():
     functions they take are built here, before any of them runs."""
     f, g, w = hhverify.parse("x^2 + 1"), hhverify.parse("1/x"), hhverify.parse("x^2 + 1")
     h, interval = ineq.HFunction.from_source("x^0.5"), hhverify.HInterval(1.0, 2.0)
-    calls = {"parse": lambda: hhverify.parse("x^2 + 1")}
+    # a dropped parse result: only its source is kept
+    calls = {"parse": lambda: hhverify.parse("x^2 + 1"), "parse_dropped": lambda: hhverify.parse("x^2 + 1").source}
     for chain in CHAINS.values():
         calls[chain.id] = partial(
             ineq.run_chain, chain.id, f=f, interval=interval, x=1.2, y=1.7, g=g, h=h, w=w, quad_tol=1e-8
@@ -206,8 +207,8 @@ def _library_calls():
 
 @pytest.mark.parametrize("name", _library_calls())
 def test_library_calls_leave_no_reference_cycles(name):
-    # each result is held while the collector runs: a parsed expression's
-    # compiled functions and their namespace refer to each other
+    # each result is held while the collector runs, and what a call drops
+    # must go with its last reference, not wait for the collector
     call = _library_calls()[name]
     call()  # first-call caches are not this call's garbage
     gc.collect()

@@ -1,13 +1,11 @@
 import math
 import random
 import struct
-from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hhverify import quad
 from hhverify.fnspec import (
     BinOp,
     Call1,
@@ -369,76 +367,3 @@ def test_long_sum_within_the_limits_is_exact():
     spec = parse("+".join(["x"] * 151))
     for t in (0.1, 1.0, 3.7, 1e306):
         assert _outcome(spec, t) == _outcome(_reference, spec.ast, t)
-    assert_batch_and_rule_are_scalar(spec, [0.1, 1.0, 3.7], 1.0, 2.0)
-    assert_batch_and_rule_are_scalar(spec, [0.1, 1e306], 1e305, 1e306)
-
-
-# --- the compiled batch and rule against the scalar evaluator ------------------
-
-
-def _bits_or_error(fn, *args):
-    """The bits of each float ``fn`` returns, or the type and message it raised."""
-    try:
-        result = fn(*args)
-    except Exception as exc:  # the comparison covers every exception type
-        return (type(exc), str(exc))
-    return [struct.pack("<d", v) for v in result]
-
-
-def assert_batch_and_rule_are_scalar(spec, ts, lo, hi):
-    # the same values bit for bit, or the same exception at the same first node
-    assert _bits_or_error(spec.batch, ts) == _bits_or_error(lambda ts: [spec(t) for t in ts], ts)
-    generic = partial(quad._gk15, lambda t: spec(t) / (t * t))
-    assert _bits_or_error(spec.weighted, lo, hi) == _bits_or_error(generic, lo, hi)
-
-
-# nodes where errors of each kind are met: zero (a zero t*t), t*t underflowing
-# to zero or overflowing, values past the largest double, and non-finite nodes
-_NODES = _SPECIAL + [1e-170, -1e-170, 1e160, 1e200, 3.0, 1e-300]
-_node = st.sampled_from(_NODES) | st.floats(-5.0, 5.0) | st.floats(width=64)
-
-
-@settings(max_examples=400, deadline=None)
-@given(_trees, st.lists(_node, max_size=16), _node, _node)
-# inf - inf at some nodes only, under min and under a zero power
-@example(Call2("min", BinOp("-", BinOp("*", Var(), Num(1e308)), Num(math.inf)), Num(5.0)), [1.0, -1.0, 2.0], -2.0, 1.0)
-@example(Pow(BinOp("*", BinOp("*", Var(), Num(1e308)), Num(0.0)), Num(0.0)), [0.0, 1e300, math.inf], 1e160, 1e200)
-def test_batch_and_rule_are_the_scalar_evaluator(ast, ts, lo, hi):
-    assert_batch_and_rule_are_scalar(FunctionSpec(source="<generated>", ast=ast), ts, lo, hi)
-
-
-# each tree swallows a NaN in a plain evaluation: pow(nan, 0) == pow(1, nan) ==
-# 1, and min/max may drop a NaN operand.  The nodes reach the NaN (t = inf, or
-# x*1e308*10 - x*1e308*10 at a nonzero t) at some nodes only
-@pytest.mark.parametrize(
-    "source",
-    [
-        "x^0",
-        "x^(1-1)",
-        "(x*1e308*10 - x*1e308*10)^0",
-        "(x*1e308*10 - x*1e308*10)^(1-1)",
-        "(x*1e308*10 - x*1e308*10)^-0",
-        "1^(1e308*10 - 1e308*10)",
-        "1^(1e308*10 - 1e308*10) * x",
-        "min(x*1e308*10 - x*1e308*10, 5)",
-        "min(5, x*1e308*10 - x*1e308*10)",
-        "max(x*1e308*10 - x*1e308*10, 5)",
-        "max(1, x*1e308*10 - x*1e308*10)",
-        "max(min(x, x*1e308*10 - x*1e308*10), 1)",
-        "min(x, 1)^0 + 1",
-        "(x*1e308*10 - x*1e308*10)^2",
-        "min(x*1e308*10 - x*1e308*10, 1/(x-x))",
-        "max(1/(x-x), x*1e308*10 - x*1e308*10)",
-    ],
-)
-@pytest.mark.parametrize(
-    "ts, lo, hi",
-    [
-        ([0.0, 1.0, 2.0], -1.0, 1.0),
-        ([1.0, math.inf, 2.0], 1.0, 2.0),
-        ([0.0, 0.0, math.nan], 1e-170, 2e-170),
-        ([math.nan], math.inf, 1.0),
-    ],
-)
-def test_batch_and_rule_keep_a_swallowed_nan(source, ts, lo, hi):
-    assert_batch_and_rule_are_scalar(parse(source), ts, lo, hi)
