@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fastpaths import ROWS, SWALLOWED_NAN, assert_claims, nodes
 from hhverify.fnspec import (
     BinOp,
     Call1,
@@ -367,3 +368,44 @@ def test_long_sum_within_the_limits_is_exact():
     spec = parse("+".join(["x"] * 151))
     for t in (0.1, 1.0, 3.7, 1e306):
         assert _outcome(spec, t) == _outcome(_reference, spec.ast, t)
+    _assert_batch_and_rule_are_scalar(spec, [0.1, 1.0, 3.7], 1.0, 2.0)
+    _assert_batch_and_rule_are_scalar(spec, [0.1, 1e306], 1e305, 1e306)
+
+
+# --- the compiled batch and rule: the parsed rows of fastpaths.ROWS ------------
+
+
+def _assert_batch_and_rule_are_scalar(spec, ts, lo, hi):
+    # the same values bit for bit, or the same exception at the same first
+    # node: the batch on ts and on the nodes of [lo, hi], the rule on [lo, hi]
+    for name in ("parsed batch", "parsed weighted"):
+        assert_claims(ROWS[name].claims(spec, None, [(lo, hi)], [ts, nodes(lo, hi)]))
+
+
+# nodes where errors of each kind are met: zero (a zero t*t), t*t underflowing
+# to zero or overflowing, values past the largest double, and non-finite nodes
+_NODES = _SPECIAL + [1e-170, -1e-170, 1e160, 1e200, 3.0, 1e-300]
+_node = st.sampled_from(_NODES) | st.floats(-5.0, 5.0) | st.floats(width=64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees, st.lists(_node, max_size=16), _node, _node)
+# inf - inf at some nodes only, under min and under a zero power
+@example(Call2("min", BinOp("-", BinOp("*", Var(), Num(1e308)), Num(math.inf)), Num(5.0)), [1.0, -1.0, 2.0], -2.0, 1.0)
+@example(Pow(BinOp("*", BinOp("*", Var(), Num(1e308)), Num(0.0)), Num(0.0)), [0.0, 1e300, math.inf], 1e160, 1e200)
+def test_batch_and_rule_are_the_scalar_evaluator(ast, ts, lo, hi):
+    _assert_batch_and_rule_are_scalar(FunctionSpec(source="<generated>", ast=ast), ts, lo, hi)
+
+
+@pytest.mark.parametrize("source", SWALLOWED_NAN)
+@pytest.mark.parametrize(
+    "ts, lo, hi",
+    [
+        ([0.0, 1.0, 2.0], -1.0, 1.0),
+        ([1.0, math.inf, 2.0], 1.0, 2.0),
+        ([0.0, 0.0, math.nan], 1e-170, 2e-170),
+        ([math.nan], math.inf, 1.0),
+    ],
+)
+def test_batch_and_rule_keep_a_swallowed_nan(source, ts, lo, hi):
+    _assert_batch_and_rule_are_scalar(parse(source), ts, lo, hi)

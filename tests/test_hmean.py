@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhverify.corpus import random_harmonic_convex
+from fastpaths import ROWS, assert_calls, assert_claims
 from hhverify.fnspec import EvalDomainError, parse
 from hhverify.hmean import (
     Function,
     HInterval,
-    as_function,
     first_negative,
-    kinks_of,
     sym_transform,
 )
 
@@ -125,17 +123,8 @@ class TestTransforms:
         kinked = Function(lambda t: abs(t - 1.2), kinks=(1.2, 3.0))
         fb = sym_transform(kinked, interval)
         assert fb.kinks == (1.2, 3.0, interval.reflect(1.2))
-        # and so do a piecewise function's, all inside
-        f = random_harmonic_convex(6, interval)
-        assert sym_transform(f, interval).kinks == f.kinks + tuple(map(interval.reflect, f.kinks))
-        # parsed expressions have none, and a plain callable's attributes are not read
+        # parsed expressions have none
         assert sym_transform(parse("abs(x - 1.2)"), interval).kinks == ()
-
-        def plain(t):
-            return t
-
-        plain.kinks = (1.5,)
-        assert kinks_of(plain) == () and as_function(plain).call is plain
 
     def test_first_negative_is_the_first_failing_point(self):
         interval = HInterval(1.0, 2.0)
@@ -278,3 +267,61 @@ def test_scaled_geometry_is_bit_identical_in_range(a, ratio, frac, negative):
     # points that reflect snaps to an end, or that it fixes, are not formula values
     if min(t - a, b - t) > 2e-12 * (b - a) and t != interval.harmonic_midpoint:
         assert interval.reflect(t) == a * b * t / ((a + b) * t - a * b)
+
+
+# --- reflect_all: the HInterval.reflect_all row of fastpaths.ROWS --------------
+
+# the points _interval_and_points puts among the others, each a function of
+# the interval's a, b, snap pad, width and harmonic midpoint: built once, not
+# once per example
+_OTHER_POINTS = st.one_of(
+    st.floats(0.0, 1.0).map(lambda k: lambda a, b, pad, width, m: a + k * pad),
+    st.floats(0.0, 1.0).map(lambda k: lambda a, b, pad, width, m: b - k * pad),
+    st.floats(-3.0, 3.0).map(lambda k: lambda a, b, pad, width, m: a + k * pad),
+    st.floats(-3.0, 3.0).map(lambda k: lambda a, b, pad, width, m: b + k * pad),
+    st.just(lambda a, b, pad, width, m: a),
+    st.just(lambda a, b, pad, width, m: b),
+    st.just(lambda a, b, pad, width, m: m),
+    st.just(lambda a, b, pad, width, m: math.nan),
+    st.just(lambda a, b, pad, width, m: math.inf),
+    st.just(lambda a, b, pad, width, m: -math.inf),
+    st.floats(1e-9, 1.0).map(lambda frac: lambda a, b, pad, width, m: a - frac * width),
+    st.floats(1e-9, 1.0).map(lambda frac: lambda a, b, pad, width, m: b + frac * width),
+)
+# clear of the pads, which hold 1e-12 of the width
+_INSIDE = st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=16)
+
+
+@st.composite
+def _interval_and_points(draw):
+    """An interval at a scale from 1e-300 to 1e300, of either sign, and a
+    list of points inside it, among which up to two others are put: inside
+    or near either snap pad, at either end, at the harmonic midpoint,
+    outside the interval, NaN or infinite."""
+    a = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-300, 293))
+    b = a * (1.0 + draw(st.floats(1e-6, 1e6)))
+    if draw(st.booleans()):
+        a, b = -b, -a
+    interval = HInterval(a, b)
+    width, pad = b - a, 1e-12 * (b - a)
+    points = [a + frac * width for frac in draw(_INSIDE)]
+    for point in draw(st.lists(_OTHER_POINTS, max_size=2)):
+        points.insert(draw(st.integers(0, len(points))), point(a, b, pad, width, interval.harmonic_midpoint))
+    return interval, points
+
+
+@settings(max_examples=1000)
+@given(_interval_and_points())
+def test_reflect_all_is_reflect_of_each(case):
+    # the same bits, or the same ValueError at the first point reflect refuses
+    interval, ts = case
+    assert_claims(ROWS["HInterval.reflect_all"].claims(None, interval, [], [ts]))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+@pytest.mark.parametrize("scale", (1.0,) + EXTREME_SCALES)
+def test_reflect_all_of_quadrature_nodes_is_one_comprehension(scale, sign):
+    # the nodes of a segment inside the interval take no scalar reflect; a
+    # NaN among them, or the harmonic midpoint, sends them through it one by
+    # one: up to the NaN, which it refuses, and all six with the midpoint
+    assert_calls("HInterval.reflect_all", scale, sign)

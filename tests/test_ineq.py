@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hhverify.corpus import builtin_functions, builtin_h, random_harmonic_convex
 from hhverify.fnspec import parse
-from hhverify.hmean import HInterval, as_function, kinks_of, sym_transform
+from hhverify.hmean import HInterval, sym_transform
 from hhverify import ineq
 from hhverify.ineq import (
     CHAINS,
@@ -90,17 +90,6 @@ class TestHFunction:
         for barred, plain in ((t5, t5_unbarred), (r4, r4_unbarred)):
             assert repr(barred.terms[:2]) == repr(plain.terms[:2])
             assert barred.terms[2].value == plain.terms[2].value
-
-    def test_weight_is_the_record_of_its_function(self):
-        for f in (parse("x^2 + 1"), random_harmonic_convex(6, I12)):
-            h = HFunction(f, "h", 0.25, 0.5, 0.0)
-            fn = as_function(f)
-            assert as_function(h) is h
-            assert (h.call, h.batch, h.rule, h.weighted, kinks_of(h), h.label) == (
-                f, fn.batch, None, fn.weighted, fn.kinks, "h"
-            )
-            assert h(1.5) == f(1.5)
-            assert h.values_at([1.2, 1.5]) == [f(1.2), f(1.5)]
 
     def test_identity_order_once_per_instance(self):
         # equal weights (fn does not take part in ==) can order differently

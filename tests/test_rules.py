@@ -1,456 +1,38 @@
-"""The package's fast paths against the generic paths they stand in for, in
-one table.
+"""The rows of the fast-path table, ``fastpaths.ROWS``, on the shared inputs
+and on generated ones, and the batch path end to end.
 
-Each row of ``ROWS`` is a record the package builds and the slot it fills
-(its batch, its weighted rule of t -> f(t)/t^2, or its own rule), or a
-function that stands in for a loop of scalar calls.  Every row runs on one
-set of base functions (``_bases``: smooth and failing parsed expressions,
-piecewise functions and plain callables) and one set of segments
-(``_segments``), and makes three claims against its reference: the same
-values, bit for bit; the same exception, type and message; and so the
-first failing node decides what is raised.  The batches of derived records
-(sym(f), the ``c1`` integrands) call their parts' batches with no fallback
-and make the weaker claim that the parts' ``batch_values`` make: they raise
-only where the per-node values raise.  The values of such a record
-(``values_at``, which the generic rule sums on a segment's nodes) fall back
-as a whole and make the full claims.  ``CALLS`` is the column of the rows'
-call counts.
-
-A new fast path lands with its row, and a deleted one takes its row with
-it.  The report-level tests at the end hide every fast path at once.
+``test_row`` runs each row on the shared base functions and segments.  The
+rows that took over the cases of one older test (the piecewise weighted
+rule, the batch of sym(piecewise), the ``t4`` rules) run under that test's
+name instead, as do the generated trees and the cases pinned to one input.
+The report-level tests at the end hide every fast path at once.
 """
 
-import contextlib
-import functools
 import math
-import struct
 from functools import partial
-from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fastpaths import I12, INTERVALS, ROWS, assert_calls, assert_claims, check_row, claims, nodes, outcome
 from hhverify import cli, ineq, quad
 from hhverify.corpus import random_harmonic_convex
 from hhverify.fnspec import BinOp, Call1, Call2, EvalDomainError, FunctionSpec, Neg, Num, Pow, Var, parse
-from hhverify.hmean import Function, HInterval, as_function, batch_else_each, first_negative, kinks_of, sym_transform
-from hhverify.ineq import HFunction, chain_refinement, product_inequalities, weighted_bounds, weighted_reports
-from hhverify.quad import GK15, QuadResult, _gk15, weighted_integral
+from hhverify.hmean import Function, HInterval, sym_transform
+from hhverify.ineq import HFunction, chain_refinement, product_inequalities, weighted_bounds
+from hhverify.quad import _gk15
 
-I12 = HInterval(1.0, 2.0)
+# run by the tests named after the older tests whose cases they took over
+_NAMED_ROWS = ("piecewise weighted", "sym(piecewise) batch", "t4 rule, g is f", "t4 rule, g distinct")
 
 
-def _nodes(lo, hi):
-    """The 15 Gauss-Kronrod nodes of [lo, hi], in the order every rule visits them."""
-    return [0.5 * (lo + hi) + 0.5 * (hi - lo) * x for x, _, _ in GK15]
-
-
-# --- the shared inputs ----------------------------------------------------------
-
-# FAILS is x, except at node 11 of SEGMENT and at the reflection of its node 1
-# on I12, where it divides by zero.  A batch that takes f at every node before
-# any reflection meets node 11 first; node by node, the reflection of node 1
-# comes first.  No integral over I12 visits SEGMENT.
-SEGMENT = (1.4, 1.7)
-_TS = _nodes(*SEGMENT)
-FAILS = f"x + 0/(x - {_TS[11]!r}) + 0/(x - {I12.reflect(_TS[1])!r})"
-FIRST_FAILURE = (EvalDomainError, f"evaluation failed at t={I12.reflect(_TS[1])!r}: float division by zero")
-
-# each swallows a NaN in a plain evaluation: pow(nan, 0) == pow(1, nan) == 1,
-# and min/max may drop a NaN operand.  They reach the NaN (t = inf, or
-# x*1e308*10 - x*1e308*10 at a nonzero t) at some nodes only
-SWALLOWED_NAN = (
-    "x^0",
-    "x^(1-1)",
-    "(x*1e308*10 - x*1e308*10)^0",
-    "(x*1e308*10 - x*1e308*10)^(1-1)",
-    "(x*1e308*10 - x*1e308*10)^-0",
-    "1^(1e308*10 - 1e308*10)",
-    "1^(1e308*10 - 1e308*10) * x",
-    "min(x*1e308*10 - x*1e308*10, 5)",
-    "min(5, x*1e308*10 - x*1e308*10)",
-    "max(x*1e308*10 - x*1e308*10, 5)",
-    "max(1, x*1e308*10 - x*1e308*10)",
-    "max(min(x, x*1e308*10 - x*1e308*10), 1)",
-    "min(x, 1)^0 + 1",
-    "(x*1e308*10 - x*1e308*10)^2",
-    "min(x*1e308*10 - x*1e308*10, 1/(x-x))",
-    "max(1/(x-x), x*1e308*10 - x*1e308*10)",
-)
-SOURCES = (
-    "exp(x) - 1/x",
-    "x^2",
-    "1",
-    "x",
-    "+".join(["x"] * 151),  # the longest sum within the parser's limits
-    FAILS,
-    "ln(x - 1.5)",
-    # fails on [1.86, 1.91]: on I12, node by node, sym(f) meets the
-    # reflection of node 1 there before it meets node 11
-    "ln(abs(x - 1.885) - 0.025)",
-    *SWALLOWED_NAN,
-)
-# the last two: t*t underflows to zero at every node, and overflows
-INTERVALS = (I12, HInterval(0.5, 3.0), HInterval(-2.0, -1.0), HInterval(1e-170, 2e-170), HInterval(1e160, 2e160))
-# segments that no interval holds (0 is a node, values past the largest
-# double, a subnormal end, limits not finite), for the rows that need no
-# interval; and lists of nodes with a zero, an infinity or a NaN among them
-LOOSE = [
-    (-1.0, 1.0), (-1e-170, 1e-170), (-2e-170, -1e-170), (1e200, 2e200), (1e305, 1e306), (0.5, 1e6), (5e-324, 1.0),
-    (math.inf, 1.0),
-]
-LOOSE_NODES = [[0.0, 1.0, 2.0], [1.0, math.inf, 2.0], [0.0, 0.0, math.nan], [math.nan]]
-# a function of each kind, for the t4 row with g distinct from f
-PARTNERS = ("exp(x) - 1/x", "x^2", "ln(abs(x) - c)", "piecewise 3", "piecewise 8", "callable", "callable failing")
-
-
-@functools.cache
-def _bases(interval):
-    """The base functions on ``interval``, by name: the parsed ``SOURCES``;
-    a parsed expression and a plain callable that fail where |t| <= c, for
-    a c inside the interval; a smooth plain callable; and the piecewise
-    functions of seeds 3, 5, 6 and 8, then, on the first three intervals,
-    of the rest of 200 seeds."""
-    c = min(abs(interval.a), abs(interval.b)) + 0.3 * interval.width
-    bases = {source: parse(source) for source in SOURCES}
-    bases["ln(abs(x) - c)"] = parse(f"ln(abs(x) - {c!r})")
-    bases["callable"] = lambda t: t * t + 1.0
-    bases["callable failing"] = lambda t: math.log(abs(t) - c)
-    for seed in (3, 5, 6, 8, *(range(200) if interval in INTERVALS[:3] else ())):
-        bases.setdefault(f"piecewise {seed}", random_harmonic_convex(seed, interval))
-    return bases
-
-
-def _parsed(interval):
-    return [f for f in _bases(interval).values() if isinstance(f, FunctionSpec)]
-
-
-def _piecewise(count):
-    return lambda interval: [f for name, f in _bases(interval).items() if name.startswith("piecewise")][:count]
-
-
-def _each_kind(interval):
-    """Every base function but the piecewise ones after the first four."""
-    return [f for name, f in _bases(interval).items() if not name.startswith("piecewise")] + _piecewise(4)(interval)
-
-
-def _one(interval):
-    """One base function, for the rows that do not depend on f."""
-    return [_bases(interval)["x^2"]]
-
-
-def _partners(f, interval):
-    """The partners g of f in the t4 row with g distinct: every other
-    partner for a partner, so that each kind meets each, and the parsed
-    ``x^2`` for the other base functions."""
-    partners = [_bases(interval)[name] for name in PARTNERS]
-    return [g for g in partners if g is not f] if any(g is f for g in partners) else partners[1:2]
-
-
-def _segments(lo, hi, points=()):
-    """Segments of [lo, hi]: the whole, SEGMENT's share of it, another,
-    slivers at either end; for ``points`` inside (kinks, the harmonic
-    midpoint), the segments between them and the segments that end at each
-    point or straddle it; then each reversed."""
-    w = hi - lo
-    inside = sorted({p for p in points if lo < p < hi})
-    edges = [lo, *inside, hi]
-    segments = [(lo + s * w, lo + e * w) for s, e in ((0.0, 1.0), (0.4, 0.7), (0.13, 0.91))]
-    segments += [(lo, lo + 1e-9 * w), (hi - 1e-9 * w, hi)]
-    segments += zip(edges, edges[1:])
-    for p in inside:
-        segments += [(lo, p), (p, hi), (p - 1e-3 * w, p + 1e-3 * w), (p - 1e-9 * w, p + 1e-9 * w)]
-    return segments + [(r, l) for l, r in segments]
-
-
-# the c1 h-weight integrands run in theta over [0, 1]
-THETAS = _segments(0.0, 1.0, (0.5,))
-THETA_NODES = [_nodes(lo, hi) for lo, hi in THETAS]
-
-
-# --- the claims -------------------------------------------------------------------
-
-
-def _outcome(fn, *args):
-    """The bits of what ``fn(*args)`` returns (None, a float, or a sequence
-    of floats), or the type and message of what it raises."""
-    try:
-        result = fn(*args)
-    except Exception as exc:  # the comparison covers every exception type
-        return type(exc), str(exc)
-    if result is None:
-        return None
-    return [struct.pack("<d", v) for v in (result if isinstance(result, (list, tuple)) else [result])]
-
-
-def _each(f):
-    """``f`` called once per item: the reference of a batch."""
-    return lambda items: [f(x) for x in items]
-
-
-def _generic(f):
-    """The generic rule on ``f`` called node by node: the reference of a rule."""
-    return partial(_gk15, Function(f))
-
-
-def _claims(record, slot, segments, nodes, weak=False):
-    """The claims of ``record``'s ``slot``, a rule on ``segments`` or a batch
-    on the lists of ``nodes``: (reference, cases, [(fast, weak), ...]).  A
-    batch brings the record's values too, which fall back as a whole; on a
-    segment's nodes, they are what the generic rule sums for the record."""
-    assert isinstance(record, Function) and as_function(record) is record
-    fast = getattr(record, slot)
-    assert fast is not None
-    if slot == "weighted":
-        return [(_generic(lambda t: record(t) / (t * t)), segments, [(fast, False)])]
-    if slot == "rule":
-        return [(_generic(record), segments, [(fast, False)])]
-    return [(_each(record), [(ts,) for ts in nodes], [(fast, weak), (record.values_at, False)])]
-
-
-def assert_claims(claims):
-    for reference, cases, fasts in claims:
-        for case in cases:
-            want = _outcome(reference, *case)
-            for fast, weak in fasts:
-                got = _outcome(fast, *case)
-                if weak and isinstance(want, tuple):
-                    assert isinstance(got, tuple), case
-                else:
-                    assert got == want, case
-
-
-# --- the rows ---------------------------------------------------------------------
-
-
-def _integrands(run):
-    """The records that ``run()`` hands to ``integrate`` in ``ineq`` and
-    ``quad``, none of them integrated: each integral is 1 +- 0, and f's
-    endpoint mean is 1, so that a chain builds its integrands before it
-    evaluates f.  What ``run()`` raises after that is dropped."""
-    seen = []
-
-    def record(f, *args, **kwargs):
-        seen.append(f)
-        return QuadResult(1.0, 0.0, 1)
-
-    with pytest.MonkeyPatch.context() as patch:
-        for module in (ineq, quad):
-            patch.setattr(module, "integrate", record)
-        patch.setattr(ineq, "_endpoint_avg", lambda f, interval: 1.0)
-        with contextlib.suppress(Exception):
-            run()
-    return seen
-
-
-W, H = parse("abs(x) + 1"), HFunction.from_source("x^0.5")
-
-
-def _sym(f, interval, segments, nodes):
-    """The batch of sym(f)."""
-    return _claims(sym_transform(f, interval), "batch", segments, nodes, weak=True)
-
-
-def _c1(f, interval):
-    """int w, the mass w*(f + f(r)) in t, and the corrected and printed
-    h-weight integrands in theta, as ``weighted_reports`` builds them."""
-    integrands = _integrands(lambda: weighted_reports(f, W, interval, ((H, "convex"),)))
-    assert len(integrands) == 4 and integrands[0] is W and all(record.rule is None for record in integrands)
-    return integrands
-
-
-def _weighted_integrand(f, segments):
-    """The f/t^2 integrand of ``weighted_integral``, against the generic rule
-    on t -> f(t)/t^2: it carries f's weighted rule as its rule."""
-    (integrand,) = _integrands(lambda: weighted_integral(f, 1.0, 2.0))
-    assert integrand.rule == f.weighted and isinstance(integrand, Function)
-    return [(_generic(lambda t: f(t) / (t * t)), segments, [(integrand.rule, False)])]
-
-
-def _product(f, gs, interval, segments):
-    """The own rule of the t4 integrand sym(f)*g/t^2, for each g of ``gs``:
-    a record with no batch."""
-    records = [ineq._product_integrand(f, g, interval) for g in gs]
-    assert all(record.batch is None for record in records)
-    return [c for record in records for c in _claims(record, "rule", segments, ())]
-
-
-def _reflect_all(interval, nodes):
-    """``reflect_all`` against ``reflect`` of each node."""
-    return [(_each(interval.reflect), [(ts,) for ts in nodes], [(interval.reflect_all, False)])]
-
-
-def _first_negative(f, interval):
-    """``first_negative`` one point at a time."""
-    a, b = interval.a, interval.b
-    return next((t for t in (a + (b - a) * k / 64.0 for k in range(65)) if not f(t) >= 0.0), None)
-
-
-def _batch_else_each(f, interval, nodes):
-    """``batch_else_each`` of sym(f)'s batch, which may meet another node's
-    error first, and of no batch."""
-    fb, cases = sym_transform(f, interval), [(ts,) for ts in nodes]
-    return [
-        (_each(fb), cases, [(partial(batch_else_each, fb.batch, fb), False)]),
-        (_each(f), cases, [(partial(batch_else_each, None, f), False)]),
-    ]
-
-
-class Row(NamedTuple):
-    """The base functions a row takes on an interval, and its claims
-    ``claims(f, interval, segments, nodes)``.  A ``loose`` row needs no
-    interval and takes ``LOOSE`` and ``LOOSE_NODES`` too."""
-
-    bases: Callable
-    claims: Callable
-    loose: bool = False
-
-
-ROWS = {
-    "parsed batch": Row(_parsed, lambda f, i, s, n: _claims(f, "batch", s, n), loose=True),
-    "parsed weighted": Row(_parsed, lambda f, i, s, n: _claims(f, "weighted", s, n), loose=True),
-    "piecewise weighted": Row(_piecewise(200), lambda f, i, s, n: _claims(f, "weighted", s, n), loose=True),
-    "sym(parsed) batch": Row(_parsed, _sym),
-    "sym(piecewise) batch": Row(_piecewise(20), _sym),
-    "f/t^2 rule": Row(lambda i: _parsed(i) + _piecewise(4)(i), lambda f, i, s, n: _weighted_integrand(f, s), loose=True),
-    "t4 rule, g is f": Row(_each_kind, lambda f, i, s, n: _product(f, [f], i, s)),
-    "t4 rule, g distinct": Row(_each_kind, lambda f, i, s, n: _product(f, _partners(f, i), i, s)),
-    "c1 mass batch": Row(_each_kind, lambda f, i, s, n: _claims(_c1(f, i)[1], "batch", s, n, weak=True)),
-    "c1 corrected batch": Row(_one, lambda f, i, s, n: _claims(_c1(f, i)[2], "batch", THETAS, THETA_NODES, weak=True)),
-    "c1 printed batch": Row(_one, lambda f, i, s, n: _claims(_c1(f, i)[3], "batch", THETAS, THETA_NODES, weak=True)),
-    "HInterval.reflect_all": Row(_one, lambda f, i, s, n: _reflect_all(i, n)),
-    "first_negative": Row(_each_kind, lambda f, i, s, n: [(_first_negative, [(f, i)], [(first_negative, False)])]),
-    "batch_else_each": Row(_each_kind, lambda f, i, s, n: _batch_else_each(f, i, n)),
-}
-
-
-@pytest.mark.parametrize("name", ROWS)
+@pytest.mark.parametrize("name", [name for name in ROWS if name not in _NAMED_ROWS])
 def test_row(name):
-    row = ROWS[name]
-    for interval in INTERVALS:
-        for f in row.bases(interval):
-            segments = _segments(interval.a, interval.b, (*kinks_of(f), interval.harmonic_midpoint))
-            nodes = [_nodes(lo, hi) for lo, hi in segments]
-            if row.loose:
-                segments, nodes = segments + LOOSE, nodes + [_nodes(lo, hi) for lo, hi in LOOSE] + LOOSE_NODES
-            assert_claims(row.claims(f, interval, segments, nodes))
+    check_row(name)
 
 
-def test_failing_inputs_fail_where_the_rows_need_them():
-    # FAILS: sym(f)'s batch meets node 11 first; node by node, and so in
-    # every fallback, the reflection of node 1 fails first
-    node_11 = (EvalDomainError, f"evaluation failed at t={_TS[11]!r}: float division by zero")
-    fb = sym_transform(parse(FAILS), I12)
-    assert _outcome(fb.batch, _TS) == node_11
-    assert _outcome(fb.values_at, _TS) == FIRST_FAILURE
-    assert _outcome(ineq._product_integrand(parse(FAILS), W, I12).rule, *SEGMENT) == FIRST_FAILURE
-    assert _outcome(_c1(parse(FAILS), I12)[1].values_at, _TS) == FIRST_FAILURE
-    # the same order over the nodes of I12 itself
-    fb, ts = sym_transform(parse("ln(abs(x - 1.885) - 0.025)"), I12), _nodes(1.0, 2.0)
-    first = "evaluation failed at t={!r}: math domain error"
-    assert _outcome(fb.batch, ts) == (EvalDomainError, first.format(ts[11]))
-    assert _outcome(partial(_gk15, fb), 1.0, 2.0) == (EvalDomainError, first.format(I12.reflect(ts[1])))
-    # t*t underflows to zero at every node: every batch succeeds, and the
-    # rules raise a bare ZeroDivisionError where the integrand divides
-    zero, tiny = (ZeroDivisionError, "float division by zero"), HInterval(1e-170, 2e-170)
-    assert _outcome(parse("1").weighted, 1e-170, 2e-170) == zero
-    for f in (parse("1"), lambda t: 1.0):
-        for g in (f, parse("2")):
-            assert _outcome(ineq._product_integrand(f, g, tiny).rule, 1e-170, 2e-170) == zero
-
-
-# --- the call counts ----------------------------------------------------------------
-
-
-def _one_batch_per_segment():
-    """The generic rule's calls of a record with a batch."""
-    f, calls = parse("exp(x) - 1/x"), []
-    _gk15(Function(calls.append, lambda ts: calls.append(len(ts)) or f.batch(ts)), 1.0, 2.0)
-    return calls
-
-
-def _t4_calls(g_is_f):
-    """The other integrands of the t4 chain, and the batches of f and g that
-    its product integrand's rule calls on one segment."""
-    calls = []
-
-    def counted(fn):
-        return Function(fn, lambda ts: calls.append((fn.label, len(ts))) or fn.batch(ts))
-
-    f = counted(parse("exp(x) - 1/x"))
-    *others, product = _integrands(lambda: product_inequalities(f, f if g_is_f else counted(parse("x^2")), I12))
-    product.rule(1.2, 1.7)
-    return len(others), calls
-
-
-EXTREME_SCALES = (1e-300, 1e-150, 1e-110, 1e110, 1e150, 1e300)
-
-
-def _reflect_calls():
-    """The scalar reflects of ``reflect_all`` on five interior nodes of
-    [c, 2c] and [-2c, -c] at each scale, with a NaN among them (up to the
-    NaN) and with the harmonic midpoint (all six)."""
-    calls, counts = [], []
-    reflect = HInterval.reflect
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(HInterval, "reflect", lambda self, t: calls.append(t) or reflect(self, t))
-        for scale in (1.0, *EXTREME_SCALES):
-            for sign in (1.0, -1.0):
-                a, b = sorted((sign * scale, sign * 2.0 * scale))
-                interval = HInterval(a, b)
-                c, h = 0.5 * (a + b), 0.25 * (b - a)
-                ts = [c + h * x for x in (-0.99, -0.5, 0.0, 0.3, 0.97)]
-                for points in (ts, ts[:3] + [math.nan] + ts[3:], ts + [interval.harmonic_midpoint]):
-                    calls.clear()
-                    fast = _outcome(interval.reflect_all, points)
-                    counts.append(len(calls))
-                    assert fast == _outcome(_each(partial(reflect, interval)), points)
-    return counts
-
-
-def _c1_calls():
-    """The scalar calls of parsed expressions in a c1 chain whose f fails
-    at node 11 of the first segment, and what it raises.  Its integrands'
-    batches call those of f, w and h with no fallback of their own, and the
-    sign check of w takes w's batch, so the scalar calls are f(a) and f(b)
-    alone: the rule's one fallback makes none, since the integrand's scalar
-    call is a batch of one."""
-    node_11 = _nodes(1.0, 2.0)[11]
-    f, w, calls = parse(f"x + 0/(x - {node_11!r})"), parse("x + 1"), []
-    call = FunctionSpec.__call__
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(FunctionSpec, "__call__", lambda self, t: calls.append(t) or call(self, t))
-        outcome = _outcome(weighted_bounds, f, H, w, I12)
-    return outcome, len(calls)
-
-
-def _taken_as_it_is():
-    """``batch_else_each`` of a batch that does not raise, and its calls of ``each``."""
-    calls = []
-    return batch_else_each(lambda items: ["batch"] * len(items), calls.append, [1, 3]), calls
-
-
-CALLS = {
-    "parsed batch": (_one_batch_per_segment, [15]),
-    "t4 rule, g is f": (partial(_t4_calls, True), (1, [("exp(x) - 1/x", 30)])),
-    "t4 rule, g distinct": (partial(_t4_calls, False), (2, [("exp(x) - 1/x", 30), ("x^2", 15)])),
-    "HInterval.reflect_all": (_reflect_calls, [0, 4, 6] * 14),
-    "c1 mass batch": (
-        _c1_calls,
-        ((EvalDomainError, f"evaluation failed at t={_nodes(1.0, 2.0)[11]!r}: float division by zero"), 2),
-    ),
-    "batch_else_each": (_taken_as_it_is, (["batch", "batch"], [])),
-}
-
-
-@pytest.mark.parametrize("name", CALLS)
-def test_row_calls(name):
-    probe, expected = CALLS[name]
-    assert probe() == expected
-
-
-# --- generated inputs ---------------------------------------------------------------
+# --- parsed expressions -------------------------------------------------------
 
 DOMAINS = ((1.0, 2.0), (0.5, 3.0), (-2.0, -1.0), (1e-6, 2e-6), (1e6, 2e6))
 
@@ -472,107 +54,140 @@ _fractions = st.sampled_from((0.0, 1.0, 0.5)) | st.floats(0.0, 1.0)
 
 
 @settings(max_examples=400, deadline=None)
-@given(_trees, st.sampled_from(DOMAINS), st.lists(_fractions, max_size=16), _fractions, _fractions)
+@given(_trees, st.sampled_from(DOMAINS), _fractions, _fractions)
 # an overflowing product, and integrand values past the largest double
-@example(BinOp("*", Num(1e300), Var()), (1e6, 2e6), [], 0.0, 1.0)
-@example(BinOp("*", BinOp("*", Num(1e300), Var()), Var()), (1e6, 2e6), [], 0.0, 1.0)
-@example(BinOp("/", Num(1e300), Var()), (1e-6, 2e-6), [], 0.0, 1.0)
+@example(BinOp("*", Num(1e300), Var()), (1e6, 2e6), 0.0, 1.0)
+@example(BinOp("*", BinOp("*", Num(1e300), Var()), Var()), (1e6, 2e6), 0.0, 1.0)
+@example(BinOp("/", Num(1e300), Var()), (1e-6, 2e-6), 0.0, 1.0)
 # only the first node's value overflows, and its Gauss weight is zero: the
 # generic rule's 0*inf makes the error estimate NaN
-@example(BinOp("/", Num(1.88e290), Var()), (1e-6, 2e-6), [], 0.0, 1.0)
-# a domain error at a middle node, not the first, with nodes out of order
-@example(Call1("ln", BinOp("-", Num(1.5), Var())), (1.0, 2.0), [0.1, 0.4, 0.9, 0.2, 0.6], 0.0, 1.0)
-@example(Call1("ln", BinOp("-", Num(1.5), Var())), (1.0, 2.0), [], 1.0, 0.0)
-# a value past the largest double at the last node only
-@example(BinOp("/", Num(1e300), Var()), (1e-6, 2e-6), [1.0, 0.5, 0.0], 1.0, 0.0)
-def test_parsed_rows_on_generated_trees(ast, domain, fractions, p, q):
+@example(BinOp("/", Num(1.88e290), Var()), (1e-6, 2e-6), 0.0, 1.0)
+# a domain error at a middle node, not the first
+@example(Call1("ln", BinOp("-", Num(1.5), Var())), (1.0, 2.0), 0.0, 1.0)
+@example(Call1("ln", BinOp("-", Num(1.5), Var())), (1.0, 2.0), 1.0, 0.0)
+def test_expression_rule_is_generic_rule(ast, domain, p, q):
     a, b = domain
-    f, interval = FunctionSpec(source="<generated>", ast=ast), HInterval(a, b)
-    lo, hi = a + p * (b - a), a + q * (b - a)
-    segments, nodes = [(lo, hi)], [[a + r * (b - a) for r in fractions], _nodes(lo, hi)]
-    for name in ("parsed batch", "parsed weighted", "sym(parsed) batch"):
-        assert_claims(ROWS[name].claims(f, interval, segments, nodes))
+    f = FunctionSpec(source="<generated>", ast=ast)
+    assert_claims(ROWS["parsed weighted"].claims(f, HInterval(a, b), [(a + p * (b - a), a + q * (b - a))], []))
 
 
-# special values often, so that errors of different kinds meet in one tree
-_SPECIAL = [0.0, -0.0, 0.5, 1.0, -1.0, 2.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
-_special_numbers = (st.sampled_from(_SPECIAL) | st.floats(width=64)).map(Num)
-_constants = st.recursive(
-    _special_numbers,
-    lambda kids: kids.map(Neg) | st.builds(BinOp, st.sampled_from("+-*/"), kids, kids),
-    max_leaves=3,
+@pytest.mark.parametrize(
+    "source, lo, hi",
+    [
+        # t*t underflows to zero: a bare ZeroDivisionError, as from the integrand
+        ("1", 1e-170, 2e-170),
+        ("x", -2e-170, -1e-170),
+        # 0 is a node of a symmetric segment
+        ("x^2", -1.0, 1.0),
+        # t*t overflows: every node contributes zero
+        ("x^3", 1e160, 2e160),
+    ],
 )
-_special_trees = st.recursive(
-    st.just(Var()) | _special_numbers,
-    lambda kids: st.one_of(
-        kids.map(Neg),
-        st.builds(BinOp, st.sampled_from("+-*/"), kids, kids),
-        st.builds(Pow, kids, _constants),
-        st.builds(Call1, st.sampled_from(("ln", "exp", "abs")), kids),
-        st.builds(Call2, st.sampled_from(("min", "max")), kids, kids),
-    ),
-    max_leaves=10,
-)
-# nodes where errors of each kind are met: zero (a zero t*t), t*t underflowing
-# to zero or overflowing, values past the largest double, and non-finite nodes
-_node = st.sampled_from(_SPECIAL + [1e-170, -1e-170, 1e160, 1e200, 3.0, 1e-300]) | st.floats(-5.0, 5.0) | st.floats(width=64)
+def test_expression_rule_at_extreme_nodes(source, lo, hi):
+    assert_claims(ROWS["parsed weighted"].claims(parse(source), None, [(lo, hi)], []))
+
+
+def test_expression_rule_raises_zero_division_bare():
+    with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+        parse("1").weighted(1e-170, 2e-170)
 
 
 @settings(max_examples=400, deadline=None)
-@given(_special_trees, st.lists(_node, max_size=16), _node, _node)
-# inf - inf at some nodes only, under min and under a zero power
-@example(Call2("min", BinOp("-", BinOp("*", Var(), Num(1e308)), Num(math.inf)), Num(5.0)), [1.0, -1.0, 2.0], -2.0, 1.0)
-@example(Pow(BinOp("*", BinOp("*", Var(), Num(1e308)), Num(0.0)), Num(0.0)), [0.0, 1e300, math.inf], 1e160, 1e200)
-def test_parsed_rows_on_special_values(ast, ts, lo, hi):
+@given(_trees, st.sampled_from(DOMAINS), st.lists(_fractions, max_size=16), _fractions, _fractions)
+# a domain error at a middle node, not the first, with nodes out of order
+@example(Call1("ln", BinOp("-", Num(1.5), Var())), (1.0, 2.0), [0.1, 0.4, 0.9, 0.2, 0.6], 0.0, 1.0)
+# a value past the largest double at the last node only
+@example(BinOp("/", Num(1e300), Var()), (1e-6, 2e-6), [1.0, 0.5, 0.0], 1.0, 0.0)
+def test_expression_batch_is_per_node(ast, domain, fractions, p, q):
+    a, b = domain
+    f, interval = FunctionSpec(source="<generated>", ast=ast), HInterval(a, b)
+    ts = nodes(a + p * (b - a), a + q * (b - a))
+    assert_claims(ROWS["parsed batch"].claims(f, interval, [], [[a + r * (b - a) for r in fractions], ts]))
+    assert_claims(ROWS["sym(parsed) batch"].claims(f, interval, [], [ts]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees, st.sampled_from(DOMAINS), st.lists(_fractions, max_size=16))
+def test_symmetric_part_batch_raises_where_per_node_raises(ast, domain, fractions):
+    # the batch visits base at every node before any reflection, so it may
+    # meet another node's error first (the rule then evaluates node by node)
+    a, b = domain
     f = FunctionSpec(source="<generated>", ast=ast)
-    for name in ("parsed batch", "parsed weighted"):
-        assert_claims(ROWS[name].claims(f, None, [(lo, hi)], [ts, _nodes(lo, hi)]))
+    assert_claims(ROWS["sym(parsed) batch"].claims(f, HInterval(a, b), [], [[a + r * (b - a) for r in fractions]]))
 
 
-# the points _interval_and_points puts among the others, each a function of
-# the interval's a, b, snap pad, width and harmonic midpoint: built once, not
-# once per example
-_OTHER_POINTS = st.one_of(
-    st.floats(0.0, 1.0).map(lambda k: lambda a, b, pad, width, m: a + k * pad),
-    st.floats(0.0, 1.0).map(lambda k: lambda a, b, pad, width, m: b - k * pad),
-    st.floats(-3.0, 3.0).map(lambda k: lambda a, b, pad, width, m: a + k * pad),
-    st.floats(-3.0, 3.0).map(lambda k: lambda a, b, pad, width, m: b + k * pad),
-    st.just(lambda a, b, pad, width, m: a),
-    st.just(lambda a, b, pad, width, m: b),
-    st.just(lambda a, b, pad, width, m: m),
-    st.just(lambda a, b, pad, width, m: math.nan),
-    st.just(lambda a, b, pad, width, m: math.inf),
-    st.just(lambda a, b, pad, width, m: -math.inf),
-    st.floats(1e-9, 1.0).map(lambda frac: lambda a, b, pad, width, m: a - frac * width),
-    st.floats(1e-9, 1.0).map(lambda frac: lambda a, b, pad, width, m: b + frac * width),
+def test_rule_falls_back_when_a_reflected_node_fails_first():
+    # f fails on [1.86, 1.91].  Node by node, sym(f) meets the reflection of
+    # node 1 there before it meets node 11; its batch meets node 11 first.
+    fb, ts = sym_transform(parse("ln(abs(x - 1.885) - 0.025)"), I12), nodes(1.0, 2.0)
+    first = "evaluation failed at t={!r}: math domain error"
+    assert outcome(fb.batch, ts) == (EvalDomainError, first.format(ts[11]))
+    per_node = (EvalDomainError, first.format(I12.reflect(ts[1])))
+    assert outcome(fb.values_at, ts) == per_node
+    assert outcome(lambda ts: [fb(t) for t in ts], ts) == per_node
+    assert outcome(partial(_gk15, fb), 1.0, 2.0) == per_node
+
+
+def test_rule_evaluates_a_batch_in_one_call():
+    assert_calls("parsed batch")
+
+
+# --- piecewise functions --------------------------------------------------------
+
+
+def test_piecewise_rule_is_generic_rule():
+    check_row("piecewise weighted")
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (-1.0, 1.0),  # 0 is the middle node: ZeroDivisionError from 1/t
+        (1e-170, 2e-170),  # t*t underflows
+        (-1e-170, 1e-170),
+        (1e200, 2e200),  # t*t overflows
+        (0.5, 1e6),  # far outside the knot span, both ends clamped
+        (math.nextafter(0.0, 1.0), 1.0),
+    ],
 )
-# clear of the pads, which hold 1e-12 of the width
-_INSIDE = st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=16)
+def test_piecewise_rule_at_extreme_nodes(lo, hi):
+    f = random_harmonic_convex(5, I12)
+    assert_claims(ROWS["piecewise weighted"].claims(f, None, [(lo, hi)], []))
 
 
-@st.composite
-def _interval_and_points(draw):
-    """An interval at a scale from 1e-300 to 1e300, of either sign, and a
-    list of points inside it, among which up to two others are put: inside
-    or near either snap pad, at either end, at the harmonic midpoint,
-    outside the interval, NaN or infinite."""
-    a = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-300, 293))
-    b = a * (1.0 + draw(st.floats(1e-6, 1e6)))
-    if draw(st.booleans()):
-        a, b = -b, -a
-    interval = HInterval(a, b)
-    width, pad = b - a, 1e-12 * (b - a)
-    points = [a + frac * width for frac in draw(_INSIDE)]
-    for point in draw(st.lists(_OTHER_POINTS, max_size=2)):
-        points.insert(draw(st.integers(0, len(points))), point(a, b, pad, width, interval.harmonic_midpoint))
-    return interval, points
+def test_piecewise_symmetric_part_rule_is_per_node():
+    # random_harmonic_convex functions publish no batch: sym(f)'s batch takes
+    # one call of f per node and reflection
+    check_row("sym(piecewise) batch")
 
 
-@settings(max_examples=1000)
-@given(_interval_and_points())
-def test_reflect_all_row_on_generated_points(case):
-    interval, ts = case
-    assert_claims(ROWS["HInterval.reflect_all"].claims(None, interval, [], [ts]))
+# --- the t4 product integrand ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("a, b", [(interval.a, interval.b) for interval in INTERVALS])
+def test_product_rule_is_generic_rule(a, b):
+    # g is f (one batch for both), and g distinct, of each kind
+    check_row("t4 rule, g is f", [HInterval(a, b)])
+    check_row("t4 rule, g distinct", [HInterval(a, b)])
+
+
+def test_product_rule_raises_zero_division_bare():
+    # t*t underflows to zero at every node: every batch succeeds, and the
+    # rule raises where the integrand divides
+    interval = HInterval(1e-170, 2e-170)
+    for f in (parse("1"), lambda t: 1.0):
+        for g in (f, parse("2")):
+            product = ineq._product_integrand(f, g, interval)
+            assert_claims(claims(product, "rule", [(1e-170, 2e-170)], ()))
+            with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+                product.rule(1e-170, 2e-170)
+
+
+def test_product_rule_evaluates_each_batch_once():
+    # f over the nodes and their reflections, then g over the nodes; with g
+    # is f, g's values come from f's batch
+    assert_calls("t4 rule, g distinct")
+    assert_calls("t4 rule, g is f")
 
 
 # --- the batch path end to end -------------------------------------------------------
