@@ -655,11 +655,17 @@ def _preprocess_argv(argv: list[str]) -> list[str]:
 
 def _error_line(args, exc: Exception) -> str:
     """The message of ``exc``; for an expression that failed to evaluate,
-    after the options that gave its text, as in ``--g 'ln(x-1.5)': ...``."""
+    after the options that gave its text, as in ``--g 'ln(x-1.5)': ...``;
+    for a division by zero on an interval where t*t underflows to 0 (the
+    integrands f(t)/t^2 divide by it), naming the endpoint where it does."""
     if isinstance(exc, EvalDomainError):
         given = [opt for opt in _EXPRESSION_OPTS if getattr(args, opt[2:], None) == exc.expression]
         if given:
             return f"{'/'.join(given)} {exc.expression!r}: {exc}"
+    if isinstance(exc, ZeroDivisionError) and hasattr(args, "a"):
+        end = min(args.a, args.b, key=abs)
+        if end * end == 0.0:
+            return f"t*t underflows to 0 at t={end!r}: {exc}"
     return str(exc)
 
 
@@ -681,7 +687,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         _check_tolerances(args)
         return handlers[args.command](args)
-    except (UsageError, ExpressionError, QuadratureBudgetError, ValueError) as exc:
+    # the library's bare ZeroDivisionError is an evaluation error here, not
+    # a violation: exit 2 with one line, not a traceback and exit 1
+    except (UsageError, ExpressionError, QuadratureBudgetError, ValueError, ZeroDivisionError) as exc:
         _stderr_line(args.command, _error_line(args, exc))
         return EXIT_USAGE
 

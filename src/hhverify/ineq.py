@@ -51,8 +51,10 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from . import fnspec
 from .hmean import Function, HInterval, as_function, first_negative, kinks_of, sym_kinks, sym_transform
 from .quad import (
-    GK15,
     QuadResult,
+    _GWEIGHTS,
+    _KWEIGHTS,
+    _NODES,
     _gk15,
     integrate,
     refinement_double_integral,
@@ -572,34 +574,36 @@ def _product_integrand(f, g, interval: HInterval) -> Function:
         return fb(t) * g(t) / (t * t)
 
     gn = None if g is f else as_function(g)
-    return Function(call, rule=functools.partial(_product_rule, call, as_function(f), gn, interval.reflect_all))
+    return Function(call, rule=functools.partial(_product_rule, call, as_function(f), gn, interval.reflect_nodes))
 
 
 def _product_rule(
-    call, fn: Function, gn: Optional[Function], reflect_all, lo: float, hi: float
+    call, fn: Function, gn: Optional[Function], reflect_nodes, lo: float, hi: float
 ) -> tuple[float, float]:
     """The Gauss-Kronrod rule of the ``t4`` product integrand ``call`` on
     [lo, hi]: what ``quad._gk15`` returns on ``call``, bit for bit.
 
     It forms the 15 nodes as ``_gk15`` does, takes f over the nodes and then
-    their reflections ``reflect_all(nodes)`` in one batch, and g's values
-    from that batch when ``gn`` is None (g is f), else from ``gn``'s one
-    batch; each node's value 0.5 * (u + v) * q / t^2 is formed in the loop
-    that sums K15 and G7.  When a batch raises, the segment goes to
-    ``_gk15`` on ``call``, node by node, which raises what the first
-    failing node raises.
+    their reflections in one batch, and g's values from that batch when
+    ``gn`` is None (g is f), else from ``gn``'s one batch; each node's value
+    0.5 * (u + v) * q / t^2 is formed in the loop that sums K15 and G7.  The
+    reflections come from ``reflect_nodes``, the interval's
+    :meth:`~hhverify.hmean.HInterval.reflect_nodes`, which tests the
+    segment's two end nodes once instead of every node.  When a batch
+    raises, the segment goes to ``_gk15`` on ``call``, node by node, which
+    raises what the first failing node raises.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    ts = [c + h * x for x, _, _ in GK15]
+    ts = [c + h * x for x in _NODES]
     try:
-        values = fn.batch_values([*ts, *reflect_all(ts)])
+        values = fn.batch_values([*ts, *reflect_nodes(ts)])
         gs = values if gn is None else gn.batch_values(ts)
     except Exception:  # the first failing node decides
         return _gk15(call, lo, hi)
     k = 0.0
     g = 0.0
-    for (_, wk, wg), t, u, v, q in zip(GK15, ts, values, values[15:], gs):
+    for wk, wg, t, u, v, q in zip(_KWEIGHTS, _GWEIGHTS, ts, values, values[15:], gs):
         fv = 0.5 * (u + v) * q / (t * t)
         k += wk * fv
         g += wg * fv

@@ -92,6 +92,11 @@ SOURCES = (
 )
 # the last two: t*t underflows to zero at every node, and overflows
 INTERVALS = (I12, HInterval(0.5, 3.0), HInterval(-2.0, -1.0), HInterval(1e-170, 2e-170), HInterval(1e160, 2e160))
+# [1, 2] and [-2, -1] scaled by 2**300 and 2**-300: a node compared with the
+# snap pads unscaled would be off by the scale
+SCALED = tuple(
+    HInterval(math.ldexp(i.a, e), math.ldexp(i.b, e)) for i in (I12, HInterval(-2.0, -1.0)) for e in (300, -300)
+)
 # segments that no interval holds (0 is a node, values past the largest
 # double, a subnormal end, limits not finite), for the rows that need no
 # interval; and lists of nodes with a zero, an infinity or a NaN among them
@@ -280,6 +285,21 @@ def _reflect_all(interval, node_lists):
     return [(_each(interval.reflect), [(ts,) for ts in node_lists], [(interval.reflect_all, False)])]
 
 
+def _reflect_nodes(interval, segments):
+    """``reflect_nodes`` against ``reflect`` of each node, on the nodes of
+    ``segments``, and of these segments taken both ways: with one end node,
+    or all nodes, inside the snap pad of a, and of b; across a or b; and a
+    few ulps wide, around the harmonic midpoint, from it (so that an end
+    node is the midpoint) and off it."""
+    a, b, w, m = interval.a, interval.b, interval.width, interval.harmonic_midpoint
+    q = a + 0.3 * w
+    edges = [(a, a + 1e-10 * w), (b - 1e-10 * w, b), (a - 5e-13 * w, a + 5e-13 * w), (b - 5e-13 * w, b + 5e-13 * w)]
+    edges += [(a - 1e-3 * w, a + 0.1 * w), (b - 0.1 * w, b + 1e-3 * w)]
+    edges += [(m - 2.0 * math.ulp(m), m + 2.0 * math.ulp(m)), (m, m + 2.0 * math.ulp(m)), (q, q + 3.0 * math.ulp(q))]
+    node_lists = [nodes(lo, hi) for lo, hi in segments + edges + [(r, l) for l, r in edges]]
+    return [(_each(interval.reflect), [(ts,) for ts in node_lists], [(interval.reflect_nodes, False)])]
+
+
 def _first_negative(f, interval):
     """``first_negative`` one point at a time."""
     a, b = interval.a, interval.b
@@ -299,11 +319,13 @@ def _batch_else_each(f, interval, node_lists):
 class Row(NamedTuple):
     """The base functions a row takes on an interval, and its claims
     ``claims(f, interval, segments, node_lists)``.  A ``loose`` row needs no
-    interval and takes ``LOOSE`` and ``LOOSE_NODES`` too."""
+    interval and takes ``LOOSE`` and ``LOOSE_NODES`` too.  ``intervals``
+    are the intervals it runs on by default."""
 
     bases: Callable
     claims: Callable
     loose: bool = False
+    intervals: tuple = INTERVALS
 
 
 ROWS = {
@@ -319,17 +341,18 @@ ROWS = {
     "c1 corrected batch": Row(_one, lambda f, i, s, n: claims(c1(f, i)[2], "batch", THETAS, THETA_NODES, weak=True)),
     "c1 printed batch": Row(_one, lambda f, i, s, n: claims(c1(f, i)[3], "batch", THETAS, THETA_NODES, weak=True)),
     "HInterval.reflect_all": Row(_one, lambda f, i, s, n: _reflect_all(i, n)),
+    "HInterval.reflect_nodes": Row(_one, lambda f, i, s, n: _reflect_nodes(i, s), intervals=INTERVALS + SCALED),
     "first_negative": Row(_each_kind, lambda f, i, s, n: [(_first_negative, [(f, i)], [(first_negative, False)])]),
     "batch_else_each": Row(_each_kind, lambda f, i, s, n: _batch_else_each(f, i, n)),
 }
 
 
-def check_row(name, intervals=INTERVALS):
-    """Every claim of row ``name`` on each of ``intervals``, on the segments
-    of each base function (and, for a loose row, ``LOOSE`` and
-    ``LOOSE_NODES``)."""
+def check_row(name, intervals=None):
+    """Every claim of row ``name`` on each of ``intervals`` (by default, the
+    row's own), on the segments of each base function (and, for a loose
+    row, ``LOOSE`` and ``LOOSE_NODES``)."""
     row = ROWS[name]
-    for interval in intervals:
+    for interval in intervals or row.intervals:
         for f in row.bases(interval):
             segments = _segments(interval.a, interval.b, (*kinks_of(f), interval.harmonic_midpoint))
             node_lists = [nodes(lo, hi) for lo, hi in segments]
@@ -382,6 +405,24 @@ def _reflect_calls(scale, sign):
     return counts
 
 
+def _reflect_nodes_calls(scale, sign):
+    """The calls of ``reflect_all`` that ``reflect_nodes`` makes on the
+    nodes of an interior segment of [c, 2c] (c = scale, or -2c, -c), and of
+    a segment that holds the harmonic midpoint."""
+    calls, counts = [], []
+    reflect_all = HInterval.reflect_all
+    a, b = sorted((sign * scale, sign * 2.0 * scale))
+    interval = HInterval(a, b)
+    w, m = interval.width, interval.harmonic_midpoint
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(HInterval, "reflect_all", lambda self, ts: calls.append(ts) or reflect_all(self, ts))
+        for ts in (nodes(a + 0.1 * w, a + 0.2 * w), nodes(m - 0.1 * w, m + 0.1 * w)):
+            calls.clear()
+            assert outcome(interval.reflect_nodes, ts) == outcome(_each(partial(HInterval.reflect, interval)), ts)
+            counts.append(len(calls))
+    return counts
+
+
 def _c1_calls():
     """The scalar calls of parsed expressions in a c1 chain whose f fails
     at node 11 of the first segment, and what it raises.  Its integrands'
@@ -409,6 +450,7 @@ CALLS = {
     "t4 rule, g is f": (partial(_t4_calls, True), (1, [("exp(x) - 1/x", 30)])),
     "t4 rule, g distinct": (partial(_t4_calls, False), (2, [("exp(x) - 1/x", 30), ("x^2", 15)])),
     "HInterval.reflect_all": (_reflect_calls, [0, 4, 6]),
+    "HInterval.reflect_nodes": (_reflect_nodes_calls, [0, 1]),
     "c1 mass batch": (
         _c1_calls,
         ((EvalDomainError, f"evaluation failed at t={nodes(1.0, 2.0)[11]!r}: float division by zero"), 2),

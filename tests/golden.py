@@ -48,7 +48,8 @@ VERDICT_KEYS = ('"status":', '"passed":')
 # the first is 256 KB)
 CSV_PROJECTED = ("sweep --variant as_printed",)
 # commands whose function fails to evaluate: at a point, at a node of an
-# integral or a scan, or under the sign check of the weight w
+# integral or a scan, or under the sign check of the weight w; and one whose
+# integrand f(t)/t^2 divides by a t*t that underflows to 0
 ERROR_LINES = (
     'check --fn "ln(x-1.5)" --a 1 --b 2 --class hc',
     'check --fn "ln(abs(x-1.885)-0.025)" --a 1 --b 2 --class shc',
@@ -60,6 +61,7 @@ ERROR_LINES = (
     'verify --chain t4 --fn 1/x --g "ln(x-1.5)" --a 1 --b 2',
     'verify --chain c1 --fn 1/x --h x --w "ln(x-1.5)" --a 1 --b 2',
     "verify --chain c1 --fn 1/x --h x --w -1 --a 1 --b 2",
+    "verify --chain t1 --fn 1/x --a 1e-300 --b 2e-300",
 )
 # commands that refuse an argument before or after the work: an interval
 # endpoint, a grid size, the order of the endpoints, a tolerance, a ladder

@@ -430,6 +430,19 @@ def test_failed_evaluation_names_the_options(args, err):
     assert run_cli(args) == (2, "", f"hhverify {args[0]}: {err}\n")
 
 
+@pytest.mark.parametrize(
+    "chain, flags",
+    [("t1", []), ("t3", ["--x", "1.5e-170", "--y", "1.6e-170"]), ("t4", ["--g", "x"]), ("r4", [])],
+    ids=["t1", "t3", "t4", "r4"],
+)
+def test_underflowing_t_squared_exits_2(chain, flags):
+    # the integrands f(t)/t^2 divide by a t*t that underflows to 0: one
+    # line and exit 2, not a traceback and exit 1 (a violation)
+    args = ["verify", "--chain", chain, "--fn", "1/x", "--a", "1e-170", "--b", "2e-170", *flags]
+    line = "hhverify verify: t*t underflows to 0 at t=1e-170: float division by zero\n"
+    assert run_cli(args) == (2, "", line)
+
+
 @pytest.mark.parametrize("args", [_T1_RECIPROCAL, ["sweep", "--entry", "reciprocal"]], ids=lambda args: args[0])
 def test_unwritable_out_exits_2(tmp_path, args):
     # a directory, and a file in a directory that does not exist

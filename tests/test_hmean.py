@@ -325,3 +325,14 @@ def test_reflect_all_of_quadrature_nodes_is_one_comprehension(scale, sign):
     # NaN among them, or the harmonic midpoint, sends them through it one by
     # one: up to the NaN, which it refuses, and all six with the midpoint
     assert_calls("HInterval.reflect_all", scale, sign)
+
+
+# --- reflect_nodes: the HInterval.reflect_nodes row of fastpaths.ROWS ----------
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+@pytest.mark.parametrize("scale", (1.0,) + EXTREME_SCALES)
+def test_reflect_nodes_of_an_interior_segment_is_one_comprehension(scale, sign):
+    # the nodes of a segment clear of the pads and of the harmonic midpoint
+    # take no reflect_all; a segment that holds the midpoint takes one call
+    assert_calls("HInterval.reflect_nodes", scale, sign)
