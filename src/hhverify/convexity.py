@@ -9,12 +9,17 @@ margin with a reproducible witness.  A "passed" verdict is always of the
 "no sampled violation" kind; the sample count is part of the record.
 
 A scan evaluates f and h through their batches (the function records of
-:mod:`hhverify.hmean`): the lattice in one call, and the random triples in
-chunks of :data:`CHUNK`, one call for f and one for h per chunk, each with
-:func:`hhverify.hmean.batch_else_each`.  The values are bit for bit those
-of one evaluation at a time.  If the batch of the chunk raises, the chunk
-is evaluated again one triple (h, then g(c), g(y), g(x)) at a time, so a
-scan raises what that order meets first.
+:mod:`hhverify.hmean`): the lattice in one call, with
+:func:`hhverify.hmean.batch_else_each`, and the random triples in chunks of
+:data:`CHUNK`, one call for f and one for h per chunk.  A chunk is a few
+flat lists, built by comprehension, and one pass over them takes its
+margins in one comprehension, and its extremes, their first witnesses and
+its largest |g| with ``max``, ``min`` and ``list.index``, with no Python
+step per triple.  The values are bit for bit those of one evaluation at a
+time, and the margins, witnesses and scale those of a loop over the
+triples.  If either call of a chunk raises, the chunk is evaluated again
+one triple (h, then g(c), g(y), g(x)) at a time, so a scan raises what
+that order meets first.
 
 :func:`check_class` is the one map from a class kind to its checker; the
 command line and :func:`find_strict_inclusion_witness` scan through it, and
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .fnspec import FunctionSpec, parse
-from .hmean import HInterval, as_function, batch_else_each
+from .hmean import HInterval, as_function
 
 __all__ = [
     "SampleGrid",
@@ -66,6 +71,10 @@ class SampleGrid:
     seed: int = 0
 
     def __post_init__(self):
+        for name, count in (("abscissa_count", self.abscissa_count), ("random_triples", self.random_triples)):
+            # a float or a bool would fail inside the scan, or draw a rounded count
+            if type(count) is not int:
+                raise ValueError(f"{name} must be an int, got {count!r}")
         # a scan's work grows with the square of the count: 4096 takes seconds
         if not 1 <= self.abscissa_count <= 4096:
             raise ValueError(f"abscissa_count must be from 1 to 4096, got {self.abscissa_count!r}")
@@ -73,12 +82,17 @@ class SampleGrid:
             raise ValueError(f"random_triples must be at least 0, got {self.random_triples!r}")
 
     def random_triple_stream(self, lo: float, hi: float) -> list[tuple[float, float, float]]:
-        rng = random.Random(self.seed)
+        """``random_triples`` triples (x, y, alpha), x != y uniform between
+        lo and hi and alpha in [0, 1), drawn as ``Random(seed).uniform`` draws
+        them, bit for bit: ``uniform(a, b)`` is ``a + (b - a) * random()``."""
+        if lo == hi:  # every x would equal its y
+            raise ValueError(f"need lo != hi to draw distinct points, got {lo!r} twice")
+        draw, width = random.Random(self.seed).random, hi - lo
         out: list[tuple[float, float, float]] = []
         while len(out) < self.random_triples:
-            x, y = rng.uniform(lo, hi), rng.uniform(lo, hi)
+            x, y = lo + width * draw(), lo + width * draw()
             if x != y:
-                out.append((x, y, rng.uniform(0.0, 1.0)))
+                out.append((x, y, draw()))
         return out
 
 
@@ -114,13 +128,16 @@ class ConvexityVerdict:
         }
 
 
-def _scan(ts: list[float], G: list[float], rows: list[tuple], randoms: Iterable[tuple], mirrored: bool):
+def _scan(ts: list[float], G: list[float], rows: list[tuple], chunks: Iterable[tuple], mirrored: bool):
     """One pass over the coarse node pairs of the table ``G`` on ``ts``, with
-    (alpha, wy, wx) ``rows`` for the weights k/STEPS, and over the
-    ``randoms`` (x, y, row, g(c), g(y), g(x)).  With d = g(c) - [wy*g(y) +
-    wx*g(x)], returns the largest d (the convex margin) and the smallest
-    (minus the concave margin), each with the first triple attaining it, the
-    sample count, and the largest |g| sampled.
+    (alpha, wy, wx) ``rows`` for the weights k/STEPS, and over the random
+    ``chunks``.  A chunk is four flat lists over its n triples in order:
+    ``points``, the t of the triples' points c, then of their y, then of
+    their x; ``alphas``, the weight each triple reports; ``gs``, g at the
+    points; and ``ws``, the triples' wy, then their wx.  With d = g(c) - [wy*g(y) + wx*g(x)], returns the largest d (the
+    convex margin) and the smallest (minus the concave margin), each with the
+    first triple (x, y, alpha) attaining it, the sample count, and the
+    largest |g| sampled.
 
     A ``mirrored`` table has G[m] == G[M - m] bit for bit, and rows always
     have row(STEPS - k) == (., wx_k, wy_k); then pair (i, j) with weight k
@@ -142,18 +159,25 @@ def _scan(ts: list[float], G: list[float], rows: list[tuple], randoms: Iterable[
                     top, top_witness = d, (ts[i], ts[j], al)
                 if d < bottom:
                     bottom, bottom_witness = d, (ts[i], ts[j], al)
-    n = M // STEPS + 1
-    count = n * (n - 1) // 2 * len(rows)
+    nodes = M // STEPS + 1
+    count = nodes * (nodes - 1) // 2 * len(rows)
     # max/min keep their first argument against a NaN: the scale is never NaN
     f_hi, f_lo = max(0.0, *G), min(-0.0, *G)
-    for x, y, (al, wy, wx), gc, gy, gx in randoms:
-        d = gc - (wy * gy + wx * gx)
-        f_hi, f_lo = max(f_hi, gc, gy, gx), min(f_lo, gc, gy, gx)
-        count += 1
-        if d > top:
-            top, top_witness = d, (x, y, al)
-        if d < bottom:
-            bottom, bottom_witness = d, (x, y, al)
+    for points, alphas, gs, ws in chunks:
+        n = len(alphas)
+        ds = [gc - (wy * gy + wx * gx) for gc, gy, gx, wy, wx in zip(gs[:n], gs[n : 2 * n], gs[2 * n :], ws[:n], ws[n:])]
+        count += n
+        # max/min return the first of equal extremes and skip every NaN after
+        # their first argument, which is never NaN: as the pair loop's strict
+        # comparisons do.  index finds that first extreme
+        f_hi, f_lo = max(f_hi, *gs), min(f_lo, *gs)
+        hi, lo = max(top, *ds), min(bottom, *ds)
+        if hi > top:
+            k = ds.index(hi)
+            top, top_witness = hi, (points[2 * n + k], points[n + k], alphas[k])
+        if lo < bottom:
+            k = ds.index(lo)
+            bottom, bottom_witness = lo, (points[2 * n + k], points[n + k], alphas[k])
     return top, top_witness, bottom, bottom_witness, count, max(f_hi, -f_lo)
 
 
@@ -176,12 +200,14 @@ def _check(f, lo, hi, reciprocal, h, symmetrized, grid, tol) -> ConvexityVerdict
     else:
         kind, centre = "", 0.5 * (lo + hi)
 
-    def row(al):
-        wy, wx = (al, 1.0 - al) if h is None else (h(al), h(1.0 - al))
-        return (al if reciprocal else 1.0 - al, wy, wx)
+    def weights(al):
+        return (al, 1.0 - al) if h is None else (h(al), h(1.0 - al))
 
     def t(s):
         return 1.0 / s if reciprocal else s
+
+    def t_all(ss):
+        return [1.0 / s for s in ss] if reciprocal else ss
 
     def g(s):  # the reflection is s -> s0 + s1 - s
         return 0.5 * (f(t(s)) + f(t(s0 + s1 - s))) if symmetrized else f(t(s))
@@ -189,44 +215,46 @@ def _check(f, lo, hi, reciprocal, h, symmetrized, grid, tol) -> ConvexityVerdict
     s0, s1 = (1.0 / lo, 1.0 / hi) if reciprocal else (lo, hi)
     if not (lo < hi and math.isfinite(s0) and math.isfinite(s1)):
         raise ValueError(f"need lo < hi with finite {'1/lo, 1/hi' if reciprocal else 'lo, hi'}, got [{lo!r}, {hi!r}]")
+    if s0 == s1:  # a reciprocal scan of an interval a few ulps wide
+        raise ValueError(f"1/lo and 1/hi are the same float on [{lo!r}, {hi!r}]: there is nothing to scan")
     M = STEPS * grid.abscissa_count
     # this s_m puts lattices whose sizes differ by a power of two on common points
     # bit for bit; the ends are set, as s_M rounds to 0 when 1/hi << 1/lo
-    ts = [lo, *(t(s0 + (s1 - s0) * m / M) for m in range(1, M)), hi]
+    ts = [lo, *t_all([s0 + (s1 - s0) * m / M for m in range(1, M)]), hi]
     ts[M // 2] = centre
     fn = as_function(f)
     G = fn.values_at(ts)
     f_scale = max(0.0, *map(abs, G))  # max keeps 0.0 against a NaN
     if symmetrized:
         G = [0.5 * (u + v) for u, v in zip(G, reversed(G))]
-    h_all = (lambda als: als) if h is None else as_function(h).values_at
+    h_all = None if h is None else as_function(h).batch_values
 
-    def samples(chunk):
-        """The random samples of ``chunk``: f at its points c, y and x in one
-        call, with their reflections when symmetrized, and h in one call."""
-        ss = [s for sx, sy, al in chunk for s in (sx + al * (sy - sx), sy, sx)]
-        xs = [t(s) for s in ss]
-        gs = fn.values_at(xs + [t(s0 + s1 - s) for s in ss] if symmetrized else xs)
-        if symmetrized:
-            gs = [0.5 * (u + v) for u, v in zip(gs, gs[len(ss):])]
-        hs = h_all([v for _, _, al in chunk for v in (al, 1.0 - al)])
-        return [
-            (xs[i + 2], xs[i + 1], (al if reciprocal else 1.0 - al, hs[k], hs[k + 1]), gs[i], gs[i + 1], gs[i + 2])
-            for (_, _, al), i, k in zip(chunk, range(0, len(ss), 3), range(0, len(hs), 2))
-        ]
-
-    def sample(triple):
-        """The random sample of one triple: h, then g(c), g(y), g(x)."""
-        sx, sy, al = triple
-        return (t(sx), t(sy), row(al), g(sx + al * (sy - sx)), g(sy), g(sx))
-
-    def randoms():
-        triples = grid.random_triple_stream(s0, s1)
+    def chunks():
+        """Each chunk of CHUNK random triples as :func:`_scan` takes it: f at
+        its points c, y and x in one call, with their reflections when
+        symmetrized, and h in one call.  If either call raises, the chunk is
+        evaluated again one triple (h, then g(c), g(y), g(x)) at a time."""
+        triples, mirror = grid.random_triple_stream(s0, s1), s0 + s1
         for start in range(0, len(triples), CHUNK):
-            yield from batch_else_each(samples, sample, triples[start : start + CHUNK])
+            chunk = triples[start : start + CHUNK]
+            xs, ys, als = zip(*chunk)
+            ss = [*[sx + al * (sy - sx) for sx, sy, al in chunk], *ys, *xs]
+            points, rest = t_all(ss), [1.0 - al for al in als]
+            try:
+                if symmetrized:
+                    gs = fn.batch_values(points + t_all([mirror - s for s in ss]))
+                    gs = [0.5 * (u + v) for u, v in zip(gs, gs[len(ss) :])]
+                else:
+                    gs = fn.batch_values(points)
+                ws = [*als, *rest] if h_all is None else h_all([*als, *rest])
+            except Exception:  # a batch may meet another triple's error first
+                samples = [(*weights(al), g(sx + al * (sy - sx)), g(sy), g(sx)) for sx, sy, al in chunk]
+                wys, wxs, gcs, gys, gxs = zip(*samples)
+                ws, gs = [*wys, *wxs], [*gcs, *gys, *gxs]
+            yield points, als if reciprocal else rest, gs, ws
 
-    rows = [row(k / STEPS) for k in range(1, STEPS)]
-    top, top_witness, bottom, bottom_witness, count, scale = _scan(ts, G, rows, randoms(), symmetrized)
+    rows = [(k / STEPS if reciprocal else 1.0 - k / STEPS, *weights(k / STEPS)) for k in range(1, STEPS)]
+    top, top_witness, bottom, bottom_witness, count, scale = _scan(ts, G, rows, chunks(), symmetrized)
     bound = tol * max(scale, f_scale)
     concave = ConvexityVerdict(f"{kind}concave", -bottom <= bound, -bottom, bottom_witness, count, tol)
     return ConvexityVerdict(f"{kind}convex", top <= bound, top, top_witness, count, tol, opposite=concave)

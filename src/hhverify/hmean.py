@@ -71,8 +71,10 @@ in one call, and, should it raise, one call per item in order, so that the
 exception is the one the first failing item raises.
 :meth:`Function.values_at` applies it to a record.  The generic
 Gauss-Kronrod rule evaluates a segment's 15 nodes so, and the class scans
-of :mod:`hhverify.convexity` their lattice and each chunk of their random
-samples.  The batch of a derived function calls those of its parts through
+of :mod:`hhverify.convexity` their lattice; a chunk of their random samples
+calls the batches of f and h through :meth:`Function.batch_values` and
+falls back as a whole, one triple at a time.  The batch of a derived
+function calls those of its parts through
 :meth:`Function.batch_values`, which has no fallback, so that when a part
 raises, the rule's one fallback is the only one that evaluates node by
 node.  :func:`first_negative`, the sign check of f >= 0 on 65 points,

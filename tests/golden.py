@@ -9,8 +9,9 @@
   ``hhverify sweep`` is ``sweep.json``.  The lines of
   :data:`CSV_PROJECTED` are run with ``--format csv`` added, and their file
   holds that CSV: the same reports, in a third of the bytes.
-- Each command of :data:`ERROR_LINES` fails to evaluate a function, and
-  each of :data:`ARGUMENT_ERROR_LINES` refuses an argument; all exit 2.
+- Each command of :data:`ERROR_LINES` fails to evaluate a function or
+  finds nothing to scan, and each of :data:`ARGUMENT_ERROR_LINES` refuses
+  an argument; all exit 2.
   Each one's file (:func:`error_path`) holds the command, its exit code and
   what it prints to stderr; it prints nothing to stdout.
 
@@ -48,8 +49,10 @@ VERDICT_KEYS = ('"status":', '"passed":')
 # the first is 256 KB)
 CSV_PROJECTED = ("sweep --variant as_printed",)
 # commands whose function fails to evaluate: at a point, at a node of an
-# integral or a scan, or under the sign check of the weight w; and one whose
-# integrand f(t)/t^2 divides by a t*t that underflows to 0
+# integral or a scan, or under the sign check of the weight w; one whose
+# integrand f(t)/t^2 divides by a t*t that underflows to 0; and a class scan
+# of an interval whose 1/a and 1/b are the same float, where no two random
+# points differ
 ERROR_LINES = (
     'check --fn "ln(x-1.5)" --a 1 --b 2 --class hc',
     'check --fn "ln(abs(x-1.885)-0.025)" --a 1 --b 2 --class shc',
@@ -62,6 +65,7 @@ ERROR_LINES = (
     'verify --chain c1 --fn 1/x --h x --w "ln(x-1.5)" --a 1 --b 2',
     "verify --chain c1 --fn 1/x --h x --w -1 --a 1 --b 2",
     "verify --chain t1 --fn 1/x --a 1e-300 --b 2e-300",
+    'check --fn "x^2" --class hc --a 27.174729190003003 --b 27.174729190003006',
 )
 # commands that refuse an argument before or after the work: an interval
 # endpoint, a grid size, the order of the endpoints, a tolerance, a ladder

@@ -133,7 +133,19 @@ class TestHarmonicConvex:
         assert len(SampleGrid().random_triple_stream(1.0, 2.0)) == 512
 
     @pytest.mark.parametrize(
-        "kwargs", [{"abscissa_count": 0}, {"abscissa_count": -3}, {"abscissa_count": 4097}, {"random_triples": -1}]
+        "kwargs",
+        [
+            {"abscissa_count": 0},
+            {"abscissa_count": -3},
+            {"abscissa_count": 4097},
+            {"random_triples": -1},
+            # a float count failed inside the scan, or drew a rounded count of
+            # triples; a bool is no count either
+            {"abscissa_count": 64.0},
+            {"random_triples": 2.5},
+            {"abscissa_count": True},
+            {"random_triples": False},
+        ],
     )
     def test_rejects_nonpositive_sizes(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -469,54 +481,95 @@ def _lattice_reference(f, lo, hi, centre, reciprocal, symmetrized, weights, grid
     return worst, worst_witness, len(samples), scale
 
 
-def test_scan_raises_the_first_error_in_triple_order():
-    # f raises only at two random points off the lattice, in the same chunk
-    # of triples: at the reflection of the first triple's point c and at the
-    # second triple's c.  One triple at a time (h, then g(c), g(y), g(x))
-    # meets the first; a batch of the chunk's points before their
-    # reflections would meet the second
-    s0, s1 = 1.0, 0.5
-    (sx, sy, al), (sx2, sy2, al2) = DEFAULT_GRID.random_triple_stream(s0, s1)[:2]
-    first = 1.0 / (s0 + s1 - (sx + al * (sy - sx)))
-    second = 1.0 / (sx2 + al2 * (sy2 - sx2))
+def _raising_at(points, base):
+    """``base``, except that it raises ``ValueError("<name> at <t>")`` within
+    1e-12 of each named point."""
 
-    def f(t):
-        for name, point in (("first", first), ("second", second)):
+    def fn(t):
+        for name, point in points.items():
             if abs(t - point) <= 1e-12:
                 raise ValueError(f"{name} at {t!r}")
-        return 1.0 / t
+        return base(t)
 
-    for h in (None, IDENTITY_H):
-        with pytest.raises(ValueError, match=rf"^first at {re.escape(repr(first))}$"):
-            check_class("symmetrized" if h is None else "symmetrized_h", f, 1.0, 2.0, h=h)
+    return fn
+
+
+def test_scan_raises_the_first_error_in_triple_order():
+    # f raises only at two random points off the lattice, in the same chunk
+    # of triples: at the reflection of one triple's point c and at the next
+    # triple's c.  One triple at a time (h, then g(c), g(y), g(x)) meets the
+    # first; a batch of the chunk's points before their reflections would
+    # meet the second.  The two triples open the first chunk, then the
+    # second.  Where h raises at a triple's alpha and f at its c, h's error
+    # comes first, though a chunk's batch evaluates f before h
+    s0, s1 = 1.0, 0.5
+    triples = DEFAULT_GRID.random_triple_stream(s0, s1)
+    for start in (0, convexity.CHUNK):
+        (sx, sy, al), (sx2, sy2, al2) = triples[start : start + 2]
+        first = 1.0 / (s0 + s1 - (sx + al * (sy - sx)))
+        second = 1.0 / (sx2 + al2 * (sy2 - sx2))
+        f = _raising_at({"first": first, "second": second}, lambda t: 1.0 / t)
+        for h in (None, IDENTITY_H):
+            with pytest.raises(ValueError, match=rf"^first at {re.escape(repr(first))}$"):
+                check_class("symmetrized" if h is None else "symmetrized_h", f, 1.0, 2.0, h=h)
+        f = _raising_at({"f": second}, lambda t: 1.0 / t)
+        h = _raising_at({"h": al2}, lambda a: a)
+        for kind in ("harmonic_h", "symmetrized_h"):
+            with pytest.raises(ValueError, match=rf"^h at {re.escape(repr(al2))}$"):
+                check_class(kind, f, 1.0, 2.0, h=h)
+            with pytest.raises(ValueError, match=rf"^f at {re.escape(repr(second))}$"):
+                check_class(kind, f, 1.0, 2.0, h=IDENTITY_H)
 
 
 class TestOnePassScan:
-    def test_both_directions_match_brute_force_on_corpus(self):
+    def test_both_directions_match_brute_force_on_corpus(self, monkeypatch):
         from hhverify.corpus import builtin_functions
 
         # a smaller grid than the default keeps the reference quick; the scan
-        # does not branch on grid size
-        grid = SampleGrid(abscissa_count=16, random_triples=64)
+        # does not branch on grid size.  The counts of random triples
+        # straddle the chunks of CHUNK (64) triples, and a plain callable is
+        # evaluated one point at a time where a parsed expression takes its
+        # batch.  The last f is NaN on a third of the interval, so that some
+        # margins, a chunk's first among them, are NaN and skipped.  Each
+        # scan's largest |g| is the reference's too
+        scales = []
+        scan = convexity._scan
+
+        def recording_scan(*args):
+            result = scan(*args)
+            scales.append(result[-1])
+            return result
+
+        monkeypatch.setattr(convexity, "_scan", recording_scan)
+        grids = [SampleGrid(abscissa_count=16, random_triples=64)]
+        grids += [SampleGrid(abscissa_count=2, random_triples=n) for n in (0, 1, 63, 64, 65, 130)]
         h = parse("x^2")
+        plain_h = lambda al: h(al)  # noqa: E731
         unweighted = lambda al: (al, 1.0 - al)  # noqa: E731
         weighted = lambda al: (h(al), h(1.0 - al))  # noqa: E731
         for entry in builtin_functions():
-            f, interval = entry.spec, entry.interval
+            spec, interval = entry.spec, entry.interval
             a, b, hm = interval.a, interval.b, interval.harmonic_midpoint
-            cases = [
-                (check_convex(f, a, b, grid=grid), (a, b, 0.5 * (a + b), False, False, unweighted)),
-                (check_harmonic_convex(f, interval, grid=grid), (a, b, hm, True, False, unweighted)),
-                (check_harmonic_h_convex(f, h, interval, grid=grid), (a, b, hm, True, False, weighted)),
-                (check_symmetrized(f, interval, grid=grid), (a, b, hm, True, True, unweighted)),
-                (check_symmetrized(f, interval, grid=grid, h=h), (a, b, hm, True, True, weighted)),
-            ]
-            for verdict, args in cases:
-                for v, sign in ((verdict, 1.0), (verdict.opposite, -1.0)):
-                    worst, witness, count, scale = _lattice_reference(f, *args, grid, sign)
-                    got = (v.worst_margin, v.witness, v.samples_used, v.passed)
-                    expected = (worst, witness, count, worst <= v.tol * scale)
-                    assert got == expected, (entry.name, v.class_tested)
+
+            def nan_in_middle(t, lo=a + 0.3 * (b - a), hi=a + 0.6 * (b - a), spec=spec):
+                return math.nan if lo < t < hi else spec(t)
+
+            functions = [(spec, h), (lambda t, spec=spec: spec(t), plain_h), (nan_in_middle, h)]
+            for grid in grids:
+                for f, hf in functions if grid.abscissa_count == 2 else functions[:1]:
+                    cases = [
+                        (check_convex(f, a, b, grid=grid), (a, b, 0.5 * (a + b), False, False, unweighted)),
+                        (check_harmonic_convex(f, interval, grid=grid), (a, b, hm, True, False, unweighted)),
+                        (check_harmonic_h_convex(f, hf, interval, grid=grid), (a, b, hm, True, False, weighted)),
+                        (check_symmetrized(f, interval, grid=grid), (a, b, hm, True, True, unweighted)),
+                        (check_symmetrized(f, interval, grid=grid, h=hf), (a, b, hm, True, True, weighted)),
+                    ]
+                    for (verdict, args), scanned_scale in zip(cases, scales[-len(cases) :]):
+                        for v, sign in ((verdict, 1.0), (verdict.opposite, -1.0)):
+                            worst, witness, count, scale = _lattice_reference(f, *args, grid, sign)
+                            got = (v.worst_margin, v.witness, v.samples_used, v.passed, scanned_scale)
+                            expected = (worst, witness, count, worst <= v.tol * scale, scale)
+                            assert got == expected, (entry.name, grid, f, v.class_tested)
 
     def test_concave_request_mirrors_convex(self):
         convex = check_symmetrized(parse("-ln(x)"), I12)
@@ -555,8 +608,23 @@ def test_mirrored_scan_matches_full_pair_loop(coarse, weight, constant, data):
         al = k / convexity.STEPS
         rows.append((al, al, 1.0 - al) if h is None else (al, h(al), h(1.0 - al)))
     ts = [float(m) for m in range(M + 1)]
-    randoms = [(0.25, 0.75, rows[0], 1.0, 2.0, 3.0)]
-    halved = convexity._scan(ts, G, rows, iter(randoms), True)
-    full = convexity._scan(ts, G, rows, iter(randoms), False)
+    # one chunk of one random triple: points c, y, x and g there, and its weights
+    chunks = [([0.5, 0.75, 0.25], [rows[0][0]], [1.0, 2.0, 3.0], list(rows[0][1:]))]
+    halved = convexity._scan(ts, G, rows, iter(chunks), True)
+    full = convexity._scan(ts, G, rows, iter(chunks), False)
     # repr tells -0.0 from 0.0, so equal reprs are equal bits
     assert repr(halved) == repr(full)
+
+
+def test_scan_scale_reads_every_point_of_every_chunk():
+    # the largest |g| of a scan may be g at any point c, y or x of any
+    # triple of any chunk, positive or negative
+    rows = [(k / 16, k / 16, 1.0 - k / 16) for k in range(1, 16)]
+    ts, G = [float(m) for m in range(17)], [1.0] * 17
+    first = ([0.5, 0.75, 0.25], [0.5], [1.0, 1.0, 1.0], [0.5, 0.5])
+    for sign in (1.0, -1.0):
+        for position in range(6):
+            gs = [1.0] * 6
+            gs[position] = sign * 7.0
+            second = ([0.5, 0.5, 0.75, 0.75, 0.25, 0.25], [0.5, 0.5], gs, [0.5] * 4)
+            assert convexity._scan(ts, G, rows, iter([first, second]), False)[-1] == 7.0
